@@ -36,9 +36,8 @@ from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
 from fractions import Fraction
-from pathlib import Path
 
-from .catalog import Catalog, Metric, RuleKind, Source, _read_text
+from .catalog import Catalog, Source, _read_text
 from .errors import (
     CatalogMismatch,
     Finding,
@@ -147,15 +146,6 @@ class Assessment:
         updated[metric_id] = verdict
         return replace(self, verdicts=updated)
 
-    def gate_answers(self) -> dict[str, str]:
-        """Recorded yes/no answers keyed by metric id."""
-        answers: dict[str, str] = {}
-        for metric_id, verdict in self.verdicts.items():
-            answer = verdict.gate_answer
-            if answer is not None:
-                answers[metric_id] = answer
-        return answers
-
 
 # ---------------------------------------------------------------------------
 # Applicability
@@ -164,56 +154,46 @@ class Assessment:
 
 def _applicability(
     catalog: Catalog,
-    answers: dict[str, str],
+    assessment: Assessment,
     unanswered: list[str] | None,
 ) -> dict[str, bool]:
     """Resolve each metric's applicability under the recorded gate answers.
 
-    When ``unanswered`` is None, an applicable gate without an answer raises
-    :class:`GateUnanswered`; otherwise the gate id is appended there and its
-    dependents are treated as inapplicable so resolution can continue.
+    One forward pass over the compiled catalog, whose rows place every gate
+    before the metrics it switches.  When ``unanswered`` is None, an
+    applicable gate without an answer raises :class:`GateUnanswered`;
+    otherwise the gate id is appended there and its dependents are treated
+    as inapplicable so resolution can continue.
     """
-    index = catalog.metric_index()
-    memo: dict[str, bool] = {}
-
-    def resolve(metric: Metric, trail: tuple[str, ...]) -> bool:
-        if metric.id in memo:
-            return memo[metric.id]
-        if metric.id in trail:
-            raise ValueError(f"applicability cycle through {metric.id!r}; validate the catalog first")
-        rule = metric.applicability
-        if rule.kind is RuleKind.ALWAYS:
-            result = True
+    rows = catalog.compiled.rows
+    verdicts = assessment.verdicts
+    applicable: list[bool] = []
+    answers: dict[int, str | None] = {}
+    for _, gate_row, required_answer, _, _ in rows:
+        if gate_row < 0:
+            applicable.append(True)
+        elif not applicable[gate_row]:
+            applicable.append(False)
         else:
-            gate = index.get(rule.gate_metric_id or "")
-            if gate is None:
-                raise ValueError(
-                    f"metric {metric.id!r} gates on unknown metric "
-                    f"{rule.gate_metric_id!r}; validate the catalog first"
-                )
-            if not resolve(gate, trail + (metric.id,)):
-                result = False
+            if gate_row not in answers:
+                verdict = verdicts.get(rows[gate_row][0])
+                answers[gate_row] = None if verdict is None else verdict.gate_answer
+            answer = answers[gate_row]
+            if answer is None:
+                gate_id = rows[gate_row][0]
+                if unanswered is None:
+                    raise GateUnanswered(gate_id)
+                if gate_id not in unanswered:
+                    unanswered.append(gate_id)
+                applicable.append(False)
             else:
-                answer = answers.get(gate.id)
-                if answer is None:
-                    if unanswered is None:
-                        raise GateUnanswered(gate.id)
-                    if gate.id not in unanswered:
-                        unanswered.append(gate.id)
-                    result = False
-                else:
-                    result = answer == rule.required_answer
-        memo[metric.id] = result
-        return result
-
-    for metric in catalog.metrics:
-        resolve(metric, ())
-    return memo
+                applicable.append(answer == required_answer)
+    return {row[0]: ok for row, ok in zip(rows, applicable)}
 
 
 def applicability_map(catalog: Catalog, assessment: Assessment) -> dict[str, bool]:
     """Metric id -> applicable?  Raises GateUnanswered for unanswerable gates."""
-    return _applicability(catalog, assessment.gate_answers(), None)
+    return _applicability(catalog, assessment, None)
 
 
 def applicable_metrics(catalog: Catalog, assessment: Assessment) -> list[str]:
@@ -257,7 +237,7 @@ def assessment_findings(catalog: Catalog, assessment: Assessment, today: date | 
             findings.append(Finding("unknown-metric-id", metric_id, "metric does not exist in the catalog"))
 
     unanswered: list[str] = []
-    amap = _applicability(catalog, assessment.gate_answers(), unanswered)
+    amap = _applicability(catalog, assessment, unanswered)
     for gate_id in unanswered:
         findings.append(Finding("gate-unanswered", gate_id, "applicable gate metric has no recorded yes/no answer"))
 
@@ -273,12 +253,12 @@ def assessment_findings(catalog: Catalog, assessment: Assessment, today: date | 
     return findings
 
 
-def check_assessment(catalog: Catalog, assessment: Assessment) -> None:
+def check_assessment(catalog: Catalog, assessment: Assessment, today: date | None = None) -> None:
     """Raise the appropriate typed error for the first invariant violation."""
     meta = assessment.meta
     if not meta.provider or not meta.model:
         raise MalformedAssessment("provider and model must be non-empty")
-    if meta.assessed_version_date > date.today():
+    if meta.assessed_version_date > (today or date.today()):
         raise MalformedAssessment(f"assessed_version_date {meta.assessed_version_date} is in the future")
     if assessment.catalog_ref != catalog.ref:
         raise CatalogMismatch(
@@ -402,10 +382,10 @@ def parse_assessment(text: str) -> Assessment:
     )
 
 
-def load_assessment(source: Source, catalog: Catalog) -> Assessment:
+def load_assessment(source: Source, catalog: Catalog, today: date | None = None) -> Assessment:
     """Load and fully check an assessment against the catalog."""
     assessment = parse_assessment(_read_text(source))
-    check_assessment(catalog, assessment)
+    check_assessment(catalog, assessment, today)
     return assessment
 
 
@@ -441,7 +421,3 @@ def dumps_assessment(assessment: Assessment) -> str:
     for metric_id, verdict in assessment.verdicts.items():
         writer.writerow([metric_id, verdict.value.token, verdict.note])
     return out.getvalue()
-
-
-def dump_assessment(assessment: Assessment, path: str | Path) -> None:
-    Path(path).write_text(dumps_assessment(assessment), encoding="utf-8")

@@ -29,11 +29,13 @@ on load and never emitted by the serializer, so files produced by
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 from .errors import Finding, MalformedCatalog, SchemaViolation
 
@@ -127,6 +129,11 @@ SECTION_ORDER = (
     Section.DATA_PROCESSING,
 )
 
+#: (section, dimension) cells in canonical report order; a metric's cell
+#: index points into this tuple.
+CELLS = tuple((section, dimension) for section in SECTION_ORDER for dimension in DIMENSION_ORDER)
+_CELL_INDEX = {cell: i for i, cell in enumerate(CELLS)}
+
 
 class RuleKind(Enum):
     ALWAYS = "always"
@@ -209,11 +216,79 @@ class Catalog:
             index.setdefault(metric.id, metric)
         return index
 
-    def by_cell(self) -> dict[tuple[Section, Dimension], list[Metric]]:
-        cells: dict[tuple[Section, Dimension], list[Metric]] = {}
-        for metric in self.metrics:
-            cells.setdefault((metric.section, metric.dimension), []).append(metric)
-        return cells
+    @cached_property
+    def compiled(self) -> "CompiledCatalog":
+        """The catalog as flat rows for applicability and scoring, built once.
+
+        Raises ValueError on an applicability cycle or a gate naming an
+        unknown metric; :func:`validate_catalog` reports both as findings.
+        """
+        return _compile(self)
+
+
+@dataclass(frozen=True)
+class CompiledCatalog:
+    """A catalog flattened for the per-assessment hot path.
+
+    ``rows`` holds one ``(metric id, gate row, required answer, cell index,
+    weight units)`` tuple per metric.  The gate row indexes ``rows`` (-1 for
+    ``always``) and always points backwards: rows are in DFS post-order of
+    the gate graph, visiting metrics in catalog order, which is the order
+    in which a recursive resolution finishes them.  A repeated id reuses
+    the gate of its first occurrence.  Weight units are the weight times
+    ``weight_scale``, the LCM of every weight denominator, so sums of
+    weights are exact integers.
+    """
+
+    rows: tuple[tuple[str, int, str | None, int, int], ...]
+    weight_scale: int
+
+
+def _compile(catalog: Catalog) -> CompiledCatalog:
+    metrics = catalog.metrics
+    first: dict[str, int] = {}  # id -> position of its first occurrence
+    for position, metric in enumerate(metrics):
+        first.setdefault(metric.id, position)
+    scale = math.lcm(*(m.weight.denominator for m in metrics))
+    rows: list[tuple[str, int, str | None, int, int]] = []
+    row_of: dict[str, int] = {}
+
+    def emit(metric: Metric, gate_row: int, required_answer: str | None) -> None:
+        row_of.setdefault(metric.id, len(rows))
+        units = (metric.weight * scale).numerator
+        rows.append((metric.id, gate_row, required_answer, _CELL_INDEX[(metric.section, metric.dimension)], units))
+
+    for position, metric in enumerate(metrics):
+        if first[metric.id] != position:
+            emit(metric, *rows[row_of[metric.id]][1:3])
+            continue
+        # Follow the gate chain up to a metric already placed or an ungated
+        # one, then place the chain from its far end back.
+        chain: list[tuple[Metric, Metric | None]] = []
+        on_chain: set[str] = set()
+        node: Metric | None = metric
+        while node is not None and node.id not in row_of:
+            if node.id in on_chain:
+                raise ValueError(f"applicability cycle through {node.id!r}; validate the catalog first")
+            on_chain.add(node.id)
+            rule = node.applicability
+            gate = None
+            if rule.kind is RuleKind.IF_GATE_EQUALS:
+                gate_position = first.get(rule.gate_metric_id or "")
+                if gate_position is None:
+                    raise ValueError(
+                        f"metric {node.id!r} gates on unknown metric "
+                        f"{rule.gate_metric_id!r}; validate the catalog first"
+                    )
+                gate = metrics[gate_position]
+            chain.append((node, gate))
+            node = gate
+        for node, gate in reversed(chain):
+            if gate is None:
+                emit(node, -1, None)
+            else:
+                emit(node, row_of[gate.id], node.applicability.required_answer)
+    return CompiledCatalog(rows=tuple(rows), weight_scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +467,6 @@ def dumps_catalog(catalog: Catalog) -> str:
     return out.getvalue()
 
 
-def dump_catalog(catalog: Catalog, path: str | Path) -> None:
-    Path(path).write_text(dumps_catalog(catalog), encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -483,13 +554,3 @@ def reference_catalog_path() -> Path:
 
 def load_reference_catalog() -> Catalog:
     return load_catalog(reference_catalog_path())
-
-
-def iter_gate_ids(catalog: Catalog) -> Iterable[str]:
-    """Ids of metrics that some other metric's applicability points at."""
-    seen: set[str] = set()
-    for metric in catalog.metrics:
-        rule = metric.applicability
-        if rule.kind is RuleKind.IF_GATE_EQUALS and rule.gate_metric_id and rule.gate_metric_id not in seen:
-            seen.add(rule.gate_metric_id)
-            yield rule.gate_metric_id

@@ -15,9 +15,7 @@ import mimetypes
 import os
 import re
 import tempfile
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timezone
 from enum import Enum
@@ -231,20 +229,27 @@ def object_path(store_root: str | Path, digest: str) -> Path:
 
 def _fetch_bytes(url: str, timeout: float) -> tuple[bytes, str | None]:
     """Return (bytes, media type or None).  Accepts http(s), file URLs, paths."""
+    # urllib.request pulls in http.client, email and ssl (about 30 ms), so
+    # it is imported only by the branches that need it.
     parsed = urllib.parse.urlparse(url)
     if parsed.scheme in ("http", "https"):
-        request = urllib.request.Request(url, headers={"User-Agent": "summaryqa-archiver"})
+        from urllib.error import URLError
+        from urllib.request import Request, urlopen
+
+        request = Request(url, headers={"User-Agent": "summaryqa-archiver"})
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as resp:
+            with urlopen(request, timeout=timeout) as resp:
                 if getattr(resp, "status", 200) >= 400:
                     raise FetchFailed(f"{url}: HTTP status {resp.status}")
                 return resp.read(), resp.headers.get_content_type()
-        except urllib.error.URLError as exc:
+        except URLError as exc:
             raise FetchFailed(f"{url}: {exc.reason if hasattr(exc, 'reason') else exc}") from exc
         except OSError as exc:
             raise FetchFailed(f"{url}: {exc}") from exc
     if parsed.scheme == "file":
-        local = Path(urllib.request.url2pathname(parsed.path))
+        from urllib.request import url2pathname
+
+        local = Path(url2pathname(parsed.path))
     elif parsed.scheme == "":
         local = Path(url)
     else:

@@ -1,9 +1,11 @@
 """Deterministic score computation: cells, section groups, overalls, grades.
 
-All arithmetic is exact (``fractions.Fraction``); percentages are only
-rounded to two decimals at render time, never internally.  Scoring is a pure
-function of (catalog, assessment, config), so identical inputs always yield
-identical score cards regardless of execution order.
+All arithmetic is exact: weights and verdict values are summed as integers
+over the catalog's weight LCM, and one ``fractions.Fraction`` is built for
+each reported ratio.  Percentages are only rounded to two decimals at render
+time, never internally.  Scoring is a pure function of (catalog, assessment,
+config), so identical inputs always yield identical score cards regardless
+of execution order.
 
 A metric *contributes* to scoring when it is applicable under the recorded
 gate answers and carries a scoreable verdict.  Applicable metrics without a
@@ -20,8 +22,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .assessment import Assessment, SummaryMeta, Verdict, applicability_map
+from .assessment import Assessment, SummaryMeta, Verdict, VerdictValue, applicability_map
 from .catalog import (
+    CELLS,
     Catalog,
     DIMENSION_ORDER,
     Dimension,
@@ -63,7 +66,8 @@ class ScoreValue:
 
 def format_percentage(pct: Fraction) -> str:
     """Render an exact percentage at two decimals, rounding half up."""
-    hundredths = math.floor(pct * 100 + Fraction(1, 2))
+    n, d = pct.numerator, pct.denominator
+    hundredths = (200 * n + d) // (2 * d)  # floor(pct * 100 + 1/2)
     return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
@@ -165,43 +169,54 @@ def metric_score(verdict: Verdict, weight: Fraction) -> Fraction:
     return verdict.value.numeric * weight
 
 
-class _Pool:
-    """Accumulated weighted score and weight for one slice of metrics."""
-
-    __slots__ = ("achieved", "weight")
-
-    def __init__(self) -> None:
-        self.achieved = Fraction(0)
-        self.weight = Fraction(0)
-
-    def add(self, value: Fraction, weight: Fraction) -> None:
-        self.achieved += value * weight
-        self.weight += weight
-
-    def merge(self, other: "_Pool") -> None:
-        self.achieved += other.achieved
-        self.weight += other.weight
-
-    def score(self) -> ScoreValue:
-        if self.weight == 0:
-            return ScoreValue.na()
-        return ScoreValue.percentage(100 * self.achieved / self.weight)
+#: Scoreable verdict tokens as integers over their common denominator.
+_VERDICT_SCALE = math.lcm(*(v.numeric.denominator for v in VerdictValue if v.is_scoreable))
+_VERDICT_UNITS = {v.token: (v.numeric * _VERDICT_SCALE).numerator for v in VerdictValue if v.is_scoreable}
 
 
-def _cell_pools(catalog: Catalog, assessment: Assessment) -> dict[tuple[Section, Dimension], _Pool]:
+def _cells_of(sections, dimensions) -> tuple[int, ...]:
+    return tuple(CELLS.index((s, d)) for s in sections for d in dimensions)
+
+
+_GROUP_DIMENSIONS = {group: tuple(d for d in DIMENSION_ORDER if d.group is group) for group in Group}
+_SECTION_GROUP_CELLS = {
+    (section, group): _cells_of([section], _GROUP_DIMENSIONS[group]) for section in SECTION_ORDER for group in Group
+}
+_GROUP_CELLS = {group: _cells_of(SECTION_ORDER, _GROUP_DIMENSIONS[group]) for group in Group}
+_DIMENSION_CELLS = {dimension: _cells_of(SECTION_ORDER, [dimension]) for dimension in DIMENSION_ORDER}
+
+#: (achieved, weight) integer sums per cell, aligned with CELLS.  Weights are
+#: in units of 1/weight_scale of the compiled catalog, achieved scores in
+#: units of 1/(weight_scale * _VERDICT_SCALE).
+_Pools = list[tuple[int, int]]
+
+
+def _pool_score(achieved: int, weight: int) -> ScoreValue:
+    if weight == 0:
+        return ScoreValue.na()
+    return ScoreValue.percentage(Fraction(100 * achieved, _VERDICT_SCALE * weight))
+
+
+def _cell_pools(catalog: Catalog, assessment: Assessment) -> _Pools:
     """One pass over contributing metrics, accumulated per (section, dimension)."""
     amap = applicability_map(catalog, assessment)
-    pools: dict[tuple[Section, Dimension], _Pool] = {
-        (section, dimension): _Pool() for section in SECTION_ORDER for dimension in DIMENSION_ORDER
-    }
-    for metric in catalog.metrics:
-        if not amap[metric.id]:
+    verdicts = assessment.verdicts
+    achieved = [0] * len(CELLS)
+    weight = [0] * len(CELLS)
+    for metric_id, _, _, cell, units in catalog.compiled.rows:
+        if not amap[metric_id]:
             continue
-        verdict = assessment.verdicts.get(metric.id)
-        if verdict is None or not verdict.value.is_scoreable:
+        verdict = verdicts.get(metric_id)
+        value = None if verdict is None else _VERDICT_UNITS.get(verdict.value.token)
+        if value is None:
             continue
-        pools[(metric.section, metric.dimension)].add(verdict.value.numeric, metric.weight)
-    return pools
+        achieved[cell] += value * units
+        weight[cell] += units
+    return list(zip(achieved, weight))
+
+
+def _pooled(pools: _Pools, cells: tuple[int, ...]) -> ScoreValue:
+    return _pool_score(sum(pools[i][0] for i in cells), sum(pools[i][1] for i in cells))
 
 
 def _mean(parts: list[ScoreValue]) -> ScoreValue:
@@ -211,22 +226,10 @@ def _mean(parts: list[ScoreValue]) -> ScoreValue:
     return ScoreValue.percentage(sum(values, Fraction(0)) / len(values))
 
 
-def _pooled(pools: dict[tuple[Section, Dimension], _Pool], sections, dimensions) -> ScoreValue:
-    merged = _Pool()
-    for section in sections:
-        for dimension in dimensions:
-            merged.merge(pools[(section, dimension)])
-    return merged.score()
-
-
-def _group_dimensions(group: Group) -> tuple[Dimension, ...]:
-    return tuple(d for d in DIMENSION_ORDER if d.group is group)
-
-
 def cell_score(catalog: Catalog, assessment: Assessment, section: Section, dimension: Dimension) -> ScoreValue:
     """Weighted-normalized score of one (section, dimension) cell."""
     pools = _cell_pools(catalog, assessment)
-    return pools[(section, dimension)].score()
+    return _pool_score(*pools[CELLS.index((section, dimension))])
 
 
 def section_group_score(
@@ -237,20 +240,7 @@ def section_group_score(
     config: AggregationConfig = DEFAULT_CONFIG,
 ) -> ScoreValue:
     pools = _cell_pools(catalog, assessment)
-    return _section_group_from_pools(pools, section, group, config)
-
-
-def _section_group_from_pools(
-    pools: dict[tuple[Section, Dimension], _Pool],
-    section: Section,
-    group: Group,
-    config: AggregationConfig,
-) -> ScoreValue:
-    dims = _group_dimensions(group)
-    if config.section_group_strategy is SectionAggregation.POOLED_WEIGHTED:
-        return _pooled(pools, [section], dims)
-    cells = [pools[(section, d)].score() for d in dims]
-    return _mean(cells)
+    return _section_groups(pools, _cell_scores(pools), config)[(section, group)]
 
 
 def overall_scores(
@@ -259,36 +249,41 @@ def overall_scores(
     config: AggregationConfig = DEFAULT_CONFIG,
 ) -> dict[Group, ScoreValue]:
     pools = _cell_pools(catalog, assessment)
-    return _overall_from_pools(pools, config)
+    return _overall(pools, _section_groups(pools, _cell_scores(pools), config), config)
 
 
-def _overall_from_pools(
-    pools: dict[tuple[Section, Dimension], _Pool],
+def _cell_scores(pools: _Pools) -> list[ScoreValue]:
+    return [_pool_score(achieved, weight) for achieved, weight in pools]
+
+
+def _section_groups(
+    pools: _Pools,
+    cell_scores: list[ScoreValue],
+    config: AggregationConfig,
+) -> dict[tuple[Section, Group], ScoreValue]:
+    if config.section_group_strategy is SectionAggregation.POOLED_WEIGHTED:
+        return {key: _pooled(pools, cells) for key, cells in _SECTION_GROUP_CELLS.items()}
+    return {key: _mean([cell_scores[i] for i in cells]) for key, cells in _SECTION_GROUP_CELLS.items()}
+
+
+def _overall(
+    pools: _Pools,
+    section_groups: dict[tuple[Section, Group], ScoreValue],
     config: AggregationConfig,
 ) -> dict[Group, ScoreValue]:
-    result: dict[Group, ScoreValue] = {}
-    for group in Group:
-        dims = _group_dimensions(group)
-        if config.overall_strategy is OverallAggregation.POOLED_WEIGHTED:
-            result[group] = _pooled(pools, SECTION_ORDER, dims)
-        else:
-            sections = [_section_group_from_pools(pools, s, group, config) for s in SECTION_ORDER]
-            result[group] = _mean(sections)
-    return result
+    if config.overall_strategy is OverallAggregation.POOLED_WEIGHTED:
+        return {group: _pooled(pools, cells) for group, cells in _GROUP_CELLS.items()}
+    return {group: _mean([section_groups[(s, group)] for s in SECTION_ORDER]) for group in Group}
 
 
-def _dimension_overall_from_pools(
-    pools: dict[tuple[Section, Dimension], _Pool],
+def _dimension_overall(
+    pools: _Pools,
+    cell_scores: list[ScoreValue],
     config: AggregationConfig,
 ) -> dict[Dimension, ScoreValue]:
-    result: dict[Dimension, ScoreValue] = {}
-    for dimension in DIMENSION_ORDER:
-        if config.overall_strategy is OverallAggregation.POOLED_WEIGHTED:
-            result[dimension] = _pooled(pools, SECTION_ORDER, [dimension])
-        else:
-            cells = [pools[(s, dimension)].score() for s in SECTION_ORDER]
-            result[dimension] = _mean(cells)
-    return result
+    if config.overall_strategy is OverallAggregation.POOLED_WEIGHTED:
+        return {dimension: _pooled(pools, cells) for dimension, cells in _DIMENSION_CELLS.items()}
+    return {dimension: _mean([cell_scores[i] for i in cells]) for dimension, cells in _DIMENSION_CELLS.items()}
 
 
 @dataclass(frozen=True)
@@ -313,27 +308,18 @@ def score_summary(
     """Compute the complete score card for one assessment."""
     config.grade_scale.check()
     pools = _cell_pools(catalog, assessment)
-
-    per_cell = {
-        (section, dimension): pools[(section, dimension)].score()
-        for section in SECTION_ORDER
-        for dimension in DIMENSION_ORDER
-    }
-    per_section_group = {
-        (section, group): _section_group_from_pools(pools, section, group, config)
-        for section in SECTION_ORDER
-        for group in Group
-    }
-    overall = _overall_from_pools(pools, config)
+    cell_scores = _cell_scores(pools)
+    per_section_group = _section_groups(pools, cell_scores, config)
+    overall = _overall(pools, per_section_group, config)
     grades = {group: assign_grade(overall[group], config.grade_scale) for group in Group}
 
     return ScoreCard(
         meta=assessment.meta,
         catalog_ref=assessment.catalog_ref,
         config_used=config,
-        per_cell=per_cell,
+        per_cell=dict(zip(CELLS, cell_scores)),
         per_section_group=per_section_group,
-        per_dimension_overall=_dimension_overall_from_pools(pools, config),
+        per_dimension_overall=_dimension_overall(pools, cell_scores, config),
         overall=overall,
         grades=grades,
     )

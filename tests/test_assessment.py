@@ -1,5 +1,6 @@
 """Assessment parsing, validation, gate answers, and applicability."""
 
+import io
 from datetime import date
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from summaryqa.assessment import (
     SummaryMeta,
     Verdict,
     VerdictValue,
+    applicability_map,
     applicable_metrics,
     assessment_findings,
     check_assessment,
@@ -163,6 +165,86 @@ class TestApplicability:
         ).with_verdict("D2", Verdict(S))
         assert set(applicable_metrics(cat, before)) <= set(applicable_metrics(cat, after))
 
+    # Dependents listed before their gates, and G1 -> G2 -> D chained two
+    # deep.  Expected orders are those of a depth-first recursive resolution
+    # that visits metrics in catalog order.
+    def deep_catalog(self):
+        return make_catalog(
+            make_metric("D", gate="G2"),
+            make_metric("F", gate="H"),
+            make_metric("H"),
+            make_metric("E", gate="G1", answer="no"),
+            make_metric("G2", gate="G1"),
+            make_metric("G1"),
+            make_metric("A"),
+        )
+
+    def test_gate_after_dependents_resolves_in_post_order(self):
+        cat = self.deep_catalog()
+        a = make_assessment(
+            cat,
+            {
+                "G1": Verdict(S, "gate=yes"),
+                "G2": Verdict(P, "gate=yes"),
+                "H": Verdict(I, "gate=no"),
+                "D": Verdict(S),
+                "A": Verdict(S),
+            },
+        )
+        assert list(applicability_map(cat, a).items()) == [
+            ("G1", True), ("G2", True), ("D", True), ("H", True), ("F", False), ("E", False), ("A", True),
+        ]
+        off = make_assessment(cat, {"G1": Verdict(S, "gate=no"), "H": Verdict(S, "gate=yes")})
+        assert list(applicability_map(cat, off).items()) == [
+            ("G1", True), ("G2", False), ("D", False), ("H", True), ("F", True), ("E", True), ("A", True),
+        ]
+
+    @pytest.mark.parametrize(
+        "answered, first, findings",
+        [
+            ({"G1": Verdict(S, "gate=yes"), "G2": Verdict(S), "H": Verdict(S)}, "G2", ["G2", "H"]),
+            ({"G1": Verdict(S), "H": Verdict(S)}, "G1", ["G1", "H"]),
+        ],
+    )
+    def test_unanswered_gates_named_in_post_order(self, answered, first, findings):
+        cat = self.deep_catalog()
+        a = make_assessment(cat, answered)
+        with pytest.raises(GateUnanswered) as exc:
+            applicability_map(cat, a)
+        assert exc.value.gate_id == first
+        unanswered = [f.locus for f in assessment_findings(cat, a) if f.code == "gate-unanswered"]
+        assert unanswered == findings
+
+    def test_repeated_id_takes_first_occurrence_rule(self):
+        cat = make_catalog(
+            make_metric("X", gate="G"),
+            make_metric("G"),
+            make_metric("X", section=Section.USER_DATA),
+            make_metric("G", gate="X", answer="no"),
+            make_metric("Y", gate="X"),
+        )
+        a = make_assessment(cat, {"G": Verdict(S, "gate=no"), "X": Verdict(P)})
+        assert list(applicability_map(cat, a).items()) == [("G", True), ("X", False), ("Y", False)]
+        assert [(f.code, f.locus) for f in assessment_findings(cat, a)] == [
+            ("verdict-on-inapplicable", "X"),
+            ("verdict-on-inapplicable", "X"),
+        ]
+
+    @pytest.mark.parametrize(
+        "metrics, message",
+        [
+            ([("A", None), ("B", "C"), ("C", "B")], "applicability cycle through 'B'; validate the catalog first"),
+            ([("A", "A")], "applicability cycle through 'A'; validate the catalog first"),
+            ([("A", None), ("B", "Z")], "metric 'B' gates on unknown metric 'Z'; validate the catalog first"),
+            ([("B", "C"), ("C", "Z")], "metric 'C' gates on unknown metric 'Z'; validate the catalog first"),
+        ],
+    )
+    def test_broken_gate_graph_raises(self, metrics, message):
+        cat = make_catalog(*(make_metric(mid, gate=gate) for mid, gate in metrics))
+        with pytest.raises(ValueError) as exc:
+            applicability_map(cat, make_assessment(cat, {}))
+        assert str(exc.value) == message
+
 
 class TestValidation:
     def test_valid_assessment_no_findings(self):
@@ -211,6 +293,20 @@ class TestValidation:
         cat = make_catalog(make_metric("A"))
         a = make_assessment(cat, {"A": Verdict(S)}, meta=make_meta(assessed_version_date=date(2099, 1, 1)))
         assert "future-date" in [f.code for f in assessment_findings(cat, a)]
+
+    def test_checks_take_today_instead_of_the_clock(self):
+        cat = make_catalog(make_metric("A"))
+        a = make_assessment(cat, {"A": Verdict(S)})  # assessed 2026-01-12
+        day_before, same_day = date(2026, 1, 11), date(2026, 1, 12)
+        with pytest.raises(MalformedAssessment, match="in the future"):
+            check_assessment(cat, a, today=day_before)
+        check_assessment(cat, a, today=same_day)
+        assert [f.code for f in assessment_findings(cat, a, today=day_before)] == ["future-date"]
+        assert assessment_findings(cat, a, today=same_day) == []
+        text = dumps_assessment(a).encode()
+        with pytest.raises(MalformedAssessment, match="in the future"):
+            load_assessment(io.BytesIO(text), cat, today=day_before)
+        assert load_assessment(io.BytesIO(text), cat, today=same_day) == a
 
     def test_validity_invariant_under_verdict_permutation(self):
         cat = make_catalog(make_metric("A"), make_metric("B"), make_metric("C"))

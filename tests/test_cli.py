@@ -291,6 +291,20 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert "Total\t242" in proc.stdout
 
+    def test_import_leaves_the_http_stack_unloaded(self):
+        import subprocess
+        import sys
+
+        heavy = ("urllib.request", "http.client", "email.parser", "ssl")
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys, summaryqa.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_subprocess_validate_exit_codes(self, tmp_path):
         import subprocess
         import sys

@@ -147,6 +147,7 @@ class TestArchiveFetch:
         source.write_bytes(b"%PDF-1.4 fake")
         copy = archive_fetch(source.as_uri(), tmp_path / "store")
         assert copy.media_type == "application/pdf"
+        assert (tmp_path / "store" / copy.storage_path).read_bytes() == b"%PDF-1.4 fake"
 
 
 class TestVerifyArchive:

@@ -1,5 +1,6 @@
 """Scoring engine: worked examples, fixed points, grades, and strategies."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -261,6 +262,56 @@ class TestScoreSummary:
             expected = oracle_scorecard(cat, a, *strategies)
             assert_card_matches_oracle(card, expected)
 
+    def test_mixed_weight_denominators_match_oracle(self):
+        # Weights 3/2, 0.5 and 7/3 sum as integers over their LCM, 6.  The
+        # exact values are those of summing the weights as Fractions.
+        doc, user = Section.DOCUMENT, Section.USER_DATA
+        cat = toy_catalog(
+            toy_metric("G", doc, Dimension.CLARITY, weight=Fraction(3, 2)),
+            toy_metric("D1", doc, Dimension.CLARITY, weight=Fraction("0.5"), gate="G"),
+            toy_metric("D2", doc, Dimension.COMPLETENESS, weight=Fraction(7, 3), gate="G"),
+            toy_metric("D3", user, Dimension.ACCESSIBILITY, weight=Fraction(7, 3), gate="G", answer="no"),
+            toy_metric("U1", user, Dimension.COMPREHENSION, weight=Fraction(3, 2)),
+            toy_metric("U2", user, Dimension.CLARITY, weight=Fraction("0.5")),
+            toy_metric("U3", Section.DATA_PROCESSING, Dimension.CORRECTNESS, weight=Fraction(7, 3)),
+        )
+        a = toy_assessment(
+            cat,
+            {
+                "G": Verdict(P, "gate=yes"),
+                "D1": Verdict(S),
+                "D2": Verdict(P),
+                "D3": Verdict(NA),
+                "U1": Verdict(P),
+                "U2": Verdict(I),
+                "U3": Verdict(S),
+            },
+        )
+        assert cat.compiled.weight_scale == 6
+        for config, strategies, section_doc, transparency in (
+            (AggregationConfig(), ("pooled-weighted", "pooled-weighted"), Fraction(725, 13), Fraction(2850, 43)),
+            (MEAN_CONFIG, ("mean-of-dimensions", "mean-of-sections"), Fraction(225, 4), Fraction(625, 12)),
+        ):
+            card = score_summary(cat, a, config)
+            assert_card_matches_oracle(card, oracle_scorecard(cat, a, *strategies))
+            assert card.per_cell[(doc, Dimension.CLARITY)].pct == Fraction(125, 2)
+            assert card.per_section_group[(doc, Group.TRANSPARENCY)].pct == section_doc
+            assert card.overall[Group.TRANSPARENCY].pct == transparency
+
+    def test_repeated_id_counts_each_occurrence(self):
+        # Both rows of a repeated id pool, under the first occurrence's gate.
+        cat = toy_catalog(
+            toy_metric("X", gate="G"),
+            toy_metric("G"),
+            toy_metric("X", Section.USER_DATA, Dimension.COMPREHENSION, weight=Fraction(5, 7)),
+            toy_metric("G", gate="X", answer="no"),
+            toy_metric("Y", gate="X"),
+        )
+        a = toy_assessment(cat, {"G": Verdict(S, "gate=yes"), "X": Verdict(P, "gate=yes"), "Y": Verdict(S)})
+        card = score_summary(cat, a)
+        assert card.per_cell[(Section.DOCUMENT, Dimension.CLARITY)].pct == Fraction(175, 2)
+        assert card.per_cell[(Section.USER_DATA, Dimension.COMPREHENSION)].pct == 50
+
 
 class TestFormatting:
     def test_two_decimals(self):
@@ -273,3 +324,13 @@ class TestFormatting:
         assert format_percentage(Fraction("88.0249")) == "88.02"
         assert format_percentage(Fraction(1, 3)) == "0.33"
         assert format_percentage(Fraction(2, 3)) == "0.67"
+
+    def test_integer_rounding_equals_fraction_rounding(self):
+        from hypothesis import given, strategies as st
+
+        @given(st.fractions(min_value=0, max_value=100))
+        def check(pct):
+            hundredths = math.floor(pct * 100 + Fraction(1, 2))
+            assert format_percentage(pct) == f"{hundredths // 100}.{hundredths % 100:02d}"
+
+        check()
