@@ -37,7 +37,7 @@ from datetime import date
 from enum import Enum
 from fractions import Fraction
 
-from .catalog import Catalog, Source, _read_text
+from .catalog import Catalog, Source, _header_value, _lookup, _read_text
 from .errors import (
     CatalogMismatch,
     Finding,
@@ -66,10 +66,7 @@ class VerdictValue(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "VerdictValue":
-        try:
-            return _VERDICT_BY_TOKEN[token]
-        except KeyError:
-            raise ValueError(f"unknown verdict {token!r}") from None
+        return _lookup(_VERDICT_BY_TOKEN, token, "verdict")
 
 
 _VERDICT_BY_TOKEN = {v.token: v for v in VerdictValue}
@@ -112,10 +109,10 @@ class PublishedForm(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "PublishedForm":
-        for form in cls:
-            if form.value == token:
-                return form
-        raise ValueError(f"unknown published form {token!r}")
+        return _lookup(_FORM_BY_TOKEN, token, "published form")
+
+
+_FORM_BY_TOKEN = {f.value: f for f in PublishedForm}
 
 
 @dataclass(frozen=True)
@@ -129,6 +126,43 @@ class SummaryMeta:
     published_form: PublishedForm
     assessed_version_date: date
     archived_copy_digest: str | None = None
+
+
+def meta_to_dict(meta: SummaryMeta) -> dict[str, str | None]:
+    """The meta fields in file order: the registry and score card ``meta``
+    block, and the first lines of the assessment header."""
+    return {
+        "provider": meta.provider,
+        "model": meta.model,
+        "summary_title": meta.summary_title,
+        "source_url": meta.source_url,
+        "published_form": meta.published_form.value,
+        "assessed_version_date": meta.assessed_version_date.isoformat(),
+        "archived_copy_digest": meta.archived_copy_digest,
+    }
+
+
+def meta_from_dict(raw: dict) -> SummaryMeta:
+    """Inverse of :func:`meta_to_dict`; an empty digest reads as absent.
+
+    Raises KeyError for a missing field and ValueError for a bad value.
+    """
+    published_form = PublishedForm.from_token(raw["published_form"])
+    try:
+        assessed = date.fromisoformat(raw["assessed_version_date"])
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"assessed_version_date must be YYYY-MM-DD, got {raw['assessed_version_date']!r}"
+        ) from None
+    return SummaryMeta(
+        provider=raw["provider"],
+        model=raw["model"],
+        summary_title=raw["summary_title"],
+        source_url=raw["source_url"],
+        published_form=published_form,
+        assessed_version_date=assessed,
+        archived_copy_digest=raw.get("archived_copy_digest") or None,
+    )
 
 
 @dataclass(frozen=True)
@@ -253,34 +287,36 @@ def assessment_findings(catalog: Catalog, assessment: Assessment, today: date | 
     return findings
 
 
+#: Finding code -> the typed error :func:`check_assessment` raises for the
+#: findings with that code, in precedence order.
+_ERROR_FOR_CODE = (
+    ("empty-provider", lambda found: MalformedAssessment("provider and model must be non-empty")),
+    ("empty-model", lambda found: MalformedAssessment("provider and model must be non-empty")),
+    ("future-date", lambda found: MalformedAssessment(found[0].message)),
+    ("catalog-mismatch", lambda found: CatalogMismatch(found[0].message)),
+    ("unknown-metric-id", lambda found: UnknownMetricId(found[0].locus)),
+    ("gate-unanswered", lambda found: GateUnanswered(found[0].locus)),
+    (
+        "verdict-on-inapplicable",
+        lambda found: MalformedAssessment(
+            f"metric {found[0].locus}: scoreable verdict recorded for an inapplicable metric"
+        ),
+    ),
+    ("missing-verdict", lambda found: MissingVerdict([f.locus for f in found])),
+)
+
+
 def check_assessment(catalog: Catalog, assessment: Assessment, today: date | None = None) -> None:
-    """Raise the appropriate typed error for the first invariant violation."""
-    meta = assessment.meta
-    if not meta.provider or not meta.model:
-        raise MalformedAssessment("provider and model must be non-empty")
-    if meta.assessed_version_date > (today or date.today()):
-        raise MalformedAssessment(f"assessed_version_date {meta.assessed_version_date} is in the future")
-    if assessment.catalog_ref != catalog.ref:
-        raise CatalogMismatch(
-            f"assessment references catalog {assessment.catalog_ref!r}, expected {catalog.ref!r}"
-        )
-    index = catalog.metric_index()
-    for metric_id in assessment.verdicts:
-        if metric_id not in index:
-            raise UnknownMetricId(metric_id)
-    amap = applicability_map(catalog, assessment)  # raises GateUnanswered
-    uncovered = []
-    for m in catalog.metrics:
-        verdict = assessment.verdicts.get(m.id)
-        scoreable = verdict is not None and verdict.value.is_scoreable
-        if amap[m.id] and not scoreable:
-            uncovered.append(m.id)
-        elif not amap[m.id] and scoreable:
-            raise MalformedAssessment(
-                f"metric {m.id}: scoreable verdict recorded for an inapplicable metric"
-            )
-    if uncovered:
-        raise MissingVerdict(uncovered)
+    """Raise a typed error if :func:`assessment_findings` reports anything.
+
+    The error is chosen by the first code in ``_ERROR_FOR_CODE`` that has a
+    finding, so this check and ``validate`` can never disagree.
+    """
+    findings = assessment_findings(catalog, assessment, today)
+    for code, error in _ERROR_FOR_CODE:
+        found = [f for f in findings if f.code == code]
+        if found:
+            raise error(found)
 
 
 # ---------------------------------------------------------------------------
@@ -331,25 +367,9 @@ def parse_assessment(text: str) -> Assessment:
         raise MalformedAssessment(f"unknown header field {sorted(unknown)[0]!r}")
 
     try:
-        published_form = PublishedForm.from_token(header["published_form"])
+        meta = meta_from_dict(header)
     except ValueError as exc:
         raise MalformedAssessment(str(exc)) from None
-    try:
-        assessed = date.fromisoformat(header["assessed_version_date"])
-    except ValueError:
-        raise MalformedAssessment(
-            f"assessed_version_date must be YYYY-MM-DD, got {header['assessed_version_date']!r}"
-        ) from None
-
-    meta = SummaryMeta(
-        provider=header["provider"],
-        model=header["model"],
-        summary_title=header["summary_title"],
-        source_url=header["source_url"],
-        published_form=published_form,
-        assessed_version_date=assessed,
-        archived_copy_digest=header.get("archived_copy_digest") or None,
-    )
 
     body = "\n".join(lines[body_start:])
     reader = csv.reader(io.StringIO(body))
@@ -389,32 +409,22 @@ def load_assessment(source: Source, catalog: Catalog, today: date | None = None)
     return assessment
 
 
-def _header_value(value: str, what: str) -> str:
-    if "\n" in value or "\r" in value:
-        raise ValueError(f"{what} must not contain line breaks: {value!r}")
-    return value
-
-
 def dumps_assessment(assessment: Assessment) -> str:
     """Serialize to the canonical assessment file format.
 
     Header fields are single-line; verdict notes may contain anything CSV
     can quote (commas, quotes, even line breaks).
     """
-    meta = assessment.meta
+    header = {
+        **meta_to_dict(assessment.meta),
+        "catalog_ref": assessment.catalog_ref,
+        "evaluator": assessment.evaluator,
+        "verifier": assessment.verifier,
+    }
     out = io.StringIO()
-    out.write(f"provider: {_header_value(meta.provider, 'provider')}\n")
-    out.write(f"model: {_header_value(meta.model, 'model')}\n")
-    out.write(f"summary_title: {_header_value(meta.summary_title, 'summary_title')}\n")
-    out.write(f"source_url: {_header_value(meta.source_url, 'source_url')}\n")
-    out.write(f"published_form: {meta.published_form.value}\n")
-    out.write(f"assessed_version_date: {meta.assessed_version_date.isoformat()}\n")
-    if meta.archived_copy_digest:
-        out.write(f"archived_copy_digest: {_header_value(meta.archived_copy_digest, 'archived_copy_digest')}\n")
-    out.write(f"catalog_ref: {_header_value(assessment.catalog_ref, 'catalog_ref')}\n")
-    out.write(f"evaluator: {_header_value(assessment.evaluator, 'evaluator')}\n")
-    if assessment.verifier:
-        out.write(f"verifier: {_header_value(assessment.verifier, 'verifier')}\n")
+    for key, value in header.items():
+        if value or key in _HEADER_REQUIRED:
+            out.write(f"{key}: {_header_value(value, key)}\n")
     out.write("\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_HEADER)

@@ -30,14 +30,26 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, TypeVar, Union
 
-from .errors import Finding, MalformedCatalog, SchemaViolation
+from .errors import Finding, MalformedCatalog, SchemaViolation, WriteFailed
+
+_Member = TypeVar("_Member")
+
+
+def _lookup(members: dict[str, _Member], token: str, what: str) -> _Member:
+    """The member that ``token`` names; ValueError says ``unknown <what>``."""
+    try:
+        return members[token]
+    except KeyError:
+        raise ValueError(f"unknown {what} {token!r}") from None
 
 
 class Section(Enum):
@@ -59,10 +71,7 @@ class Section(Enum):
 
     @classmethod
     def from_code(cls, code: str) -> "Section":
-        try:
-            return _SECTION_BY_CODE[code]
-        except KeyError:
-            raise ValueError(f"unknown section code {code!r}") from None
+        return _lookup(_SECTION_BY_CODE, code, "section code")
 
 
 _SECTION_BY_CODE = {s.code: s for s in Section}
@@ -99,10 +108,7 @@ class Dimension(Enum):
 
     @classmethod
     def from_code(cls, code: str) -> "Dimension":
-        try:
-            return _DIMENSION_BY_CODE[code]
-        except KeyError:
-            raise ValueError(f"unknown dimension code {code!r}") from None
+        return _lookup(_DIMENSION_BY_CODE, code, "dimension code")
 
 
 _DIMENSION_BY_CODE = {d.code: d for d in Dimension}
@@ -318,6 +324,29 @@ def _read_text(source: Source) -> str:
     return data
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one rename, so readers never see a partial file."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".incoming-")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise WriteFailed(f"cannot write {path}: {exc}") from exc
+
+
+def _header_value(value: str, what: str) -> str:
+    """``value`` for a ``key: value`` line; ValueError if it spans lines."""
+    if "\n" in value or "\r" in value:
+        raise ValueError(f"{what} must not contain line breaks: {value!r}")
+    return value
+
+
 def _split_blocks(text: str) -> list[list[tuple[int, str]]]:
     """Split into blocks of (line_number, line), skipping blanks and comments."""
     blocks: list[list[tuple[int, str]]] = []
@@ -443,25 +472,19 @@ def load_catalog(source: Source) -> Catalog:
     return parse_catalog(_read_text(source))
 
 
-def _single_line(value: str, what: str) -> str:
-    if "\n" in value or "\r" in value:
-        raise ValueError(f"{what} must not contain line breaks: {value!r}")
-    return value
-
-
 def dumps_catalog(catalog: Catalog) -> str:
     """Serialize to the canonical catalog file format (stable, diffable)."""
     out = io.StringIO()
-    out.write(f"catalog: {_single_line(catalog.name, 'catalog name')}\n")
-    out.write(f"version: {_single_line(catalog.version, 'catalog version')}\n")
+    out.write(f"catalog: {_header_value(catalog.name, 'catalog name')}\n")
+    out.write(f"version: {_header_value(catalog.version, 'catalog version')}\n")
     for metric in catalog.metrics:
         out.write("\n")
-        out.write(f"id: {_single_line(metric.id, 'metric id')}\n")
-        out.write(f"element_id: {_single_line(metric.element_id, 'element id')}\n")
+        out.write(f"id: {_header_value(metric.id, 'metric id')}\n")
+        out.write(f"element_id: {_header_value(metric.element_id, 'element id')}\n")
         out.write(f"section: {metric.section.code}\n")
         out.write(f"dimension: {metric.dimension.code}\n")
         out.write(f"weight: {metric.weight}\n")
-        out.write(f"prompt: {_single_line(metric.prompt, 'prompt')}\n")
+        out.write(f"prompt: {_header_value(metric.prompt, 'prompt')}\n")
         out.write(f"optional_field: {'true' if metric.optional_field else 'false'}\n")
         out.write(f"applicability: {metric.applicability.serialize()}\n")
     return out.getvalue()
@@ -510,9 +533,10 @@ def validate_catalog(catalog: Catalog) -> list[Finding]:
 def _cycle_findings(catalog: Catalog) -> list[Finding]:
     """One finding per applicability cycle, discovered in catalog order."""
     gate_of: dict[str, str] = {}
+    ids = {m.id for m in catalog.metrics}
     for metric in catalog.metrics:
         rule = metric.applicability
-        if rule.kind is RuleKind.IF_GATE_EQUALS and rule.gate_metric_id in {m.id for m in catalog.metrics}:
+        if rule.kind is RuleKind.IF_GATE_EQUALS and rule.gate_metric_id in ids:
             gate_of.setdefault(metric.id, rule.gate_metric_id)
 
     findings: list[Finding] = []

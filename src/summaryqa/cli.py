@@ -29,8 +29,8 @@ from .assessment import (
     load_assessment,
     parse_assessment,
 )
-from .catalog import SECTION_ORDER, load_catalog, section_counts, validate_catalog
-from .errors import Finding, MalformedAssessment, SummaryQAError
+from .catalog import SECTION_ORDER, _write_atomic, load_catalog, section_counts, validate_catalog
+from .errors import Finding, MalformedAssessment, MalformedRegistry, SummaryQAError
 from .registry import (
     DiscoveryChannel,
     DiscoveryProvenance,
@@ -129,6 +129,19 @@ def _read_config_file(path: Path) -> dict[str, str]:
     return values
 
 
+def _file_value(file_values: dict[str, str], key: str, parse, default):
+    """Parse a config file value, or ``default`` when the file lacks the key.
+
+    A value that does not parse is reported under its key.
+    """
+    if key not in file_values:
+        return default
+    try:
+        return parse(file_values[key])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.BadParameter(str(exc), param_hint=key) from exc
+
+
 def _aggregation_from(name: str) -> AggregationConfig:
     if name == "pooled":
         return AggregationConfig()
@@ -177,23 +190,14 @@ def resolve_config(ctx: click.Context) -> RunConfig:
     section_strategy = base.section_group_strategy
     overall_strategy = base.overall_strategy
     if flags.get("aggregation") is None:  # flag wins over the fine-grained keys
-        if "section_group_strategy" in file_values:
-            section_strategy = SectionAggregation(file_values["section_group_strategy"])
-        if "overall_strategy" in file_values:
-            overall_strategy = OverallAggregation(file_values["overall_strategy"])
-    grade_scale = (
-        _parse_grade_scale(file_values["grade_scale"])
-        if "grade_scale" in file_values
-        else DEFAULT_GRADE_SCALE
-    )
+        section_strategy = _file_value(file_values, "section_group_strategy", SectionAggregation, section_strategy)
+        overall_strategy = _file_value(file_values, "overall_strategy", OverallAggregation, overall_strategy)
     config.aggregation = AggregationConfig(
         section_group_strategy=section_strategy,
         overall_strategy=overall_strategy,
-        grade_scale=grade_scale,
+        grade_scale=_file_value(file_values, "grade_scale", _parse_grade_scale, DEFAULT_GRADE_SCALE),
     )
-
-    if "severity_bands" in file_values:
-        config.severity_bands = _parse_severity_bands(file_values["severity_bands"])
+    config.severity_bands = _file_value(file_values, "severity_bands", _parse_severity_bands, config.severity_bands)
     return config
 
 
@@ -201,6 +205,14 @@ def _require(value, name: str):
     if value is None:
         raise click.ClickException(f"{name} is required (flag or config file)")
     return value
+
+
+def _load(loader, path):
+    """Load one input file; a malformed file ends the command with its path."""
+    try:
+        return loader(path)
+    except SummaryQAError as exc:
+        raise click.ClickException(f"{path}: {exc}") from exc
 
 
 def _echo_findings(source: str, findings: list[Finding]) -> int:
@@ -277,10 +289,15 @@ def validate(ctx, assessments, registry_path, store):
             total += _echo_findings(source, assessment_findings(catalog, assessment))
 
     if config.registry_path is not None:
-        registry = load_registry(config.registry_path)
-        total += _echo_findings("registry", validate_registry(registry))
-        if config.storage_root is not None:
-            total += _echo_findings("archive", verify_archive(registry, config.storage_root))
+        try:
+            registry = load_registry(config.registry_path)
+        except MalformedRegistry as exc:
+            click.echo(f"registry\t{config.registry_path}\tmalformed-registry\t{exc}")
+            total += 1
+        else:
+            total += _echo_findings("registry", validate_registry(registry))
+            if config.storage_root is not None:
+                total += _echo_findings("archive", verify_archive(registry, config.storage_root))
 
     click.echo(f"{total} finding(s)", err=True)
     sys.exit(0 if total == 0 else 1)
@@ -306,24 +323,21 @@ def score(ctx, source):
     if not paths:
         raise click.ClickException(f"no assessment files found in {source}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     for path in paths:
         try:
             assessment = load_assessment(path, catalog)
+            card = score_summary(catalog, assessment, config.aggregation)
+            card_path = out_dir / f"{path.stem}.scorecard.json"
+            _write_atomic(card_path, scorecard_to_json(card).encode("utf-8"))
+            written = [card_path]
+            if config.report_format != "json":
+                report_path = out_dir / f"{path.stem}.report.{config.report_format}"
+                report = render_scorecard(card, config.report_format, bands=config.severity_bands)
+                _write_atomic(report_path, report)
+                written.append(report_path)
         except SummaryQAError as exc:
             raise click.ClickException(f"{path}: {exc}") from exc
-        card = score_summary(catalog, assessment, config.aggregation)
-        stem = path.stem
-        card_path = out_dir / f"{stem}.scorecard.json"
-        card_path.write_text(scorecard_to_json(card), encoding="utf-8")
-        written = [card_path]
-        if config.report_format != "json":
-            report_path = out_dir / f"{stem}.report.{config.report_format}"
-            report_path.write_bytes(
-                render_scorecard(card, config.report_format, bands=config.severity_bands)
-            )
-            written.append(report_path)
         grades = " ".join(f"{g.value}={card.grades[g]}" for g in Group)
         click.echo(f"{path.name}: {grades} -> {', '.join(str(p) for p in written)}", err=True)
 
@@ -343,20 +357,17 @@ def compare(ctx, cards_dir):
     card_paths = sorted(Path(directory).glob("*.scorecard.json"))
     if not card_paths:
         raise click.ClickException(f"no score cards found in {directory}")
-    cards = [load_scorecard(p) for p in card_paths]
+    cards = [_load(load_scorecard, p) for p in card_paths]
     try:
         rendered = render_comparison(cards, config.report_format, bands=config.severity_bands)
+        if config.output_dir is not None:
+            out_path = Path(config.output_dir) / f"comparison.{config.report_format}"
+            _write_atomic(out_path, rendered)
+            click.echo(f"wrote {out_path}", err=True)
+        else:
+            click.echo(rendered.decode("utf-8"), nl=False)
     except SummaryQAError as exc:
         raise click.ClickException(str(exc)) from exc
-
-    if config.output_dir is not None:
-        ext = config.report_format
-        out_path = Path(config.output_dir) / f"comparison.{ext}"
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_bytes(rendered)
-        click.echo(f"wrote {out_path}", err=True)
-    else:
-        click.echo(rendered.decode("utf-8"), nl=False)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +407,7 @@ def archive(ctx, url, slug, provider, model, title, source_url, published_form, 
     registry_file = _require(config.registry_path, "--registry")
     store_root = _require(config.storage_root, "--store")
 
-    registry = load_registry(registry_file) if Path(registry_file).exists() else Registry()
+    registry = _load(load_registry, registry_file) if Path(registry_file).exists() else Registry()
     if registry.get(slug) is not None:
         raise click.ClickException(f"registry already contains slug {slug!r}")
 
@@ -423,7 +434,10 @@ def archive(ctx, url, slug, provider, model, title, source_url, published_form, 
         ),
     )
     add_entry(registry, attach_archive(entry, copy))
-    save_registry(registry, registry_file)
+    try:
+        save_registry(registry, registry_file)
+    except SummaryQAError as exc:
+        raise click.ClickException(str(exc)) from exc
     click.echo(copy.content_digest)
     click.echo(f"archived {url} ({copy.byte_length} bytes, {copy.media_type})", err=True)
 
@@ -449,9 +463,8 @@ def site(ctx, registry_path, cards_dir, store, methodology, title):
     out_dir = _require(config.output_dir, "--out")
     directory = Path(cards_dir) if cards_dir else Path(out_dir)
 
-    registry = load_registry(registry_file)
-    card_paths = sorted(directory.glob("*.scorecard.json"))
-    cards = [load_scorecard(p) for p in card_paths]
+    registry = _load(load_registry, registry_file)
+    cards = [_load(load_scorecard, p) for p in sorted(directory.glob("*.scorecard.json"))]
 
     site_root = Path(out_dir) / "site"
     site_config = SiteConfig(

@@ -90,18 +90,22 @@ class CatalogVersionMismatch(SummaryQAError):
     """Comparison inputs reference different catalog name/version pairs."""
 
 
+class MalformedScoreCard(SummaryQAError):
+    """Score card file cannot be parsed."""
+
+
 # -- registry / archive -----------------------------------------------------
 
 class DuplicateSlug(SummaryQAError):
     """Registry already contains an entry with this slug."""
 
 
+class MalformedRegistry(SummaryQAError):
+    """Registry file cannot be parsed."""
+
+
 class FetchFailed(SummaryQAError):
     """Source bytes could not be retrieved."""
-
-
-class StorageFailed(SummaryQAError):
-    """Object store write failed."""
 
 
 # -- site -------------------------------------------------------------------
@@ -111,7 +115,7 @@ class UnmatchedScoreCard(SummaryQAError):
 
 
 class WriteFailed(SummaryQAError):
-    """Site output could not be written."""
+    """An output file or stored object could not be written."""
 
 
 # -- cli --------------------------------------------------------------------
@@ -132,5 +136,9 @@ class Finding:
     locus: str
     message: str
 
-    def render(self) -> str:
-        return f"{self.locus}: {self.code}: {self.message}"
+
+def malformed_message(exc: Exception) -> str:
+    """The reason a JSON decoder gives when it meets input of the wrong shape."""
+    if isinstance(exc, KeyError):
+        return f"missing field {exc.args[0]!r}"
+    return str(exc)

@@ -12,17 +12,16 @@ from __future__ import annotations
 import hashlib
 import json
 import mimetypes
-import os
 import re
-import tempfile
 import urllib.parse
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
 
-from .assessment import PublishedForm, SummaryMeta
-from .errors import DuplicateSlug, FetchFailed, Finding, StorageFailed
+from .assessment import SummaryMeta, meta_from_dict, meta_to_dict
+from .catalog import _lookup, _write_atomic
+from .errors import DuplicateSlug, FetchFailed, Finding, MalformedRegistry, malformed_message
 
 _SLUG_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
 
@@ -37,10 +36,10 @@ class DiscoveryChannel(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "DiscoveryChannel":
-        for channel in cls:
-            if channel.value == token:
-                return channel
-        raise ValueError(f"unknown discovery channel {token!r}")
+        return _lookup(_CHANNEL_BY_TOKEN, token, "discovery channel")
+
+
+_CHANNEL_BY_TOKEN = {c.value: c for c in DiscoveryChannel}
 
 
 @dataclass(frozen=True)
@@ -128,30 +127,6 @@ def validate_registry(registry: Registry) -> list[Finding]:
 # ---------------------------------------------------------------------------
 
 
-def _meta_to_dict(meta: SummaryMeta) -> dict:
-    return {
-        "provider": meta.provider,
-        "model": meta.model,
-        "summary_title": meta.summary_title,
-        "source_url": meta.source_url,
-        "published_form": meta.published_form.value,
-        "assessed_version_date": meta.assessed_version_date.isoformat(),
-        "archived_copy_digest": meta.archived_copy_digest,
-    }
-
-
-def _meta_from_dict(raw: dict) -> SummaryMeta:
-    return SummaryMeta(
-        provider=raw["provider"],
-        model=raw["model"],
-        summary_title=raw["summary_title"],
-        source_url=raw["source_url"],
-        published_form=PublishedForm.from_token(raw["published_form"]),
-        assessed_version_date=date.fromisoformat(raw["assessed_version_date"]),
-        archived_copy_digest=raw.get("archived_copy_digest"),
-    )
-
-
 def registry_to_json(registry: Registry) -> str:
     entries = []
     for entry in registry.entries:
@@ -167,7 +142,7 @@ def registry_to_json(registry: Registry) -> str:
         entries.append(
             {
                 "id": entry.id,
-                "meta": _meta_to_dict(entry.meta),
+                "meta": meta_to_dict(entry.meta),
                 "discovery": {
                     "channel": entry.discovery.channel.value,
                     "query_or_path": entry.discovery.query_or_path,
@@ -181,7 +156,14 @@ def registry_to_json(registry: Registry) -> str:
 
 
 def registry_from_json(text: str) -> Registry:
-    data = json.loads(text)
+    """Parse registry JSON; any malformed input raises MalformedRegistry."""
+    try:
+        return _registry_from_dict(json.loads(text))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise MalformedRegistry(malformed_message(exc)) from exc
+
+
+def _registry_from_dict(data: dict) -> Registry:
     entries = []
     for raw in data["entries"]:
         archived = None
@@ -197,7 +179,7 @@ def registry_from_json(text: str) -> Registry:
         entries.append(
             RegistryEntry(
                 id=raw["id"],
-                meta=_meta_from_dict(raw["meta"]),
+                meta=meta_from_dict(raw["meta"]),
                 discovery=DiscoveryProvenance(
                     channel=DiscoveryChannel.from_token(raw["discovery"]["channel"]),
                     query_or_path=raw["discovery"]["query_or_path"],
@@ -215,7 +197,7 @@ def load_registry(path: str | Path) -> Registry:
 
 
 def save_registry(registry: Registry, path: str | Path) -> None:
-    Path(path).write_text(registry_to_json(registry), encoding="utf-8")
+    _write_atomic(Path(path), registry_to_json(registry).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +253,7 @@ def archive_fetch(url: str, store_root: str | Path, timeout: float = 30.0) -> Ar
     digest = hashlib.sha256(data).hexdigest()
     target = object_path(store_root, digest)
     if not target.exists():
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".incoming-")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                os.replace(tmp, target)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        except OSError as exc:
-            raise StorageFailed(f"cannot store object {digest}: {exc}") from exc
+        _write_atomic(target, data)
     return ArchivedCopy(
         fetched_at=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         content_digest=digest,

@@ -18,13 +18,18 @@ import io
 import json
 import csv as _csv
 from dataclasses import dataclass
-from datetime import date
 from fractions import Fraction
 from pathlib import Path
 
-from .assessment import PublishedForm, SummaryMeta
+from .assessment import meta_from_dict, meta_to_dict
 from .catalog import DIMENSION_ORDER, Group, SECTION_ORDER
-from .errors import CatalogVersionMismatch, NoScoreCards, UnsupportedFormat
+from .errors import (
+    CatalogVersionMismatch,
+    MalformedScoreCard,
+    NoScoreCards,
+    UnsupportedFormat,
+    malformed_message,
+)
 from .scoring import (
     AggregationConfig,
     GradeScale,
@@ -83,19 +88,10 @@ def _value_from_json(raw) -> ScoreValue:
 
 
 def scorecard_to_dict(card: ScoreCard) -> dict:
-    meta = card.meta
     return {
         "kind": "scorecard",
         "catalog_ref": card.catalog_ref,
-        "meta": {
-            "provider": meta.provider,
-            "model": meta.model,
-            "summary_title": meta.summary_title,
-            "source_url": meta.source_url,
-            "published_form": meta.published_form.value,
-            "assessed_version_date": meta.assessed_version_date.isoformat(),
-            "archived_copy_digest": meta.archived_copy_digest,
-        },
+        "meta": meta_to_dict(card.meta),
         "config": {
             "section_group_strategy": card.config_used.section_group_strategy.value,
             "overall_strategy": card.config_used.overall_strategy.value,
@@ -123,16 +119,7 @@ def scorecard_to_dict(card: ScoreCard) -> dict:
 
 
 def scorecard_from_dict(data: dict) -> ScoreCard:
-    meta_raw = data["meta"]
-    meta = SummaryMeta(
-        provider=meta_raw["provider"],
-        model=meta_raw["model"],
-        summary_title=meta_raw["summary_title"],
-        source_url=meta_raw["source_url"],
-        published_form=PublishedForm.from_token(meta_raw["published_form"]),
-        assessed_version_date=date.fromisoformat(meta_raw["assessed_version_date"]),
-        archived_copy_digest=meta_raw.get("archived_copy_digest"),
-    )
+    meta = meta_from_dict(data["meta"])
     config_raw = data["config"]
     config = AggregationConfig(
         section_group_strategy=SectionAggregation(config_raw["section_group_strategy"]),
@@ -169,7 +156,11 @@ def scorecard_to_json(card: ScoreCard) -> str:
 
 
 def scorecard_from_json(text: str) -> ScoreCard:
-    return scorecard_from_dict(json.loads(text))
+    """Parse score card JSON; any malformed input raises MalformedScoreCard."""
+    try:
+        return scorecard_from_dict(json.loads(text))
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise MalformedScoreCard(malformed_message(exc)) from exc
 
 
 def load_scorecard(path: str | Path) -> ScoreCard:

@@ -226,32 +226,6 @@ def _mean(parts: list[ScoreValue]) -> ScoreValue:
     return ScoreValue.percentage(sum(values, Fraction(0)) / len(values))
 
 
-def cell_score(catalog: Catalog, assessment: Assessment, section: Section, dimension: Dimension) -> ScoreValue:
-    """Weighted-normalized score of one (section, dimension) cell."""
-    pools = _cell_pools(catalog, assessment)
-    return _pool_score(*pools[CELLS.index((section, dimension))])
-
-
-def section_group_score(
-    catalog: Catalog,
-    assessment: Assessment,
-    section: Section,
-    group: Group,
-    config: AggregationConfig = DEFAULT_CONFIG,
-) -> ScoreValue:
-    pools = _cell_pools(catalog, assessment)
-    return _section_groups(pools, _cell_scores(pools), config)[(section, group)]
-
-
-def overall_scores(
-    catalog: Catalog,
-    assessment: Assessment,
-    config: AggregationConfig = DEFAULT_CONFIG,
-) -> dict[Group, ScoreValue]:
-    pools = _cell_pools(catalog, assessment)
-    return _overall(pools, _section_groups(pools, _cell_scores(pools), config), config)
-
-
 def _cell_scores(pools: _Pools) -> list[ScoreValue]:
     return [_pool_score(achieved, weight) for achieved, weight in pools]
 

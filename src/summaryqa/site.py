@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import html
 import mimetypes
-import os
-import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from html.parser import HTMLParser
 from pathlib import Path
 from urllib.parse import urlparse
 
-from .catalog import Group
-from .errors import Finding, UnmatchedScoreCard, WriteFailed
+from .catalog import Group, _write_atomic
+from .errors import Finding, UnmatchedScoreCard
 from .registry import Registry, RegistryEntry
 from .reporting import (
     DEFAULT_SEVERITY_BANDS,
@@ -43,7 +41,7 @@ class PageKind(Enum):
 @dataclass(frozen=True)
 class SitePlan:
     output_root: Path
-    pages: tuple[tuple[str, PageKind, str], ...]  # (route, kind, input description)
+    pages: tuple[tuple[str, PageKind], ...]  # (route, kind)
 
 
 @dataclass(frozen=True)
@@ -54,21 +52,6 @@ class SiteConfig:
     site_title: str = "GPAI training-content disclosure quality"
     footer_note: str = ""
     severity_bands: tuple[SeverityBand, ...] = DEFAULT_SEVERITY_BANDS
-
-
-def _write_atomic(path: Path, data: bytes) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".site-")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    except OSError as exc:
-        raise WriteFailed(f"cannot write {path}: {exc}") from exc
 
 
 def _empty_comparison_html() -> str:
@@ -149,7 +132,7 @@ def build_site(registry: Registry, cards: list[ScoreCard], config: SiteConfig) -
         matched.append((card, entry))
 
     root = Path(config.output_root)
-    pages: list[tuple[str, PageKind, str]] = []
+    pages: list[tuple[str, PageKind]] = []
 
     links = {card.meta.model: f"summaries/{entry.id}/" for card, entry in matched}
     if matched:
@@ -177,7 +160,7 @@ def build_site(registry: Registry, cards: list[ScoreCard], config: SiteConfig) -
             "\n".join(index_lines) + "\n",
         ).encode("utf-8"),
     )
-    pages.append(("index.html", PageKind.INDEX, f"{len(matched)} score cards"))
+    pages.append(("index.html", PageKind.INDEX))
 
     for card, entry in matched:
         page_dir = root / "summaries" / entry.id
@@ -192,7 +175,7 @@ def build_site(registry: Registry, cards: list[ScoreCard], config: SiteConfig) -
             _detail_page(card, entry, config, archive_file).encode("utf-8"),
         )
         _write_atomic(page_dir / "scorecard.json", scorecard_to_json(card).encode("utf-8"))
-        pages.append((f"summaries/{entry.id}/index.html", PageKind.SUMMARY_DETAIL, entry.id))
+        pages.append((f"summaries/{entry.id}/index.html", PageKind.SUMMARY_DETAIL))
 
     if config.methodology_html is not None:
         fragment = Path(config.methodology_html).read_text(encoding="utf-8")
@@ -200,7 +183,7 @@ def build_site(registry: Registry, cards: list[ScoreCard], config: SiteConfig) -
             root / "methodology.html",
             _page("Methodology", "How the quality scores are computed", fragment).encode("utf-8"),
         )
-        pages.append(("methodology.html", PageKind.METHODOLOGY, str(config.methodology_html)))
+        pages.append(("methodology.html", PageKind.METHODOLOGY))
 
     return SitePlan(output_root=root, pages=tuple(pages))
 

@@ -1,6 +1,8 @@
 """Assessment parsing, validation, gate answers, and applicability."""
 
 import io
+import random
+from dataclasses import replace
 from datetime import date
 from fractions import Fraction
 
@@ -26,8 +28,11 @@ from summaryqa.errors import (
     GateUnanswered,
     MalformedAssessment,
     MissingVerdict,
+    SummaryQAError,
     UnknownMetricId,
 )
+
+from randgen import SCOREABLE, random_assessment, random_catalog
 
 S = VerdictValue.SUFFICIENT
 P = VerdictValue.PARTIALLY_SUFFICIENT
@@ -315,6 +320,126 @@ class TestValidation:
         reversed_map = dict(reversed(list(verdicts.items())))
         b = make_assessment(cat, reversed_map)
         assert assessment_findings(cat, a) == assessment_findings(cat, b)
+
+
+CHECK_CATALOG = make_catalog(
+    make_metric("A"),
+    make_metric("B"),
+    make_metric("G"),
+    make_metric("D1", gate="G"),
+    make_metric("D2", gate="G"),
+)
+CHECK_VALID = {"A": Verdict(S), "B": Verdict(P), "G": Verdict(I, "gate=yes"), "D1": Verdict(S), "D2": Verdict(I)}
+CHECK_TODAY = date(2026, 1, 31)
+
+
+def check_case(drop=(), catalog_ref=CHECK_CATALOG.ref, meta=None, **changes):
+    """CHECK_VALID without the ``drop`` ids and with ``changes`` applied."""
+    verdicts = {k: v for k, v in CHECK_VALID.items() if k not in drop}
+    verdicts.update(changes)
+    return make_assessment(CHECK_CATALOG, verdicts, catalog_ref=catalog_ref, meta=meta or make_meta())
+
+
+class TestCheckMatchesFindings:
+    """check_assessment raises exactly when assessment_findings reports something."""
+
+    @pytest.mark.parametrize(
+        "assessment,error,message",
+        [
+            pytest.param(
+                check_case(meta=make_meta(provider="")),
+                MalformedAssessment,
+                "provider and model must be non-empty",
+                id="empty-provider",
+            ),
+            pytest.param(
+                check_case(meta=make_meta(model="", assessed_version_date=date(2026, 2, 1))),
+                MalformedAssessment,
+                "provider and model must be non-empty",
+                id="empty-model",
+            ),
+            pytest.param(
+                check_case(catalog_ref="x/1", meta=make_meta(assessed_version_date=date(2026, 2, 1))),
+                MalformedAssessment,
+                "assessed_version_date 2026-02-01 is in the future",
+                id="future-date",
+            ),
+            pytest.param(
+                check_case(catalog_ref="toy/9.9"),
+                CatalogMismatch,
+                "assessment references catalog 'toy/9.9', expected 'toy/0.1'",
+                id="catalog-mismatch",
+            ),
+            pytest.param(
+                check_case(X9=Verdict(S), X1=Verdict(S), G=Verdict(S)),
+                UnknownMetricId,
+                "unknown metric id 'X9'",
+                id="unknown-metric-id",
+            ),
+            pytest.param(
+                check_case(drop=["A"], G=Verdict(S)),
+                GateUnanswered,
+                "gate metric 'G' has no recorded yes/no answer",
+                id="gate-unanswered",
+            ),
+            pytest.param(
+                check_case(drop=["A"], G=Verdict(S, "gate=no"), D1=Verdict(NA)),
+                MalformedAssessment,
+                "metric D2: scoreable verdict recorded for an inapplicable metric",
+                id="verdict-on-inapplicable",
+            ),
+            pytest.param(
+                check_case(drop=["A"], D2=Verdict(NA)),
+                MissingVerdict,
+                "applicable metrics without verdict: A, D2",
+                id="missing-verdict",
+            ),
+        ],
+    )
+    def test_error_for_each_finding_code(self, assessment, error, message):
+        assert assessment_findings(CHECK_CATALOG, assessment, today=CHECK_TODAY)
+        with pytest.raises(SummaryQAError) as exc:
+            check_assessment(CHECK_CATALOG, assessment, today=CHECK_TODAY)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    def test_raises_iff_findings_on_random_assessments(self):
+        rng = random.Random(20260117)
+        outcomes = set()
+        for _ in range(300):
+            cat = random_catalog(rng, max_metrics=20)
+            a = random_assessment(rng, cat)
+            ids = [m.id for m in cat.metrics]
+            for _ in range(rng.randint(0, 3)):
+                defect = rng.randrange(6)
+                verdicts = dict(a.verdicts)
+                target = rng.choice(ids)
+                if defect == 0:
+                    verdicts.pop(target, None)
+                elif defect == 1:
+                    verdicts["X" + target] = Verdict(S)
+                elif defect == 2:
+                    verdicts[target] = Verdict(rng.choice(SCOREABLE))
+                elif defect == 3:
+                    verdicts[target] = Verdict(NA, verdicts.get(target, Verdict(NA)).note)
+                elif defect == 4:
+                    verdicts[target] = Verdict(S, rng.choice(["gate=yes", "gate=no", ""]))
+                else:
+                    a = rng.choice([
+                        replace(a, catalog_ref="toy/other"),
+                        replace(a, meta=replace(a.meta, provider="")),
+                        replace(a, meta=replace(a.meta, assessed_version_date=date(2026, 2, 1))),
+                    ])
+                a = replace(a, verdicts=verdicts)
+            findings = assessment_findings(cat, a, today=CHECK_TODAY)
+            try:
+                check_assessment(cat, a, today=CHECK_TODAY)
+                raised = False
+            except SummaryQAError:
+                raised = True
+            assert raised == bool(findings), [f.code for f in findings]
+            outcomes.add(raised)
+        assert outcomes == {True, False}
 
 
 SAMPLE_FILE = """\

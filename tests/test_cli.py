@@ -68,6 +68,23 @@ class TestValidate:
         first = result.output.splitlines()[0]
         assert first.count("\t") == 3
 
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ('{"kind":"registry","entries":[{"id":"x"}]}', "missing field 'meta'"),
+            ("{not json", "Expecting property name enclosed in double quotes"),
+        ],
+        ids=["entry-without-meta", "not-json"],
+    )
+    def test_malformed_registry_is_a_finding(self, runner, tmp_path, text, reason):
+        registry = tmp_path / "registry.json"
+        registry.write_text(text)
+        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry))
+        assert result.exit_code == 1
+        source, locus, code, message = result.output.splitlines()[0].split("\t")
+        assert (source, locus, code) == ("registry", str(registry), "malformed-registry")
+        assert reason in message
+
 
 class TestScoreAndCompare:
     def test_score_directory_writes_cards(self, runner, tmp_path):
@@ -131,6 +148,15 @@ class TestScoreAndCompare:
         result = runner.invoke(cli, ["--out", str(out), "compare"])
         assert result.exit_code != 0
         assert "different catalogs" in result.output
+
+    def test_compare_malformed_card_fails_cleanly(self, runner, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        card = out / "broken.scorecard.json"
+        card.write_text('{"kind":"scorecard"}')
+        result = run(runner, "--out", str(out), "compare")
+        assert result.exit_code == 1
+        assert f"{card}: missing field 'meta'" in result.output
 
     def test_grade_fixed_points_in_cards(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -203,6 +229,15 @@ class TestSite:
         assert result.exit_code != 0
         assert "no registry entry" in result.output
 
+    def test_site_malformed_registry_fails_cleanly(self, runner, tmp_path):
+        out = tmp_path / "out"
+        self.build_cards(runner, out)
+        registry = tmp_path / "registry.json"
+        registry.write_text("{not json")
+        result = run(runner, "--out", str(out), "site", "--registry", str(registry))
+        assert result.exit_code == 1
+        assert f"{registry}: Expecting property name" in result.output
+
 
 class TestConfigPrecedence:
     def test_config_file_supplies_paths(self, runner, tmp_path):
@@ -244,6 +279,25 @@ class TestConfigPrecedence:
         result = runner.invoke(cli, ["--config", str(cfg), "catalog-stats"])
         assert result.exit_code != 0
         assert "unknown config line" in result.output
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "section_group_strategy: bogus",
+            "overall_strategy: bogus",
+            "grade_scale: A:x",
+            "grade_scale: A:10,B:90",
+            "severity_bands: High:x,Low:0",
+        ],
+    )
+    def test_bad_value_names_its_key(self, runner, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"catalog: {CATALOG}\n{line}\n")
+        result = run(runner, "--config", str(cfg), "catalog-stats")
+        assert result.exit_code == 2
+        assert f"Invalid value for {line.split(':')[0]}:" in result.output
 
 
 class TestCatalogStats:

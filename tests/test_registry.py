@@ -79,6 +79,13 @@ class TestRegistry:
         again = registry_from_json(registry_to_json(registry))
         assert again == registry
 
+    def test_empty_archived_digest_reads_as_absent(self):
+        registry = Registry(entries=[make_entry()])
+        text = registry_to_json(registry)
+        assert text.count('"archived_copy_digest": null') == 1
+        emptied = text.replace('"archived_copy_digest": null', '"archived_copy_digest": ""')
+        assert registry_from_json(emptied) == registry
+
     def test_serialization_byte_stable(self, tmp_path):
         registry = Registry()
         add_entry(registry, make_entry())

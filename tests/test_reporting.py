@@ -71,6 +71,13 @@ class TestScoreCardRoundTrip:
         for key, value in card.per_cell.items():
             assert again.per_cell[key].pct == value.pct
 
+    def test_empty_archived_digest_reads_as_absent(self):
+        card = random_card(5)
+        text = scorecard_to_json(card)
+        assert text.count('"archived_copy_digest": null') == 1
+        emptied = text.replace('"archived_copy_digest": null', '"archived_copy_digest": ""')
+        assert scorecard_from_json(emptied) == card
+
     def test_json_is_stable(self):
         card = random_card(3)
         assert scorecard_to_json(card) == scorecard_to_json(card)

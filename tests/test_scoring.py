@@ -16,12 +16,9 @@ from summaryqa.scoring import (
     ScoreValue,
     SectionAggregation,
     assign_grade,
-    cell_score,
     format_percentage,
     metric_score,
-    overall_scores,
     score_summary,
-    section_group_score,
 )
 from summaryqa.assessment import Verdict
 
@@ -59,18 +56,18 @@ class TestCellScore:
             toy_metric("C", weight=1),
         )
         a = toy_assessment(cat, {"A": Verdict(S), "B": Verdict(P), "C": Verdict(I)})
-        got = cell_score(cat, a, Section.DOCUMENT, Dimension.CLARITY)
+        got = score_summary(cat, a).per_cell[(Section.DOCUMENT, Dimension.CLARITY)]
         assert got == ScoreValue.percentage(Fraction(125, 2))
 
     def test_all_sufficient_hits_upper_bound(self):
         cat = toy_catalog(toy_metric("A", weight=3), toy_metric("B", weight=5))
         a = toy_assessment(cat, {"A": Verdict(S), "B": Verdict(S)})
-        assert cell_score(cat, a, Section.DOCUMENT, Dimension.CLARITY) == ScoreValue.percentage(100)
+        assert score_summary(cat, a).per_cell[(Section.DOCUMENT, Dimension.CLARITY)] == ScoreValue.percentage(100)
 
     def test_empty_cell_is_na(self):
         cat = toy_catalog(toy_metric("A"))
         a = toy_assessment(cat, {"A": Verdict(S)})
-        assert cell_score(cat, a, Section.USER_DATA, Dimension.CLARITY).is_na
+        assert score_summary(cat, a).per_cell[(Section.USER_DATA, Dimension.CLARITY)].is_na
 
     def test_gated_out_cell_is_na(self):
         cat = toy_catalog(
@@ -78,7 +75,7 @@ class TestCellScore:
             toy_metric("D", gate="G", dimension=Dimension.CLARITY),
         )
         a = toy_assessment(cat, {"G": Verdict(S, "gate=no"), "D": Verdict(NA)})
-        assert cell_score(cat, a, Section.DOCUMENT, Dimension.CLARITY).is_na
+        assert score_summary(cat, a).per_cell[(Section.DOCUMENT, Dimension.CLARITY)].is_na
 
 
 class TestSectionGroupScore:
@@ -91,7 +88,7 @@ class TestSectionGroupScore:
         )
         a = uniform_assessment(cat, S)
         for config in (AggregationConfig(), MEAN_CONFIG):
-            got = section_group_score(cat, a, Section.DOCUMENT, Group.TRANSPARENCY, config)
+            got = score_summary(cat, a, config).per_section_group[(Section.DOCUMENT, Group.TRANSPARENCY)]
             assert got == ScoreValue.percentage(100)
 
     def test_na_cell_skipped(self):
@@ -108,7 +105,7 @@ class TestSectionGroupScore:
             {"G": Verdict(S, "gate=no"), "CM1": Verdict(S), "CM2": Verdict(I)},
         )
         for config in (AggregationConfig(), MEAN_CONFIG):
-            got = section_group_score(cat, a, Section.DOCUMENT, Group.USEFULNESS, config)
+            got = score_summary(cat, a, config).per_section_group[(Section.DOCUMENT, Group.USEFULNESS)]
             assert got == ScoreValue.percentage(80), config
 
     def test_strategies_diverge_on_unequal_cell_weights(self):
@@ -120,8 +117,9 @@ class TestSectionGroupScore:
             toy_metric("B", dimension=Dimension.COMPLETENESS, weight=3),
         )
         a = toy_assessment(cat, {"A": Verdict(S), "B": Verdict(I)})
-        pooled = section_group_score(cat, a, Section.DOCUMENT, Group.TRANSPARENCY, AggregationConfig())
-        mean = section_group_score(cat, a, Section.DOCUMENT, Group.TRANSPARENCY, MEAN_CONFIG)
+        key = (Section.DOCUMENT, Group.TRANSPARENCY)
+        pooled = score_summary(cat, a, AggregationConfig()).per_section_group[key]
+        mean = score_summary(cat, a, MEAN_CONFIG).per_section_group[key]
         assert pooled == ScoreValue.percentage(25)
         assert mean == ScoreValue.percentage(50)
 
@@ -146,8 +144,9 @@ class TestSectionGroupScore:
                 "D1": Verdict(P),
             },
         )
-        pooled = section_group_score(cat, a, Section.DOCUMENT, Group.TRANSPARENCY, AggregationConfig())
-        mean = section_group_score(cat, a, Section.DOCUMENT, Group.TRANSPARENCY, MEAN_CONFIG)
+        key = (Section.DOCUMENT, Group.TRANSPARENCY)
+        pooled = score_summary(cat, a, AggregationConfig()).per_section_group[key]
+        mean = score_summary(cat, a, MEAN_CONFIG).per_section_group[key]
         assert pooled == mean
 
 
@@ -155,14 +154,14 @@ class TestOverallScores:
     def test_all_sufficient(self):
         cat = load_reference_catalog()
         a = uniform_assessment(cat, S)
-        got = overall_scores(cat, a)
+        got = score_summary(cat, a).overall
         assert got[Group.TRANSPARENCY] == ScoreValue.percentage(100)
         assert got[Group.USEFULNESS] == ScoreValue.percentage(100)
 
     def test_all_insufficient(self):
         cat = load_reference_catalog()
         a = uniform_assessment(cat, I)
-        got = overall_scores(cat, a)
+        got = score_summary(cat, a).overall
         assert got[Group.TRANSPARENCY] == ScoreValue.percentage(0)
         assert got[Group.USEFULNESS] == ScoreValue.percentage(0)
 
@@ -174,10 +173,9 @@ class TestOverallScores:
         )
         a = toy_assessment(cat, {"A": Verdict(P), "B": Verdict(S), "C": Verdict(P)})
         for config in (AggregationConfig(), MEAN_CONFIG):
-            got = overall_scores(cat, a, config)
+            card = score_summary(cat, a, config)
             for group in Group:
-                want = section_group_score(cat, a, Section.DOCUMENT, group, config)
-                assert got[group] == want, (config, group)
+                assert card.overall[group] == card.per_section_group[(Section.DOCUMENT, group)], (config, group)
 
 
 class TestGrades:

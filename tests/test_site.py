@@ -69,14 +69,14 @@ class TestBuildSite:
         assert len(html_pages) == 6
         assert len(exports) == 5
         assert len(plan.pages) == 6
-        kinds = [kind for _, kind, _ in plan.pages]
+        kinds = [kind for _, kind in plan.pages]
         assert kinds.count(PageKind.INDEX) == 1
         assert kinds.count(PageKind.SUMMARY_DETAIL) == 5
 
     def test_zero_cards_index_only(self, site_inputs, tmp_path):
         registry, _ = site_inputs
         plan = build_site(registry, [], SiteConfig(output_root=tmp_path / "site"))
-        assert [kind for _, kind, _ in plan.pages] == [PageKind.INDEX]
+        assert [kind for _, kind in plan.pages] == [PageKind.INDEX]
         assert (tmp_path / "site" / "index.html").exists()
         assert not (tmp_path / "site" / "summaries").exists()
 
@@ -89,7 +89,7 @@ class TestBuildSite:
     def test_routes_unique_and_stable(self, site_inputs, tmp_path):
         registry, cards = site_inputs
         plan = build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
-        routes = [route for route, _, _ in plan.pages]
+        routes = [route for route, _ in plan.pages]
         assert len(routes) == len(set(routes))
         assert "summaries/model-0/index.html" in routes
 
@@ -149,7 +149,7 @@ class TestBuildSite:
         config = SiteConfig(output_root=tmp_path / "site", methodology_html=fragment)
         plan = build_site(registry, cards, config)
         assert (tmp_path / "site" / "methodology.html").exists()
-        assert PageKind.METHODOLOGY in [kind for _, kind, _ in plan.pages]
+        assert PageKind.METHODOLOGY in [kind for _, kind in plan.pages]
         assert 'href="methodology.html"' in (tmp_path / "site" / "index.html").read_text()
 
 
