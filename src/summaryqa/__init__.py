@@ -3,68 +3,72 @@
 Rubric catalogs, per-summary assessments, weighted/normalized transparency
 and usefulness scoring with letter grades, a registry of discovered
 summaries with pinned archived copies, and report/static-site generation.
+
+The public names below are imported from their module on first access
+(PEP 562), so importing the package, as ``python -m summaryqa`` does, loads
+no layer.
 """
 
 __version__ = "0.1.0"
 
-from .assessment import (
-    Assessment,
-    PublishedForm,
-    SummaryMeta,
-    Verdict,
-    VerdictValue,
-    applicable_metrics,
-    dumps_assessment,
-    load_assessment,
-)
-from .catalog import (
-    ApplicabilityRule,
-    Catalog,
-    Dimension,
-    Group,
-    Metric,
-    Section,
-    dumps_catalog,
-    load_catalog,
-    load_reference_catalog,
-    section_counts,
-    validate_catalog,
-)
-from .scoring import (
-    AggregationConfig,
-    DEFAULT_GRADE_SCALE,
-    GradeScale,
-    ScoreCard,
-    ScoreValue,
-    assign_grade,
-    score_summary,
-)
+# Public name -> the module that defines it.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "Assessment",
+            "PublishedForm",
+            "SummaryMeta",
+            "Verdict",
+            "VerdictValue",
+            "applicable_metrics",
+            "dumps_assessment",
+            "load_assessment",
+        ),
+        "assessment",
+    ),
+    **dict.fromkeys(
+        (
+            "ApplicabilityRule",
+            "Catalog",
+            "Dimension",
+            "Group",
+            "Metric",
+            "Section",
+            "dumps_catalog",
+            "load_catalog",
+            "load_reference_catalog",
+            "section_counts",
+            "validate_catalog",
+        ),
+        "catalog",
+    ),
+    **dict.fromkeys(
+        (
+            "AggregationConfig",
+            "DEFAULT_GRADE_SCALE",
+            "GradeScale",
+            "ScoreCard",
+            "ScoreValue",
+            "assign_grade",
+            "score_summary",
+        ),
+        "scoring",
+    ),
+}
 
-__all__ = [
-    "AggregationConfig",
-    "ApplicabilityRule",
-    "Assessment",
-    "Catalog",
-    "DEFAULT_GRADE_SCALE",
-    "Dimension",
-    "GradeScale",
-    "Group",
-    "Metric",
-    "PublishedForm",
-    "ScoreCard",
-    "ScoreValue",
-    "Section",
-    "SummaryMeta",
-    "Verdict",
-    "VerdictValue",
-    "applicable_metrics",
-    "assign_grade",
-    "dumps_assessment",
-    "dumps_catalog",
-    "load_assessment",
-    "load_catalog",
-    "load_reference_catalog",
-    "score_summary",
-    "section_counts",
-    "validate_catalog",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -143,9 +143,10 @@ def meta_to_dict(meta: SummaryMeta) -> dict[str, str | None]:
 
 
 def meta_from_dict(raw: dict) -> SummaryMeta:
-    """Inverse of :func:`meta_to_dict`; an empty digest reads as absent.
+    """Inverse of :func:`meta_to_dict`; an empty or absent digest reads as absent.
 
-    Raises KeyError for a missing field and ValueError for a bad value.
+    Raises KeyError for a missing field and ValueError for a bad value,
+    including a field that is not a string.
     """
     published_form = PublishedForm.from_token(raw["published_form"])
     try:
@@ -154,14 +155,16 @@ def meta_from_dict(raw: dict) -> SummaryMeta:
         raise ValueError(
             f"assessed_version_date must be YYYY-MM-DD, got {raw['assessed_version_date']!r}"
         ) from None
+    text = {key: raw[key] for key in ("provider", "model", "summary_title", "source_url")}
+    digest = raw.get("archived_copy_digest")
+    for key, value in (*text.items(), ("archived_copy_digest", "" if digest is None else digest)):
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, got {value!r}")
     return SummaryMeta(
-        provider=raw["provider"],
-        model=raw["model"],
-        summary_title=raw["summary_title"],
-        source_url=raw["source_url"],
+        **text,
         published_form=published_form,
         assessed_version_date=assessed,
-        archived_copy_digest=raw.get("archived_copy_digest") or None,
+        archived_copy_digest=digest or None,
     )
 
 

@@ -9,60 +9,30 @@ Diagnostics go to stderr; findings and requested data go to stdout or files.
 Exit status is 0 only when there are no findings and no errors.  Validation
 findings are emitted one per line as tab-separated
 ``source<TAB>locus<TAB>code<TAB>message`` records.
+
+Each command imports the layers it runs when it runs, so start-up costs only
+click and this module (``--version`` and ``--help`` load no layer).  Layer
+names are looked up on their module at call time, never kept in this module,
+so a wrapper patched onto a layer's function (as ``bench/tracing.py`` does)
+sees every call.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
 from . import __version__
-from .assessment import (
-    PublishedForm,
-    SummaryMeta,
-    assessment_findings,
-    load_assessment,
-    parse_assessment,
-)
-from .catalog import SECTION_ORDER, _write_atomic, load_catalog, section_counts, validate_catalog
 from .errors import Finding, MalformedAssessment, MalformedRegistry, SummaryQAError
-from .registry import (
-    DiscoveryChannel,
-    DiscoveryProvenance,
-    Registry,
-    RegistryEntry,
-    add_entry,
-    archive_fetch,
-    attach_archive,
-    load_registry,
-    save_registry,
-    validate_registry,
-    verify_archive,
-)
-from .reporting import (
-    DEFAULT_SEVERITY_BANDS,
-    FORMATS,
-    SeverityBand,
-    load_scorecard,
-    render_comparison,
-    render_scorecard,
-    scorecard_to_json,
-)
-from .scoring import (
-    AggregationConfig,
-    DEFAULT_GRADE_SCALE,
-    GradeScale,
-    Group,
-    OverallAggregation,
-    SectionAggregation,
-    score_summary,
-)
-from .site import SiteConfig, build_site, check_links
+
+if TYPE_CHECKING:
+    from .reporting import SeverityBand
+    from .scoring import AggregationConfig, GradeScale
 
 _CONFIG_KEYS = (
     "catalog",
@@ -77,6 +47,20 @@ _CONFIG_KEYS = (
     "grade_scale",
     "severity_bands",
 )
+_AGGREGATION_KEYS = ("section_group_strategy", "overall_strategy", "grade_scale")
+
+# Choice lists, spelled out so that building the command line imports no layer.
+# tests/test_cli.py pins each to the layer's own list.
+FORMATS = ("json", "csv", "html")  # reporting.FORMATS
+PUBLISHED_FORMS = ("WebPage", "PDF", "MarkdownFile", "Other")  # assessment.PublishedForm
+CHANNELS = (  # registry.DiscoveryChannel
+    "SearchEngine",
+    "ModelRepoPage",
+    "LegalCompliancePage",
+    "TechnicalReport",
+    "Index",
+    "Referral",
+)
 
 
 @dataclass
@@ -87,11 +71,17 @@ class RunConfig:
     storage_root: Path | None = None
     output_dir: Path | None = None
     report_format: str = "json"
-    aggregation: AggregationConfig = field(default_factory=AggregationConfig)
-    severity_bands: tuple[SeverityBand, ...] = DEFAULT_SEVERITY_BANDS
+    # None: neither flags nor config file set it, and the command uses its
+    # layer's default (scoring.DEFAULT_CONFIG, reporting.DEFAULT_SEVERITY_BANDS).
+    aggregation: AggregationConfig | None = None
+    severity_bands: tuple[SeverityBand, ...] | None = None
 
 
 def _parse_grade_scale(text: str) -> GradeScale:
+    from fractions import Fraction
+
+    from .scoring import GradeScale
+
     bands = []
     for part in text.split(","):
         letter, sep, min_pct = part.partition(":")
@@ -104,6 +94,10 @@ def _parse_grade_scale(text: str) -> GradeScale:
 
 
 def _parse_severity_bands(text: str) -> tuple[SeverityBand, ...]:
+    from fractions import Fraction
+
+    from .reporting import SeverityBand
+
     bands = []
     for part in text.split(","):
         label, sep, min_pct = part.partition(":")
@@ -142,19 +136,43 @@ def _file_value(file_values: dict[str, str], key: str, parse, default):
         raise click.BadParameter(str(exc), param_hint=key) from exc
 
 
-def _aggregation_from(name: str) -> AggregationConfig:
-    if name == "pooled":
-        return AggregationConfig()
-    if name == "mean":
-        return AggregationConfig(
+def _aggregation(flag: str | None, file_values: dict[str, str]) -> AggregationConfig | None:
+    """The aggregation that the flag and config file ask for; None if they name none.
+
+    The --aggregation flag sets both strategies; the config file may instead
+    set them individually.  Either may come with a grade scale from the file.
+    """
+    name = flag if flag is not None else file_values.get("aggregation")
+    if name is None and not any(key in file_values for key in _AGGREGATION_KEYS):
+        return None
+    from .scoring import AggregationConfig, OverallAggregation, SectionAggregation
+
+    if name in (None, "pooled"):
+        base = AggregationConfig()
+    elif name == "mean":
+        base = AggregationConfig(
             section_group_strategy=SectionAggregation.MEAN_OF_DIMENSIONS,
             overall_strategy=OverallAggregation.MEAN_OF_SECTIONS,
         )
-    raise click.BadParameter(f"aggregation must be 'pooled' or 'mean', got {name!r}")
+    else:
+        raise click.BadParameter(f"aggregation must be 'pooled' or 'mean', got {name!r}")
+    section_strategy = base.section_group_strategy
+    overall_strategy = base.overall_strategy
+    if flag is None:  # the flag wins over the fine-grained keys
+        section_strategy = _file_value(file_values, "section_group_strategy", SectionAggregation, section_strategy)
+        overall_strategy = _file_value(file_values, "overall_strategy", OverallAggregation, overall_strategy)
+    return AggregationConfig(
+        section_group_strategy=section_strategy,
+        overall_strategy=overall_strategy,
+        grade_scale=_file_value(file_values, "grade_scale", _parse_grade_scale, base.grade_scale),
+    )
 
 
 def resolve_config(ctx: click.Context) -> RunConfig:
-    """Merge CLI flags over config file over defaults."""
+    """Merge CLI flags over config file over defaults.
+
+    Every value given is checked here, whichever command runs.
+    """
     flags = ctx.obj
     file_values: dict[str, str] = {}
     if flags.get("config"):
@@ -183,22 +201,15 @@ def resolve_config(ctx: click.Context) -> RunConfig:
             raise click.BadParameter(f"format must be one of {', '.join(FORMATS)}")
         config.report_format = fmt
 
-    # Aggregation: the --aggregation flag sets both strategies; the config
-    # file may instead set them individually and supply a grade scale.
-    aggregation = pick("aggregation", "aggregation")
-    base = _aggregation_from(aggregation) if aggregation is not None else AggregationConfig()
-    section_strategy = base.section_group_strategy
-    overall_strategy = base.overall_strategy
-    if flags.get("aggregation") is None:  # flag wins over the fine-grained keys
-        section_strategy = _file_value(file_values, "section_group_strategy", SectionAggregation, section_strategy)
-        overall_strategy = _file_value(file_values, "overall_strategy", OverallAggregation, overall_strategy)
-    config.aggregation = AggregationConfig(
-        section_group_strategy=section_strategy,
-        overall_strategy=overall_strategy,
-        grade_scale=_file_value(file_values, "grade_scale", _parse_grade_scale, DEFAULT_GRADE_SCALE),
-    )
-    config.severity_bands = _file_value(file_values, "severity_bands", _parse_severity_bands, config.severity_bands)
+    config.aggregation = _aggregation(flags.get("aggregation"), file_values)
+    config.severity_bands = _file_value(file_values, "severity_bands", _parse_severity_bands, None)
     return config
+
+
+def _severity_bands(config: RunConfig) -> tuple[SeverityBand, ...]:
+    from .reporting import DEFAULT_SEVERITY_BANDS
+
+    return config.severity_bands or DEFAULT_SEVERITY_BANDS
 
 
 def _require(value, name: str):
@@ -219,6 +230,16 @@ def _echo_findings(source: str, findings: list[Finding]) -> int:
     for finding in findings:
         click.echo(f"{source}\t{finding.locus}\t{finding.code}\t{finding.message}")
     return len(findings)
+
+
+def _iso_date(ctx: click.Context, param: click.Parameter, value: str | None) -> date | None:
+    """A YYYY-MM-DD option, checked while the command line is parsed."""
+    if not value:
+        return None
+    try:
+        return date.fromisoformat(value)
+    except ValueError as exc:
+        raise click.BadParameter(f"{value!r} is not a YYYY-MM-DD date") from exc
 
 
 @click.group()
@@ -263,6 +284,10 @@ def main():
 @click.pass_context
 def validate(ctx, assessments, registry_path, store):
     """Validate catalog, assessments, registry, and archive integrity."""
+    from .assessment import assessment_findings, parse_assessment
+    from .catalog import load_catalog, validate_catalog
+    from .registry import load_registry, validate_registry, verify_archive
+
     ctx.obj["assessments"] = assessments
     ctx.obj["registry"] = registry_path
     ctx.obj["store"] = store
@@ -313,10 +338,17 @@ def validate(ctx, assessments, registry_path, store):
 @click.pass_context
 def score(ctx, source):
     """Score one assessment file, or every *.csv in a directory."""
+    from .assessment import load_assessment
+    from .catalog import _write_atomic, load_catalog
+    from .reporting import render_scorecard, scorecard_to_json
+    from .scoring import DEFAULT_CONFIG, Group, score_summary
+
     config = resolve_config(ctx)
     catalog_path = _require(config.catalog_path, "--catalog")
     out_dir = _require(config.output_dir, "--out")
     catalog = load_catalog(catalog_path)
+    aggregation = config.aggregation or DEFAULT_CONFIG
+    bands = _severity_bands(config)
 
     source = Path(source)
     paths = sorted(source.glob("*.csv")) if source.is_dir() else [source]
@@ -327,13 +359,13 @@ def score(ctx, source):
     for path in paths:
         try:
             assessment = load_assessment(path, catalog)
-            card = score_summary(catalog, assessment, config.aggregation)
+            card = score_summary(catalog, assessment, aggregation)
             card_path = out_dir / f"{path.stem}.scorecard.json"
             _write_atomic(card_path, scorecard_to_json(card).encode("utf-8"))
             written = [card_path]
             if config.report_format != "json":
                 report_path = out_dir / f"{path.stem}.report.{config.report_format}"
-                report = render_scorecard(card, config.report_format, bands=config.severity_bands)
+                report = render_scorecard(card, config.report_format, bands=bands)
                 _write_atomic(report_path, report)
                 written.append(report_path)
         except SummaryQAError as exc:
@@ -352,6 +384,9 @@ def score(ctx, source):
 @click.pass_context
 def compare(ctx, cards_dir):
     """Comparison table over all score cards in a directory."""
+    from .catalog import _write_atomic
+    from .reporting import load_scorecard, render_comparison
+
     config = resolve_config(ctx)
     directory = Path(cards_dir) if cards_dir else _require(config.output_dir, "--out or CARDS_DIR")
     card_paths = sorted(Path(directory).glob("*.scorecard.json"))
@@ -359,7 +394,7 @@ def compare(ctx, cards_dir):
         raise click.ClickException(f"no score cards found in {directory}")
     cards = [_load(load_scorecard, p) for p in card_paths]
     try:
-        rendered = render_comparison(cards, config.report_format, bands=config.severity_bands)
+        rendered = render_comparison(cards, config.report_format, bands=_severity_bands(config))
         if config.output_dir is not None:
             out_path = Path(config.output_dir) / f"comparison.{config.report_format}"
             _write_atomic(out_path, rendered)
@@ -382,25 +417,30 @@ def compare(ctx, cards_dir):
 @click.option("--model", required=True)
 @click.option("--title", default=None, help="Summary title (defaults from model).")
 @click.option("--source-url", default=None, help="Recorded source URL (defaults to URL).")
-@click.option(
-    "--published-form",
-    type=click.Choice([f.value for f in PublishedForm]),
-    default=PublishedForm.OTHER.value,
-)
-@click.option("--date", "version_date", default=None, help="Assessed version date (YYYY-MM-DD).")
-@click.option(
-    "--channel",
-    type=click.Choice([c.value for c in DiscoveryChannel]),
-    default=DiscoveryChannel.MODEL_REPO_PAGE.value,
-)
+@click.option("--published-form", type=click.Choice(PUBLISHED_FORMS), default="Other")
+@click.option("--date", "version_date", callback=_iso_date, help="Assessed version date (YYYY-MM-DD).")
+@click.option("--channel", type=click.Choice(CHANNELS), default="ModelRepoPage")
 @click.option("--query", default="", help="Discovery query or path.")
-@click.option("--discovered-on", default=None, help="Discovery date (YYYY-MM-DD).")
+@click.option("--discovered-on", callback=_iso_date, help="Discovery date (YYYY-MM-DD).")
 @click.option("--registry", "registry_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--store", type=click.Path(file_okay=False), default=None)
 @click.option("--timeout", type=float, default=30.0, show_default=True)
 @click.pass_context
 def archive(ctx, url, slug, provider, model, title, source_url, published_form, version_date, channel, query, discovered_on, registry_path, store, timeout):
     """Fetch a summary, pin it in the object store, and register it."""
+    from .assessment import PublishedForm, SummaryMeta
+    from .registry import (
+        DiscoveryChannel,
+        DiscoveryProvenance,
+        Registry,
+        RegistryEntry,
+        add_entry,
+        archive_fetch,
+        attach_archive,
+        load_registry,
+        save_registry,
+    )
+
     ctx.obj["registry"] = registry_path
     ctx.obj["store"] = store
     config = resolve_config(ctx)
@@ -422,7 +462,7 @@ def archive(ctx, url, slug, provider, model, title, source_url, published_form, 
         summary_title=title or f"{model} public summary of training content",
         source_url=source_url or url,
         published_form=PublishedForm.from_token(published_form),
-        assessed_version_date=date.fromisoformat(version_date) if version_date else date.today(),
+        assessed_version_date=version_date or date.today(),
     )
     entry = RegistryEntry(
         id=slug,
@@ -430,7 +470,7 @@ def archive(ctx, url, slug, provider, model, title, source_url, published_form, 
         discovery=DiscoveryProvenance(
             channel=DiscoveryChannel.from_token(channel),
             query_or_path=query,
-            discovered_on=date.fromisoformat(discovered_on) if discovered_on else date.today(),
+            discovered_on=discovered_on or date.today(),
         ),
     )
     add_entry(registry, attach_archive(entry, copy))
@@ -456,6 +496,10 @@ def archive(ctx, url, slug, provider, model, title, source_url, published_form, 
 @click.pass_context
 def site(ctx, registry_path, cards_dir, store, methodology, title):
     """Build the static dissemination site and check its internal links."""
+    from .registry import load_registry
+    from .reporting import load_scorecard
+    from .site import SiteConfig, build_site, check_links
+
     ctx.obj["registry"] = registry_path
     ctx.obj["store"] = store
     config = resolve_config(ctx)
@@ -472,7 +516,7 @@ def site(ctx, registry_path, cards_dir, store, methodology, title):
         store_root=config.storage_root,
         methodology_html=Path(methodology) if methodology else None,
         site_title=title,
-        severity_bands=config.severity_bands,
+        severity_bands=_severity_bands(config),
     )
     try:
         plan = build_site(registry, cards, site_config)
@@ -494,6 +538,8 @@ def site(ctx, registry_path, cards_dir, store, methodology, title):
 @click.pass_context
 def catalog_stats(ctx):
     """Per-section metric counts of the catalog."""
+    from .catalog import SECTION_ORDER, load_catalog, section_counts
+
     config = resolve_config(ctx)
     catalog_path = _require(config.catalog_path, "--catalog")
     catalog = load_catalog(catalog_path)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import mimetypes
 import re
 import urllib.parse
 from dataclasses import dataclass, field, replace
@@ -24,6 +23,25 @@ from .catalog import _lookup, _write_atomic
 from .errors import DuplicateSlug, FetchFailed, Finding, MalformedRegistry, malformed_message
 
 _SLUG_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
+
+# Media type of a local file by its suffix, and (first match) the suffix of an
+# archived copy on the site.  A fixed table rather than ``mimetypes``, whose
+# answers depend on the host's mime.types files.
+MEDIA_TYPES = {
+    ".html": "text/html",
+    ".htm": "text/html",
+    ".pdf": "application/pdf",
+    ".md": "text/markdown",
+    ".txt": "text/plain",
+}
+
+
+def media_type_suffix(media_type: str) -> str:
+    """File suffix for a media type; ``.bin`` for one outside the table."""
+    for suffix, known in MEDIA_TYPES.items():
+        if known == media_type:
+            return suffix
+    return ".bin"
 
 
 class DiscoveryChannel(Enum):
@@ -155,9 +173,11 @@ def registry_to_json(registry: Registry) -> str:
     return json.dumps({"kind": "registry", "entries": entries}, indent=2, ensure_ascii=False) + "\n"
 
 
-def registry_from_json(text: str) -> Registry:
-    """Parse registry JSON; any malformed input raises MalformedRegistry."""
+def registry_from_json(text: str | bytes) -> Registry:
+    """Parse registry JSON (text, or UTF-8 bytes); any malformed input raises MalformedRegistry."""
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         return _registry_from_dict(json.loads(text))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedRegistry(malformed_message(exc)) from exc
@@ -193,7 +213,7 @@ def _registry_from_dict(data: dict) -> Registry:
 
 
 def load_registry(path: str | Path) -> Registry:
-    return registry_from_json(Path(path).read_text(encoding="utf-8"))
+    return registry_from_json(Path(path).read_bytes())
 
 
 def save_registry(registry: Registry, path: str | Path) -> None:
@@ -240,7 +260,7 @@ def _fetch_bytes(url: str, timeout: float) -> tuple[bytes, str | None]:
         data = local.read_bytes()
     except OSError as exc:
         raise FetchFailed(f"{local}: {exc}") from exc
-    return data, mimetypes.guess_type(local.name)[0]
+    return data, MEDIA_TYPES.get(local.suffix.lower())
 
 
 def archive_fetch(url: str, store_root: str | Path, timeout: float = 30.0) -> ArchivedCopy:

@@ -155,16 +155,18 @@ def scorecard_to_json(card: ScoreCard) -> str:
     return json.dumps(scorecard_to_dict(card), indent=2, ensure_ascii=False) + "\n"
 
 
-def scorecard_from_json(text: str) -> ScoreCard:
-    """Parse score card JSON; any malformed input raises MalformedScoreCard."""
+def scorecard_from_json(text: str | bytes) -> ScoreCard:
+    """Parse score card JSON (text, or UTF-8 bytes); any malformed input raises MalformedScoreCard."""
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         return scorecard_from_dict(json.loads(text))
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise MalformedScoreCard(malformed_message(exc)) from exc
 
 
 def load_scorecard(path: str | Path) -> ScoreCard:
-    return scorecard_from_json(Path(path).read_text(encoding="utf-8"))
+    return scorecard_from_json(Path(path).read_bytes())
 
 
 # ---------------------------------------------------------------------------

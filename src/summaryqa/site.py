@@ -11,7 +11,6 @@ unless the caller puts one in the footer text).
 from __future__ import annotations
 
 import html
-import mimetypes
 from dataclasses import dataclass
 from enum import Enum
 from html.parser import HTMLParser
@@ -20,7 +19,7 @@ from urllib.parse import urlparse
 
 from .catalog import Group, _write_atomic
 from .errors import Finding, UnmatchedScoreCard
-from .registry import Registry, RegistryEntry
+from .registry import Registry, RegistryEntry, media_type_suffix
 from .reporting import (
     DEFAULT_SEVERITY_BANDS,
     SeverityBand,
@@ -76,8 +75,7 @@ def _grades_overview_html(card: ScoreCard) -> str:
 def _archive_name(entry: RegistryEntry) -> str | None:
     if entry.archived is None:
         return None
-    ext = mimetypes.guess_extension(entry.archived.media_type) or ""
-    return f"archived-{entry.archived.content_digest[:12]}{ext}"
+    return f"archived-{entry.archived.content_digest[:12]}{media_type_suffix(entry.archived.media_type)}"
 
 
 def _detail_page(card: ScoreCard, entry: RegistryEntry, config: SiteConfig, archive_file: str | None) -> str:

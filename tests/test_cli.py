@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, outputs, config precedence, full pipeline."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,9 @@ def runner():
 def run(runner, *args, **kwargs):
     result = runner.invoke(cli, list(args), catch_exceptions=False, **kwargs)
     return result
+
+
+NOT_UTF8 = b"\xff\xfe{\x00}\x00"  # UTF-16 with a byte-order mark
 
 
 class TestValidate:
@@ -84,6 +89,15 @@ class TestValidate:
         source, locus, code, message = result.output.splitlines()[0].split("\t")
         assert (source, locus, code) == ("registry", str(registry), "malformed-registry")
         assert reason in message
+
+    def test_non_utf8_registry_is_a_finding(self, runner, tmp_path):
+        registry = tmp_path / "registry.json"
+        registry.write_bytes(NOT_UTF8)
+        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry))
+        assert result.exit_code == 1
+        source, locus, code, message = result.output.splitlines()[0].split("\t")
+        assert (source, locus, code) == ("registry", str(registry), "malformed-registry")
+        assert "can't decode byte 0xff" in message
 
 
 class TestScoreAndCompare:
@@ -158,6 +172,36 @@ class TestScoreAndCompare:
         assert result.exit_code == 1
         assert f"{card}: missing field 'meta'" in result.output
 
+    def test_compare_non_utf8_card_fails_cleanly(self, runner, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        card = out / "broken.scorecard.json"
+        card.write_bytes(NOT_UTF8)
+        result = run(runner, "--out", str(out), "compare")
+        assert result.exit_code == 1
+        assert f"{card}: 'utf-8' codec can't decode byte 0xff" in result.output
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("provider", None),
+            ("model", 5),
+            ("summary_title", ["a"]),
+            ("source_url", {"a": 1}),
+            ("archived_copy_digest", 7),
+        ],
+    )
+    def test_compare_non_string_meta_fails_cleanly(self, runner, tmp_path, field, value):
+        out = tmp_path / "out"
+        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        card = out / "phi-4.scorecard.json"
+        data = json.loads(card.read_text())
+        data["meta"][field] = value
+        card.write_text(json.dumps(data))
+        result = run(runner, "--out", str(out), "--format", "html", "compare")
+        assert result.exit_code == 1
+        assert f"{card}: {field} must be a string, got {value!r}" in result.output
+
     def test_grade_fixed_points_in_cards(self, runner, tmp_path):
         out = tmp_path / "out"
         run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
@@ -206,6 +250,43 @@ class TestArchive:
         assert result.exit_code != 0
         assert "already contains slug" in result.output
 
+    @pytest.mark.parametrize("option", ["--date", "--discovered-on"])
+    def test_bad_date_stops_before_the_fetch(self, runner, tmp_path, option):
+        registry = tmp_path / "registry.json"
+        store = tmp_path / "store"
+        result = runner.invoke(
+            cli,
+            [
+                "archive", str(SOURCES / "phi-4.md"),
+                "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4",
+                option, "notadate",
+                "--registry", str(registry), "--store", str(store),
+            ],
+        )
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}': 'notadate' is not a YYYY-MM-DD date" in result.output
+        assert not store.exists()
+        assert not registry.exists()
+
+    @pytest.mark.usefixtures("no_host_mime_tables")
+    def test_markdown_keeps_its_type_without_host_mime_tables(self, runner, tmp_path):
+        registry, store, out = tmp_path / "registry.json", tmp_path / "store", tmp_path / "out"
+        result = run(
+            runner,
+            "archive", str(SOURCES / "phi-4.md"),
+            "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4",
+            "--registry", str(registry), "--store", str(store),
+        )
+        assert result.exit_code == 0, result.output
+        digest = result.output.splitlines()[0]
+        assert json.loads(registry.read_text())["entries"][0]["archived"]["media_type"] == "text/markdown"
+
+        run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
+        result = run(runner, "--out", str(out), "site", "--registry", str(registry), "--store", str(store))
+        assert result.exit_code == 0, result.output
+        published = [p.name for p in (out / "site" / "summaries" / "phi-4").glob("archived-*")]
+        assert published == [f"archived-{digest[:12]}.md"]
+
 
 class TestSite:
     def build_cards(self, runner, out):
@@ -237,6 +318,18 @@ class TestSite:
         result = run(runner, "--out", str(out), "site", "--registry", str(registry))
         assert result.exit_code == 1
         assert f"{registry}: Expecting property name" in result.output
+
+    @pytest.mark.parametrize("broken", ["registry", "card"])
+    def test_site_non_utf8_input_fails_cleanly(self, runner, tmp_path, broken):
+        out = tmp_path / "out"
+        self.build_cards(runner, out)
+        registry = tmp_path / "registry.json"
+        registry.write_bytes(Path(REGISTRY).read_bytes())
+        path = registry if broken == "registry" else out / "apertus.scorecard.json"
+        path.write_bytes(NOT_UTF8)
+        result = run(runner, "--out", str(out), "site", "--registry", str(registry))
+        assert result.exit_code == 1
+        assert f"{path}: 'utf-8' codec can't decode byte 0xff" in result.output
 
 
 class TestConfigPrecedence:
@@ -376,3 +469,91 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == ""
         assert "0 finding(s)" in proc.stderr
+
+
+LAYERS = tuple(f"summaryqa.{layer}" for layer in ("catalog", "assessment", "scoring", "reporting", "registry", "site"))
+
+
+def loaded_modules(*args):
+    """Exit status and loaded modules of ``python -m summaryqa ARGS`` in a fresh interpreter."""
+    code = (
+        "import json, runpy, sys\n"
+        "status = None\n"
+        "try:\n"
+        "    runpy.run_module('summaryqa', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "print(json.dumps([status, sorted(sys.modules)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    status, modules = json.loads(proc.stdout.splitlines()[-1])
+    return status, set(modules)
+
+
+class TestStartup:
+    """Each command imports only the layers it runs."""
+
+    @pytest.mark.parametrize(
+        "command,unloaded",
+        [
+            ("--version", LAYERS),
+            ("--help", LAYERS),
+            ("catalog-stats", tuple(m for m in LAYERS if m != "summaryqa.catalog")),
+            ("archive", ("summaryqa.scoring", "summaryqa.reporting", "summaryqa.site")),
+            ("validate", ("summaryqa.scoring", "summaryqa.reporting", "summaryqa.site")),
+            ("score", ("summaryqa.registry", "summaryqa.site", "html.parser")),
+            ("compare", ("summaryqa.registry", "summaryqa.site", "html.parser")),
+        ],
+    )
+    def test_command_loads_only_its_layers(self, runner, tmp_path, command, unloaded):
+        out = tmp_path / "out"
+        args = {
+            "--version": ["--version"],
+            "--help": ["--help"],
+            "catalog-stats": ["--catalog", CATALOG, "catalog-stats"],
+            "archive": [
+                "archive", str(SOURCES / "phi-4.md"),
+                "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4",
+                "--registry", str(tmp_path / "registry.json"), "--store", str(tmp_path / "store"),
+            ],
+            "validate": [
+                "--catalog", CATALOG,
+                "validate", "--assessments", ASSESSMENTS, "--registry", REGISTRY, "--store", str(tmp_path),
+            ],
+            "score": ["--catalog", CATALOG, "--out", str(out), "--format", "html", "score", ASSESSMENTS],
+            "compare": ["--out", str(out), "--format", "html", "compare"],
+        }[command]
+        if command == "compare":
+            run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        status, modules = loaded_modules(*args)
+        assert status in (0, 1)  # validate finds the objects missing from the empty store
+        assert sorted(modules.intersection(unloaded)) == []
+
+    def test_package_exports_resolve_on_first_access(self):
+        code = "import sys, summaryqa; print(sorted(m for m in sys.modules if m.startswith('summaryqa.')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+        import summaryqa
+        from summaryqa import score_summary
+        from summaryqa.scoring import score_summary as defined
+
+        assert score_summary is defined
+        namespace = {}
+        exec("from summaryqa import *", namespace)
+        assert set(summaryqa.__all__) <= set(namespace)
+        assert set(summaryqa.__all__) <= set(dir(summaryqa))
+        with pytest.raises(AttributeError):
+            summaryqa.no_such_name
+
+    def test_choice_lists_match_their_layers(self):
+        import summaryqa.cli as cli_module
+        from summaryqa.assessment import PublishedForm
+        from summaryqa.registry import DiscoveryChannel
+        from summaryqa.reporting import FORMATS
+
+        assert cli_module.FORMATS == FORMATS
+        assert cli_module.PUBLISHED_FORMS == tuple(form.value for form in PublishedForm)
+        assert cli_module.CHANNELS == tuple(channel.value for channel in DiscoveryChannel)

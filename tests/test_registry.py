@@ -15,6 +15,7 @@ from summaryqa.registry import (
     archive_fetch,
     attach_archive,
     load_registry,
+    media_type_suffix,
     object_path,
     registry_from_json,
     registry_to_json,
@@ -155,6 +156,41 @@ class TestArchiveFetch:
         copy = archive_fetch(source.as_uri(), tmp_path / "store")
         assert copy.media_type == "application/pdf"
         assert (tmp_path / "store" / copy.storage_path).read_bytes() == b"%PDF-1.4 fake"
+
+
+@pytest.mark.usefixtures("no_host_mime_tables")
+class TestMediaTypes:
+    @pytest.mark.parametrize(
+        "name,media_type",
+        [
+            ("summary.html", "text/html"),
+            ("summary.htm", "text/html"),
+            ("summary.pdf", "application/pdf"),
+            ("summary.md", "text/markdown"),
+            ("SUMMARY.MD", "text/markdown"),
+            ("summary.txt", "text/plain"),
+            ("summary.json", "application/octet-stream"),
+            ("summary", "application/octet-stream"),
+        ],
+    )
+    def test_local_file_type_from_fixed_table(self, tmp_path, name, media_type):
+        source = tmp_path / name
+        source.write_bytes(b"bytes")
+        assert archive_fetch(str(source), tmp_path / "store").media_type == media_type
+
+    @pytest.mark.parametrize(
+        "media_type,suffix",
+        [
+            ("text/html", ".html"),
+            ("application/pdf", ".pdf"),
+            ("text/markdown", ".md"),
+            ("text/plain", ".txt"),
+            ("application/octet-stream", ".bin"),
+            ("application/json", ".bin"),
+        ],
+    )
+    def test_suffix_from_fixed_table(self, media_type, suffix):
+        assert media_type_suffix(media_type) == suffix
 
 
 class TestVerifyArchive:
