@@ -407,7 +407,7 @@ def parse_assessment(text: str) -> Assessment:
 
 def load_assessment(source: Source, catalog: Catalog, today: date | None = None) -> Assessment:
     """Load and fully check an assessment against the catalog."""
-    assessment = parse_assessment(_read_text(source))
+    assessment = parse_assessment(_read_text(source, MalformedAssessment))
     check_assessment(catalog, assessment, today)
     return assessment
 

@@ -39,7 +39,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import IO, TypeVar, Union
 
-from .errors import Finding, MalformedCatalog, SchemaViolation, WriteFailed
+from .errors import Finding, MalformedCatalog, SchemaViolation, SummaryQAError, WriteFailed
 
 _Member = TypeVar("_Member")
 
@@ -315,13 +315,15 @@ _METRIC_FIELDS = (
 Source = Union[str, Path, IO[str], IO[bytes]]
 
 
-def _read_text(source: Source) -> str:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+def _read_text(source: Source, error: type[SummaryQAError]) -> str:
+    """The UTF-8 text of ``source``; bytes that are not UTF-8 raise ``error``."""
+    try:
+        if isinstance(source, (str, Path)):
+            return Path(source).read_text(encoding="utf-8")
+        data = source.read()
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise error(str(exc)) from exc
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -469,7 +471,7 @@ def parse_catalog(text: str) -> Catalog:
 
 def load_catalog(source: Source) -> Catalog:
     """Load a catalog from a path or a readable (byte or text) stream."""
-    return parse_catalog(_read_text(source))
+    return parse_catalog(_read_text(source, MalformedCatalog))
 
 
 def dumps_catalog(catalog: Catalog) -> str:

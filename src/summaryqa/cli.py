@@ -1,9 +1,15 @@
 """Command-line pipeline: validate -> score -> compare -> site, plus archival.
 
-Configuration precedence is flags over config file over defaults.  The config
-file is plain ``key: value`` text (keys: catalog, assessments, registry,
-store, out, format, aggregation, section_group_strategy, overall_strategy,
-grade_scale, severity_bands).
+``--config FILE`` names a plain ``key: value`` file.  A key that names an
+option is that option's default: ``catalog``, ``format``, ``aggregation`` and
+``out`` for the group, ``assessments`` for ``validate``, and ``registry`` and
+``store`` for ``validate``, ``archive`` and ``site``.  So flags win over the
+file and the file over the built-in defaults, and click parses and checks a
+value the same way wherever it comes from.  Four keys exist only in the file
+and are checked under every command: ``section_group_strategy``,
+``overall_strategy``, ``grade_scale`` and ``severity_bands`` (the two scales
+are ``LABEL:MIN,...`` lists, best band first, checked by
+``scoring.GradeScale.check``).
 
 Diagnostics go to stderr; findings and requested data go to stdout or files.
 Exit status is 0 only when there are no findings and no errors.  Validation
@@ -26,28 +32,20 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .errors import Finding, MalformedAssessment, MalformedRegistry, SummaryQAError
 
 if TYPE_CHECKING:
-    from .reporting import SeverityBand
     from .scoring import AggregationConfig, GradeScale
 
-_CONFIG_KEYS = (
-    "catalog",
-    "assessments",
-    "registry",
-    "store",
-    "out",
-    "format",
-    "aggregation",
-    "section_group_strategy",
-    "overall_strategy",
-    "grade_scale",
-    "severity_bands",
-)
+# A config key that names an option sets that option's default; the
+# aggregation keys and severity_bands exist only in the file.
 _AGGREGATION_KEYS = ("section_group_strategy", "overall_strategy", "grade_scale")
+_CONFIG_KEYS = (
+    "catalog", "assessments", "registry", "store", "out", "format", "aggregation", *_AGGREGATION_KEYS, "severity_bands"
+)
 
 # Choice lists, spelled out so that building the command line imports no layer.
 # tests/test_cli.py pins each to the layer's own list.
@@ -63,55 +61,43 @@ CHANNELS = (  # registry.DiscoveryChannel
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    catalog_path: Path | None = None
-    assessments_dir: Path | None = None
-    registry_path: Path | None = None
-    storage_root: Path | None = None
-    output_dir: Path | None = None
-    report_format: str = "json"
+    """The group's settings, resolved once from flags, config file and defaults."""
+
+    catalog_path: Path | None
+    output_dir: Path | None
+    report_format: str
     # None: neither flags nor config file set it, and the command uses its
     # layer's default (scoring.DEFAULT_CONFIG, reporting.DEFAULT_SEVERITY_BANDS).
-    aggregation: AggregationConfig | None = None
-    severity_bands: tuple[SeverityBand, ...] | None = None
+    aggregation: AggregationConfig | None
+    severity_bands: GradeScale | None
 
 
-def _parse_grade_scale(text: str) -> GradeScale:
+def _parse_scale(text: str) -> GradeScale:
+    """A ``LABEL:MIN,...`` scale (grades or severity bands), best band first."""
     from fractions import Fraction
 
     from .scoring import GradeScale
 
     bands = []
     for part in text.split(","):
-        letter, sep, min_pct = part.partition(":")
+        label, sep, min_pct = part.partition(":")
         if not sep:
-            raise click.BadParameter(f"grade_scale entry {part!r} must be LETTER:MIN")
-        bands.append((letter.strip(), Fraction(min_pct.strip())))
+            raise ValueError(f"entry {part!r} must be LABEL:MIN")
+        bands.append((label.strip(), Fraction(min_pct.strip())))
     scale = GradeScale(tuple(bands))
     scale.check()
     return scale
 
 
-def _parse_severity_bands(text: str) -> tuple[SeverityBand, ...]:
-    from fractions import Fraction
-
-    from .reporting import SeverityBand
-
-    bands = []
-    for part in text.split(","):
-        label, sep, min_pct = part.partition(":")
-        if not sep:
-            raise click.BadParameter(f"severity_bands entry {part!r} must be LABEL:MIN")
-        bands.append(SeverityBand(label.strip(), Fraction(min_pct.strip())))
-    if not bands or bands[-1].min_pct != 0:
-        raise click.BadParameter("severity bands must end with a 0 minimum")
-    return tuple(bands)
-
-
 def _read_config_file(path: Path) -> dict[str, str]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise click.ClickException(f"{path}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -120,6 +106,33 @@ def _read_config_file(path: Path) -> dict[str, str]:
         if not sep or key not in _CONFIG_KEYS:
             raise click.ClickException(f"{path}:{lineno}: unknown config line {raw!r}")
         values[key] = value.strip()
+    return values
+
+
+def _option_defaults(command: click.Command, values: dict[str, str]) -> dict[str, str]:
+    """The ``values`` whose key names one of ``command``'s options, by parameter name."""
+    return {
+        param.name: values[key]
+        for param in command.params
+        if isinstance(param, click.Option) and (key := param.opts[0].lstrip("-")) in values
+    }
+
+
+def _config_defaults(ctx: click.Context, param: click.Parameter, path: Path | None) -> dict[str, str]:
+    """Make the config file's values the defaults of the options they name.
+
+    ``--config`` is eager, so click converts and checks those defaults, with
+    each option's own type, when it processes the options after it.  Returns
+    every value in the file; the group reads the file-only keys from it.
+    """
+    if path is None:
+        return {}
+    values = _read_config_file(path)
+    group = ctx.command
+    ctx.default_map = {
+        **_option_defaults(group, values),
+        **{name: _option_defaults(command, values) for name, command in group.commands.items()},
+    }
     return values
 
 
@@ -136,77 +149,31 @@ def _file_value(file_values: dict[str, str], key: str, parse, default):
         raise click.BadParameter(str(exc), param_hint=key) from exc
 
 
-def _aggregation(flag: str | None, file_values: dict[str, str]) -> AggregationConfig | None:
-    """The aggregation that the flag and config file ask for; None if they name none.
+def _aggregation(ctx: click.Context, name: str | None, file_values: dict[str, str]) -> AggregationConfig | None:
+    """The aggregation that --aggregation and the config file ask for; None if they name none.
 
-    The --aggregation flag sets both strategies; the config file may instead
-    set them individually.  Either may come with a grade scale from the file.
+    ``aggregation`` sets both strategies.  The file's ``section_group_strategy``
+    and ``overall_strategy`` replace them, unless --aggregation is given on the
+    command line.  Either may come with a grade scale from the file.
     """
-    name = flag if flag is not None else file_values.get("aggregation")
     if name is None and not any(key in file_values for key in _AGGREGATION_KEYS):
         return None
-    from .scoring import AggregationConfig, OverallAggregation, SectionAggregation
+    from .scoring import DEFAULT_GRADE_SCALE, AggregationConfig, OverallAggregation, SectionAggregation
 
-    if name in (None, "pooled"):
-        base = AggregationConfig()
-    elif name == "mean":
-        base = AggregationConfig(
-            section_group_strategy=SectionAggregation.MEAN_OF_DIMENSIONS,
-            overall_strategy=OverallAggregation.MEAN_OF_SECTIONS,
-        )
-    else:
-        raise click.BadParameter(f"aggregation must be 'pooled' or 'mean', got {name!r}")
-    section_strategy = base.section_group_strategy
-    overall_strategy = base.overall_strategy
-    if flag is None:  # the flag wins over the fine-grained keys
-        section_strategy = _file_value(file_values, "section_group_strategy", SectionAggregation, section_strategy)
-        overall_strategy = _file_value(file_values, "overall_strategy", OverallAggregation, overall_strategy)
+    section = _file_value(file_values, "section_group_strategy", SectionAggregation, None)
+    overall = _file_value(file_values, "overall_strategy", OverallAggregation, None)
+    if ctx.get_parameter_source("aggregation") is ParameterSource.COMMANDLINE:
+        section = overall = None
+    mean = name == "mean"
     return AggregationConfig(
-        section_group_strategy=section_strategy,
-        overall_strategy=overall_strategy,
-        grade_scale=_file_value(file_values, "grade_scale", _parse_grade_scale, base.grade_scale),
+        section_group_strategy=section
+        or (SectionAggregation.MEAN_OF_DIMENSIONS if mean else SectionAggregation.POOLED_WEIGHTED),
+        overall_strategy=overall or (OverallAggregation.MEAN_OF_SECTIONS if mean else OverallAggregation.POOLED_WEIGHTED),
+        grade_scale=_file_value(file_values, "grade_scale", _parse_scale, DEFAULT_GRADE_SCALE),
     )
 
 
-def resolve_config(ctx: click.Context) -> RunConfig:
-    """Merge CLI flags over config file over defaults.
-
-    Every value given is checked here, whichever command runs.
-    """
-    flags = ctx.obj
-    file_values: dict[str, str] = {}
-    if flags.get("config"):
-        file_values = _read_config_file(Path(flags["config"]))
-
-    def pick(flag_key: str, file_key: str) -> str | None:
-        if flags.get(flag_key) is not None:
-            return flags[flag_key]
-        return file_values.get(file_key)
-
-    config = RunConfig()
-    for attr, flag_key, file_key in (
-        ("catalog_path", "catalog", "catalog"),
-        ("assessments_dir", "assessments", "assessments"),
-        ("registry_path", "registry", "registry"),
-        ("storage_root", "store", "store"),
-        ("output_dir", "out", "out"),
-    ):
-        value = pick(flag_key, file_key)
-        if value is not None:
-            setattr(config, attr, Path(value))
-
-    fmt = pick("format", "format")
-    if fmt is not None:
-        if fmt not in FORMATS:
-            raise click.BadParameter(f"format must be one of {', '.join(FORMATS)}")
-        config.report_format = fmt
-
-    config.aggregation = _aggregation(flags.get("aggregation"), file_values)
-    config.severity_bands = _file_value(file_values, "severity_bands", _parse_severity_bands, None)
-    return config
-
-
-def _severity_bands(config: RunConfig) -> tuple[SeverityBand, ...]:
+def _severity_bands(config: RunConfig) -> GradeScale:
     from .reporting import DEFAULT_SEVERITY_BANDS
 
     return config.severity_bands or DEFAULT_SEVERITY_BANDS
@@ -244,24 +211,27 @@ def _iso_date(ctx: click.Context, param: click.Parameter, value: str | None) -> 
 
 @click.group()
 @click.version_option(version=__version__, prog_name="summaryqa")
-@click.option("--config", type=click.Path(exists=True, dir_okay=False), help="Config file (key: value lines).")
-@click.option("--catalog", type=click.Path(exists=True, dir_okay=False), help="Catalog file.")
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default=None, help="Report format.")
+@click.option(
+    "--config",
+    type=click.Path(exists=True, dir_okay=False, path_type=Path),
+    is_eager=True,
+    callback=_config_defaults,
+    help="Config file (key: value lines) that sets option defaults.",
+)
+@click.option("--catalog", type=click.Path(exists=True, dir_okay=False, path_type=Path), help="Catalog file.")
+@click.option("--format", "fmt", type=click.Choice(FORMATS), default="json", help="Report format.")
 @click.option("--aggregation", type=click.Choice(["pooled", "mean"]), default=None, help="Aggregation strategy.")
-@click.option("--out", type=click.Path(file_okay=False), default=None, help="Output directory.")
+@click.option("--out", type=click.Path(file_okay=False, path_type=Path), default=None, help="Output directory.")
 @click.pass_context
 def cli(ctx, config, catalog, fmt, aggregation, out):
     """Quality assessment of GPAI training-content public summaries."""
-    ctx.obj = {
-        "config": config,
-        "catalog": catalog,
-        "format": fmt,
-        "aggregation": aggregation,
-        "out": out,
-        "assessments": None,
-        "registry": None,
-        "store": None,
-    }
+    ctx.obj = RunConfig(
+        catalog_path=catalog,
+        output_dir=out,
+        report_format=fmt,
+        aggregation=_aggregation(ctx, aggregation, config),
+        severity_bands=_file_value(config, "severity_bands", _parse_scale, None),
+    )
 
 
 def main():
@@ -278,20 +248,19 @@ def main():
 
 
 @cli.command()
-@click.option("--assessments", type=click.Path(exists=True, file_okay=False), default=None)
-@click.option("--registry", "registry_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--store", type=click.Path(file_okay=False), default=None)
-@click.pass_context
-def validate(ctx, assessments, registry_path, store):
-    """Validate catalog, assessments, registry, and archive integrity."""
+@click.option("--assessments", type=click.Path(exists=True, file_okay=False, path_type=Path), default=None)
+@click.option("--registry", "registry_path", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
+@click.option("--store", type=click.Path(file_okay=False, path_type=Path), default=None)
+@click.pass_obj
+def validate(config, assessments, registry_path, store):
+    """Validate catalog, assessments, registry, and archive integrity.
+
+    Assessments are checked only against a catalog without findings.
+    """
     from .assessment import assessment_findings, parse_assessment
-    from .catalog import load_catalog, validate_catalog
+    from .catalog import _read_text, load_catalog, validate_catalog
     from .registry import load_registry, validate_registry, verify_archive
 
-    ctx.obj["assessments"] = assessments
-    ctx.obj["registry"] = registry_path
-    ctx.obj["store"] = store
-    config = resolve_config(ctx)
     catalog_path = _require(config.catalog_path, "--catalog")
 
     total = 0
@@ -300,29 +269,32 @@ def validate(ctx, assessments, registry_path, store):
     except SummaryQAError as exc:
         click.echo(f"catalog\t{catalog_path}\tmalformed-catalog\t{exc}")
         sys.exit(1)
-    total += _echo_findings("catalog", validate_catalog(catalog))
+    catalog_findings = validate_catalog(catalog)
+    total += _echo_findings("catalog", catalog_findings)
 
-    if config.assessments_dir is not None:
-        for path in sorted(Path(config.assessments_dir).glob("*.csv")):
+    if assessments is not None and catalog_findings:
+        click.echo("assessments not checked: the catalog has findings", err=True)
+    elif assessments is not None:
+        for path in sorted(assessments.glob("*.csv")):
             source = f"assessment:{path.name}"
             try:
-                assessment = parse_assessment(path.read_text(encoding="utf-8"))
+                assessment = parse_assessment(_read_text(path, MalformedAssessment))
             except MalformedAssessment as exc:
                 click.echo(f"{source}\t{path.name}\tmalformed-assessment\t{exc}")
                 total += 1
                 continue
             total += _echo_findings(source, assessment_findings(catalog, assessment))
 
-    if config.registry_path is not None:
+    if registry_path is not None:
         try:
-            registry = load_registry(config.registry_path)
+            registry = load_registry(registry_path)
         except MalformedRegistry as exc:
-            click.echo(f"registry\t{config.registry_path}\tmalformed-registry\t{exc}")
+            click.echo(f"registry\t{registry_path}\tmalformed-registry\t{exc}")
             total += 1
         else:
             total += _echo_findings("registry", validate_registry(registry))
-            if config.storage_root is not None:
-                total += _echo_findings("archive", verify_archive(registry, config.storage_root))
+            if store is not None:
+                total += _echo_findings("archive", verify_archive(registry, store))
 
     click.echo(f"{total} finding(s)", err=True)
     sys.exit(0 if total == 0 else 1)
@@ -335,18 +307,26 @@ def validate(ctx, assessments, registry_path, store):
 
 @cli.command()
 @click.argument("source", type=click.Path(exists=True))
-@click.pass_context
-def score(ctx, source):
-    """Score one assessment file, or every *.csv in a directory."""
+@click.pass_obj
+def score(config, source):
+    """Score one assessment file, or every *.csv in a directory.
+
+    A catalog that ``validate`` would report on is refused before any card is written.
+    """
     from .assessment import load_assessment
-    from .catalog import _write_atomic, load_catalog
+    from .catalog import _write_atomic, load_catalog, validate_catalog
     from .reporting import render_scorecard, scorecard_to_json
     from .scoring import DEFAULT_CONFIG, Group, score_summary
 
-    config = resolve_config(ctx)
     catalog_path = _require(config.catalog_path, "--catalog")
     out_dir = _require(config.output_dir, "--out")
-    catalog = load_catalog(catalog_path)
+    catalog = _load(load_catalog, catalog_path)
+    findings = validate_catalog(catalog)
+    if findings:
+        first = findings[0]
+        raise click.ClickException(
+            f"{catalog_path}: catalog has {len(findings)} finding(s), first {first.code} at {first.locus}: {first.message}"
+        )
     aggregation = config.aggregation or DEFAULT_CONFIG
     bands = _severity_bands(config)
 
@@ -354,7 +334,6 @@ def score(ctx, source):
     paths = sorted(source.glob("*.csv")) if source.is_dir() else [source]
     if not paths:
         raise click.ClickException(f"no assessment files found in {source}")
-    out_dir = Path(out_dir)
 
     for path in paths:
         try:
@@ -381,22 +360,21 @@ def score(ctx, source):
 
 @cli.command()
 @click.argument("cards_dir", type=click.Path(exists=True, file_okay=False), required=False)
-@click.pass_context
-def compare(ctx, cards_dir):
+@click.pass_obj
+def compare(config, cards_dir):
     """Comparison table over all score cards in a directory."""
     from .catalog import _write_atomic
     from .reporting import load_scorecard, render_comparison
 
-    config = resolve_config(ctx)
     directory = Path(cards_dir) if cards_dir else _require(config.output_dir, "--out or CARDS_DIR")
-    card_paths = sorted(Path(directory).glob("*.scorecard.json"))
+    card_paths = sorted(directory.glob("*.scorecard.json"))
     if not card_paths:
         raise click.ClickException(f"no score cards found in {directory}")
     cards = [_load(load_scorecard, p) for p in card_paths]
     try:
         rendered = render_comparison(cards, config.report_format, bands=_severity_bands(config))
         if config.output_dir is not None:
-            out_path = Path(config.output_dir) / f"comparison.{config.report_format}"
+            out_path = config.output_dir / f"comparison.{config.report_format}"
             _write_atomic(out_path, rendered)
             click.echo(f"wrote {out_path}", err=True)
         else:
@@ -422,11 +400,10 @@ def compare(ctx, cards_dir):
 @click.option("--channel", type=click.Choice(CHANNELS), default="ModelRepoPage")
 @click.option("--query", default="", help="Discovery query or path.")
 @click.option("--discovered-on", callback=_iso_date, help="Discovery date (YYYY-MM-DD).")
-@click.option("--registry", "registry_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--store", type=click.Path(file_okay=False), default=None)
+@click.option("--registry", "registry_path", type=click.Path(dir_okay=False, path_type=Path), default=None)
+@click.option("--store", type=click.Path(file_okay=False, path_type=Path), default=None)
 @click.option("--timeout", type=float, default=30.0, show_default=True)
-@click.pass_context
-def archive(ctx, url, slug, provider, model, title, source_url, published_form, version_date, channel, query, discovered_on, registry_path, store, timeout):
+def archive(url, slug, provider, model, title, source_url, published_form, version_date, channel, query, discovered_on, registry_path, store, timeout):
     """Fetch a summary, pin it in the object store, and register it."""
     from .assessment import PublishedForm, SummaryMeta
     from .registry import (
@@ -441,13 +418,10 @@ def archive(ctx, url, slug, provider, model, title, source_url, published_form, 
         save_registry,
     )
 
-    ctx.obj["registry"] = registry_path
-    ctx.obj["store"] = store
-    config = resolve_config(ctx)
-    registry_file = _require(config.registry_path, "--registry")
-    store_root = _require(config.storage_root, "--store")
+    registry_file = _require(registry_path, "--registry")
+    store_root = _require(store, "--store")
 
-    registry = _load(load_registry, registry_file) if Path(registry_file).exists() else Registry()
+    registry = _load(load_registry, registry_file) if registry_file.exists() else Registry()
     if registry.get(slug) is not None:
         raise click.ClickException(f"registry already contains slug {slug!r}")
 
@@ -488,32 +462,29 @@ def archive(ctx, url, slug, provider, model, title, source_url, published_form, 
 
 
 @cli.command()
-@click.option("--registry", "registry_path", type=click.Path(exists=True, dir_okay=False), default=None)
+@click.option("--registry", "registry_path", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
 @click.option("--cards", "cards_dir", type=click.Path(exists=True, file_okay=False), default=None)
-@click.option("--store", type=click.Path(file_okay=False), default=None)
+@click.option("--store", type=click.Path(file_okay=False, path_type=Path), default=None)
 @click.option("--methodology", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--title", default="GPAI training-content disclosure quality")
-@click.pass_context
-def site(ctx, registry_path, cards_dir, store, methodology, title):
+@click.pass_obj
+def site(config, registry_path, cards_dir, store, methodology, title):
     """Build the static dissemination site and check its internal links."""
     from .registry import load_registry
     from .reporting import load_scorecard
     from .site import SiteConfig, build_site, check_links
 
-    ctx.obj["registry"] = registry_path
-    ctx.obj["store"] = store
-    config = resolve_config(ctx)
-    registry_file = _require(config.registry_path, "--registry")
+    registry_file = _require(registry_path, "--registry")
     out_dir = _require(config.output_dir, "--out")
-    directory = Path(cards_dir) if cards_dir else Path(out_dir)
+    directory = Path(cards_dir) if cards_dir else out_dir
 
     registry = _load(load_registry, registry_file)
     cards = [_load(load_scorecard, p) for p in sorted(directory.glob("*.scorecard.json"))]
 
-    site_root = Path(out_dir) / "site"
+    site_root = out_dir / "site"
     site_config = SiteConfig(
         output_root=site_root,
-        store_root=config.storage_root,
+        store_root=store,
         methodology_html=Path(methodology) if methodology else None,
         site_title=title,
         severity_bands=_severity_bands(config),
@@ -535,14 +506,12 @@ def site(ctx, registry_path, cards_dir, store, methodology, title):
 
 
 @cli.command(name="catalog-stats")
-@click.pass_context
-def catalog_stats(ctx):
+@click.pass_obj
+def catalog_stats(config):
     """Per-section metric counts of the catalog."""
     from .catalog import SECTION_ORDER, load_catalog, section_counts
 
-    config = resolve_config(ctx)
-    catalog_path = _require(config.catalog_path, "--catalog")
-    catalog = load_catalog(catalog_path)
+    catalog = _load(load_catalog, _require(config.catalog_path, "--catalog"))
     counts = section_counts(catalog)
     for section in SECTION_ORDER:
         click.echo(f"{section.code}\t{counts[section]}")

@@ -17,7 +17,6 @@ import html
 import io
 import json
 import csv as _csv
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,37 +36,29 @@ from .scoring import (
     ScoreCard,
     ScoreValue,
     SectionAggregation,
+    assign_grade,
 )
 
 FORMATS = ("json", "csv", "html")
 
 
 # ---------------------------------------------------------------------------
-# Severity bands (presentation only)
+# Severity bands (presentation only): a GradeScale whose labels are CSS classes
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeverityBand:
-    label: str
-    min_pct: Fraction
-
-
-DEFAULT_SEVERITY_BANDS = (
-    SeverityBand("High", Fraction(80)),
-    SeverityBand("Moderate", Fraction(50)),
-    SeverityBand("Low", Fraction(0)),
+DEFAULT_SEVERITY_BANDS = GradeScale(
+    bands=(
+        ("High", Fraction(80)),
+        ("Moderate", Fraction(50)),
+        ("Low", Fraction(0)),
+    )
 )
 
 
-def severity(pct: Fraction, bands: tuple[SeverityBand, ...] = DEFAULT_SEVERITY_BANDS) -> str:
+def severity(pct: Fraction, bands: GradeScale = DEFAULT_SEVERITY_BANDS) -> str:
     """Label of the first band whose minimum is at or below the percentage."""
-    if not 0 <= pct <= 100:
-        raise ValueError(f"percentage out of range: {pct}")
-    for band in bands:
-        if pct >= band.min_pct:
-            return band.label
-    return bands[-1].label
+    return assign_grade(ScoreValue.percentage(pct), bands)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +194,7 @@ def _detail_rows(card: ScoreCard) -> list[list[str]]:
     return rows
 
 
-def render_scorecard(
-    card: ScoreCard, fmt: str, bands: tuple[SeverityBand, ...] = DEFAULT_SEVERITY_BANDS
-) -> bytes:
+def render_scorecard(card: ScoreCard, fmt: str, bands: GradeScale = DEFAULT_SEVERITY_BANDS) -> bytes:
     """Render one score card; ``fmt`` is one of ``json``, ``csv``, ``html``."""
     if fmt == "json":
         return scorecard_to_json(card).encode("utf-8")
@@ -241,14 +230,14 @@ def _meta_html(card: ScoreCard) -> str:
     return f"<dl>\n{rows}\n</dl>\n"
 
 
-def _cell_html(display: str, bands: tuple[SeverityBand, ...]) -> str:
+def _cell_html(display: str, bands: GradeScale) -> str:
     if display == "N/A":
         return '<td class="na">N/A</td>'
     label = severity(Fraction(display), bands).lower()
     return f'<td class="pct {label}">{display}%</td>'
 
 
-def scorecard_table_html(card: ScoreCard, bands: tuple[SeverityBand, ...] = DEFAULT_SEVERITY_BANDS) -> str:
+def scorecard_table_html(card: ScoreCard, bands: GradeScale = DEFAULT_SEVERITY_BANDS) -> str:
     """The detail table as an HTML fragment (used by reports and the site)."""
     head = "".join(f"<th>{html.escape(h)}</th>" for h in _DETAIL_HEADER)
     body_rows = []
@@ -298,9 +287,7 @@ def _comparison_rows(cards: list[ScoreCard]) -> list[tuple[str, str, list[str]]]
     return rows
 
 
-def render_comparison(
-    cards: list[ScoreCard], fmt: str, bands: tuple[SeverityBand, ...] = DEFAULT_SEVERITY_BANDS
-) -> bytes:
+def render_comparison(cards: list[ScoreCard], fmt: str, bands: GradeScale = DEFAULT_SEVERITY_BANDS) -> bytes:
     """Side-by-side section/group scores, one column per summary."""
     _comparison_check(cards)
     columns = [card.meta.model for card in cards]
@@ -337,7 +324,7 @@ def render_comparison(
 def comparison_table_html(
     cards: list[ScoreCard],
     links: dict[str, str] | None = None,
-    bands: tuple[SeverityBand, ...] = DEFAULT_SEVERITY_BANDS,
+    bands: GradeScale = DEFAULT_SEVERITY_BANDS,
 ) -> str:
     """Comparison table fragment; optional per-model detail links."""
     _comparison_check(cards)

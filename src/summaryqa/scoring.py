@@ -87,7 +87,7 @@ class GradeScale:
             raise ValueError("grade scale has no bands")
         letters = [letter for letter, _ in self.bands]
         if len(set(letters)) != len(letters):
-            raise ValueError("grade letters must be unique")
+            raise ValueError("band labels must be unique")
         mins = [m for _, m in self.bands]
         if any(a <= b for a, b in zip(mins, mins[1:])):
             raise ValueError("band minimums must be strictly decreasing")

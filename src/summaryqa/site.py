@@ -22,13 +22,12 @@ from .errors import Finding, UnmatchedScoreCard
 from .registry import Registry, RegistryEntry, media_type_suffix
 from .reporting import (
     DEFAULT_SEVERITY_BANDS,
-    SeverityBand,
     _page,
     comparison_table_html,
     scorecard_table_html,
     scorecard_to_json,
 )
-from .scoring import ScoreCard
+from .scoring import GradeScale, ScoreCard
 
 
 class PageKind(Enum):
@@ -50,7 +49,7 @@ class SiteConfig:
     methodology_html: Path | None = None  # optional fragment to publish
     site_title: str = "GPAI training-content disclosure quality"
     footer_note: str = ""
-    severity_bands: tuple[SeverityBand, ...] = DEFAULT_SEVERITY_BANDS
+    severity_bands: GradeScale = DEFAULT_SEVERITY_BANDS
 
 
 def _empty_comparison_html() -> str:

@@ -100,6 +100,79 @@ class TestValidate:
         assert "can't decode byte 0xff" in message
 
 
+# Catalog edits that validate_catalog reports, with the finding each one gives.
+CATALOG_DEFECTS = {
+    "gate-cycle": (("applicability: if F1.2.e.1 = yes", "applicability: if F1.2.e.2 = yes"), "applicability-cycle"),
+    "unknown-gate": (("applicability: if F1.2.e.1 = yes", "applicability: if F9.9.z.9 = yes"), "unknown-gate"),
+    "zero-weight": (("weight: 2\n", "weight: 0\n"), "nonpositive-weight"),
+}
+
+
+class TestCatalogFindings:
+    """A catalog that validate reports on is never scored."""
+
+    @pytest.fixture(params=sorted(CATALOG_DEFECTS))
+    def defective(self, request, tmp_path):
+        (old, new), code = CATALOG_DEFECTS[request.param]
+        path = tmp_path / "catalog.txt"
+        path.write_text(Path(CATALOG).read_text().replace(old, new, 1))
+        return path, code
+
+    def test_score_refuses_the_catalog(self, runner, tmp_path, defective):
+        catalog, code = defective
+        out = tmp_path / "out"
+        result = run(runner, "--catalog", str(catalog), "--out", str(out), "score", ASSESSMENTS)
+        assert result.exit_code == 1
+        assert f"{catalog}: catalog has 1 finding(s), first {code} at " in result.output
+        assert not out.exists()
+
+    def test_validate_skips_the_assessments(self, runner, defective):
+        catalog, code = defective
+        result = run(runner, "--catalog", str(catalog), "validate", "--assessments", ASSESSMENTS, "--registry", REGISTRY)
+        assert result.exit_code == 1
+        assert [line.split("\t")[2] for line in result.output.splitlines() if "\t" in line] == [code]
+        assert "assessments not checked: the catalog has findings" in result.output
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("broken", ["assessment", "catalog"])
+    def test_validate_reports_a_finding(self, runner, tmp_path, broken):
+        catalog, assessments = tmp_path / "catalog.txt", tmp_path / "assessments"
+        assessments.mkdir()
+        catalog.write_bytes(Path(CATALOG).read_bytes())
+        path = catalog if broken == "catalog" else assessments / "broken.csv"
+        path.write_bytes(NOT_UTF8)
+        result = run(runner, "--catalog", str(catalog), "validate", "--assessments", str(assessments))
+        assert result.exit_code == 1
+        source, locus, code, message = result.output.splitlines()[0].split("\t")
+        expected = {
+            "assessment": ("assessment:broken.csv", "broken.csv", "malformed-assessment"),
+            "catalog": ("catalog", str(catalog), "malformed-catalog"),
+        }[broken]
+        assert (source, locus, code) == expected
+        assert "can't decode byte 0xff" in message
+
+    @pytest.mark.parametrize("broken", ["assessment", "catalog"])
+    def test_score_names_the_file(self, runner, tmp_path, broken):
+        catalog, assessment = tmp_path / "catalog.txt", tmp_path / "phi-4.csv"
+        catalog.write_bytes(Path(CATALOG).read_bytes())
+        assessment.write_bytes((Path(ASSESSMENTS) / "phi-4.csv").read_bytes())
+        path = catalog if broken == "catalog" else assessment
+        path.write_bytes(NOT_UTF8)
+        out = tmp_path / "out"
+        result = run(runner, "--catalog", str(catalog), "--out", str(out), "score", str(assessment))
+        assert result.exit_code == 1
+        assert f"{path}: 'utf-8' codec can't decode byte 0xff" in result.output
+        assert not out.exists()
+
+    def test_config_file_is_named(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(NOT_UTF8)
+        result = run(runner, "--config", str(cfg), "catalog-stats")
+        assert result.exit_code == 1
+        assert f"{cfg}: 'utf-8' codec can't decode byte 0xff" in result.output
+
+
 class TestScoreAndCompare:
     def test_score_directory_writes_cards(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -366,6 +439,36 @@ class TestConfigPrecedence:
         assert mean["config"]["overall_strategy"] == "mean-of-sections"
         assert pooled["overall"] != mean["overall"]
 
+    @pytest.mark.parametrize(
+        "flag,expected",
+        [
+            ([], ("pooled-weighted", "mean-of-sections")),
+            (["--aggregation", "mean"], ("mean-of-dimensions", "mean-of-sections")),
+        ],
+        ids=["file-only", "flag"],
+    )
+    def test_aggregation_flag_beats_the_strategy_keys(self, runner, tmp_path, flag, expected):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"catalog: {CATALOG}\nout: {out}\naggregation: mean\nsection_group_strategy: pooled-weighted\n")
+        result = run(runner, "--config", str(cfg), *flag, "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
+        assert result.exit_code == 0, result.output
+        config = json.loads((out / "phi-4.scorecard.json").read_text())["config"]
+        assert (config["section_group_strategy"], config["overall_strategy"]) == expected
+
+    def test_config_file_supplies_validate_inputs(self, runner, tmp_path):
+        assessments = tmp_path / "assessments"
+        assessments.mkdir()
+        (assessments / "broken.csv").write_text("not an assessment\n")
+        registry = tmp_path / "registry.json"
+        registry.write_text("{not json")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"catalog: {CATALOG}\nassessments: {assessments}\nregistry: {registry}\n")
+        result = run(runner, "--config", str(cfg), "validate")
+        assert result.exit_code == 1
+        codes = [line.split("\t")[2] for line in result.output.splitlines() if "\t" in line]
+        assert codes == ["malformed-assessment", "malformed-registry"]
+
     def test_unknown_config_key_rejected(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mystery: value\n")
@@ -383,6 +486,8 @@ class TestConfigValues:
             "grade_scale: A:x",
             "grade_scale: A:10,B:90",
             "severity_bands: High:x,Low:0",
+            "severity_bands: A:50,B:80,C:0",
+            "severity_bands: A:50,A:0",
         ],
     )
     def test_bad_value_names_its_key(self, runner, tmp_path, line):
@@ -391,6 +496,28 @@ class TestConfigValues:
         result = run(runner, "--config", str(cfg), "catalog-stats")
         assert result.exit_code == 2
         assert f"Invalid value for {line.split(':')[0]}:" in result.output
+
+    @pytest.mark.parametrize(
+        "key,value,command",
+        [
+            ("catalog", "missing.txt", "catalog-stats"),
+            ("format", "xml", "catalog-stats"),
+            ("aggregation", "median", "catalog-stats"),
+            ("registry", "missing.json", "validate"),
+            ("assessments", "missing", "validate"),
+        ],
+    )
+    def test_bad_option_value_gives_the_flags_message(self, runner, tmp_path, key, value, command):
+        value = str(tmp_path / value) if "missing" in value else value
+        group = [] if key == "catalog" else ["--catalog", CATALOG]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}: {value}\n")
+        from_file = run(runner, *group, "--config", str(cfg), command)
+        flag = [f"--{key}", value]
+        from_flag = run(runner, *group, *(flag + [command] if command == "catalog-stats" else [command] + flag))
+        assert from_file.exit_code == from_flag.exit_code == 2
+        assert from_file.output == from_flag.output
+        assert f"Invalid value for '--{key}'" in from_file.output
 
 
 class TestCatalogStats:

@@ -47,7 +47,7 @@ class TestSeverity:
         assert severity(Fraction("49.99")) == "Low"
 
     def test_monotone_over_band_order(self):
-        order = [band.label for band in DEFAULT_SEVERITY_BANDS]
+        order = [label for label, _ in DEFAULT_SEVERITY_BANDS.bands]
         last_rank = len(order)
         for pct in range(0, 101):
             rank = order.index(severity(Fraction(pct)))
