@@ -311,7 +311,9 @@ def validate(config, assessments, registry_path, store):
 def score(config, source):
     """Score one assessment file, or every *.csv in a directory.
 
-    A catalog that ``validate`` would report on is refused before any card is written.
+    A catalog that ``validate`` would report on is refused before any card is
+    written.  Every file is loaded, checked and scored before any card or
+    report is written, so one bad file writes nothing.
     """
     from .assessment import load_assessment
     from .catalog import _write_atomic, load_catalog, validate_catalog
@@ -335,22 +337,28 @@ def score(config, source):
     if not paths:
         raise click.ClickException(f"no assessment files found in {source}")
 
+    outputs: list[tuple[Path, bytes]] = []
+    notes: list[str] = []
     for path in paths:
         try:
             assessment = load_assessment(path, catalog)
             card = score_summary(catalog, assessment, aggregation)
-            card_path = out_dir / f"{path.stem}.scorecard.json"
-            _write_atomic(card_path, scorecard_to_json(card).encode("utf-8"))
-            written = [card_path]
+            written = [(out_dir / f"{path.stem}.scorecard.json", scorecard_to_json(card).encode("utf-8"))]
             if config.report_format != "json":
-                report_path = out_dir / f"{path.stem}.report.{config.report_format}"
                 report = render_scorecard(card, config.report_format, bands=bands)
-                _write_atomic(report_path, report)
-                written.append(report_path)
+                written.append((out_dir / f"{path.stem}.report.{config.report_format}", report))
         except SummaryQAError as exc:
             raise click.ClickException(f"{path}: {exc}") from exc
+        outputs += written
         grades = " ".join(f"{g.value}={card.grades[g]}" for g in Group)
-        click.echo(f"{path.name}: {grades} -> {', '.join(str(p) for p in written)}", err=True)
+        notes.append(f"{path.name}: {grades} -> {', '.join(str(target) for target, _ in written)}")
+    try:
+        for target, data in outputs:
+            _write_atomic(target, data)
+    except SummaryQAError as exc:
+        raise click.ClickException(str(exc)) from exc
+    for note in notes:
+        click.echo(note, err=True)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +424,13 @@ def archive(url, slug, provider, model, title, source_url, published_form, versi
         attach_archive,
         load_registry,
         save_registry,
+        valid_slug,
     )
 
     registry_file = _require(registry_path, "--registry")
     store_root = _require(store, "--store")
+    if not valid_slug(slug):
+        raise click.BadParameter(f"{slug!r} must be lowercase alphanumeric/hyphen", param_hint="--slug")
 
     registry = _load(load_registry, registry_file) if registry_file.exists() else Registry()
     if registry.get(slug) is not None:
@@ -469,18 +480,22 @@ def archive(url, slug, provider, model, title, source_url, published_form, versi
 @click.option("--title", default="GPAI training-content disclosure quality")
 @click.pass_obj
 def site(config, registry_path, cards_dir, store, methodology, title):
-    """Build the static dissemination site and check its internal links."""
+    """Build the static dissemination site from the score cards and publish it.
+
+    The site is built in a staging directory beside ``<out>/site`` and
+    replaces it only when every archived copy matches its pinned sha256 and
+    every internal link resolves.  Otherwise the command exits 1, listing
+    any broken links, and the previous site stays as it was.
+    """
+    from .errors import PublishRefused
     from .registry import load_registry
-    from .reporting import load_scorecard
-    from .site import SiteConfig, build_site, check_links
+    from .site import SiteConfig, build_site
 
     registry_file = _require(registry_path, "--registry")
     out_dir = _require(config.output_dir, "--out")
     directory = Path(cards_dir) if cards_dir else out_dir
 
     registry = _load(load_registry, registry_file)
-    cards = [_load(load_scorecard, p) for p in sorted(directory.glob("*.scorecard.json"))]
-
     site_root = out_dir / "site"
     site_config = SiteConfig(
         output_root=site_root,
@@ -490,14 +505,13 @@ def site(config, registry_path, cards_dir, store, methodology, title):
         severity_bands=_severity_bands(config),
     )
     try:
-        plan = build_site(registry, cards, site_config)
+        plan = build_site(registry, sorted(directory.glob("*.scorecard.json")), site_config)
+    except PublishRefused as exc:
+        _echo_findings("site", exc.findings)
+        raise click.ClickException(f"site not published: {exc}") from exc
     except SummaryQAError as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"built {len(plan.pages)} page(s) under {site_root}", err=True)
-
-    broken = check_links(site_root)
-    total = _echo_findings("site", broken)
-    sys.exit(0 if total == 0 else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ class UnsupportedFormat(SummaryQAError):
 
 
 class CatalogVersionMismatch(SummaryQAError):
-    """Comparison inputs reference different catalog name/version pairs."""
+    """Comparison inputs reference different catalogs or were scored under different configurations."""
 
 
 class MalformedScoreCard(SummaryQAError):
@@ -112,6 +112,19 @@ class FetchFailed(SummaryQAError):
 
 class UnmatchedScoreCard(SummaryQAError):
     """A score card has no matching registry entry."""
+
+
+class PublishRefused(SummaryQAError):
+    """The staged site was not published.
+
+    A registry slug or storage path would leave its root, an archived object
+    does not hash to its pinned digest, or a link does not resolve (those
+    are listed in ``findings``).
+    """
+
+    def __init__(self, message: str, findings: list[Finding] | None = None):
+        self.findings = findings or []
+        super().__init__(message)
 
 
 class WriteFailed(SummaryQAError):

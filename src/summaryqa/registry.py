@@ -22,7 +22,16 @@ from .assessment import SummaryMeta, meta_from_dict, meta_to_dict
 from .catalog import _lookup, _write_atomic
 from .errors import DuplicateSlug, FetchFailed, Finding, MalformedRegistry, malformed_message
 
-_SLUG_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
+_SLUG_RE = re.compile(r"[a-z0-9][a-z0-9-]*")
+
+
+def valid_slug(slug: str) -> bool:
+    """Whether ``slug`` is lowercase alphanumerics and hyphens, starting alphanumeric.
+
+    A valid slug is one path segment, so a site route built from it stays
+    under ``summaries/``.
+    """
+    return _SLUG_RE.fullmatch(slug) is not None
 
 # Media type of a local file by its suffix, and (first match) the suffix of an
 # archived copy on the site.  A fixed table rather than ``mimetypes``, whose
@@ -128,7 +137,7 @@ def validate_registry(registry: Registry) -> list[Finding]:
         if entry.id in seen:
             findings.append(Finding("duplicate-slug", entry.id, "slug occurs more than once"))
         seen.add(entry.id)
-        if not _SLUG_RE.match(entry.id):
+        if not valid_slug(entry.id):
             findings.append(Finding("bad-slug", entry.id, "slug must be lowercase alphanumeric/hyphen"))
         parsed = urllib.parse.urlparse(entry.meta.source_url)
         if parsed.scheme not in ("http", "https", "file") or (

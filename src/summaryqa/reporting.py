@@ -266,6 +266,11 @@ def _comparison_check(cards: list[ScoreCard]) -> None:
     refs = {card.catalog_ref for card in cards}
     if len(refs) > 1:
         raise CatalogVersionMismatch(f"cards reference different catalogs: {sorted(refs)}")
+    mixed = next((card for card in cards if card.config_used != cards[0].config_used), None)
+    if mixed is not None:
+        raise CatalogVersionMismatch(
+            f"cards were scored under different configurations: {cards[0].meta.model} and {mixed.meta.model}"
+        )
 
 
 def _comparison_rows(cards: list[ScoreCard]) -> list[tuple[str, str, list[str]]]:
@@ -323,16 +328,14 @@ def render_comparison(cards: list[ScoreCard], fmt: str, bands: GradeScale = DEFA
 
 def comparison_table_html(
     cards: list[ScoreCard],
-    links: dict[str, str] | None = None,
+    links: list[str] | None = None,
     bands: GradeScale = DEFAULT_SEVERITY_BANDS,
 ) -> str:
-    """Comparison table fragment; optional per-model detail links."""
+    """Comparison table fragment; ``links`` holds each card's detail href, in card order."""
     _comparison_check(cards)
-    links = links or {}
     headers = []
-    for card in cards:
+    for card, href in zip(cards, links or [None] * len(cards), strict=True):
         name = html.escape(card.meta.model)
-        href = links.get(card.meta.model)
         headers.append(f'<th><a href="{html.escape(href)}">{name}</a></th>' if href else f"<th>{name}</th>")
     head = "<th>Section</th><th>Group</th>" + "".join(headers)
 

@@ -18,6 +18,7 @@ rather than an error.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -76,6 +77,11 @@ def format_percentage(pct: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
+# A band label is printed as a grade and used as a CSS class name in HTML
+# reports, so it is limited to characters that need no escaping there.
+_LABEL_RE = re.compile(r"[A-Za-z0-9+-]+")
+
+
 @dataclass(frozen=True)
 class GradeScale:
     """Ordered (letter, inclusive minimum percentage) bands, best first."""
@@ -86,6 +92,9 @@ class GradeScale:
         if not self.bands:
             raise ValueError("grade scale has no bands")
         letters = [letter for letter, _ in self.bands]
+        for letter in letters:
+            if _LABEL_RE.fullmatch(letter) is None:
+                raise ValueError(f"band label {letter!r} must be letters, digits, '+' or '-'")
         if len(set(letters)) != len(letters):
             raise ValueError("band labels must be unique")
         mins = [m for _, m in self.bands]

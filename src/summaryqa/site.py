@@ -6,28 +6,40 @@ section-level scores second, then links to the full machine-readable score
 card, the live source, and the pinned archived copy.  Builds are
 reproducible: identical inputs produce byte-identical trees (no timestamps
 unless the caller puts one in the footer text).
+
+A build is one pass into a fresh staging directory beside the output root.
+The staged tree replaces the published one only after every archived copy
+has matched its pinned digest and every link the build wrote resolves, so a
+refused build publishes nothing and leaves the previous site in place.
 """
 
 from __future__ import annotations
 
+import hashlib
 import html
-from dataclasses import dataclass
+import os
+import posixpath
+import shutil
+import tempfile
+from dataclasses import dataclass, replace
 from enum import Enum
 from html.parser import HTMLParser
 from pathlib import Path
 from urllib.parse import urlparse
 
-from .catalog import Group, _write_atomic
-from .errors import Finding, UnmatchedScoreCard
-from .registry import Registry, RegistryEntry, media_type_suffix
+from .catalog import Group
+from .errors import Finding, MalformedScoreCard, PublishRefused, UnmatchedScoreCard, WriteFailed
+from .registry import Registry, RegistryEntry, media_type_suffix, valid_slug
 from .reporting import (
     DEFAULT_SEVERITY_BANDS,
     _page,
     comparison_table_html,
+    scorecard_from_json,
     scorecard_table_html,
-    scorecard_to_json,
 )
 from .scoring import GradeScale, ScoreCard
+
+_COPY_CHUNK = 1 << 20
 
 
 class PageKind(Enum):
@@ -40,6 +52,7 @@ class PageKind(Enum):
 class SitePlan:
     output_root: Path
     pages: tuple[tuple[str, PageKind], ...]  # (route, kind)
+    links: tuple[tuple[str, str], ...] = ()  # (route of the page, href as the page holds it)
 
 
 @dataclass(frozen=True)
@@ -61,6 +74,12 @@ def _empty_comparison_html() -> str:
     )
 
 
+def _anchor(hrefs: list[str], href: str, text: str, attrs: str = "") -> str:
+    """An ``<a>`` element; its href is appended to ``hrefs``."""
+    hrefs.append(href)
+    return f'<a href="{html.escape(href, quote=True)}"{attrs}>{text}</a>'
+
+
 def _grades_overview_html(card: ScoreCard) -> str:
     parts = []
     for group in Group:
@@ -77,7 +96,9 @@ def _archive_name(entry: RegistryEntry) -> str | None:
     return f"archived-{entry.archived.content_digest[:12]}{media_type_suffix(entry.archived.media_type)}"
 
 
-def _detail_page(card: ScoreCard, entry: RegistryEntry, config: SiteConfig, archive_file: str | None) -> str:
+def _detail_page(
+    card: ScoreCard, entry: RegistryEntry, config: SiteConfig, archive_file: str | None, hrefs: list[str]
+) -> str:
     meta = card.meta
     title = f"{meta.model} — {meta.provider}"
     lines = [f"<h1>{html.escape(title)}</h1>"]
@@ -87,13 +108,12 @@ def _detail_page(card: ScoreCard, entry: RegistryEntry, config: SiteConfig, arch
     lines.append("<h2>Section scores</h2>")
     lines.append(scorecard_table_html(card, bands=config.severity_bands))
     lines.append("<h2>Traceability</h2>")
-    items = [
-        f'<li><a href="scorecard.json">Full score card (machine-readable)</a></li>',
-        f'<li><a href="{html.escape(meta.source_url, quote=True)}" rel="external">Public summary at the source</a></li>',
-    ]
+    card_link = _anchor(hrefs, "scorecard.json", "Full score card (machine-readable)")
+    source_link = _anchor(hrefs, meta.source_url, "Public summary at the source", ' rel="external"')
+    items = [f"<li>{card_link}</li>", f"<li>{source_link}</li>"]
     if archive_file is not None and entry.archived is not None:
         items.append(
-            f'<li><a href="{html.escape(archive_file, quote=True)}">Archived copy</a> '
+            f"<li>{_anchor(hrefs, archive_file, 'Archived copy')} "
             f"(sha256 <code>{html.escape(entry.archived.content_digest[:16])}…</code>, "
             f"fetched {html.escape(entry.archived.fetched_at)})</li>"
         )
@@ -106,37 +126,91 @@ def _detail_page(card: ScoreCard, entry: RegistryEntry, config: SiteConfig, arch
         f"on {html.escape(entry.discovery.discovered_on.isoformat())}</li>"
     )
     lines.append("<ul>\n" + "\n".join(items) + "\n</ul>")
-    lines.append('<p><a href="../../index.html">Back to the comparison</a></p>')
+    lines.append(f"<p>{_anchor(hrefs, '../../index.html', 'Back to the comparison')}</p>")
     if config.footer_note:
         lines.append(f"<footer><p>{html.escape(config.footer_note)}</p></footer>")
     description = f"Transparency and usefulness scores for the {meta.model} training-content summary"
     return _page(title, description, "\n".join(lines) + "\n")
 
 
-def build_site(registry: Registry, cards: list[ScoreCard], config: SiteConfig) -> SitePlan:
-    """Emit the static site; returns the plan of emitted pages.
+def _create(path: Path, data: bytes) -> None:
+    """Write a new file; the staged tree never holds a file twice."""
+    with open(path, "xb") as handle:
+        handle.write(data)
 
-    Every card must match a registry entry by (provider, model).  Cards are
-    rendered in input order; routes are ``summaries/<slug>/``.
+
+def _copy_archived(entry: RegistryEntry, store: Path | None, page_dir: Path) -> str | None:
+    """Copy the entry's archived object into ``page_dir``, hashing it on the way.
+
+    Returns the published file name, or None when there is no store or no
+    stored object.  An object outside the store, or one whose bytes do not
+    hash to the pinned digest, is refused.
     """
+    if entry.archived is None or store is None:
+        return None
+    stored = (store / entry.archived.storage_path).resolve()
+    if not stored.is_relative_to(store):
+        raise PublishRefused(
+            f"{entry.id}: storage path {entry.archived.storage_path!r} resolves outside the store"
+        )
+    if not stored.is_file():
+        return None
+    name = _archive_name(entry)
+    digest = hashlib.sha256()
+    with open(stored, "rb") as source, open(page_dir / name, "xb") as target:
+        while chunk := source.read(_COPY_CHUNK):
+            digest.update(chunk)
+            target.write(chunk)
+    if digest.hexdigest() != entry.archived.content_digest:
+        raise PublishRefused(
+            f"{entry.id}: archived object {entry.archived.storage_path} hashes to "
+            f"{digest.hexdigest()[:12]}..., recorded {entry.archived.content_digest[:12]}..."
+        )
+    return name
+
+
+def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root: Path) -> SitePlan:
+    """Write every page of the site into the new directory ``root``."""
     by_summary = registry.by_summary()
-    matched: list[tuple[ScoreCard, RegistryEntry]] = []
-    for card in cards:
+    store = Path(config.store_root).resolve() if config.store_root is not None else None
+    root.mkdir()
+    details: list[tuple[str, PageKind]] = []
+    links: list[tuple[str, str]] = []
+    cards: list[ScoreCard] = []
+    columns: list[str] = []  # each card's detail href, in card order
+
+    for path in card_files:
+        data = Path(path).read_bytes()
+        try:
+            card = scorecard_from_json(data)
+        except MalformedScoreCard as exc:
+            raise MalformedScoreCard(f"{path}: {exc}") from exc
         key = (card.meta.provider, card.meta.model)
         entry = by_summary.get(key)
         if entry is None:
             raise UnmatchedScoreCard(f"no registry entry for provider={key[0]!r} model={key[1]!r}")
-        matched.append((card, entry))
+        if not valid_slug(entry.id):
+            raise PublishRefused(f"registry slug {entry.id!r} must be lowercase alphanumeric/hyphen")
+        page_dir = root / "summaries" / entry.id
+        try:
+            page_dir.mkdir(parents=True)
+        except FileExistsError:
+            raise PublishRefused(f"more than one score card matches registry slug {entry.id!r}") from None
+        archive_file = _copy_archived(entry, store, page_dir)
+        hrefs: list[str] = []
+        _create(page_dir / "index.html", _detail_page(card, entry, config, archive_file, hrefs).encode("utf-8"))
+        _create(page_dir / "scorecard.json", data)
+        route = f"summaries/{entry.id}/index.html"
+        details.append((route, PageKind.SUMMARY_DETAIL))
+        links += [(route, href) for href in hrefs]
+        cards.append(card)
+        columns.append(f"summaries/{entry.id}/")
 
-    root = Path(config.output_root)
-    pages: list[tuple[str, PageKind]] = []
-
-    links = {card.meta.model: f"summaries/{entry.id}/" for card, entry in matched}
-    if matched:
-        table = comparison_table_html([card for card, _ in matched], links=links, bands=config.severity_bands)
+    index_hrefs = list(columns)
+    if cards:
+        table = comparison_table_html(cards, links=columns, bands=config.severity_bands)
     else:
         table = _empty_comparison_html()
-
     index_lines = [
         f"<h1>{html.escape(config.site_title)}</h1>",
         "<p>Quality assessment of the public summaries of training content "
@@ -146,10 +220,10 @@ def build_site(registry: Registry, cards: list[ScoreCard], config: SiteConfig) -
         table,
     ]
     if config.methodology_html is not None:
-        index_lines.append('<p><a href="methodology.html">How the scores are computed</a></p>')
+        index_lines.append(f"<p>{_anchor(index_hrefs, 'methodology.html', 'How the scores are computed')}</p>")
     if config.footer_note:
         index_lines.append(f"<footer><p>{html.escape(config.footer_note)}</p></footer>")
-    _write_atomic(
+    _create(
         root / "index.html",
         _page(
             config.site_title,
@@ -157,32 +231,72 @@ def build_site(registry: Registry, cards: list[ScoreCard], config: SiteConfig) -
             "\n".join(index_lines) + "\n",
         ).encode("utf-8"),
     )
-    pages.append(("index.html", PageKind.INDEX))
-
-    for card, entry in matched:
-        page_dir = root / "summaries" / entry.id
-        archive_file = None
-        if entry.archived is not None and config.store_root is not None:
-            stored = Path(config.store_root) / entry.archived.storage_path
-            if stored.is_file():
-                archive_file = _archive_name(entry)
-                _write_atomic(page_dir / archive_file, stored.read_bytes())
-        _write_atomic(
-            page_dir / "index.html",
-            _detail_page(card, entry, config, archive_file).encode("utf-8"),
-        )
-        _write_atomic(page_dir / "scorecard.json", scorecard_to_json(card).encode("utf-8"))
-        pages.append((f"summaries/{entry.id}/index.html", PageKind.SUMMARY_DETAIL))
+    pages = [("index.html", PageKind.INDEX), *details]
+    links = [("index.html", href) for href in index_hrefs] + links
 
     if config.methodology_html is not None:
         fragment = Path(config.methodology_html).read_text(encoding="utf-8")
-        _write_atomic(
+        _create(
             root / "methodology.html",
             _page("Methodology", "How the quality scores are computed", fragment).encode("utf-8"),
         )
+        collector = _LinkCollector()
+        collector.feed(fragment)
+        collector.close()
         pages.append(("methodology.html", PageKind.METHODOLOGY))
+        links += [("methodology.html", href) for href in collector.targets]
 
-    return SitePlan(output_root=root, pages=tuple(pages))
+    return SitePlan(output_root=root, pages=tuple(pages), links=tuple(links))
+
+
+def _swap(staged: Path, root: Path, previous: Path) -> None:
+    """Move ``staged`` to ``root``; a tree already at ``root`` moves to ``previous``.
+
+    ``root`` is absent only between the two renames; if the second fails,
+    the old tree is put back.
+    """
+    replacing = os.path.lexists(root)
+    if replacing:
+        os.rename(root, previous)
+    try:
+        os.rename(staged, root)
+    except OSError:
+        if replacing:
+            os.rename(previous, root)
+        raise
+
+
+def build_site(registry: Registry, card_files: list[Path], config: SiteConfig) -> SitePlan:
+    """Build the site at ``config.output_root`` from score card files; returns the plan.
+
+    Every card must match a registry entry by (provider, model), and the
+    entry's slug names its route, ``summaries/<slug>/``; details are in card
+    order.  Each card file is read once: it is decoded as a check and its
+    bytes are published unchanged as the route's ``scorecard.json``.
+
+    The pages are written into a staging directory beside the output root,
+    and ``check_links`` runs on the staged plan.  Only then does the staged
+    tree replace the output root, which also drops the pages of cards no
+    longer given.  A refused build (PublishRefused, or any other error)
+    leaves the output root as it was and no staging directory behind.
+    """
+    root = Path(config.output_root)
+    try:
+        root.parent.mkdir(parents=True, exist_ok=True)
+        work = Path(tempfile.mkdtemp(prefix=f".{root.name}.staging-", dir=root.parent))
+    except OSError as exc:
+        raise WriteFailed(f"cannot stage {root}: {exc}") from exc
+    try:
+        plan = _stage(registry, card_files, config, work / "site")
+        broken = check_links(plan)
+        if broken:
+            raise PublishRefused(f"{len(broken)} broken link(s)", broken)
+        _swap(work / "site", root, work / "previous")
+    except OSError as exc:
+        raise WriteFailed(f"cannot build {root}: {exc}") from exc
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    return replace(plan, output_root=root)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +305,8 @@ def build_site(registry: Registry, cards: list[ScoreCard], config: SiteConfig) -
 
 
 class _LinkCollector(HTMLParser):
+    """The link targets of a user-supplied HTML fragment."""
+
     def __init__(self) -> None:
         super().__init__()
         self.targets: list[str] = []
@@ -204,35 +320,31 @@ class _LinkCollector(HTMLParser):
                 self.targets.append(value)
 
 
-def check_links(output_root: str | Path) -> list[Finding]:
-    """Verify that every internal reference in emitted pages resolves."""
-    root = Path(output_root)
+def check_links(plan: SitePlan) -> list[Finding]:
+    """Every internal link of the plan that does not resolve to a file of its tree.
+
+    A link's path is taken relative to its page, or to the root when it
+    starts with ``/``; a path ending in ``/`` names that directory's
+    ``index.html``.  A path that leaves the root is broken.  External links
+    and in-page fragments are not checked.
+    """
+    root = plan.output_root
     findings: list[Finding] = []
-    for page in sorted(root.rglob("*.html")):
-        if page.name.startswith("archived-"):
-            continue  # pinned third-party copies are not emitted pages
-        collector = _LinkCollector()
-        collector.feed(page.read_text(encoding="utf-8"))
-        for target in collector.targets:
-            parsed = urlparse(target)
-            if parsed.scheme or target.startswith("#"):
-                continue  # external link or in-page fragment
-            path_part = parsed.path
-            if not path_part:
-                continue
-            if path_part.startswith("/"):
-                resolved = root / path_part.lstrip("/")
-            else:
-                resolved = page.parent / path_part
-            if path_part.endswith("/"):
-                resolved = resolved / "index.html"
-            resolved = resolved.resolve()
-            if not resolved.is_file():
-                findings.append(
-                    Finding(
-                        "broken-link",
-                        str(page.relative_to(root)),
-                        f"target {target!r} does not resolve to an emitted file",
-                    )
-                )
+    exists: dict[str, bool] = {}
+    for route, href in plan.links:
+        parsed = urlparse(href)
+        if parsed.scheme or parsed.netloc or href.startswith("#") or not parsed.path:
+            continue
+        path = parsed.path
+        target = path.lstrip("/") if path.startswith("/") else posixpath.join(posixpath.dirname(route), path)
+        if path.endswith("/"):
+            target += "index.html"
+        target = posixpath.normpath(target)
+        if target == ".." or target.startswith("../"):
+            findings.append(Finding("broken-link", route, f"target {href!r} leaves the site"))
+            continue
+        if target not in exists:
+            exists[target] = (root / target).is_file()
+        if not exists[target]:
+            findings.append(Finding("broken-link", route, f"target {href!r} does not resolve to an emitted file"))
     return findings

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from summaryqa.catalog import reference_catalog_path
 from summaryqa.cli import cli
+from summaryqa.registry import archive_fetch
 
 REPO = Path(__file__).resolve().parent.parent
 CATALOG = str(reference_catalog_path())
@@ -236,6 +237,34 @@ class TestScoreAndCompare:
         assert result.exit_code != 0
         assert "different catalogs" in result.output
 
+    def test_score_writes_nothing_when_one_file_is_bad(self, runner, tmp_path):
+        assessments, out = tmp_path / "assessments", tmp_path / "out"
+        assessments.mkdir()
+        for path in sorted(Path(ASSESSMENTS).glob("*.csv")):
+            (assessments / path.name).write_bytes(path.read_bytes())
+        (assessments / "zz-broken.csv").write_text("not an assessment\n")
+        result = run(runner, "--catalog", CATALOG, "--out", str(out), "--format", "html", "score", str(assessments))
+        assert result.exit_code == 1
+        assert "zz-broken.csv" in result.output
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_compare_mixed_configurations_fails(self, runner, tmp_path):
+        out = tmp_path / "out"
+        run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
+        run(
+            runner,
+            "--catalog", CATALOG, "--out", str(out), "--aggregation", "mean",
+            "score", str(Path(ASSESSMENTS) / "apertus.csv"),
+        )
+        result = run(runner, "--out", str(out), "compare")
+        assert result.exit_code == 1
+        assert "different configurations" in result.output
+        assert not (out / "comparison.json").exists()
+        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY)
+        assert result.exit_code == 1
+        assert "different configurations" in result.output
+        assert not (out / "site").exists()
+
     def test_compare_malformed_card_fails_cleanly(self, runner, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -323,6 +352,20 @@ class TestArchive:
         assert result.exit_code != 0
         assert "already contains slug" in result.output
 
+    @pytest.mark.parametrize("slug", ["../../escaped", "phi-4\n", "Phi-4", ""])
+    def test_bad_slug_stops_before_the_fetch(self, runner, tmp_path, slug):
+        registry, store = tmp_path / "registry.json", tmp_path / "store"
+        result = run(
+            runner,
+            "archive", str(SOURCES / "phi-4.md"),
+            "--slug", slug, "--provider", "Microsoft", "--model", "Phi-4",
+            "--registry", str(registry), "--store", str(store),
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for --slug" in result.output
+        assert not store.exists()
+        assert not registry.exists()
+
     @pytest.mark.parametrize("option", ["--date", "--discovered-on"])
     def test_bad_date_stops_before_the_fetch(self, runner, tmp_path, option):
         registry = tmp_path / "registry.json"
@@ -403,6 +446,64 @@ class TestSite:
         result = run(runner, "--out", str(out), "site", "--registry", str(registry))
         assert result.exit_code == 1
         assert f"{path}: 'utf-8' codec can't decode byte 0xff" in result.output
+
+
+    def fixture_store(self, tmp_path):
+        store = tmp_path / "store"
+        for source in sorted(SOURCES.iterdir()):
+            archive_fetch(str(source), store)
+        return store
+
+    def test_escaping_slug_writes_nothing(self, runner, tmp_path):
+        out = tmp_path / "out"
+        self.build_cards(runner, out)
+        data = json.loads(Path(REGISTRY).read_text())
+        data["entries"][0]["id"] = "../../escaped"
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(data))
+        result = run(runner, "--out", str(out), "site", "--registry", str(registry))
+        assert result.exit_code == 1
+        assert "'../../escaped'" in result.output
+        assert list(tmp_path.rglob("*escaped*")) == []
+        assert not (out / "site").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "registry.json"]
+
+    def test_tampered_object_is_not_published(self, runner, tmp_path):
+        out = tmp_path / "out"
+        self.build_cards(runner, out)
+        store = self.fixture_store(tmp_path)
+        phi = json.loads(Path(REGISTRY).read_text())["entries"]
+        stored = store / next(e for e in phi if e["id"] == "phi-4")["archived"]["storage_path"]
+        stored.write_bytes(stored.read_bytes() + b"appended")
+        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store))
+        assert result.exit_code == 1
+        assert "phi-4: archived object" in result.output
+        assert not (out / "site").exists()
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+
+    def test_rebuild_prunes_a_removed_card(self, runner, tmp_path):
+        out = tmp_path / "out"
+        self.build_cards(runner, out)
+        store = self.fixture_store(tmp_path)
+        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store)).exit_code == 0
+        (out / "bria-3-2.scorecard.json").unlink()
+        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store))
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in (out / "site" / "summaries").iterdir()) == [
+            "apertus", "bielik-v3-11b", "phi-4", "smollm3-3b",
+        ]
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+
+    def test_broken_methodology_link_exits_one_and_lists_it(self, runner, tmp_path):
+        out = tmp_path / "out"
+        self.build_cards(runner, out)
+        fragment = tmp_path / "method.html"
+        fragment.write_text('<p><a href="weights.html">Weights</a></p>')
+        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--methodology", str(fragment))
+        assert result.exit_code == 1
+        assert "site\tmethodology.html\tbroken-link\t" in result.output
+        assert "site not published: 1 broken link(s)" in result.output
+        assert not (out / "site").exists()
 
 
 class TestConfigPrecedence:
@@ -488,6 +589,8 @@ class TestConfigValues:
             "severity_bands: High:x,Low:0",
             "severity_bands: A:50,B:80,C:0",
             "severity_bands: A:50,A:0",
+            'severity_bands: x"><script>alert(1)</script>:50,ok:0',
+            "grade_scale: :0",
         ],
     )
     def test_bad_value_names_its_key(self, runner, tmp_path, line):

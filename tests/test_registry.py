@@ -106,6 +106,11 @@ class TestRegistry:
         codes = {f.code for f in validate_registry(registry)}
         assert codes == {"bad-slug", "bad-source-url"}
 
+    @pytest.mark.parametrize("slug", ["apertus-8b\n", "../../escaped", "-apertus", ""])
+    def test_validate_slug_must_be_whole(self, slug):
+        registry = Registry(entries=[make_entry(slug=slug)])
+        assert [f.code for f in validate_registry(registry)] == ["bad-slug"]
+
 
 class TestArchiveFetch:
     def test_local_file(self, tmp_path):

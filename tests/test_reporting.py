@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,14 @@ from summaryqa.catalog import Group, Section, load_reference_catalog
 from summaryqa.errors import CatalogVersionMismatch, NoScoreCards, UnsupportedFormat
 from summaryqa.reporting import (
     DEFAULT_SEVERITY_BANDS,
+    comparison_table_html,
     render_comparison,
     render_scorecard,
     scorecard_from_json,
     scorecard_to_json,
     severity,
 )
-from summaryqa.scoring import score_summary
+from summaryqa.scoring import AggregationConfig, OverallAggregation, SectionAggregation, score_summary
 
 from randgen import random_assessment, random_catalog
 from toys import I, S, uniform_assessment
@@ -150,6 +152,19 @@ class TestRenderComparison:
         b = replace(b, catalog_ref="other/2.0")
         with pytest.raises(CatalogVersionMismatch):
             render_comparison([a, b], "json")
+
+    def test_mixed_configurations_rejected(self):
+        a, b = self.make_cards(2)
+        mean = AggregationConfig(SectionAggregation.MEAN_OF_DIMENSIONS, OverallAggregation.MEAN_OF_SECTIONS)
+        with pytest.raises(CatalogVersionMismatch, match="different configurations"):
+            render_comparison([a, replace(b, config_used=mean)], "json")
+
+    def test_links_follow_card_order(self):
+        a, b = self.make_cards(2)
+        b = replace(b, meta=replace(a.meta, provider="Another provider"))
+        text = comparison_table_html([a, b], links=["summaries/first/", "summaries/second/"])
+        assert text.count('<a href="summaries/first/">') == 1
+        assert text.count('<a href="summaries/second/">') == 1
 
     def test_zero_cards_rejected(self):
         with pytest.raises(NoScoreCards):

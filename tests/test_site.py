@@ -1,11 +1,15 @@
-"""Static site build: page counts, link integrity, reproducibility."""
+"""Static site build: page counts, link integrity, reproducibility, fail-closed publishing."""
 
 import random
+from dataclasses import replace
 from datetime import date
+from html.parser import HTMLParser
+from pathlib import Path
 
 import pytest
 
-from summaryqa.errors import UnmatchedScoreCard
+from summaryqa.catalog import load_reference_catalog
+from summaryqa.errors import CatalogVersionMismatch, PublishRefused, UnmatchedScoreCard
 from summaryqa.registry import (
     DiscoveryChannel,
     DiscoveryProvenance,
@@ -14,12 +18,19 @@ from summaryqa.registry import (
     add_entry,
     archive_fetch,
     attach_archive,
+    load_registry,
 )
-from summaryqa.scoring import score_summary
+from summaryqa.assessment import load_assessment
+from summaryqa.reporting import load_scorecard, scorecard_to_json
+from summaryqa.scoring import AggregationConfig, OverallAggregation, SectionAggregation, score_summary
 from summaryqa.site import PageKind, SiteConfig, build_site, check_links
 
 from randgen import random_assessment, random_catalog
 from toys import toy_meta
+
+
+REPO = Path(__file__).resolve().parent.parent
+FIXTURES = REPO / "fixtures"
 
 
 def tree_bytes(root):
@@ -28,13 +39,24 @@ def tree_bytes(root):
     }
 
 
-@pytest.fixture()
-def site_inputs():
-    rng = random.Random(2026)
+def write_cards(cards, directory):
+    """Each card as ``<directory>/card-NN.scorecard.json``, in order; returns the paths."""
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for i, card in enumerate(cards):
+        path = directory / f"card-{i:02d}.scorecard.json"
+        path.write_text(scorecard_to_json(card), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+def synthetic_inputs(count, directory, seed=2026):
+    """A registry of ``count`` entries and one score card file per entry."""
+    rng = random.Random(seed)
     catalog = random_catalog(rng, min_metrics=25, max_metrics=40)
     registry = Registry()
     cards = []
-    for i in range(5):
+    for i in range(count):
         slug = f"model-{i}"
         assessment = random_assessment(rng, catalog)
         meta = toy_meta(provider=f"Provider {i}", model=f"Model-{i}")
@@ -57,7 +79,16 @@ def site_inputs():
             ),
         )
         cards.append(score_summary(catalog, assessment))
-    return registry, cards
+    return registry, write_cards(cards, directory)
+
+
+@pytest.fixture()
+def site_inputs(tmp_path):
+    return synthetic_inputs(5, tmp_path / "cards")
+
+
+def no_staging_left(parent):
+    return list(parent.glob(".*.staging-*")) == []
 
 
 class TestBuildSite:
@@ -104,7 +135,7 @@ class TestBuildSite:
         registry, cards = site_inputs
         build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
         detail = (tmp_path / "site" / "summaries" / "model-0" / "index.html").read_text()
-        card = cards[0]
+        card = load_scorecard(cards[0])
         for value in card.per_section_group.values():
             assert value.display in detail
         assert card.meta.source_url in detail
@@ -113,10 +144,8 @@ class TestBuildSite:
     def test_site_never_recomputes(self, site_inputs, tmp_path):
         registry, cards = site_inputs
         build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
-        from summaryqa.reporting import load_scorecard
-
-        exported = load_scorecard(tmp_path / "site" / "summaries" / "model-0" / "scorecard.json")
-        assert exported == cards[0]
+        exported = tmp_path / "site" / "summaries" / "model-0" / "scorecard.json"
+        assert exported.read_bytes() == cards[0].read_bytes()
 
     def test_reproducible_builds(self, site_inputs, tmp_path):
         registry, cards = site_inputs
@@ -156,22 +185,197 @@ class TestBuildSite:
 class TestCheckLinks:
     def test_fresh_build_clean(self, site_inputs, tmp_path):
         registry, cards = site_inputs
-        build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
-        assert check_links(tmp_path / "site") == []
+        plan = build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
+        assert check_links(plan) == []
 
     def test_deleted_detail_page_detected(self, site_inputs, tmp_path):
         registry, cards = site_inputs
-        build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
+        plan = build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
         (tmp_path / "site" / "summaries" / "model-3" / "index.html").unlink()
-        findings = check_links(tmp_path / "site")
+        findings = check_links(plan)
         assert findings
         assert all(f.code == "broken-link" for f in findings)
         assert any("model-3" in f.message for f in findings)
 
     def test_deleted_export_detected(self, site_inputs, tmp_path):
         registry, cards = site_inputs
-        build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
+        plan = build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
         (tmp_path / "site" / "summaries" / "model-1" / "scorecard.json").unlink()
-        findings = check_links(tmp_path / "site")
+        findings = check_links(plan)
         assert [f.code for f in findings] == ["broken-link"]
         assert findings[0].locus == "summaries/model-1/index.html"
+
+
+# ---------------------------------------------------------------------------
+# The links the plan records are the links the pages hold
+# ---------------------------------------------------------------------------
+
+METHODOLOGY = (
+    "<h1>Methodology</h1>\n"
+    '<p>Scores per <a href="index.html">summary</a>, for example '
+    '<a href="summaries/phi-4/">Phi-4</a> and its <a href="/summaries/phi-4/scorecard.json">card</a>; '
+    'see <a href="https://example.org/rubric?a=1&amp;b=2">the rubric</a> and <a href="#weights">weights</a>.</p>\n'
+    '<img src="summaries/apertus/scorecard.json" alt="">\n'
+)
+
+
+class _PageLinks(HTMLParser):
+    """Link targets of one page, read back from its HTML."""
+
+    def __init__(self):
+        super().__init__()
+        self.targets = []
+
+    def handle_starttag(self, tag, attrs):
+        wanted = {"a": "href", "link": "href", "img": "src", "script": "src"}.get(tag)
+        self.targets += [value for name, value in attrs if name == wanted and value]
+
+
+def parsed_links(root):
+    """Sorted (route, href) of every link in every page under ``root``; archived copies are not pages."""
+    found = []
+    for page in sorted(root.rglob("*.html")):
+        if page.name.startswith("archived-"):
+            continue
+        collector = _PageLinks()
+        collector.feed(page.read_text(encoding="utf-8"))
+        collector.close()
+        found += [(page.relative_to(root).as_posix(), href) for href in collector.targets]
+    return sorted(found)
+
+
+def rewrite_card(path, **changes):
+    path.write_text(scorecard_to_json(replace(load_scorecard(path), **changes)), encoding="utf-8")
+
+
+@pytest.fixture()
+def fixture_site_inputs(tmp_path):
+    """The shipped registry and assessments, a store of the shipped sources, a methodology fragment."""
+    catalog = load_reference_catalog()
+    cards = [
+        score_summary(catalog, load_assessment(path, catalog))
+        for path in sorted((FIXTURES / "assessments").glob("*.csv"))
+    ]
+    store = tmp_path / "store"
+    for source in sorted((FIXTURES / "sources").iterdir()):
+        archive_fetch(str(source), store)
+    methodology = tmp_path / "method.html"
+    methodology.write_text(METHODOLOGY, encoding="utf-8")
+    return load_registry(FIXTURES / "registry.json"), write_cards(cards, tmp_path / "cards"), store, methodology
+
+
+class TestPlanLinks:
+    def test_fixture_site(self, fixture_site_inputs, tmp_path):
+        registry, cards, store, methodology = fixture_site_inputs
+        config = SiteConfig(output_root=tmp_path / "site", store_root=store, methodology_html=methodology)
+        plan = build_site(registry, cards, config)
+        assert len(list((tmp_path / "site").rglob("archived-*"))) == 5
+        assert parsed_links(tmp_path / "site") == sorted(plan.links)
+        assert check_links(plan) == []
+
+    def test_fifty_card_site(self, tmp_path):
+        registry, cards = synthetic_inputs(50, tmp_path / "cards", seed=50)
+        plan = build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
+        assert len(plan.pages) == 51
+        assert parsed_links(tmp_path / "site") == sorted(plan.links)
+        assert check_links(plan) == []
+
+
+# ---------------------------------------------------------------------------
+# Publishing: the whole staged tree, or nothing
+# ---------------------------------------------------------------------------
+
+
+class TestPublishing:
+    def test_rebuild_prunes_a_removed_card(self, site_inputs, tmp_path):
+        registry, cards = site_inputs
+        config = SiteConfig(output_root=tmp_path / "site")
+        build_site(registry, cards, config)
+        plan = build_site(registry, cards[:-1], config)
+        assert not (tmp_path / "site" / "summaries" / "model-4").exists()
+        assert 'href="summaries/model-4/"' not in (tmp_path / "site" / "index.html").read_text()
+        assert len(plan.pages) == 5
+        assert no_staging_left(tmp_path)
+
+    def test_tampered_object_publishes_nothing(self, site_inputs, tmp_path):
+        registry, cards = site_inputs
+        source = tmp_path / "copy.pdf"
+        source.write_bytes(b"%PDF-1.4 archived summary")
+        store = tmp_path / "store"
+        copy = archive_fetch(str(source), store)
+        registry.entries[2] = attach_archive(registry.entries[2], copy)
+        with (store / copy.storage_path).open("ab") as handle:
+            handle.write(b" appended")
+        with pytest.raises(PublishRefused, match="model-2"):
+            build_site(registry, cards, SiteConfig(output_root=tmp_path / "site", store_root=store))
+        assert not (tmp_path / "site").exists()
+        assert no_staging_left(tmp_path)
+
+    def test_broken_methodology_link_keeps_the_previous_site(self, site_inputs, tmp_path):
+        registry, cards = site_inputs
+        build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
+        published = tree_bytes(tmp_path / "site")
+        fragment = tmp_path / "method.html"
+        fragment.write_text('<p><a href="weights.html">Weights</a></p>')
+        config = SiteConfig(output_root=tmp_path / "site", methodology_html=fragment)
+        with pytest.raises(PublishRefused) as refused:
+            build_site(registry, cards[:2], config)
+        assert [(f.code, f.locus) for f in refused.value.findings] == [("broken-link", "methodology.html")]
+        assert tree_bytes(tmp_path / "site") == published
+        assert no_staging_left(tmp_path)
+
+    def test_link_that_leaves_the_site_is_broken(self, site_inputs, tmp_path):
+        registry, cards = site_inputs
+        (tmp_path / "outside.html").write_text("<p>not part of the site</p>")
+        fragment = tmp_path / "method.html"
+        fragment.write_text('<p><a href="../outside.html">Outside</a></p>')
+        with pytest.raises(PublishRefused) as refused:
+            build_site(registry, cards, SiteConfig(output_root=tmp_path / "site", methodology_html=fragment))
+        assert [f.message for f in refused.value.findings] == ["target '../outside.html' leaves the site"]
+        assert not (tmp_path / "site").exists()
+
+    @pytest.mark.parametrize("slug", ["../../escaped", "abc\n", "Model-0"])
+    def test_unsafe_slug_refused(self, site_inputs, tmp_path, slug):
+        registry, cards = site_inputs
+        registry.entries[0] = replace(registry.entries[0], id=slug)
+        out = tmp_path / "out"
+        with pytest.raises(PublishRefused, match="registry slug"):
+            build_site(registry, cards, SiteConfig(output_root=out / "site"))
+        assert [p for p in tmp_path.rglob("*") if "cards" not in p.parts] == [out]
+
+    def test_storage_path_outside_the_store_refused(self, site_inputs, tmp_path):
+        registry, cards = site_inputs
+        secret = tmp_path / "secret.pdf"
+        secret.write_bytes(b"%PDF-1.4 not in the store")
+        store = tmp_path / "store"
+        copy = archive_fetch(str(secret), store)
+        registry.entries[1] = attach_archive(registry.entries[1], replace(copy, storage_path="../secret.pdf"))
+        with pytest.raises(PublishRefused, match="model-1: storage path '../secret.pdf' resolves outside the store"):
+            build_site(registry, cards, SiteConfig(output_root=tmp_path / "site", store_root=store))
+        assert not (tmp_path / "site").exists()
+        assert no_staging_left(tmp_path)
+
+    def test_two_cards_for_one_entry_refused(self, site_inputs, tmp_path):
+        registry, cards = site_inputs
+        with pytest.raises(PublishRefused, match="model-0"):
+            build_site(registry, [*cards, cards[0]], SiteConfig(output_root=tmp_path / "site"))
+        assert not (tmp_path / "site").exists()
+
+    def test_same_model_name_links_to_each_slug(self, site_inputs, tmp_path):
+        registry, cards = site_inputs
+        entry = registry.entries[1]
+        registry.entries[1] = replace(entry, meta=replace(entry.meta, model="Model-0"))
+        rewrite_card(cards[1], meta=registry.entries[1].meta)
+        plan = build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
+        index = [href for route, href in plan.links if route == "index.html"]
+        assert index == [f"summaries/model-{i}/" for i in range(5)]
+        assert parsed_links(tmp_path / "site") == sorted(plan.links)
+
+    def test_mixed_configurations_refused(self, site_inputs, tmp_path):
+        registry, cards = site_inputs
+        mean = AggregationConfig(SectionAggregation.MEAN_OF_DIMENSIONS, OverallAggregation.MEAN_OF_SECTIONS)
+        rewrite_card(cards[3], config_used=mean)
+        with pytest.raises(CatalogVersionMismatch, match="different configurations"):
+            build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
+        assert not (tmp_path / "site").exists()
+        assert no_staging_left(tmp_path)
