@@ -16,6 +16,7 @@ from __future__ import annotations
 import html
 import io
 import json
+import math
 import csv as _csv
 from fractions import Fraction
 from pathlib import Path
@@ -230,15 +231,27 @@ def _meta_html(card: ScoreCard) -> str:
     return f"<dl>\n{rows}\n</dl>\n"
 
 
-def _cell_html(display: str, bands: GradeScale) -> str:
+def _severity_classes(bands: GradeScale) -> list[tuple[int, str]]:
+    """(band minimum in hundredths of a percent, rounded up; CSS class) per band, best first.
+
+    A two-decimal display is a whole number of hundredths, so it reaches a
+    band's minimum exactly when it reaches that minimum rounded up: the class
+    is ``severity`` of the displayed value, found with integer comparisons.
+    """
+    return [(math.ceil(min_pct * 100), label.lower()) for label, min_pct in bands.bands]
+
+
+def _cell_html(display: str, classes: list[tuple[int, str]]) -> str:
     if display == "N/A":
         return '<td class="na">N/A</td>'
-    label = severity(Fraction(display), bands).lower()
+    hundredths = int(display.replace(".", ""))
+    label = next((label for low, label in classes if hundredths >= low), classes[-1][1])
     return f'<td class="pct {label}">{display}%</td>'
 
 
 def scorecard_table_html(card: ScoreCard, bands: GradeScale = DEFAULT_SEVERITY_BANDS) -> str:
     """The detail table as an HTML fragment (used by reports and the site)."""
+    classes = _severity_classes(bands)
     head = "".join(f"<th>{html.escape(h)}</th>" for h in _DETAIL_HEADER)
     body_rows = []
     for row in _detail_rows(card):
@@ -246,7 +259,7 @@ def scorecard_table_html(card: ScoreCard, bands: GradeScale = DEFAULT_SEVERITY_B
         if label == "Grade":
             cells = "".join(f"<td>{html.escape(v)}</td>" for v in values)
         else:
-            cells = "".join(_cell_html(v, bands) for v in values)
+            cells = "".join(_cell_html(v, classes) for v in values)
         body_rows.append(f"<tr><th scope=\"row\">{html.escape(label)}</th>{cells}</tr>")
     return (
         '<table class="scorecard">\n'
@@ -333,6 +346,7 @@ def comparison_table_html(
 ) -> str:
     """Comparison table fragment; ``links`` holds each card's detail href, in card order."""
     _comparison_check(cards)
+    classes = _severity_classes(bands)
     headers = []
     for card, href in zip(cards, links or [None] * len(cards), strict=True):
         name = html.escape(card.meta.model)
@@ -347,7 +361,7 @@ def comparison_table_html(
         if section == "Overall Grades":
             cells = "".join(f"<td>{html.escape(v)}</td>" for v in values)
         else:
-            cells = "".join(_cell_html(v, bands) for v in values)
+            cells = "".join(_cell_html(v, classes) for v in values)
         body_rows.append(
             f'<tr><th scope="row">{html.escape(shown)}</th><td>{html.escape(group)}</td>{cells}</tr>'
         )

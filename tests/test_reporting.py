@@ -11,6 +11,8 @@ from summaryqa.catalog import Group, Section, load_reference_catalog
 from summaryqa.errors import CatalogVersionMismatch, NoScoreCards, UnsupportedFormat
 from summaryqa.reporting import (
     DEFAULT_SEVERITY_BANDS,
+    _cell_html,
+    _severity_classes,
     comparison_table_html,
     render_comparison,
     render_scorecard,
@@ -18,7 +20,7 @@ from summaryqa.reporting import (
     scorecard_to_json,
     severity,
 )
-from summaryqa.scoring import AggregationConfig, OverallAggregation, SectionAggregation, score_summary
+from summaryqa.scoring import AggregationConfig, GradeScale, OverallAggregation, SectionAggregation, score_summary
 
 from randgen import random_assessment, random_catalog
 from toys import I, S, uniform_assessment
@@ -59,6 +61,20 @@ class TestSeverity:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             severity(Fraction(101))
+
+    @pytest.mark.parametrize(
+        "bands",
+        [
+            DEFAULT_SEVERITY_BANDS,
+            GradeScale((("Top", Fraction(200, 3)), ("Mid", Fraction("12.345")), ("Bottom", Fraction(0)))),
+        ],
+    )
+    def test_html_class_is_the_severity_of_every_display(self, bands):
+        classes = _severity_classes(bands)
+        for hundredths in range(10001):
+            display = f"{hundredths // 100}.{hundredths % 100:02d}"
+            label = severity(Fraction(hundredths, 100), bands).lower()
+            assert _cell_html(display, classes) == f'<td class="pct {label}">{display}%</td>'
 
 
 class TestScoreCardRoundTrip:
