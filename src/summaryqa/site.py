@@ -39,8 +39,6 @@ from .reporting import (
 )
 from .scoring import GradeScale, ScoreCard
 
-_COPY_CHUNK = 1 << 20
-
 
 class PageKind(Enum):
     INDEX = "index"
@@ -52,7 +50,7 @@ class PageKind(Enum):
 class SitePlan:
     output_root: Path
     pages: tuple[tuple[str, PageKind], ...]  # (route, kind)
-    links: tuple[tuple[str, str], ...] = ()  # (route of the page, href as the page holds it)
+    links: tuple[tuple[str, str], ...]  # (route of the page, href as the page holds it)
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ def _create(path: Path, data: bytes) -> None:
 
 
 def _copy_archived(entry: RegistryEntry, store: Path | None, page_dir: Path) -> str | None:
-    """Copy the entry's archived object into ``page_dir``, hashing it on the way.
+    """Copy the entry's archived object into ``page_dir`` if it hashes to its pinned digest.
 
     Returns the published file name, or None when there is no store or no
     stored object.  An object outside the store, or one whose bytes do not
@@ -155,17 +153,15 @@ def _copy_archived(entry: RegistryEntry, store: Path | None, page_dir: Path) -> 
         )
     if not stored.is_file():
         return None
-    name = _archive_name(entry)
-    digest = hashlib.sha256()
-    with open(stored, "rb") as source, open(page_dir / name, "xb") as target:
-        while chunk := source.read(_COPY_CHUNK):
-            digest.update(chunk)
-            target.write(chunk)
-    if digest.hexdigest() != entry.archived.content_digest:
+    data = stored.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != entry.archived.content_digest:
         raise PublishRefused(
             f"{entry.id}: archived object {entry.archived.storage_path} hashes to "
-            f"{digest.hexdigest()[:12]}..., recorded {entry.archived.content_digest[:12]}..."
+            f"{digest[:12]}..., recorded {entry.archived.content_digest[:12]}..."
         )
+    name = _archive_name(entry)
+    _create(page_dir / name, data)
     return name
 
 
@@ -235,7 +231,10 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
     links = [("index.html", href) for href in index_hrefs] + links
 
     if config.methodology_html is not None:
-        fragment = Path(config.methodology_html).read_text(encoding="utf-8")
+        try:
+            fragment = Path(config.methodology_html).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise PublishRefused(f"{config.methodology_html}: {exc}") from exc
         _create(
             root / "methodology.html",
             _page("Methodology", "How the quality scores are computed", fragment).encode("utf-8"),
@@ -330,7 +329,6 @@ def check_links(plan: SitePlan) -> list[Finding]:
     """
     root = plan.output_root
     findings: list[Finding] = []
-    exists: dict[str, bool] = {}
     for route, href in plan.links:
         parsed = urlparse(href)
         if parsed.scheme or parsed.netloc or href.startswith("#") or not parsed.path:
@@ -340,11 +338,6 @@ def check_links(plan: SitePlan) -> list[Finding]:
         if path.endswith("/"):
             target += "index.html"
         target = posixpath.normpath(target)
-        if target == ".." or target.startswith("../"):
-            findings.append(Finding("broken-link", route, f"target {href!r} leaves the site"))
-            continue
-        if target not in exists:
-            exists[target] = (root / target).is_file()
-        if not exists[target]:
-            findings.append(Finding("broken-link", route, f"target {href!r} does not resolve to an emitted file"))
+        if target == ".." or target.startswith("../") or not (root / target).is_file():
+            findings.append(Finding("broken-link", route, f"target {href!r} does not resolve to a file of the site"))
     return findings

@@ -494,6 +494,16 @@ class TestSite:
         ]
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
+    def test_non_utf8_methodology_fails_cleanly(self, runner, tmp_path):
+        out = tmp_path / "out"
+        self.build_cards(runner, out)
+        fragment = tmp_path / "method.html"
+        fragment.write_bytes(NOT_UTF8)
+        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--methodology", str(fragment))
+        assert result.exit_code == 1
+        assert f"{fragment}: 'utf-8' codec can't decode byte 0xff" in result.output
+        assert not (out / "site").exists()
+
     def test_broken_methodology_link_exits_one_and_lists_it(self, runner, tmp_path):
         out = tmp_path / "out"
         self.build_cards(runner, out)

@@ -331,7 +331,9 @@ class TestPublishing:
         fragment.write_text('<p><a href="../outside.html">Outside</a></p>')
         with pytest.raises(PublishRefused) as refused:
             build_site(registry, cards, SiteConfig(output_root=tmp_path / "site", methodology_html=fragment))
-        assert [f.message for f in refused.value.findings] == ["target '../outside.html' leaves the site"]
+        assert [f.message for f in refused.value.findings] == [
+            "target '../outside.html' does not resolve to a file of the site"
+        ]
         assert not (tmp_path / "site").exists()
 
     @pytest.mark.parametrize("slug", ["../../escaped", "abc\n", "Model-0"])
