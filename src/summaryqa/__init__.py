@@ -20,7 +20,6 @@ _EXPORTS = {
             "SummaryMeta",
             "Verdict",
             "VerdictValue",
-            "applicable_metrics",
             "dumps_assessment",
             "load_assessment",
         ),

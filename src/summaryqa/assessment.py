@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from fractions import Fraction
@@ -92,14 +92,6 @@ class Verdict:
         head = head.strip()
         return _GATE_PREFIXES.get(head)
 
-    @property
-    def free_note(self) -> str:
-        """Note text with any gate-answer prefix stripped."""
-        head, sep, rest = self.note.partition(";")
-        if head.strip() in _GATE_PREFIXES:
-            return rest.strip()
-        return self.note
-
 
 class PublishedForm(Enum):
     WEB_PAGE = "WebPage"
@@ -142,6 +134,13 @@ def meta_to_dict(meta: SummaryMeta) -> dict[str, str | None]:
     }
 
 
+def require_strings(fields: dict[str, object]) -> None:
+    """Raise ValueError naming the first field whose value is not a string."""
+    for key, value in fields.items():
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, got {value!r}")
+
+
 def meta_from_dict(raw: dict) -> SummaryMeta:
     """Inverse of :func:`meta_to_dict`; an empty or absent digest reads as absent.
 
@@ -157,9 +156,7 @@ def meta_from_dict(raw: dict) -> SummaryMeta:
         ) from None
     text = {key: raw[key] for key in ("provider", "model", "summary_title", "source_url")}
     digest = raw.get("archived_copy_digest")
-    for key, value in (*text.items(), ("archived_copy_digest", "" if digest is None else digest)):
-        if not isinstance(value, str):
-            raise ValueError(f"{key} must be a string, got {value!r}")
+    require_strings({**text, "archived_copy_digest": "" if digest is None else digest})
     return SummaryMeta(
         **text,
         published_form=published_form,
@@ -177,11 +174,6 @@ class Assessment:
     verdicts: dict[str, Verdict]
     evaluator: str
     verifier: str | None = None
-
-    def with_verdict(self, metric_id: str, verdict: Verdict) -> "Assessment":
-        updated = dict(self.verdicts)
-        updated[metric_id] = verdict
-        return replace(self, verdicts=updated)
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +225,6 @@ def applicability_map(catalog: Catalog, assessment: Assessment) -> dict[str, boo
     return _applicability(catalog, assessment, None)
 
 
-def applicable_metrics(catalog: Catalog, assessment: Assessment) -> list[str]:
-    """Ids of metrics that count toward scoring, in catalog order."""
-    amap = applicability_map(catalog, assessment)
-    return [m.id for m in catalog.metrics if amap[m.id]]
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -268,9 +254,9 @@ def assessment_findings(catalog: Catalog, assessment: Assessment, today: date | 
         )
         return findings
 
-    index = catalog.metric_index()
+    known = {m.id for m in catalog.metrics}
     for metric_id in assessment.verdicts:
-        if metric_id not in index:
+        if metric_id not in known:
             findings.append(Finding("unknown-metric-id", metric_id, "metric does not exist in the catalog"))
 
     unanswered: list[str] = []

@@ -53,21 +53,20 @@ def _lookup(members: dict[str, _Member], token: str, what: str) -> _Member:
 
 
 class Section(Enum):
-    """The eight assessment sections and the template span each covers."""
+    """The eight assessment sections: file code and display label."""
 
-    DOCUMENT = ("Document", "Document", "")
-    GENERAL_INFORMATION = ("GeneralInformation", "General Information", "Section 1")
-    PUBLIC_DATA_SOURCES = ("PublicDataSources", "Public Data Sources", "Section 2.1")
-    PRIVATE_DATA_SOURCES = ("PrivateDataSources", "Private Data Sources", "Section 2.2")
-    SCRAPED_CRAWLED_DATA = ("ScrapedCrawledData", "Scraped/Crawled Data", "Section 2.3")
-    USER_DATA = ("UserData", "User Data", "Section 2.4")
-    SYNTHETIC_OTHER_DATA = ("SyntheticOtherData", "Synthetic & Other Data", "Section 2.5 & 2.6")
-    DATA_PROCESSING = ("DataProcessing", "Data Processing", "Section 3")
+    DOCUMENT = ("Document", "Document")
+    GENERAL_INFORMATION = ("GeneralInformation", "General Information")
+    PUBLIC_DATA_SOURCES = ("PublicDataSources", "Public Data Sources")
+    PRIVATE_DATA_SOURCES = ("PrivateDataSources", "Private Data Sources")
+    SCRAPED_CRAWLED_DATA = ("ScrapedCrawledData", "Scraped/Crawled Data")
+    USER_DATA = ("UserData", "User Data")
+    SYNTHETIC_OTHER_DATA = ("SyntheticOtherData", "Synthetic & Other Data")
+    DATA_PROCESSING = ("DataProcessing", "Data Processing")
 
-    def __init__(self, code: str, label: str, template_span: str):
+    def __init__(self, code: str, label: str):
         self.code = code
         self.label = label
-        self.template_span = template_span
 
     @classmethod
     def from_code(cls, code: str) -> "Section":
@@ -215,13 +214,6 @@ class Catalog:
         """Catalog reference string used in assessment and score card files."""
         return f"{self.name}/{self.version}"
 
-    def metric_index(self) -> dict[str, Metric]:
-        """Metric lookup by id.  On duplicate ids the first occurrence wins."""
-        index: dict[str, Metric] = {}
-        for metric in self.metrics:
-            index.setdefault(metric.id, metric)
-        return index
-
     @cached_property
     def compiled(self) -> "CompiledCatalog":
         """The catalog as flat rows for applicability and scoring, built once.
@@ -242,12 +234,11 @@ class CompiledCatalog:
     the gate graph, visiting metrics in catalog order, which is the order
     in which a recursive resolution finishes them.  A repeated id reuses
     the gate of its first occurrence.  Weight units are the weight times
-    ``weight_scale``, the LCM of every weight denominator, so sums of
-    weights are exact integers.
+    the LCM of every weight denominator, so sums of weights are exact
+    integers.
     """
 
     rows: tuple[tuple[str, int, str | None, int, int], ...]
-    weight_scale: int
 
 
 def _compile(catalog: Catalog) -> CompiledCatalog:
@@ -294,7 +285,7 @@ def _compile(catalog: Catalog) -> CompiledCatalog:
                 emit(node, -1, None)
             else:
                 emit(node, row_of[gate.id], node.applicability.required_answer)
-    return CompiledCatalog(rows=tuple(rows), weight_scale=scale)
+    return CompiledCatalog(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

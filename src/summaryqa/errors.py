@@ -74,12 +74,6 @@ class GateUnanswered(SummaryQAError):
         super().__init__(f"gate metric {gate_id!r} has no recorded yes/no answer")
 
 
-# -- scoring ----------------------------------------------------------------
-
-class InapplicableVerdict(SummaryQAError):
-    """metric_score was asked to score a not-applicable verdict."""
-
-
 # -- reporting --------------------------------------------------------------
 
 class UnsupportedFormat(SummaryQAError):
@@ -117,9 +111,9 @@ class UnmatchedScoreCard(SummaryQAError):
 class PublishRefused(SummaryQAError):
     """The staged site was not published.
 
-    A registry slug or storage path would leave its root, an archived object
-    does not hash to its pinned digest, or a link does not resolve (those
-    are listed in ``findings``).
+    A registry slug would leave its root, a stored archived object fails
+    ``registry.read_archived``, or a link does not resolve (those are
+    listed in ``findings``).
     """
 
     def __init__(self, message: str, findings: list[Finding] | None = None):

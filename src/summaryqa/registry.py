@@ -18,7 +18,7 @@ from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
 
-from .assessment import SummaryMeta, meta_from_dict, meta_to_dict
+from .assessment import SummaryMeta, meta_from_dict, meta_to_dict, require_strings
 from .catalog import _lookup, _write_atomic
 from .errors import DuplicateSlug, FetchFailed, Finding, MalformedRegistry, malformed_message
 
@@ -104,9 +104,6 @@ class Registry:
 
     entries: list[RegistryEntry] = field(default_factory=list)
 
-    def slugs(self) -> list[str]:
-        return [e.id for e in self.entries]
-
     def get(self, slug: str) -> RegistryEntry | None:
         for entry in self.entries:
             if entry.id == slug:
@@ -182,6 +179,9 @@ def registry_to_json(registry: Registry) -> str:
     return json.dumps({"kind": "registry", "entries": entries}, indent=2, ensure_ascii=False) + "\n"
 
 
+_ARCHIVED_TEXT = ("fetched_at", "content_digest", "media_type", "storage_path")
+
+
 def registry_from_json(text: str | bytes) -> Registry:
     """Parse registry JSON (text, or UTF-8 bytes); any malformed input raises MalformedRegistry."""
     try:
@@ -198,26 +198,25 @@ def _registry_from_dict(data: dict) -> Registry:
         archived = None
         if raw.get("archived"):
             a = raw["archived"]
-            archived = ArchivedCopy(
-                fetched_at=a["fetched_at"],
-                content_digest=a["content_digest"],
-                media_type=a["media_type"],
-                byte_length=a["byte_length"],
-                storage_path=a["storage_path"],
-            )
-        entries.append(
-            RegistryEntry(
-                id=raw["id"],
-                meta=meta_from_dict(raw["meta"]),
-                discovery=DiscoveryProvenance(
-                    channel=DiscoveryChannel.from_token(raw["discovery"]["channel"]),
-                    query_or_path=raw["discovery"]["query_or_path"],
-                    discovered_on=date.fromisoformat(raw["discovery"]["discovered_on"]),
-                ),
-                archived=archived,
-                assessment_refs=tuple(raw.get("assessment_refs", ())),
-            )
+            require_strings({f"archived.{key}": a[key] for key in _ARCHIVED_TEXT})
+            if "\0" in a["storage_path"]:
+                raise ValueError(f"archived.storage_path must not hold a NUL byte, got {a['storage_path']!r}")
+            if not isinstance(a["byte_length"], int) or isinstance(a["byte_length"], bool):
+                raise ValueError(f"archived.byte_length must be an integer, got {a['byte_length']!r}")
+            archived = ArchivedCopy(byte_length=a["byte_length"], **{key: a[key] for key in _ARCHIVED_TEXT})
+        entry = RegistryEntry(
+            id=raw["id"],
+            meta=meta_from_dict(raw["meta"]),
+            discovery=DiscoveryProvenance(
+                channel=DiscoveryChannel.from_token(raw["discovery"]["channel"]),
+                query_or_path=raw["discovery"]["query_or_path"],
+                discovered_on=date.fromisoformat(raw["discovery"]["discovered_on"]),
+            ),
+            archived=archived,
+            assessment_refs=tuple(raw.get("assessment_refs", ())),
         )
+        require_strings({"id": entry.id, "discovery.query_or_path": entry.discovery.query_or_path})
+        entries.append(entry)
     return Registry(entries=entries)
 
 
@@ -288,35 +287,44 @@ def archive_fetch(url: str, store_root: str | Path, timeout: float = 30.0) -> Ar
         content_digest=digest,
         media_type=media_type or "application/octet-stream",
         byte_length=len(data),
-        storage_path=str(Path("objects") / digest[:2] / digest),
+        storage_path=str(target.relative_to(store_root)),
     )
 
 
+def read_archived(entry: RegistryEntry, store_root: str | Path) -> bytes | Finding:
+    """The entry's archived bytes from the store, or the Finding that stops them.
+
+    The storage path must resolve inside the store, the file must exist, and
+    its bytes must hash to the pinned digest and have the pinned length.
+    This is the only check of stored bytes: ``validate`` reports its
+    findings and ``site`` publishes only what it returns as bytes.
+    """
+    archived = entry.archived
+    store = Path(store_root).resolve()
+    stored = (store / archived.storage_path).resolve()
+    if not stored.is_relative_to(store):
+        return Finding(
+            "outside-store", entry.id, f"storage path {archived.storage_path!r} resolves outside the store"
+        )
+    if not stored.is_file():
+        return Finding("missing-object", entry.id, f"archived object {archived.storage_path} is missing")
+    data = stored.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != archived.content_digest:
+        return Finding(
+            "digest-mismatch",
+            entry.id,
+            f"stored bytes hash to {digest[:12]}..., recorded {archived.content_digest[:12]}...",
+        )
+    if len(data) != archived.byte_length:
+        return Finding("length-mismatch", entry.id, f"stored {len(data)} bytes, recorded {archived.byte_length}")
+    return data
+
+
 def verify_archive(registry: Registry, store_root: str | Path) -> list[Finding]:
-    """Integrity findings for every archived entry: missing or altered bytes."""
-    findings: list[Finding] = []
-    for entry in registry.entries:
-        if entry.archived is None:
-            continue
-        stored = Path(store_root) / entry.archived.storage_path
-        if not stored.is_file():
-            findings.append(Finding("missing-object", entry.id, f"archived object {entry.archived.storage_path} is missing"))
-            continue
-        data = stored.read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        if digest != entry.archived.content_digest:
-            findings.append(
-                Finding(
-                    "digest-mismatch",
-                    entry.id,
-                    f"stored bytes hash to {digest[:12]}..., recorded {entry.archived.content_digest[:12]}...",
-                )
-            )
-        elif len(data) != entry.archived.byte_length:
-            findings.append(
-                Finding("length-mismatch", entry.id, f"stored {len(data)} bytes, recorded {entry.archived.byte_length}")
-            )
-    return findings
+    """Integrity findings for every archived entry: escaped, missing or altered bytes."""
+    checked = (read_archived(entry, store_root) for entry in registry.entries if entry.archived is not None)
+    return [result for result in checked if isinstance(result, Finding)]
 
 
 def attach_archive(entry: RegistryEntry, archived: ArchivedCopy) -> RegistryEntry:

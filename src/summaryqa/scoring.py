@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .assessment import Assessment, SummaryMeta, Verdict, VerdictValue, applicability_map
+from .assessment import Assessment, SummaryMeta, VerdictValue, applicability_map
 from .catalog import (
     CELLS,
     Catalog,
@@ -33,7 +33,6 @@ from .catalog import (
     SECTION_ORDER,
     Section,
 )
-from .errors import InapplicableVerdict
 
 
 @dataclass(frozen=True)
@@ -103,13 +102,6 @@ class GradeScale:
         if mins[-1] != 0:
             raise ValueError("last band minimum must be 0 so the scale covers [0, 100]")
 
-    def letter_rank(self, letter: str) -> int:
-        """Position in the scale; 0 is the best letter."""
-        for i, (name, _) in enumerate(self.bands):
-            if name == letter:
-                return i
-        raise ValueError(f"unknown grade letter {letter!r}")
-
 
 DEFAULT_GRADE_SCALE = GradeScale(
     bands=(
@@ -169,15 +161,6 @@ DEFAULT_CONFIG = AggregationConfig()
 # ---------------------------------------------------------------------------
 
 
-def metric_score(verdict: Verdict, weight: Fraction) -> Fraction:
-    """Weighted score of one verdict: numeric value times weight."""
-    if not verdict.value.is_scoreable:
-        raise InapplicableVerdict("not-applicable verdicts have no numeric value")
-    if weight <= 0:
-        raise ValueError(f"weight must be positive, got {weight}")
-    return verdict.value.numeric * weight
-
-
 #: Scoreable verdict tokens as integers over their common denominator.
 _VERDICT_SCALE = math.lcm(*(v.numeric.denominator for v in VerdictValue if v.is_scoreable))
 _VERDICT_UNITS = {v.token: (v.numeric * _VERDICT_SCALE).numerator for v in VerdictValue if v.is_scoreable}
@@ -195,8 +178,8 @@ _GROUP_CELLS = {group: _cells_of(SECTION_ORDER, _GROUP_DIMENSIONS[group]) for gr
 _DIMENSION_CELLS = {dimension: _cells_of(SECTION_ORDER, [dimension]) for dimension in DIMENSION_ORDER}
 
 #: (achieved, weight) integer sums per cell, aligned with CELLS.  Weights are
-#: in units of 1/weight_scale of the compiled catalog, achieved scores in
-#: units of 1/(weight_scale * _VERDICT_SCALE).
+#: in the weight units of the compiled catalog, achieved scores in those
+#: units times _VERDICT_SCALE.
 _Pools = list[tuple[int, int]]
 
 

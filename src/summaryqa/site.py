@@ -4,8 +4,7 @@ Pages are plain semantic HTML with inline styling and no scripts, readable
 on desktop and mobile.  The information order is: overall grades first,
 section-level scores second, then links to the full machine-readable score
 card, the live source, and the pinned archived copy.  Builds are
-reproducible: identical inputs produce byte-identical trees (no timestamps
-unless the caller puts one in the footer text).
+reproducible: identical inputs produce byte-identical trees (no timestamps).
 
 A build is one pass into a fresh staging directory beside the output root.
 The staged tree replaces the published one only after every archived copy
@@ -15,21 +14,19 @@ refused build publishes nothing and leaves the previous site in place.
 
 from __future__ import annotations
 
-import hashlib
 import html
 import os
 import posixpath
 import shutil
 import tempfile
 from dataclasses import dataclass, replace
-from enum import Enum
 from html.parser import HTMLParser
 from pathlib import Path
 from urllib.parse import urlparse
 
 from .catalog import Group
 from .errors import Finding, MalformedScoreCard, PublishRefused, UnmatchedScoreCard, WriteFailed
-from .registry import Registry, RegistryEntry, media_type_suffix, valid_slug
+from .registry import Registry, RegistryEntry, media_type_suffix, read_archived, valid_slug
 from .reporting import (
     DEFAULT_SEVERITY_BANDS,
     _page,
@@ -40,16 +37,10 @@ from .reporting import (
 from .scoring import GradeScale, ScoreCard
 
 
-class PageKind(Enum):
-    INDEX = "index"
-    SUMMARY_DETAIL = "summary-detail"
-    METHODOLOGY = "methodology"
-
-
 @dataclass(frozen=True)
 class SitePlan:
     output_root: Path
-    pages: tuple[tuple[str, PageKind], ...]  # (route, kind)
+    pages: tuple[str, ...]  # routes
     links: tuple[tuple[str, str], ...]  # (route of the page, href as the page holds it)
 
 
@@ -59,7 +50,6 @@ class SiteConfig:
     store_root: Path | None = None
     methodology_html: Path | None = None  # optional fragment to publish
     site_title: str = "GPAI training-content disclosure quality"
-    footer_note: str = ""
     severity_bands: GradeScale = DEFAULT_SEVERITY_BANDS
 
 
@@ -125,8 +115,6 @@ def _detail_page(
     )
     lines.append("<ul>\n" + "\n".join(items) + "\n</ul>")
     lines.append(f"<p>{_anchor(hrefs, '../../index.html', 'Back to the comparison')}</p>")
-    if config.footer_note:
-        lines.append(f"<footer><p>{html.escape(config.footer_note)}</p></footer>")
     description = f"Transparency and usefulness scores for the {meta.model} training-content summary"
     return _page(title, description, "\n".join(lines) + "\n")
 
@@ -138,28 +126,18 @@ def _create(path: Path, data: bytes) -> None:
 
 
 def _copy_archived(entry: RegistryEntry, store: Path | None, page_dir: Path) -> str | None:
-    """Copy the entry's archived object into ``page_dir`` if it hashes to its pinned digest.
+    """Copy the entry's archived object into ``page_dir`` if ``read_archived`` passes it.
 
     Returns the published file name, or None when there is no store or no
-    stored object.  An object outside the store, or one whose bytes do not
-    hash to the pinned digest, is refused.
+    stored object.  Any other finding of ``read_archived`` refuses the build.
     """
     if entry.archived is None or store is None:
         return None
-    stored = (store / entry.archived.storage_path).resolve()
-    if not stored.is_relative_to(store):
-        raise PublishRefused(
-            f"{entry.id}: storage path {entry.archived.storage_path!r} resolves outside the store"
-        )
-    if not stored.is_file():
-        return None
-    data = stored.read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    if digest != entry.archived.content_digest:
-        raise PublishRefused(
-            f"{entry.id}: archived object {entry.archived.storage_path} hashes to "
-            f"{digest[:12]}..., recorded {entry.archived.content_digest[:12]}..."
-        )
+    data = read_archived(entry, store)
+    if isinstance(data, Finding):
+        if data.code == "missing-object":
+            return None
+        raise PublishRefused(f"{entry.id}: {data.message}")
     name = _archive_name(entry)
     _create(page_dir / name, data)
     return name
@@ -168,9 +146,8 @@ def _copy_archived(entry: RegistryEntry, store: Path | None, page_dir: Path) -> 
 def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root: Path) -> SitePlan:
     """Write every page of the site into the new directory ``root``."""
     by_summary = registry.by_summary()
-    store = Path(config.store_root).resolve() if config.store_root is not None else None
     root.mkdir()
-    details: list[tuple[str, PageKind]] = []
+    details: list[str] = []
     links: list[tuple[str, str]] = []
     cards: list[ScoreCard] = []
     columns: list[str] = []  # each card's detail href, in card order
@@ -192,12 +169,12 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
             page_dir.mkdir(parents=True)
         except FileExistsError:
             raise PublishRefused(f"more than one score card matches registry slug {entry.id!r}") from None
-        archive_file = _copy_archived(entry, store, page_dir)
+        archive_file = _copy_archived(entry, config.store_root, page_dir)
         hrefs: list[str] = []
         _create(page_dir / "index.html", _detail_page(card, entry, config, archive_file, hrefs).encode("utf-8"))
         _create(page_dir / "scorecard.json", data)
         route = f"summaries/{entry.id}/index.html"
-        details.append((route, PageKind.SUMMARY_DETAIL))
+        details.append(route)
         links += [(route, href) for href in hrefs]
         cards.append(card)
         columns.append(f"summaries/{entry.id}/")
@@ -217,8 +194,6 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
     ]
     if config.methodology_html is not None:
         index_lines.append(f"<p>{_anchor(index_hrefs, 'methodology.html', 'How the scores are computed')}</p>")
-    if config.footer_note:
-        index_lines.append(f"<footer><p>{html.escape(config.footer_note)}</p></footer>")
     _create(
         root / "index.html",
         _page(
@@ -227,7 +202,7 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
             "\n".join(index_lines) + "\n",
         ).encode("utf-8"),
     )
-    pages = [("index.html", PageKind.INDEX), *details]
+    pages = ["index.html", *details]
     links = [("index.html", href) for href in index_hrefs] + links
 
     if config.methodology_html is not None:
@@ -242,7 +217,7 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
         collector = _LinkCollector()
         collector.feed(fragment)
         collector.close()
-        pages.append(("methodology.html", PageKind.METHODOLOGY))
+        pages.append("methodology.html")
         links += [("methodology.html", href) for href in collector.targets]
 
     return SitePlan(output_root=root, pages=tuple(pages), links=tuple(links))

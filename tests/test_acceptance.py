@@ -48,7 +48,7 @@ from summaryqa.site import SiteConfig, build_site, check_links
 
 from oracle import assert_card_matches_oracle, oracle_scorecard
 from randgen import random_assessment, random_catalog
-from toys import I, NA, P, S, uniform_assessment
+from toys import I, NA, P, S, letter_rank, uniform_assessment, with_verdict
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -157,7 +157,7 @@ def test_criterion_4_property_suite():
             mid = rng.choice(upgradable)
             old = assessment.verdicts[mid]
             new_value = P if old.value is I else S
-            upgraded = assessment.with_verdict(mid, Verdict(new_value, old.note))
+            upgraded = with_verdict(assessment, mid, Verdict(new_value, old.note))
             for config, _ in STRATEGIES:
                 before = score_summary(catalog, assessment, config)
                 after = score_summary(catalog, upgraded, config)
@@ -204,7 +204,7 @@ def test_criterion_4_property_suite():
             assessment = random_assessment(rng, catalog)
             anchor = rng.choice(catalog.metrics)
             old = assessment.verdicts.get(anchor.id, Verdict(NA))
-            answered = assessment.with_verdict(anchor.id, Verdict(old.value, "gate=no"))
+            answered = with_verdict(assessment, anchor.id, Verdict(old.value, "gate=no"))
             extra = tuple(
                 Metric(
                     id=f"X{i}",
@@ -232,8 +232,8 @@ def test_criterion_4_property_suite():
             lo = Fraction(rng.randint(0, 10000), 100)
             if hi < lo:
                 hi, lo = lo, hi
-            rank_hi = DEFAULT_GRADE_SCALE.letter_rank(assign_grade(ScoreValue.percentage(hi)))
-            rank_lo = DEFAULT_GRADE_SCALE.letter_rank(assign_grade(ScoreValue.percentage(lo)))
+            rank_hi = letter_rank(DEFAULT_GRADE_SCALE, assign_grade(ScoreValue.percentage(hi)))
+            rank_lo = letter_rank(DEFAULT_GRADE_SCALE, assign_grade(ScoreValue.percentage(lo)))
             assert rank_hi <= rank_lo
 
 

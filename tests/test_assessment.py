@@ -15,7 +15,6 @@ from summaryqa.assessment import (
     Verdict,
     VerdictValue,
     applicability_map,
-    applicable_metrics,
     assessment_findings,
     check_assessment,
     dumps_assessment,
@@ -33,6 +32,7 @@ from summaryqa.errors import (
 )
 
 from randgen import SCOREABLE, random_assessment, random_catalog
+from toys import applicable_metrics, with_verdict
 
 S = VerdictValue.SUFFICIENT
 P = VerdictValue.PARTIALLY_SUFFICIENT
@@ -89,10 +89,6 @@ class TestVerdicts:
         assert Verdict(I, "gate=no; nothing stated").gate_answer == "no"
         assert Verdict(S, "looks fine").gate_answer is None
         assert Verdict(S, "").gate_answer is None
-
-    def test_free_note_strips_prefix(self):
-        assert Verdict(S, "gate=yes; detailed list given").free_note == "detailed list given"
-        assert Verdict(S, "plain remark").free_note == "plain remark"
 
 
 class TestApplicability:
@@ -165,9 +161,10 @@ class TestApplicability:
             cat,
             {"G1": Verdict(S, "gate=no"), "G2": Verdict(NA, "gate=yes")},
         )
-        after = before.with_verdict("G1", Verdict(S, "gate=yes")).with_verdict("D1", Verdict(S)).with_verdict(
-            "G2", Verdict(S, "gate=yes")
-        ).with_verdict("D2", Verdict(S))
+        after = replace(
+            before,
+            verdicts={"G1": Verdict(S, "gate=yes"), "D1": Verdict(S), "G2": Verdict(S, "gate=yes"), "D2": Verdict(S)},
+        )
         assert set(applicable_metrics(cat, before)) <= set(applicable_metrics(cat, after))
 
     # Dependents listed before their gates, and G1 -> G2 -> D chained two
@@ -516,7 +513,7 @@ class TestFileFormat:
         @given(note_text)
         def check(note):
             base = parse_assessment(SAMPLE_FILE)
-            tweaked = base.with_verdict("D", Verdict(P, note))
+            tweaked = with_verdict(base, "D", Verdict(P, note))
             again = parse_assessment(dumps_assessment(tweaked))
             assert again == tweaked
 
@@ -524,7 +521,7 @@ class TestFileFormat:
 
     def test_multiline_note_round_trips_via_csv_quoting(self):
         base = parse_assessment(SAMPLE_FILE)
-        tweaked = base.with_verdict("D", Verdict(P, "first line\nsecond line"))
+        tweaked = with_verdict(base, "D", Verdict(P, "first line\nsecond line"))
         again = parse_assessment(dumps_assessment(tweaked))
         assert again.verdicts["D"].note == "first line\nsecond line"
 

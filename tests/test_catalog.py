@@ -212,13 +212,6 @@ class TestDomainInvariants:
     def test_exactly_eight_sections(self):
         assert len(list(Section)) == 8
 
-    def test_template_span_nonempty_except_document(self):
-        for section in Section:
-            if section is Section.DOCUMENT:
-                assert section.template_span == ""
-            else:
-                assert section.template_span
-
     def test_dimension_grouping(self):
         transparency = {Dimension.CLARITY, Dimension.COMPLETENESS, Dimension.CONSISTENCY, Dimension.CORRECTNESS}
         usefulness = {Dimension.ACCESSIBILITY, Dimension.COMPREHENSION}

@@ -31,6 +31,38 @@ def run(runner, *args, **kwargs):
 
 NOT_UTF8 = b"\xff\xfe{\x00}\x00"  # UTF-16 with a byte-order mark
 
+# Registry entry fields of the wrong type, each with the reason the load gives.
+MISTYPED_FIELDS = [
+    pytest.param(field, value, reason, id=field)
+    for field, value, reason in [
+        ("id", 5, "id must be a string, got 5"),
+        ("archived.storage_path", 5, "archived.storage_path must be a string, got 5"),
+        ("archived.content_digest", 5, "archived.content_digest must be a string, got 5"),
+        ("archived.byte_length", True, "archived.byte_length must be an integer, got True"),
+    ]
+]
+
+
+def fixture_store(tmp_path):
+    """Every fixture source archived into ``tmp_path/store``."""
+    store = tmp_path / "store"
+    for source in sorted(SOURCES.iterdir()):
+        archive_fetch(str(source), store)
+    return store
+
+
+def edited_registry(tmp_path, slug, field, value):
+    """The fixture registry with one field of one entry set, written into ``tmp_path``."""
+    data = json.loads(Path(REGISTRY).read_text())
+    node = next(entry for entry in data["entries"] if entry["id"] == slug)
+    *parents, key = field.split(".")
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(data))
+    return path
+
 
 class TestValidate:
     def test_clean_fixtures_exit_zero(self, runner):
@@ -99,6 +131,25 @@ class TestValidate:
         source, locus, code, message = result.output.splitlines()[0].split("\t")
         assert (source, locus, code) == ("registry", str(registry), "malformed-registry")
         assert "can't decode byte 0xff" in message
+
+    @pytest.mark.parametrize("field,value,reason", MISTYPED_FIELDS)
+    def test_mistyped_registry_field_is_a_finding(self, runner, tmp_path, field, value, reason):
+        registry = edited_registry(tmp_path, "phi-4", field, value)
+        store = fixture_store(tmp_path)
+        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry), "--store", str(store))
+        assert result.exit_code == 1
+        source, locus, code, message = result.output.splitlines()[0].split("\t")
+        assert (source, locus, code, message) == ("registry", str(registry), "malformed-registry", reason)
+
+    def test_storage_path_outside_the_store_is_a_finding(self, runner, tmp_path):
+        store = fixture_store(tmp_path)
+        (tmp_path / "outside.md").write_bytes((SOURCES / "phi-4.md").read_bytes())
+        registry = edited_registry(tmp_path, "phi-4", "archived.storage_path", "../outside.md")
+        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry), "--store", str(store))
+        assert result.exit_code == 1
+        assert [line for line in result.output.splitlines() if "\t" in line] == [
+            "archive\tphi-4\toutside-store\tstorage path '../outside.md' resolves outside the store"
+        ]
 
 
 # Catalog edits that validate_catalog reports, with the finding each one gives.
@@ -447,12 +498,16 @@ class TestSite:
         assert result.exit_code == 1
         assert f"{path}: 'utf-8' codec can't decode byte 0xff" in result.output
 
-
-    def fixture_store(self, tmp_path):
-        store = tmp_path / "store"
-        for source in sorted(SOURCES.iterdir()):
-            archive_fetch(str(source), store)
-        return store
+    @pytest.mark.parametrize("field,value,reason", MISTYPED_FIELDS)
+    def test_mistyped_registry_field_fails_cleanly(self, runner, tmp_path, field, value, reason):
+        out = tmp_path / "out"
+        self.build_cards(runner, out)
+        registry = edited_registry(tmp_path, "phi-4", field, value)
+        store = fixture_store(tmp_path)
+        result = run(runner, "--out", str(out), "site", "--registry", str(registry), "--store", str(store))
+        assert result.exit_code == 1
+        assert f"{registry}: {reason}" in result.output
+        assert not (out / "site").exists()
 
     def test_escaping_slug_writes_nothing(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -471,20 +526,32 @@ class TestSite:
     def test_tampered_object_is_not_published(self, runner, tmp_path):
         out = tmp_path / "out"
         self.build_cards(runner, out)
-        store = self.fixture_store(tmp_path)
+        store = fixture_store(tmp_path)
         phi = json.loads(Path(REGISTRY).read_text())["entries"]
         stored = store / next(e for e in phi if e["id"] == "phi-4")["archived"]["storage_path"]
         stored.write_bytes(stored.read_bytes() + b"appended")
         result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store))
         assert result.exit_code == 1
-        assert "phi-4: archived object" in result.output
+        assert "phi-4: stored bytes hash to" in result.output
+        assert not (out / "site").exists()
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+
+    def test_length_mismatch_is_not_published(self, runner, tmp_path):
+        out = tmp_path / "out"
+        self.build_cards(runner, out)
+        store = fixture_store(tmp_path)
+        size = (SOURCES / "phi-4.md").stat().st_size
+        registry = edited_registry(tmp_path, "phi-4", "archived.byte_length", size + 1)
+        result = run(runner, "--out", str(out), "site", "--registry", str(registry), "--store", str(store))
+        assert result.exit_code == 1
+        assert f"phi-4: stored {size} bytes, recorded {size + 1}" in result.output
         assert not (out / "site").exists()
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
     def test_rebuild_prunes_a_removed_card(self, runner, tmp_path):
         out = tmp_path / "out"
         self.build_cards(runner, out)
-        store = self.fixture_store(tmp_path)
+        store = fixture_store(tmp_path)
         assert run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store)).exit_code == 0
         (out / "bria-3-2.scorecard.json").unlink()
         result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store))

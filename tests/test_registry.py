@@ -4,7 +4,7 @@ from datetime import date
 
 import pytest
 
-from summaryqa.errors import DuplicateSlug, FetchFailed
+from summaryqa.errors import DuplicateSlug, FetchFailed, MalformedRegistry
 from summaryqa.registry import (
     ArchivedCopy,
     DiscoveryChannel,
@@ -45,7 +45,7 @@ class TestRegistry:
     def test_add_entry(self):
         registry = Registry()
         add_entry(registry, make_entry())
-        assert registry.slugs() == ["apertus-8b"]
+        assert [e.id for e in registry.entries] == ["apertus-8b"]
 
     def test_duplicate_slug_rejected(self):
         registry = Registry()
@@ -57,7 +57,7 @@ class TestRegistry:
         registry = Registry()
         for slug in ("smollm3-3b", "apertus", "bielik-v3-11b", "phi-4", "bria-3-2"):
             add_entry(registry, make_entry(slug=slug, model=slug))
-        assert registry.slugs() == ["smollm3-3b", "apertus", "bielik-v3-11b", "phi-4", "bria-3-2"]
+        assert [e.id for e in registry.entries] == ["smollm3-3b", "apertus", "bielik-v3-11b", "phi-4", "bria-3-2"]
 
     def test_round_trip(self):
         registry = Registry()
@@ -249,7 +249,7 @@ class TestShippedRegistryFixture:
 
         fixture = Path(__file__).resolve().parent.parent / "fixtures" / "registry.json"
         registry = load_registry(fixture)
-        assert registry.slugs() == ["smollm3-3b", "apertus", "bielik-v3-11b", "phi-4", "bria-3-2"]
+        assert [e.id for e in registry.entries] == ["smollm3-3b", "apertus", "bielik-v3-11b", "phi-4", "bria-3-2"]
         models = [entry.meta.model for entry in registry.entries]
         assert models == ["SmolLM3-3B", "Apertus", "Bielik v3 11B Instruct", "Phi-4", "Bria 3.2"]
         assert validate_registry(registry) == []
@@ -257,6 +257,15 @@ class TestShippedRegistryFixture:
             assert entry.archived is not None
             assert entry.meta.archived_copy_digest == entry.archived.content_digest
             assert entry.assessment_refs == (f"assessments/{entry.id}.csv",)
+
+    def test_nul_in_storage_path_is_malformed(self):
+        from pathlib import Path
+
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "registry.json"
+        text = fixture.read_text(encoding="utf-8")
+        text = text.replace('"storage_path": "objects/', '"storage_path": "objects\\u0000/', 1)
+        with pytest.raises(MalformedRegistry, match="archived.storage_path must not hold a NUL byte"):
+            registry_from_json(text)
 
     def test_fixture_reserializes_byte_identical(self):
         from pathlib import Path

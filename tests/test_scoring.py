@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from summaryqa.catalog import Dimension, Group, Section, load_reference_catalog
-from summaryqa.errors import InapplicableVerdict
 from summaryqa.scoring import (
     AggregationConfig,
     DEFAULT_GRADE_SCALE,
@@ -17,7 +16,6 @@ from summaryqa.scoring import (
     SectionAggregation,
     assign_grade,
     format_percentage,
-    metric_score,
     score_summary,
 )
 from summaryqa.assessment import Verdict
@@ -30,21 +28,6 @@ MEAN_CONFIG = AggregationConfig(
     section_group_strategy=SectionAggregation.MEAN_OF_DIMENSIONS,
     overall_strategy=OverallAggregation.MEAN_OF_SECTIONS,
 )
-
-
-class TestMetricScore:
-    def test_sufficient_times_weight(self):
-        assert metric_score(Verdict(S), Fraction(2)) == 2
-
-    def test_partially_sufficient_is_half(self):
-        assert metric_score(Verdict(P), Fraction(2)) == 1
-
-    def test_insufficient_is_zero(self):
-        assert metric_score(Verdict(I), Fraction(7)) == 0
-
-    def test_not_applicable_raises(self):
-        with pytest.raises(InapplicableVerdict):
-            metric_score(Verdict(NA), Fraction(1))
 
 
 class TestCellScore:
@@ -285,7 +268,6 @@ class TestScoreSummary:
                 "U3": Verdict(S),
             },
         )
-        assert cat.compiled.weight_scale == 6
         for config, strategies, section_doc, transparency in (
             (AggregationConfig(), ("pooled-weighted", "pooled-weighted"), Fraction(725, 13), Fraction(2850, 43)),
             (MEAN_CONFIG, ("mean-of-dimensions", "mean-of-sections"), Fraction(225, 4), Fraction(625, 12)),

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from summaryqa.assessment import Verdict, applicable_metrics, applicability_map
+from summaryqa.assessment import Verdict, applicability_map
 from summaryqa.catalog import ApplicabilityRule, Catalog, Dimension, Metric, Section
 from summaryqa.scoring import (
     AggregationConfig,
@@ -19,7 +19,7 @@ from summaryqa.scoring import (
 )
 
 from randgen import random_assessment, random_catalog
-from toys import I, NA, P, S
+from toys import I, NA, P, S, applicable_metrics, letter_rank, with_verdict
 
 CONFIGS = (
     AggregationConfig(),
@@ -76,7 +76,7 @@ def test_upgrading_one_verdict_never_lowers_any_score(instance):
         return
     mid = rng.choice(upgradable)
     old = assessment.verdicts[mid]
-    upgraded = assessment.with_verdict(mid, Verdict(UPGRADE[old.value], old.note))
+    upgraded = with_verdict(assessment, mid, Verdict(UPGRADE[old.value], old.note))
     for config in CONFIGS:
         before = score_summary(catalog, assessment, config)
         after = score_summary(catalog, upgraded, config)
@@ -123,7 +123,7 @@ def test_gated_subtree_answered_no_changes_nothing(instance):
     # Record a "no" answer on an existing metric; notes never affect scores.
     anchor = rng.choice(catalog.metrics)
     old = assessment.verdicts.get(anchor.id, Verdict(NA))
-    answered = assessment.with_verdict(anchor.id, Verdict(old.value, "gate=no"))
+    answered = with_verdict(assessment, anchor.id, Verdict(old.value, "gate=no"))
 
     extra = tuple(
         Metric(
@@ -168,7 +168,7 @@ def test_flipping_gate_no_to_yes_only_adds_applicable_metrics(instance):
     before = set(applicable_metrics(catalog, assessment))
     for mid in no_gates:
         old = assessment.verdicts[mid]
-        flipped = assessment.with_verdict(mid, Verdict(old.value, "gate=yes"))
+        flipped = with_verdict(assessment, mid, Verdict(old.value, "gate=yes"))
         after = set(applicable_metrics(catalog, flipped))
         assert before <= after
 
@@ -182,7 +182,7 @@ def test_grade_is_monotone_in_score(pct_a, pct_b):
         pct_a, pct_b = pct_b, pct_a
     grade_a = assign_grade(ScoreValue.percentage(pct_a), DEFAULT_GRADE_SCALE)
     grade_b = assign_grade(ScoreValue.percentage(pct_b), DEFAULT_GRADE_SCALE)
-    assert DEFAULT_GRADE_SCALE.letter_rank(grade_a) <= DEFAULT_GRADE_SCALE.letter_rank(grade_b)
+    assert letter_rank(DEFAULT_GRADE_SCALE, grade_a) <= letter_rank(DEFAULT_GRADE_SCALE, grade_b)
 
 
 @settings(max_examples=25)

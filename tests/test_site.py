@@ -23,7 +23,7 @@ from summaryqa.registry import (
 from summaryqa.assessment import load_assessment
 from summaryqa.reporting import load_scorecard, scorecard_to_json
 from summaryqa.scoring import AggregationConfig, OverallAggregation, SectionAggregation, score_summary
-from summaryqa.site import PageKind, SiteConfig, build_site, check_links
+from summaryqa.site import SiteConfig, build_site, check_links
 
 from randgen import random_assessment, random_catalog
 from toys import toy_meta
@@ -99,15 +99,12 @@ class TestBuildSite:
         exports = list((tmp_path / "site").rglob("scorecard.json"))
         assert len(html_pages) == 6
         assert len(exports) == 5
-        assert len(plan.pages) == 6
-        kinds = [kind for _, kind in plan.pages]
-        assert kinds.count(PageKind.INDEX) == 1
-        assert kinds.count(PageKind.SUMMARY_DETAIL) == 5
+        assert plan.pages == ("index.html", *(f"summaries/model-{i}/index.html" for i in range(5)))
 
     def test_zero_cards_index_only(self, site_inputs, tmp_path):
         registry, _ = site_inputs
         plan = build_site(registry, [], SiteConfig(output_root=tmp_path / "site"))
-        assert [kind for _, kind in plan.pages] == [PageKind.INDEX]
+        assert plan.pages == ("index.html",)
         assert (tmp_path / "site" / "index.html").exists()
         assert not (tmp_path / "site" / "summaries").exists()
 
@@ -120,7 +117,7 @@ class TestBuildSite:
     def test_routes_unique_and_stable(self, site_inputs, tmp_path):
         registry, cards = site_inputs
         plan = build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
-        routes = [route for route, _ in plan.pages]
+        routes = plan.pages
         assert len(routes) == len(set(routes))
         assert "summaries/model-0/index.html" in routes
 
@@ -178,7 +175,7 @@ class TestBuildSite:
         config = SiteConfig(output_root=tmp_path / "site", methodology_html=fragment)
         plan = build_site(registry, cards, config)
         assert (tmp_path / "site" / "methodology.html").exists()
-        assert PageKind.METHODOLOGY in [kind for _, kind in plan.pages]
+        assert "methodology.html" in plan.pages
         assert 'href="methodology.html"' in (tmp_path / "site" / "index.html").read_text()
 
 

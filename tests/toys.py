@@ -1,9 +1,10 @@
 """Small hand-built catalogs/assessments shared across test modules."""
 
+from dataclasses import replace
 from datetime import date
 from fractions import Fraction
 
-from summaryqa.assessment import Assessment, PublishedForm, SummaryMeta, Verdict, VerdictValue
+from summaryqa.assessment import Assessment, PublishedForm, SummaryMeta, Verdict, VerdictValue, applicability_map
 from summaryqa.catalog import ApplicabilityRule, Catalog, Dimension, Metric, Section
 
 S = VerdictValue.SUFFICIENT
@@ -64,8 +65,6 @@ def uniform_assessment(catalog, value, gate_answer="yes"):
     Metrics switched off by the gate answers are recorded as explicit
     not-applicable so the result satisfies the assessment invariants.
     """
-    from summaryqa.assessment import applicability_map
-
     gate_ids = {
         m.applicability.gate_metric_id for m in catalog.metrics if m.applicability.gate_metric_id is not None
     }
@@ -77,3 +76,19 @@ def uniform_assessment(catalog, value, gate_answer="yes"):
     amap = applicability_map(catalog, draft)
     fixed = {mid: v if amap[mid] else Verdict(NA, v.note) for mid, v in verdicts.items()}
     return toy_assessment(catalog, fixed)
+
+
+def with_verdict(assessment, metric_id, verdict):
+    """The assessment with one verdict recorded or replaced."""
+    return replace(assessment, verdicts={**assessment.verdicts, metric_id: verdict})
+
+
+def applicable_metrics(catalog, assessment):
+    """Ids of the metrics that count toward scoring, in catalog order."""
+    amap = applicability_map(catalog, assessment)
+    return [m.id for m in catalog.metrics if amap[m.id]]
+
+
+def letter_rank(scale, letter):
+    """Position of a grade letter in the scale; 0 is the best."""
+    return [name for name, _ in scale.bands].index(letter)
