@@ -93,6 +93,11 @@ class Verdict:
         return _GATE_PREFIXES.get(head)
 
 
+#: The one verdict of each token with an empty note.  Verdicts are frozen,
+#: so every row without a note shares its token's instance.
+_PLAIN_VERDICTS = {value.token: Verdict(value) for value in VerdictValue}
+
+
 class PublishedForm(Enum):
     WEB_PAGE = "WebPage"
     PDF = "PDF"
@@ -376,11 +381,13 @@ def parse_assessment(text: str) -> Assessment:
             raise MalformedAssessment("empty metric_id", line=lineno)
         if metric_id in verdicts:
             raise MalformedAssessment(f"duplicate verdict for metric {metric_id!r}", line=lineno)
-        try:
-            value = VerdictValue.from_token(token)
-        except ValueError as exc:
-            raise MalformedAssessment(str(exc), line=lineno) from None
-        verdicts[metric_id] = Verdict(value=value, note=note)
+        verdict = None if note else _PLAIN_VERDICTS.get(token)
+        if verdict is None:
+            try:
+                verdict = Verdict(value=VerdictValue.from_token(token), note=note)
+            except ValueError as exc:
+                raise MalformedAssessment(str(exc), line=lineno) from None
+        verdicts[metric_id] = verdict
 
     return Assessment(
         meta=meta,

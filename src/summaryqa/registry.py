@@ -213,11 +213,19 @@ def _registry_from_dict(data: dict) -> Registry:
                 discovered_on=date.fromisoformat(raw["discovery"]["discovered_on"]),
             ),
             archived=archived,
-            assessment_refs=tuple(raw.get("assessment_refs", ())),
+            assessment_refs=_assessment_refs(raw.get("assessment_refs", [])),
         )
         require_strings({"id": entry.id, "discovery.query_or_path": entry.discovery.query_or_path})
         entries.append(entry)
     return Registry(entries=entries)
+
+
+def _assessment_refs(refs) -> tuple[str, ...]:
+    """An entry's ``assessment_refs``: a list of strings, never a string split into letters."""
+    if not isinstance(refs, list):
+        raise ValueError(f"assessment_refs must be a list of strings, got {refs!r}")
+    require_strings({f"assessment_refs[{i}]": ref for i, ref in enumerate(refs)})
+    return tuple(refs)
 
 
 def load_registry(path: str | Path) -> Registry:
@@ -291,16 +299,17 @@ def archive_fetch(url: str, store_root: str | Path, timeout: float = 30.0) -> Ar
     )
 
 
-def read_archived(entry: RegistryEntry, store_root: str | Path) -> bytes | Finding:
+def read_archived(entry: RegistryEntry, store: Path) -> bytes | Finding:
     """The entry's archived bytes from the store, or the Finding that stops them.
 
-    The storage path must resolve inside the store, the file must exist, and
-    its bytes must hash to the pinned digest and have the pinned length.
-    This is the only check of stored bytes: ``validate`` reports its
-    findings and ``site`` publishes only what it returns as bytes.
+    ``store`` is the store root as ``Path.resolve()`` returns it; callers
+    resolve it once for all their entries.  The storage path must resolve
+    inside the store, the file must exist, and its bytes must hash to the
+    pinned digest and have the pinned length.  This is the only check of
+    stored bytes: ``validate`` reports its findings and ``site`` publishes
+    only what it returns as bytes.
     """
     archived = entry.archived
-    store = Path(store_root).resolve()
     stored = (store / archived.storage_path).resolve()
     if not stored.is_relative_to(store):
         return Finding(
@@ -323,7 +332,8 @@ def read_archived(entry: RegistryEntry, store_root: str | Path) -> bytes | Findi
 
 def verify_archive(registry: Registry, store_root: str | Path) -> list[Finding]:
     """Integrity findings for every archived entry: escaped, missing or altered bytes."""
-    checked = (read_archived(entry, store_root) for entry in registry.entries if entry.archived is not None)
+    store = Path(store_root).resolve()
+    checked = (read_archived(entry, store) for entry in registry.entries if entry.archived is not None)
     return [result for result in checked if isinstance(result, Finding)]
 
 

@@ -73,10 +73,31 @@ def _value_to_json(value: ScoreValue):
     return {"pct": value.display, "exact": str(value.pct)}
 
 
+def _fraction_from_text(text: str) -> Fraction:
+    """The Fraction whose ``str()`` is ``text``; any other text raises ValueError.
+
+    Only the canonical ``n`` or ``n/d`` (lowest terms, ``d > 1``) that the
+    writer produces is read back, so ``"2/4"``, ``"0.5"`` or ``" 1/2"`` are
+    refused rather than normalized.
+    """
+    try:
+        numerator, slash, denominator = text.partition("/")
+        value = Fraction(int(numerator), int(denominator) if slash else 1)
+    except (AttributeError, ValueError, ZeroDivisionError):
+        value = None
+    if value is None or str(value) != text:
+        raise ValueError(f"{text!r} is not n or n/d in lowest terms")
+    return value
+
+
 def _value_from_json(raw) -> ScoreValue:
+    """Inverse of :func:`_value_to_json`; ``pct`` must be the display of ``exact``."""
     if raw == "N/A":
         return ScoreValue.na()
-    return ScoreValue.percentage(Fraction(raw["exact"]))
+    value = ScoreValue.percentage(_fraction_from_text(raw["exact"]))
+    if raw["pct"] != value.display:
+        raise ValueError(f"pct {raw['pct']!r} is not the display of exact {raw['exact']!r}")
+    return value
 
 
 def scorecard_to_dict(card: ScoreCard) -> dict:
@@ -111,15 +132,29 @@ def scorecard_to_dict(card: ScoreCard) -> dict:
 
 
 def scorecard_from_dict(data: dict) -> ScoreCard:
+    """Inverse of :func:`scorecard_to_dict` for a card that agrees with itself.
+
+    Raises KeyError, TypeError or ValueError unless every value's text is
+    canonical, every ``pct`` is the display of its ``exact``, the grade scale
+    passes ``GradeScale.check`` and every grade is ``assign_grade`` of its
+    overall score under that scale.
+    """
     meta = meta_from_dict(data["meta"])
     config_raw = data["config"]
     config = AggregationConfig(
         section_group_strategy=SectionAggregation(config_raw["section_group_strategy"]),
         overall_strategy=OverallAggregation(config_raw["overall_strategy"]),
         grade_scale=GradeScale(
-            bands=tuple((letter, Fraction(min_pct)) for letter, min_pct in config_raw["grade_scale"])
+            bands=tuple((letter, _fraction_from_text(min_pct)) for letter, min_pct in config_raw["grade_scale"])
         ),
     )
+    config.grade_scale.check()
+    overall = {group: _value_from_json(data["overall"][group.value]) for group in Group}
+    grades = {group: data["grades"][group.value] for group in Group}
+    for group in Group:
+        expected = assign_grade(overall[group], config.grade_scale)
+        if grades[group] != expected:
+            raise ValueError(f"grade {grades[group]!r} for {group.value} is not {expected!r}, the grade of its score")
     return ScoreCard(
         meta=meta,
         catalog_ref=data["catalog_ref"],
@@ -138,8 +173,8 @@ def scorecard_from_dict(data: dict) -> ScoreCard:
             dimension: _value_from_json(data["dimension_overall"][dimension.code])
             for dimension in DIMENSION_ORDER
         },
-        overall={group: _value_from_json(data["overall"][group.value]) for group in Group},
-        grades={group: data["grades"][group.value] for group in Group},
+        overall=overall,
+        grades=grades,
     )
 
 

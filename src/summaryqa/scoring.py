@@ -43,8 +43,10 @@ class ScoreValue:
 
     @classmethod
     def percentage(cls, pct: Fraction | int) -> "ScoreValue":
-        pct = Fraction(pct)
-        if not 0 <= pct <= 100:
+        if not isinstance(pct, Fraction):
+            pct = Fraction(pct)
+        # A Fraction's denominator is positive, so the range check is on integers.
+        if not 0 <= pct.numerator <= 100 * pct.denominator:
             raise ValueError(f"percentage out of range: {pct}")
         return cls(pct)
 
@@ -212,10 +214,13 @@ def _pooled(pools: _Pools, cells: tuple[int, ...]) -> ScoreValue:
 
 
 def _mean(parts: list[ScoreValue]) -> ScoreValue:
-    values = [part.pct for part in parts if not part.is_na]
+    """Mean of the applicable parts: integer numerators summed over the LCM of the denominators."""
+    values = [part.pct for part in parts if part.pct is not None]
     if not values:
         return ScoreValue.na()
-    return ScoreValue.percentage(sum(values, Fraction(0)) / len(values))
+    common = math.lcm(*(value.denominator for value in values))
+    total = sum(value.numerator * (common // value.denominator) for value in values)
+    return ScoreValue.percentage(Fraction(total, common * len(values)))
 
 
 def _cell_scores(pools: _Pools) -> list[ScoreValue]:

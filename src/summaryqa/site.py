@@ -128,8 +128,9 @@ def _create(path: Path, data: bytes) -> None:
 def _copy_archived(entry: RegistryEntry, store: Path | None, page_dir: Path) -> str | None:
     """Copy the entry's archived object into ``page_dir`` if ``read_archived`` passes it.
 
-    Returns the published file name, or None when there is no store or no
-    stored object.  Any other finding of ``read_archived`` refuses the build.
+    ``store`` is the resolved store root.  Returns the published file name,
+    or None when there is no store or no stored object.  Any other finding
+    of ``read_archived`` refuses the build.
     """
     if entry.archived is None or store is None:
         return None
@@ -146,6 +147,7 @@ def _copy_archived(entry: RegistryEntry, store: Path | None, page_dir: Path) -> 
 def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root: Path) -> SitePlan:
     """Write every page of the site into the new directory ``root``."""
     by_summary = registry.by_summary()
+    store = None if config.store_root is None else Path(config.store_root).resolve()
     root.mkdir()
     details: list[str] = []
     links: list[tuple[str, str]] = []
@@ -169,7 +171,7 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
             page_dir.mkdir(parents=True)
         except FileExistsError:
             raise PublishRefused(f"more than one score card matches registry slug {entry.id!r}") from None
-        archive_file = _copy_archived(entry, config.store_root, page_dir)
+        archive_file = _copy_archived(entry, store, page_dir)
         hrefs: list[str] = []
         _create(page_dir / "index.html", _detail_page(card, entry, config, archive_file, hrefs).encode("utf-8"))
         _create(page_dir / "scorecard.json", data)

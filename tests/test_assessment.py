@@ -519,6 +519,34 @@ class TestFileFormat:
 
         check()
 
+    def test_plain_rows_share_one_verdict_and_noted_rows_keep_their_own(self):
+        text = SAMPLE_FILE + "".join(
+            f"{mid},{token},{note}\n"
+            for mid, token, note in [
+                ("A1", "sufficient", ""),
+                ("A2", "sufficient", ""),
+                ("B1", "not-applicable", ""),
+                ("B2", "not-applicable", ""),
+                ("C1", "insufficient", "gate=no"),
+                ("C2", "insufficient", "gate=no"),
+            ]
+        )
+        verdicts = parse_assessment(text).verdicts
+        assert verdicts["A1"] is verdicts["A2"] and verdicts["B1"] is verdicts["B2"]
+        assert verdicts["A1"] == Verdict(S) and verdicts["B1"] == Verdict(NA)
+        assert verdicts["A1"].gate_answer is None
+        assert verdicts["C1"] is not verdicts["C2"]
+        assert verdicts["C1"] == verdicts["C2"] == Verdict(I, "gate=no")
+        assert verdicts["C1"].gate_answer == "no"
+        assert verdicts["G"] == Verdict(S, "gate=yes; enumerated in full")
+        assert verdicts["G"].gate_answer == "yes"
+        with pytest.raises(AttributeError):
+            verdicts["A1"].note = "changed"
+
+    def test_bad_token_without_a_note_names_its_line(self):
+        with pytest.raises(MalformedAssessment, match="line 14: unknown verdict"):
+            parse_assessment(SAMPLE_FILE + "A1,meh,\n")
+
     def test_multiline_note_round_trips_via_csv_quoting(self):
         base = parse_assessment(SAMPLE_FILE)
         tweaked = with_verdict(base, "D", Verdict(P, "first line\nsecond line"))

@@ -39,6 +39,11 @@ MISTYPED_FIELDS = [
         ("archived.storage_path", 5, "archived.storage_path must be a string, got 5"),
         ("archived.content_digest", 5, "archived.content_digest must be a string, got 5"),
         ("archived.byte_length", True, "archived.byte_length must be an integer, got True"),
+        (
+            "assessment_refs",
+            "assessments/phi-4.csv",
+            "assessment_refs must be a list of strings, got 'assessments/phi-4.csv'",
+        ),
     ]
 ]
 
@@ -49,6 +54,37 @@ def fixture_store(tmp_path):
     for source in sorted(SOURCES.iterdir()):
         archive_fetch(str(source), store)
     return store
+
+
+def tree_bytes(root):
+    """Every file under ``root`` by its relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# Edits that make a card contradict itself, each with the reason the decoder gives.
+CONTRADICTIONS = [
+    pytest.param(edit, reason, id=name)
+    for name, edit, reason in [
+        (
+            "pct-and-grade",
+            {("overall", "Transparency", "pct"): "99.99", ("grades", "Transparency"): "A+"},
+            "pct '99.99' is not the display of exact '565/16'",
+        ),
+        ("grade", {("grades", "Transparency"): "A+"}, "grade 'A+' for Transparency is not 'D'"),
+        ("grade-scale", {("config", "grade_scale"): [["A", "50"], ["F", "10"]]}, "last band minimum must be 0"),
+    ]
+]
+
+
+def contradict(card, edit):
+    """Apply ``edit``, a map from a key path to its new value, to the card file."""
+    data = json.loads(card.read_text())
+    for (*parents, key), value in edit.items():
+        node = data
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+    card.write_text(json.dumps(data, indent=2))
 
 
 def edited_registry(tmp_path, slug, field, value):
@@ -325,6 +361,17 @@ class TestScoreAndCompare:
         assert result.exit_code == 1
         assert f"{card}: missing field 'meta'" in result.output
 
+    @pytest.mark.parametrize("edit,reason", CONTRADICTIONS)
+    def test_compare_self_contradicting_card_fails(self, runner, tmp_path, edit, reason):
+        out = tmp_path / "out"
+        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        card = out / "phi-4.scorecard.json"
+        contradict(card, edit)
+        result = run(runner, "--out", str(out), "--format", "html", "compare")
+        assert result.exit_code == 1
+        assert f"{card}: {reason}" in result.output
+        assert not (out / "comparison.html").exists()
+
     def test_compare_non_utf8_card_fails_cleanly(self, runner, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -417,6 +464,22 @@ class TestArchive:
         assert not store.exists()
         assert not registry.exists()
 
+    @pytest.mark.parametrize("field,value,reason", MISTYPED_FIELDS)
+    def test_mistyped_registry_field_fails_cleanly(self, runner, tmp_path, field, value, reason):
+        registry = edited_registry(tmp_path, "phi-4", field, value)
+        before = registry.read_bytes()
+        store = tmp_path / "store"
+        result = run(
+            runner,
+            "archive", str(SOURCES / "apertus.pdf"),
+            "--slug", "apertus-2", "--provider", "Swiss AI Initiative", "--model", "Apertus 2",
+            "--registry", str(registry), "--store", str(store),
+        )
+        assert result.exit_code == 1
+        assert f"{registry}: {reason}" in result.output
+        assert registry.read_bytes() == before
+        assert not store.exists()
+
     @pytest.mark.parametrize("option", ["--date", "--discovered-on"])
     def test_bad_date_stops_before_the_fetch(self, runner, tmp_path, option):
         registry = tmp_path / "registry.json"
@@ -508,6 +571,20 @@ class TestSite:
         assert result.exit_code == 1
         assert f"{registry}: {reason}" in result.output
         assert not (out / "site").exists()
+
+    @pytest.mark.parametrize("edit,reason", CONTRADICTIONS)
+    def test_self_contradicting_card_keeps_the_previous_site(self, runner, tmp_path, edit, reason):
+        out = tmp_path / "out"
+        self.build_cards(runner, out)
+        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
+        before = tree_bytes(out / "site")
+        card = out / "phi-4.scorecard.json"
+        contradict(card, edit)
+        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY)
+        assert result.exit_code == 1
+        assert f"{card}: {reason}" in result.output
+        assert tree_bytes(out / "site") == before
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
     def test_escaping_slug_writes_nothing(self, runner, tmp_path):
         out = tmp_path / "out"

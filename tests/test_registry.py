@@ -1,5 +1,7 @@
 """Registry persistence, content-addressed archiving, integrity checks."""
 
+import json
+import re
 from datetime import date
 
 import pytest
@@ -227,6 +229,13 @@ class TestVerifyArchive:
         (store / copy.storage_path).unlink()
         assert [f.code for f in verify_archive(registry, store)] == ["missing-object"]
 
+    def test_store_named_through_a_symlink_or_relative_path_is_clean(self, tmp_path, monkeypatch):
+        registry, store, _ = self.build(tmp_path)
+        (tmp_path / "link").symlink_to(store, target_is_directory=True)
+        assert verify_archive(registry, tmp_path / "link") == []
+        monkeypatch.chdir(tmp_path)
+        assert verify_archive(registry, "store") == []
+
     def test_entries_without_archive_skipped(self, tmp_path):
         registry = Registry()
         add_entry(registry, make_entry())
@@ -266,6 +275,32 @@ class TestShippedRegistryFixture:
         text = text.replace('"storage_path": "objects/', '"storage_path": "objects\\u0000/', 1)
         with pytest.raises(MalformedRegistry, match="archived.storage_path must not hold a NUL byte"):
             registry_from_json(text)
+
+    @pytest.mark.parametrize(
+        "refs,reason",
+        [
+            ('"assessments/x.csv"', "assessment_refs must be a list of strings, got 'assessments/x.csv'"),
+            ('["assessments/x.csv", 5]', "assessment_refs[1] must be a string, got 5"),
+            ("null", "assessment_refs must be a list of strings, got None"),
+        ],
+        ids=["string", "list-with-a-number", "null"],
+    )
+    def test_assessment_refs_must_be_a_list_of_strings(self, refs, reason):
+        from pathlib import Path
+
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "registry.json"
+        text = fixture.read_text(encoding="utf-8")
+        text = text.replace('"assessment_refs": [\n        "assessments/phi-4.csv"\n      ]', f'"assessment_refs": {refs}', 1)
+        assert f'"assessment_refs": {refs}' in text
+        with pytest.raises(MalformedRegistry, match=re.escape(reason)):
+            registry_from_json(text)
+
+    def test_absent_assessment_refs_read_as_empty(self):
+        registry = Registry()
+        add_entry(registry, make_entry())
+        data = json.loads(registry_to_json(registry))
+        del data["entries"][0]["assessment_refs"]
+        assert registry_from_json(json.dumps(data)).entries[0].assessment_refs == ()
 
     def test_fixture_reserializes_byte_identical(self):
         from pathlib import Path

@@ -6,13 +6,16 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from summaryqa.catalog import Group, Section, load_reference_catalog
-from summaryqa.errors import CatalogVersionMismatch, NoScoreCards, UnsupportedFormat
+from summaryqa.errors import CatalogVersionMismatch, MalformedScoreCard, NoScoreCards, UnsupportedFormat
 from summaryqa.reporting import (
     DEFAULT_SEVERITY_BANDS,
     _cell_html,
     _severity_classes,
+    _value_from_json,
+    _value_to_json,
     comparison_table_html,
     render_comparison,
     render_scorecard,
@@ -20,10 +23,17 @@ from summaryqa.reporting import (
     scorecard_to_json,
     severity,
 )
-from summaryqa.scoring import AggregationConfig, GradeScale, OverallAggregation, SectionAggregation, score_summary
+from summaryqa.scoring import (
+    AggregationConfig,
+    GradeScale,
+    OverallAggregation,
+    ScoreValue,
+    SectionAggregation,
+    score_summary,
+)
 
 from randgen import random_assessment, random_catalog
-from toys import I, S, uniform_assessment
+from toys import I, NA, S, uniform_assessment
 
 
 def random_card(seed):
@@ -99,6 +109,120 @@ class TestScoreCardRoundTrip:
     def test_json_is_stable(self):
         card = random_card(3)
         assert scorecard_to_json(card) == scorecard_to_json(card)
+
+
+def edited_card(card, edit):
+    """The JSON text of ``card`` after ``edit`` changed its decoded dict in place."""
+    data = json.loads(scorecard_to_json(card))
+    edit(data)
+    return json.dumps(data)
+
+
+def first_value(data):
+    """The first cell of a card dict that holds a value rather than N/A."""
+    return next(v for cells in data["cells"].values() for v in cells.values() if v != "N/A")
+
+
+def canonical(text):
+    """Reference rule: ``text`` is how ``str`` writes the fraction it denotes."""
+    try:
+        return str(Fraction(text)) == text
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+class TestValueCodec:
+    @settings(max_examples=200)
+    @given(st.fractions(min_value=0, max_value=100))
+    def test_any_percentage_round_trips(self, pct):
+        value = _value_from_json(_value_to_json(ScoreValue.percentage(pct)))
+        assert value.pct == pct and type(value.pct) is Fraction
+
+    @pytest.mark.parametrize("text", ["2/4", "0.5", " 1/2", "+1", "1/1", "-0", "1/0", "1/-2", "1_0", "01", "1/", ""])
+    def test_non_canonical_text_is_refused(self, text):
+        with pytest.raises(ValueError, match="is not n or n/d in lowest terms"):
+            _value_from_json({"pct": "0.50", "exact": text})
+
+    @settings(max_examples=200)
+    @given(st.text(alphabet="0123456789/-+. _", max_size=8))
+    def test_decodes_exactly_the_canonical_texts(self, text):
+        in_range = canonical(text) and 0 <= Fraction(text) <= 100
+        pct = ScoreValue.percentage(Fraction(text)).display if in_range else "0.00"
+        card_text = edited_card(random_card(1), lambda data: first_value(data).update(exact=text, pct=pct))
+        if in_range:
+            card = scorecard_from_json(card_text)
+            assert Fraction(text) in [v.pct for v in card.per_cell.values()]
+        else:
+            with pytest.raises(MalformedScoreCard):
+                scorecard_from_json(card_text)
+
+    @pytest.mark.parametrize("text", ["101", "10001/100", "-1/2"])
+    def test_out_of_range_is_refused(self, text):
+        with pytest.raises(MalformedScoreCard, match="percentage out of range"):
+            scorecard_from_json(edited_card(random_card(1), lambda data: first_value(data).update(exact=text)))
+
+    def test_non_string_exact_is_refused(self):
+        with pytest.raises(MalformedScoreCard, match="1 is not n or n/d"):
+            scorecard_from_json(edited_card(random_card(1), lambda data: first_value(data).update(exact=1)))
+
+
+class TestSelfContradictingCard:
+    """A card decodes only when its displays, grades and grade scale agree with its exact values."""
+
+    def test_pct_must_be_the_display_of_exact(self):
+        text = edited_card(random_card(2), lambda data: first_value(data).update(pct="99.99"))
+        with pytest.raises(MalformedScoreCard, match="pct '99.99' is not the display of exact"):
+            scorecard_from_json(text)
+
+    def test_overall_pct_and_grade_edited_together(self):
+        card = random_card(2)
+        assert card.grades[Group.TRANSPARENCY] != "A+" and not card.overall[Group.TRANSPARENCY].is_na
+
+        def edit(data):
+            data["overall"]["Transparency"]["pct"] = "99.99"
+            data["grades"]["Transparency"] = "A+"
+
+        with pytest.raises(MalformedScoreCard, match="is not the display of exact"):
+            scorecard_from_json(edited_card(card, edit))
+
+    @pytest.mark.parametrize("group", list(Group))
+    def test_grade_must_be_the_grade_of_the_overall(self, group):
+        card = random_card(2)
+        wrong = "F" if card.grades[group] != "F" else "A+"
+        text = edited_card(card, lambda data: data["grades"].update({group.value: wrong}))
+        with pytest.raises(MalformedScoreCard, match=f"grade '{wrong}' for {group.value} is not"):
+            scorecard_from_json(text)
+
+    def test_na_overall_needs_na_grade(self):
+        cat = load_reference_catalog()
+        card = score_summary(cat, uniform_assessment(cat, NA, gate_answer="no"))
+        assert card.overall[Group.USEFULNESS].is_na
+        text = edited_card(card, lambda data: data["grades"].update(Usefulness="F"))
+        with pytest.raises(MalformedScoreCard, match="grade 'F' for Usefulness is not 'N/A'"):
+            scorecard_from_json(text)
+
+    @pytest.mark.parametrize(
+        "scale,reason",
+        [
+            ([["A", "50"], ["B", "60"], ["F", "0"]], "strictly decreasing"),
+            ([["A", "50"], ["F", "10"]], "last band minimum must be 0"),
+            ([["A", "50"], ["A", "0"]], "unique"),
+            ([], "no bands"),
+            ([["A", "95.0"], ["F", "0"]], "'95.0' is not n or n/d in lowest terms"),
+        ],
+        ids=["increasing", "last-not-zero", "repeated-label", "empty", "decimal-minimum"],
+    )
+    def test_grade_scale_must_pass_its_check(self, scale, reason):
+        text = edited_card(random_card(2), lambda data: data["config"].update(grade_scale=scale))
+        with pytest.raises(MalformedScoreCard, match=reason):
+            scorecard_from_json(text)
+
+    def test_custom_grade_scale_round_trips(self):
+        rng = random.Random(7)
+        cat = random_catalog(rng)
+        scale = GradeScale((("Top", Fraction(200, 3)), ("Mid", Fraction("12.345")), ("Bottom", Fraction(0))))
+        card = score_summary(cat, random_assessment(rng, cat), AggregationConfig(grade_scale=scale))
+        assert scorecard_from_json(scorecard_to_json(card)) == card
 
 
 class TestRenderScorecard:

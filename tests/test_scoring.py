@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from summaryqa.catalog import Dimension, Group, Section, load_reference_catalog
 from summaryqa.scoring import (
@@ -14,6 +15,7 @@ from summaryqa.scoring import (
     OverallAggregation,
     ScoreValue,
     SectionAggregation,
+    _mean,
     assign_grade,
     format_percentage,
     score_summary,
@@ -314,3 +316,35 @@ class TestFormatting:
             assert format_percentage(pct) == f"{hundredths // 100}.{hundredths % 100:02d}"
 
         check()
+
+
+percentages = st.fractions(min_value=0, max_value=100)
+
+
+class TestExactArithmetic:
+    @settings(max_examples=100)
+    @given(st.lists(st.none() | percentages, max_size=6))
+    def test_mean_equals_fraction_mean(self, pcts):
+        parts = [ScoreValue.na() if pct is None else ScoreValue.percentage(pct) for pct in pcts]
+        values = [pct for pct in pcts if pct is not None]
+        mean = _mean(parts)
+        if values:
+            assert mean.pct == sum(values, Fraction(0)) / len(values)
+            assert type(mean.pct) is Fraction
+        else:
+            assert mean.is_na
+
+    def test_percentage_keeps_a_fraction_as_given(self):
+        pct = Fraction(175, 2)
+        assert ScoreValue.percentage(pct).pct is pct
+        assert ScoreValue.percentage(100).pct == Fraction(100)
+        assert type(ScoreValue.percentage(100).pct) is Fraction
+
+    @pytest.mark.parametrize("pct", [Fraction(0), Fraction(100), Fraction(1, 10**30), Fraction(10**32 - 1, 10**30)])
+    def test_percentage_accepts_the_closed_range(self, pct):
+        assert ScoreValue.percentage(pct).pct == pct
+
+    @pytest.mark.parametrize("pct", [Fraction(-1, 10**30), Fraction(10**32 + 1, 10**30), 101, -1])
+    def test_percentage_refuses_outside_the_range(self, pct):
+        with pytest.raises(ValueError, match="percentage out of range"):
+            ScoreValue.percentage(pct)
