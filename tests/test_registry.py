@@ -279,9 +279,9 @@ class TestShippedRegistryFixture:
     @pytest.mark.parametrize(
         "refs,reason",
         [
-            ('"assessments/x.csv"', "assessment_refs must be a list of strings, got 'assessments/x.csv'"),
-            ('["assessments/x.csv", 5]', "assessment_refs[1] must be a string, got 5"),
-            ("null", "assessment_refs must be a list of strings, got None"),
+            ("assessments/x.csv", "assessment_refs must be a list of strings, got 'assessments/x.csv'"),
+            (["assessments/x.csv", 5], "assessment_refs[1] must be a string, got 5"),
+            (None, "assessment_refs must be a list of strings, got None"),
         ],
         ids=["string", "list-with-a-number", "null"],
     )
@@ -289,11 +289,10 @@ class TestShippedRegistryFixture:
         from pathlib import Path
 
         fixture = Path(__file__).resolve().parent.parent / "fixtures" / "registry.json"
-        text = fixture.read_text(encoding="utf-8")
-        text = text.replace('"assessment_refs": [\n        "assessments/phi-4.csv"\n      ]', f'"assessment_refs": {refs}', 1)
-        assert f'"assessment_refs": {refs}' in text
+        data = json.loads(fixture.read_text(encoding="utf-8"))
+        data["entries"][0]["assessment_refs"] = refs
         with pytest.raises(MalformedRegistry, match=re.escape(reason)):
-            registry_from_json(text)
+            registry_from_json(json.dumps(data))
 
     def test_absent_assessment_refs_read_as_empty(self):
         registry = Registry()
