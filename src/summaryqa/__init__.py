@@ -16,8 +16,6 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "Assessment",
-            "PublishedForm",
-            "SummaryMeta",
             "Verdict",
             "VerdictValue",
             "dumps_assessment",
@@ -25,6 +23,7 @@ _EXPORTS = {
         ),
         "assessment",
     ),
+    **dict.fromkeys(("PublishedForm", "SummaryMeta"), "base"),
     **dict.fromkeys(
         (
             "ApplicabilityRule",

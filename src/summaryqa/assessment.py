@@ -36,8 +36,9 @@ from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .catalog import Catalog, Source, _header_value, _lookup, _read_text
+from .base import Source, SummaryMeta, header_value, lookup, meta_from_dict, meta_to_dict, read_text
 from .errors import (
     CatalogMismatch,
     Finding,
@@ -46,6 +47,9 @@ from .errors import (
     MissingVerdict,
     UnknownMetricId,
 )
+
+if TYPE_CHECKING:
+    from .catalog import Catalog
 
 
 class VerdictValue(Enum):
@@ -66,7 +70,7 @@ class VerdictValue(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "VerdictValue":
-        return _lookup(_VERDICT_BY_TOKEN, token, "verdict")
+        return lookup(_VERDICT_BY_TOKEN, token, "verdict")
 
 
 _VERDICT_BY_TOKEN = {v.token: v for v in VerdictValue}
@@ -96,78 +100,6 @@ class Verdict:
 #: The one verdict of each token with an empty note.  Verdicts are frozen,
 #: so every row without a note shares its token's instance.
 _PLAIN_VERDICTS = {value.token: Verdict(value) for value in VerdictValue}
-
-
-class PublishedForm(Enum):
-    WEB_PAGE = "WebPage"
-    PDF = "PDF"
-    MARKDOWN_FILE = "MarkdownFile"
-    OTHER = "Other"
-
-    @classmethod
-    def from_token(cls, token: str) -> "PublishedForm":
-        return _lookup(_FORM_BY_TOKEN, token, "published form")
-
-
-_FORM_BY_TOKEN = {f.value: f for f in PublishedForm}
-
-
-@dataclass(frozen=True)
-class SummaryMeta:
-    """Identity of the assessed public summary and its archived version."""
-
-    provider: str
-    model: str
-    summary_title: str
-    source_url: str
-    published_form: PublishedForm
-    assessed_version_date: date
-    archived_copy_digest: str | None = None
-
-
-def meta_to_dict(meta: SummaryMeta) -> dict[str, str | None]:
-    """The meta fields in file order: the registry and score card ``meta``
-    block, and the first lines of the assessment header."""
-    return {
-        "provider": meta.provider,
-        "model": meta.model,
-        "summary_title": meta.summary_title,
-        "source_url": meta.source_url,
-        "published_form": meta.published_form.value,
-        "assessed_version_date": meta.assessed_version_date.isoformat(),
-        "archived_copy_digest": meta.archived_copy_digest,
-    }
-
-
-def require_strings(fields: dict[str, object]) -> None:
-    """Raise ValueError naming the first field whose value is not a string."""
-    for key, value in fields.items():
-        if not isinstance(value, str):
-            raise ValueError(f"{key} must be a string, got {value!r}")
-
-
-def meta_from_dict(raw: dict) -> SummaryMeta:
-    """Inverse of :func:`meta_to_dict`; an empty or absent digest reads as absent.
-
-    Raises KeyError for a missing field and ValueError for a bad value,
-    including a field that is not a string.
-    """
-    published_form = PublishedForm.from_token(raw["published_form"])
-    try:
-        assessed = date.fromisoformat(raw["assessed_version_date"])
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"assessed_version_date must be YYYY-MM-DD, got {raw['assessed_version_date']!r}"
-        ) from None
-    text = {key: raw[key] for key in ("provider", "model", "summary_title", "source_url")}
-    digest = raw.get("archived_copy_digest")
-    require_strings({**text, "archived_copy_digest": "" if digest is None else digest})
-    return SummaryMeta(
-        **text,
-        published_form=published_form,
-        assessed_version_date=assessed,
-        archived_copy_digest=digest or None,
-    )
 
 
 @dataclass(frozen=True)
@@ -367,13 +299,18 @@ def parse_assessment(text: str) -> Assessment:
 
     body = "\n".join(lines[body_start:])
     reader = csv.reader(io.StringIO(body))
-    rows = [row for row in reader if row]
-    if not rows or rows[0] != _CSV_HEADER:
+    # Each non-empty row with the file line it starts on: the line after
+    # the previous row's last, as a quoted note may span lines.
+    rows, start = [], body_start + 1
+    for row in reader:
+        if row:
+            rows.append((start, row))
+        start = body_start + reader.line_num + 1
+    if not rows or rows[0][1] != _CSV_HEADER:
         raise MalformedAssessment(f"verdict table must start with header {','.join(_CSV_HEADER)!r}")
 
     verdicts: dict[str, Verdict] = {}
-    for offset, row in enumerate(rows[1:], start=2):
-        lineno = body_start + offset
+    for lineno, row in rows[1:]:
         if len(row) != 3:
             raise MalformedAssessment(f"expected 3 columns, got {len(row)}", line=lineno)
         metric_id, token, note = row
@@ -400,7 +337,7 @@ def parse_assessment(text: str) -> Assessment:
 
 def load_assessment(source: Source, catalog: Catalog, today: date | None = None) -> Assessment:
     """Load and fully check an assessment against the catalog."""
-    assessment = parse_assessment(_read_text(source, MalformedAssessment))
+    assessment = parse_assessment(read_text(source, MalformedAssessment))
     check_assessment(catalog, assessment, today)
     return assessment
 
@@ -420,7 +357,7 @@ def dumps_assessment(assessment: Assessment) -> str:
     out = io.StringIO()
     for key, value in header.items():
         if value or key in _HEADER_REQUIRED:
-            out.write(f"{key}: {_header_value(value, key)}\n")
+            out.write(f"{key}: {header_value(value, key)}\n")
     out.write("\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_HEADER)

@@ -1,0 +1,134 @@
+"""The summary's identity (:class:`SummaryMeta` and its one codec) and the
+file helpers every layer shares.  It imports only ``errors`` and the standard
+library, so ``archive`` loads no catalog or assessment code.
+"""
+
+from __future__ import annotations
+
+import os
+import tempfile
+from dataclasses import dataclass
+from datetime import date
+from enum import Enum
+from pathlib import Path
+from typing import IO, TypeVar, Union
+
+from .errors import SummaryQAError, WriteFailed
+
+_Member = TypeVar("_Member")
+
+Source = Union[str, Path, IO[str], IO[bytes]]
+
+
+def lookup(members: dict[str, _Member], token: str, what: str) -> _Member:
+    """The member that ``token`` names; ValueError says ``unknown <what>``."""
+    try:
+        return members[token]
+    except KeyError:
+        raise ValueError(f"unknown {what} {token!r}") from None
+
+
+def read_text(source: Source, error: type[SummaryQAError]) -> str:
+    """The UTF-8 text of ``source``; bytes that are not UTF-8 raise ``error``."""
+    try:
+        if isinstance(source, (str, Path)):
+            return Path(source).read_text(encoding="utf-8")
+        data = source.read()
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise error(str(exc)) from exc
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one rename, so readers never see a partial file."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".incoming-")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise WriteFailed(f"cannot write {path}: {exc}") from exc
+
+
+def header_value(value: str, what: str) -> str:
+    """``value`` for a ``key: value`` line; ValueError if it spans lines."""
+    if "\n" in value or "\r" in value:
+        raise ValueError(f"{what} must not contain line breaks: {value!r}")
+    return value
+
+
+def require_strings(fields: dict[str, object]) -> None:
+    """Raise ValueError naming the first field whose value is not a string."""
+    for key, value in fields.items():
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, got {value!r}")
+
+
+class PublishedForm(Enum):
+    WEB_PAGE = "WebPage"
+    PDF = "PDF"
+    MARKDOWN_FILE = "MarkdownFile"
+    OTHER = "Other"
+
+    @classmethod
+    def from_token(cls, token: str) -> "PublishedForm":
+        return lookup(_FORM_BY_TOKEN, token, "published form")
+
+
+_FORM_BY_TOKEN = {f.value: f for f in PublishedForm}
+
+
+@dataclass(frozen=True)
+class SummaryMeta:
+    """Identity of the assessed public summary and its archived version."""
+
+    provider: str
+    model: str
+    summary_title: str
+    source_url: str
+    published_form: PublishedForm
+    assessed_version_date: date
+    archived_copy_digest: str | None = None
+
+
+def meta_to_dict(meta: SummaryMeta) -> dict[str, str | None]:
+    """The meta fields in file order: the registry and score card ``meta``
+    block, and the first lines of the assessment header."""
+    return {
+        "provider": meta.provider,
+        "model": meta.model,
+        "summary_title": meta.summary_title,
+        "source_url": meta.source_url,
+        "published_form": meta.published_form.value,
+        "assessed_version_date": meta.assessed_version_date.isoformat(),
+        "archived_copy_digest": meta.archived_copy_digest,
+    }
+
+
+def meta_from_dict(raw: dict) -> SummaryMeta:
+    """Inverse of :func:`meta_to_dict`; an empty or absent digest reads as absent.
+
+    Raises KeyError for a missing field and ValueError for a bad value,
+    including a field that is not a string.
+    """
+    published_form = PublishedForm.from_token(raw["published_form"])
+    try:
+        assessed = date.fromisoformat(raw["assessed_version_date"])
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"assessed_version_date must be YYYY-MM-DD, got {raw['assessed_version_date']!r}"
+        ) from None
+    text = {key: raw[key] for key in ("provider", "model", "summary_title", "source_url")}
+    digest = raw.get("archived_copy_digest")
+    require_strings({**text, "archived_copy_digest": "" if digest is None else digest})
+    return SummaryMeta(
+        **text,
+        published_form=published_form,
+        assessed_version_date=assessed,
+        archived_copy_digest=digest or None,
+    )

@@ -30,26 +30,14 @@ from __future__ import annotations
 
 import io
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import IO, TypeVar, Union
 
-from .errors import Finding, MalformedCatalog, SchemaViolation, SummaryQAError, WriteFailed
-
-_Member = TypeVar("_Member")
-
-
-def _lookup(members: dict[str, _Member], token: str, what: str) -> _Member:
-    """The member that ``token`` names; ValueError says ``unknown <what>``."""
-    try:
-        return members[token]
-    except KeyError:
-        raise ValueError(f"unknown {what} {token!r}") from None
+from .base import Source, header_value, lookup, read_text
+from .errors import Finding, MalformedCatalog, SchemaViolation
 
 
 class Section(Enum):
@@ -70,7 +58,7 @@ class Section(Enum):
 
     @classmethod
     def from_code(cls, code: str) -> "Section":
-        return _lookup(_SECTION_BY_CODE, code, "section code")
+        return lookup(_SECTION_BY_CODE, code, "section code")
 
 
 _SECTION_BY_CODE = {s.code: s for s in Section}
@@ -107,7 +95,7 @@ class Dimension(Enum):
 
     @classmethod
     def from_code(cls, code: str) -> "Dimension":
-        return _lookup(_DIMENSION_BY_CODE, code, "dimension code")
+        return lookup(_DIMENSION_BY_CODE, code, "dimension code")
 
 
 _DIMENSION_BY_CODE = {d.code: d for d in Dimension}
@@ -303,43 +291,6 @@ _METRIC_FIELDS = (
     "applicability",
 )
 
-Source = Union[str, Path, IO[str], IO[bytes]]
-
-
-def _read_text(source: Source, error: type[SummaryQAError]) -> str:
-    """The UTF-8 text of ``source``; bytes that are not UTF-8 raise ``error``."""
-    try:
-        if isinstance(source, (str, Path)):
-            return Path(source).read_text(encoding="utf-8")
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    except UnicodeDecodeError as exc:
-        raise error(str(exc)) from exc
-
-
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` in one rename, so readers never see a partial file."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".incoming-")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    except OSError as exc:
-        raise WriteFailed(f"cannot write {path}: {exc}") from exc
-
-
-def _header_value(value: str, what: str) -> str:
-    """``value`` for a ``key: value`` line; ValueError if it spans lines."""
-    if "\n" in value or "\r" in value:
-        raise ValueError(f"{what} must not contain line breaks: {value!r}")
-    return value
-
-
 def _split_blocks(text: str) -> list[list[tuple[int, str]]]:
     """Split into blocks of (line_number, line), skipping blanks and comments."""
     blocks: list[list[tuple[int, str]]] = []
@@ -462,22 +413,22 @@ def parse_catalog(text: str) -> Catalog:
 
 def load_catalog(source: Source) -> Catalog:
     """Load a catalog from a path or a readable (byte or text) stream."""
-    return parse_catalog(_read_text(source, MalformedCatalog))
+    return parse_catalog(read_text(source, MalformedCatalog))
 
 
 def dumps_catalog(catalog: Catalog) -> str:
     """Serialize to the canonical catalog file format (stable, diffable)."""
     out = io.StringIO()
-    out.write(f"catalog: {_header_value(catalog.name, 'catalog name')}\n")
-    out.write(f"version: {_header_value(catalog.version, 'catalog version')}\n")
+    out.write(f"catalog: {header_value(catalog.name, 'catalog name')}\n")
+    out.write(f"version: {header_value(catalog.version, 'catalog version')}\n")
     for metric in catalog.metrics:
         out.write("\n")
-        out.write(f"id: {_header_value(metric.id, 'metric id')}\n")
-        out.write(f"element_id: {_header_value(metric.element_id, 'element id')}\n")
+        out.write(f"id: {header_value(metric.id, 'metric id')}\n")
+        out.write(f"element_id: {header_value(metric.element_id, 'element id')}\n")
         out.write(f"section: {metric.section.code}\n")
         out.write(f"dimension: {metric.dimension.code}\n")
         out.write(f"weight: {metric.weight}\n")
-        out.write(f"prompt: {_header_value(metric.prompt, 'prompt')}\n")
+        out.write(f"prompt: {header_value(metric.prompt, 'prompt')}\n")
         out.write(f"optional_field: {'true' if metric.optional_field else 'false'}\n")
         out.write(f"applicability: {metric.applicability.serialize()}\n")
     return out.getvalue()

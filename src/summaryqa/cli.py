@@ -50,7 +50,7 @@ _CONFIG_KEYS = (
 # Choice lists, spelled out so that building the command line imports no layer.
 # tests/test_cli.py pins each to the layer's own list.
 FORMATS = ("json", "csv", "html")  # reporting.FORMATS
-PUBLISHED_FORMS = ("WebPage", "PDF", "MarkdownFile", "Other")  # assessment.PublishedForm
+PUBLISHED_FORMS = ("WebPage", "PDF", "MarkdownFile", "Other")  # base.PublishedForm
 CHANNELS = (  # registry.DiscoveryChannel
     "SearchEngine",
     "ModelRepoPage",
@@ -258,7 +258,8 @@ def validate(config, assessments, registry_path, store):
     Assessments are checked only against a catalog without findings.
     """
     from .assessment import assessment_findings, parse_assessment
-    from .catalog import _read_text, load_catalog, validate_catalog
+    from .base import read_text
+    from .catalog import load_catalog, validate_catalog
     from .registry import load_registry, validate_registry, verify_archive
 
     catalog_path = _require(config.catalog_path, "--catalog")
@@ -278,7 +279,7 @@ def validate(config, assessments, registry_path, store):
         for path in sorted(assessments.glob("*.csv")):
             source = f"assessment:{path.name}"
             try:
-                assessment = parse_assessment(_read_text(path, MalformedAssessment))
+                assessment = parse_assessment(read_text(path, MalformedAssessment))
             except MalformedAssessment as exc:
                 click.echo(f"{source}\t{path.name}\tmalformed-assessment\t{exc}")
                 total += 1
@@ -316,7 +317,8 @@ def score(config, source):
     report is written, so one bad file writes nothing.
     """
     from .assessment import load_assessment
-    from .catalog import _write_atomic, load_catalog, validate_catalog
+    from .base import write_atomic
+    from .catalog import load_catalog, validate_catalog
     from .reporting import render_scorecard, scorecard_to_json
     from .scoring import DEFAULT_CONFIG, Group, score_summary
 
@@ -354,7 +356,7 @@ def score(config, source):
         notes.append(f"{path.name}: {grades} -> {', '.join(str(target) for target, _ in written)}")
     try:
         for target, data in outputs:
-            _write_atomic(target, data)
+            write_atomic(target, data)
     except SummaryQAError as exc:
         raise click.ClickException(str(exc)) from exc
     for note in notes:
@@ -371,7 +373,7 @@ def score(config, source):
 @click.pass_obj
 def compare(config, cards_dir):
     """Comparison table over all score cards in a directory."""
-    from .catalog import _write_atomic
+    from .base import write_atomic
     from .reporting import load_scorecard, render_comparison
 
     directory = Path(cards_dir) if cards_dir else _require(config.output_dir, "--out or CARDS_DIR")
@@ -383,7 +385,7 @@ def compare(config, cards_dir):
         rendered = render_comparison(cards, config.report_format, bands=_severity_bands(config))
         if config.output_dir is not None:
             out_path = config.output_dir / f"comparison.{config.report_format}"
-            _write_atomic(out_path, rendered)
+            write_atomic(out_path, rendered)
             click.echo(f"wrote {out_path}", err=True)
         else:
             click.echo(rendered.decode("utf-8"), nl=False)
@@ -402,7 +404,7 @@ def compare(config, cards_dir):
 @click.option("--provider", required=True)
 @click.option("--model", required=True)
 @click.option("--title", default=None, help="Summary title (defaults from model).")
-@click.option("--source-url", default=None, help="Recorded source URL (defaults to URL).")
+@click.option("--source-url", default=None, help="Recorded source URL (defaults to URL; a local path as its file: URI).")
 @click.option("--published-form", type=click.Choice(PUBLISHED_FORMS), default="Other")
 @click.option("--date", "version_date", callback=_iso_date, help="Assessed version date (YYYY-MM-DD).")
 @click.option("--channel", type=click.Choice(CHANNELS), default="ModelRepoPage")
@@ -413,7 +415,7 @@ def compare(config, cards_dir):
 @click.option("--timeout", type=float, default=30.0, show_default=True)
 def archive(url, slug, provider, model, title, source_url, published_form, version_date, channel, query, discovered_on, registry_path, store, timeout):
     """Fetch a summary, pin it in the object store, and register it."""
-    from .assessment import PublishedForm, SummaryMeta
+    from .base import PublishedForm, SummaryMeta
     from .registry import (
         DiscoveryChannel,
         DiscoveryProvenance,
@@ -423,6 +425,7 @@ def archive(url, slug, provider, model, title, source_url, published_form, versi
         archive_fetch,
         attach_archive,
         load_registry,
+        recorded_url,
         save_registry,
         valid_slug,
     )
@@ -445,7 +448,7 @@ def archive(url, slug, provider, model, title, source_url, published_form, versi
         provider=provider,
         model=model,
         summary_title=title or f"{model} public summary of training content",
-        source_url=source_url or url,
+        source_url=source_url or recorded_url(url),
         published_form=PublishedForm.from_token(published_form),
         assessed_version_date=version_date or date.today(),
     )

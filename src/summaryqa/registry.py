@@ -18,9 +18,8 @@ from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
 
-from .assessment import SummaryMeta, meta_from_dict, meta_to_dict, require_strings
-from .catalog import _lookup, _write_atomic
-from .errors import DuplicateSlug, FetchFailed, Finding, MalformedRegistry, malformed_message
+from .base import SummaryMeta, lookup, meta_from_dict, meta_to_dict, require_strings, write_atomic
+from .errors import DuplicateSlug, FetchFailed, Finding, MalformedRegistry, WriteFailed, malformed_message
 
 _SLUG_RE = re.compile(r"[a-z0-9][a-z0-9-]*")
 
@@ -63,7 +62,7 @@ class DiscoveryChannel(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "DiscoveryChannel":
-        return _lookup(_CHANNEL_BY_TOKEN, token, "discovery channel")
+        return lookup(_CHANNEL_BY_TOKEN, token, "discovery channel")
 
 
 _CHANNEL_BY_TOKEN = {c.value: c for c in DiscoveryChannel}
@@ -233,12 +232,17 @@ def load_registry(path: str | Path) -> Registry:
 
 
 def save_registry(registry: Registry, path: str | Path) -> None:
-    _write_atomic(Path(path), registry_to_json(registry).encode("utf-8"))
+    write_atomic(Path(path), registry_to_json(registry).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
 # Content-addressed object store
 # ---------------------------------------------------------------------------
+
+
+def recorded_url(url: str) -> str:
+    """``url`` as a registry records it: a local path becomes its absolute ``file:`` URI."""
+    return url if urllib.parse.urlparse(url).scheme else Path(url).resolve().as_uri()
 
 
 def object_path(store_root: str | Path, digest: str) -> Path:
@@ -283,13 +287,20 @@ def archive_fetch(url: str, store_root: str | Path, timeout: float = 30.0) -> Ar
     """Fetch bytes and store them immutably under their digest.
 
     Fetching the same bytes twice yields the same digest and leaves a single
-    stored object; existing objects are never rewritten.
+    stored object; existing objects are never rewritten.  An existing object
+    that is unreadable or hashes to another digest raises WriteFailed.
     """
     data, media_type = _fetch_bytes(url, timeout)
     digest = hashlib.sha256(data).hexdigest()
     target = object_path(store_root, digest)
-    if not target.exists():
-        _write_atomic(target, data)
+    try:
+        stored = hashlib.sha256(target.read_bytes()).hexdigest() if target.exists() else None
+    except OSError as exc:
+        raise WriteFailed(f"cannot read stored object {target}: {exc}") from exc
+    if stored is None:
+        write_atomic(target, data)
+    elif stored != digest:
+        raise WriteFailed(f"stored object {target} hashes to {stored[:12]}...; it is never overwritten")
     return ArchivedCopy(
         fetched_at=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         content_digest=digest,

@@ -21,7 +21,7 @@ import csv as _csv
 from fractions import Fraction
 from pathlib import Path
 
-from .assessment import meta_from_dict, meta_to_dict
+from .base import meta_from_dict, meta_to_dict
 from .catalog import DIMENSION_ORDER, Group, SECTION_ORDER
 from .errors import (
     CatalogVersionMismatch,

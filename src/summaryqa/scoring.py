@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .assessment import Assessment, SummaryMeta, VerdictValue, applicability_map
+from .assessment import Assessment, VerdictValue, applicability_map
+from .base import SummaryMeta
 from .catalog import (
     CELLS,
     Catalog,

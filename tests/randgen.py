@@ -4,7 +4,8 @@ import random
 from datetime import date
 from fractions import Fraction
 
-from summaryqa.assessment import Assessment, PublishedForm, SummaryMeta, Verdict, VerdictValue
+from summaryqa.assessment import Assessment, Verdict, VerdictValue
+from summaryqa.base import PublishedForm, SummaryMeta
 from summaryqa.catalog import (
     ApplicabilityRule,
     Catalog,

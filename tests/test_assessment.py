@@ -5,13 +5,12 @@ import random
 from dataclasses import replace
 from datetime import date
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from summaryqa.assessment import (
     Assessment,
-    PublishedForm,
-    SummaryMeta,
     Verdict,
     VerdictValue,
     applicability_map,
@@ -21,6 +20,7 @@ from summaryqa.assessment import (
     load_assessment,
     parse_assessment,
 )
+from summaryqa.base import PublishedForm, SummaryMeta
 from summaryqa.catalog import ApplicabilityRule, Catalog, Dimension, Metric, Section
 from summaryqa.errors import (
     CatalogMismatch,
@@ -546,6 +546,21 @@ class TestFileFormat:
     def test_bad_token_without_a_note_names_its_line(self):
         with pytest.raises(MalformedAssessment, match="line 14: unknown verdict"):
             parse_assessment(SAMPLE_FILE + "A1,meh,\n")
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        ["B,meh,\n", 'B,meh,"spans\ntwo lines"\n'],
+        ids=["one-line", "multi-line"],
+    )
+    def test_row_after_a_multiline_note_and_a_blank_line_names_its_own_line(self, bad_row):
+        # The phi-4 fixture's ten header lines and blank line, then the
+        # verdict table; the bad row starts on line 16.
+        fixture = Path(__file__).parent.parent / "fixtures" / "assessments" / "phi-4.csv"
+        header = fixture.read_text(encoding="utf-8").split("\n\n")[0]
+        text = f'{header}\n\nmetric_id,verdict,note\nA,sufficient,"two\nline note"\n\n{bad_row}'
+        assert text.splitlines()[15].startswith("B,meh,")
+        with pytest.raises(MalformedAssessment, match="^line 16: unknown verdict 'meh'$"):
+            parse_assessment(text)
 
     def test_multiline_note_round_trips_via_csv_quoting(self):
         base = parse_assessment(SAMPLE_FILE)

@@ -498,6 +498,34 @@ class TestArchive:
         assert not store.exists()
         assert not registry.exists()
 
+    def test_local_path_is_recorded_as_its_file_uri_and_validates(self, runner, tmp_path):
+        registry, store = tmp_path / "registry.json", tmp_path / "store"
+        source = SOURCES / "phi-4.md"
+        result = run(
+            runner,
+            "archive", str(source),
+            "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4",
+            "--registry", str(registry), "--store", str(store),
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(registry.read_text())["entries"][0]["meta"]["source_url"] == source.resolve().as_uri()
+        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry), "--store", str(store))
+        assert result.exit_code == 0, result.output
+
+    def test_corrupt_stored_object_is_not_pinned_again(self, runner, tmp_path):
+        registry, store = tmp_path / "registry.json", tmp_path / "store"
+        args = ["--provider", "Microsoft", "--model", "Phi-4", "--registry", str(registry), "--store", str(store)]
+        digest = run(runner, "archive", str(SOURCES / "phi-4.md"), "--slug", "phi-4", *args).output.split()[0]
+        stored = store / "objects" / digest[:2] / digest
+        with stored.open("ab") as handle:
+            handle.write(b"x")
+        before, tampered = registry.read_bytes(), stored.read_bytes()
+        result = run(runner, "archive", str(SOURCES / "phi-4.md"), "--slug", "phi-4-again", *args)
+        assert result.exit_code == 1
+        assert f"stored object {stored} hashes to" in result.output
+        assert registry.read_bytes() == before
+        assert stored.read_bytes() == tampered
+
     @pytest.mark.usefixtures("no_host_mime_tables")
     def test_markdown_keeps_its_type_without_host_mime_tables(self, runner, tmp_path):
         registry, store, out = tmp_path / "registry.json", tmp_path / "store", tmp_path / "out"
@@ -881,13 +909,14 @@ class TestStartup:
     @pytest.mark.parametrize(
         "command,unloaded",
         [
-            ("--version", LAYERS),
-            ("--help", LAYERS),
+            ("--version", (*LAYERS, "summaryqa.base")),
+            ("--help", (*LAYERS, "summaryqa.base")),
             ("catalog-stats", tuple(m for m in LAYERS if m != "summaryqa.catalog")),
-            ("archive", ("summaryqa.scoring", "summaryqa.reporting", "summaryqa.site")),
+            ("archive", (*(m for m in LAYERS if m != "summaryqa.registry"), "fractions", "csv")),
             ("validate", ("summaryqa.scoring", "summaryqa.reporting", "summaryqa.site")),
             ("score", ("summaryqa.registry", "summaryqa.site", "html.parser")),
             ("compare", ("summaryqa.registry", "summaryqa.site", "html.parser")),
+            ("site", ("html.parser",)),
         ],
     )
     def test_command_loads_only_its_layers(self, runner, tmp_path, command, unloaded):
@@ -907,12 +936,22 @@ class TestStartup:
             ],
             "score": ["--catalog", CATALOG, "--out", str(out), "--format", "html", "score", ASSESSMENTS],
             "compare": ["--out", str(out), "--format", "html", "compare"],
+            "site": ["--out", str(out), "site", "--registry", REGISTRY],
         }[command]
-        if command == "compare":
+        if command in ("compare", "site"):
             run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
         status, modules = loaded_modules(*args)
         assert status in (0, 1)  # validate finds the objects missing from the empty store
         assert sorted(modules.intersection(unloaded)) == []
+
+    def test_shared_module_is_a_leaf(self):
+        """``summaryqa.base`` loads only ``errors`` of the package, and no parser or hash library."""
+        code = "import sys, summaryqa.base; loaded = sorted(sys.modules); import json; print(json.dumps(loaded))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        modules = set(json.loads(proc.stdout))
+        assert {m for m in modules if m.startswith("summaryqa")} == {"summaryqa", "summaryqa.base", "summaryqa.errors"}
+        assert sorted(modules.intersection(("fractions", "csv", "json", "hashlib"))) == []
 
     def test_package_exports_resolve_on_first_access(self):
         code = "import sys, summaryqa; print(sorted(m for m in sys.modules if m.startswith('summaryqa.')))"
@@ -934,7 +973,7 @@ class TestStartup:
 
     def test_choice_lists_match_their_layers(self):
         import summaryqa.cli as cli_module
-        from summaryqa.assessment import PublishedForm
+        from summaryqa.base import PublishedForm
         from summaryqa.registry import DiscoveryChannel
         from summaryqa.reporting import FORMATS
 

@@ -6,7 +6,7 @@ from datetime import date
 
 import pytest
 
-from summaryqa.errors import DuplicateSlug, FetchFailed, MalformedRegistry
+from summaryqa.errors import DuplicateSlug, FetchFailed, MalformedRegistry, WriteFailed
 from summaryqa.registry import (
     ArchivedCopy,
     DiscoveryChannel,
@@ -19,6 +19,7 @@ from summaryqa.registry import (
     load_registry,
     media_type_suffix,
     object_path,
+    recorded_url,
     registry_from_json,
     registry_to_json,
     save_registry,
@@ -144,6 +145,26 @@ class TestArchiveFetch:
         before = stored.stat().st_mtime_ns
         archive_fetch(str(source), store)
         assert stored.stat().st_mtime_ns == before
+
+    def test_corrupt_stored_object_is_refused(self, tmp_path):
+        source = tmp_path / "summary.txt"
+        source.write_bytes(b"pinned")
+        store = tmp_path / "store"
+        stored = store / archive_fetch(str(source), store).storage_path
+        stored.write_bytes(b"pinned, then altered")
+        with pytest.raises(WriteFailed, match=f"stored object {re.escape(str(stored))} hashes to .*never overwritten"):
+            archive_fetch(str(source), store)
+        assert stored.read_bytes() == b"pinned, then altered"
+        stored.unlink()
+        stored.mkdir()
+        with pytest.raises(WriteFailed, match="cannot read stored object"):
+            archive_fetch(str(source), store)
+
+    def test_recorded_url(self, tmp_path):
+        source = tmp_path / "summary.md"
+        assert recorded_url(str(source)) == source.resolve().as_uri()
+        assert recorded_url(source.as_uri()) == source.as_uri()
+        assert recorded_url("https://example.org/summary") == "https://example.org/summary"
 
     def test_missing_file_fails(self, tmp_path):
         with pytest.raises(FetchFailed):

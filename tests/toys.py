@@ -4,7 +4,8 @@ from dataclasses import replace
 from datetime import date
 from fractions import Fraction
 
-from summaryqa.assessment import Assessment, PublishedForm, SummaryMeta, Verdict, VerdictValue, applicability_map
+from summaryqa.assessment import Assessment, Verdict, VerdictValue, applicability_map
+from summaryqa.base import PublishedForm, SummaryMeta
 from summaryqa.catalog import ApplicabilityRule, Catalog, Dimension, Metric, Section
 
 S = VerdictValue.SUFFICIENT
