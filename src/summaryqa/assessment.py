@@ -299,31 +299,31 @@ def parse_assessment(text: str) -> Assessment:
 
     body = "\n".join(lines[body_start:])
     reader = csv.reader(io.StringIO(body))
-    # Each non-empty row with the file line it starts on: the line after
-    # the previous row's last, as a quoted note may span lines.
-    rows, start = [], body_start + 1
-    for row in reader:
-        if row:
-            rows.append((start, row))
-        start = body_start + reader.line_num + 1
-    if not rows or rows[0][1] != _CSV_HEADER:
+    if next(filter(None, reader), None) != _CSV_HEADER:
         raise MalformedAssessment(f"verdict table must start with header {','.join(_CSV_HEADER)!r}")
 
+    def line() -> int:
+        """The file line the current row starts on: the reader has read up to
+        its last line, and each line break in a quoted field is one line more."""
+        return body_start + reader.line_num - sum(field.count("\n") for field in row)
+
     verdicts: dict[str, Verdict] = {}
-    for lineno, row in rows[1:]:
+    for row in reader:
+        if not row:
+            continue
         if len(row) != 3:
-            raise MalformedAssessment(f"expected 3 columns, got {len(row)}", line=lineno)
+            raise MalformedAssessment(f"expected 3 columns, got {len(row)}", line=line())
         metric_id, token, note = row
         if not metric_id:
-            raise MalformedAssessment("empty metric_id", line=lineno)
+            raise MalformedAssessment("empty metric_id", line=line())
         if metric_id in verdicts:
-            raise MalformedAssessment(f"duplicate verdict for metric {metric_id!r}", line=lineno)
+            raise MalformedAssessment(f"duplicate verdict for metric {metric_id!r}", line=line())
         verdict = None if note else _PLAIN_VERDICTS.get(token)
         if verdict is None:
             try:
                 verdict = Verdict(value=VerdictValue.from_token(token), note=note)
             except ValueError as exc:
-                raise MalformedAssessment(str(exc), line=lineno) from None
+                raise MalformedAssessment(str(exc), line=line()) from None
         verdicts[metric_id] = verdict
 
     return Assessment(
