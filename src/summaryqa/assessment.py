@@ -264,11 +264,12 @@ _CSV_HEADER = ["metric_id", "verdict", "note"]
 
 
 def parse_assessment(text: str) -> Assessment:
-    """Parse assessment file text without catalog cross-checks."""
-    lines = text.splitlines()
+    """Parse assessment file text without catalog cross-checks.  Only a line
+    feed ends a line, so a note may hold any character ``str.splitlines`` breaks at."""
+    lines = text.split("\n")
     header: dict[str, str] = {}
     body_start = None
-    for i, raw in enumerate(lines):
+    for i, raw in enumerate(lines if lines[-1] else lines[:-1]):  # the "" after a final "\n" is no line
         line = raw.strip()
         if not line:
             body_start = i + 1
@@ -298,9 +299,7 @@ def parse_assessment(text: str) -> Assessment:
         raise MalformedAssessment(str(exc)) from None
 
     body = "\n".join(lines[body_start:])
-    reader = csv.reader(io.StringIO(body))
-    if next(filter(None, reader), None) != _CSV_HEADER:
-        raise MalformedAssessment(f"verdict table must start with header {','.join(_CSV_HEADER)!r}")
+    reader = csv.reader(io.StringIO(body), strict=True)
 
     def line() -> int:
         """The file line the current row starts on: the reader has read up to
@@ -308,23 +307,28 @@ def parse_assessment(text: str) -> Assessment:
         return body_start + reader.line_num - sum(field.count("\n") for field in row)
 
     verdicts: dict[str, Verdict] = {}
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise MalformedAssessment(f"expected 3 columns, got {len(row)}", line=line())
-        metric_id, token, note = row
-        if not metric_id:
-            raise MalformedAssessment("empty metric_id", line=line())
-        if metric_id in verdicts:
-            raise MalformedAssessment(f"duplicate verdict for metric {metric_id!r}", line=line())
-        verdict = None if note else _PLAIN_VERDICTS.get(token)
-        if verdict is None:
-            try:
-                verdict = Verdict(value=VerdictValue.from_token(token), note=note)
-            except ValueError as exc:
-                raise MalformedAssessment(str(exc), line=line()) from None
-        verdicts[metric_id] = verdict
+    try:
+        if next(filter(None, reader), None) != _CSV_HEADER:
+            raise MalformedAssessment(f"verdict table must start with header {','.join(_CSV_HEADER)!r}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise MalformedAssessment(f"expected 3 columns, got {len(row)}", line=line())
+            metric_id, token, note = row
+            if not metric_id:
+                raise MalformedAssessment("empty metric_id", line=line())
+            if metric_id in verdicts:
+                raise MalformedAssessment(f"duplicate verdict for metric {metric_id!r}", line=line())
+            verdict = None if note else _PLAIN_VERDICTS.get(token)
+            if verdict is None:
+                try:
+                    verdict = Verdict(value=VerdictValue.from_token(token), note=note)
+                except ValueError as exc:
+                    raise MalformedAssessment(str(exc), line=line()) from None
+            verdicts[metric_id] = verdict
+    except csv.Error as exc:
+        raise MalformedAssessment(str(exc), line=body_start + _refused_row(body)) from None
 
     return Assessment(
         meta=meta,
@@ -333,6 +337,19 @@ def parse_assessment(text: str) -> Assessment:
         evaluator=header["evaluator"],
         verifier=header.get("verifier") or None,
     )
+
+
+def _refused_row(body: str) -> int:
+    """The body line the row a strict CSV reader refuses starts on, found by
+    reading again only then, so the rows that parse keep no line count."""
+    reader = csv.reader(io.StringIO(body), strict=True)
+    start = 1
+    try:
+        for _ in reader:
+            start = reader.line_num + 1
+    except csv.Error:
+        pass
+    return start
 
 
 def load_assessment(source: Source, catalog: Catalog, today: date | None = None) -> Assessment:

@@ -36,95 +36,10 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .base import Source, header_value, lookup, read_text
+from .base import CELLS, SECTION_ORDER, Dimension, Section, Source, header_value, read_text
 from .errors import Finding, MalformedCatalog, SchemaViolation
 
-
-class Section(Enum):
-    """The eight assessment sections: file code and display label."""
-
-    DOCUMENT = ("Document", "Document")
-    GENERAL_INFORMATION = ("GeneralInformation", "General Information")
-    PUBLIC_DATA_SOURCES = ("PublicDataSources", "Public Data Sources")
-    PRIVATE_DATA_SOURCES = ("PrivateDataSources", "Private Data Sources")
-    SCRAPED_CRAWLED_DATA = ("ScrapedCrawledData", "Scraped/Crawled Data")
-    USER_DATA = ("UserData", "User Data")
-    SYNTHETIC_OTHER_DATA = ("SyntheticOtherData", "Synthetic & Other Data")
-    DATA_PROCESSING = ("DataProcessing", "Data Processing")
-
-    def __init__(self, code: str, label: str):
-        self.code = code
-        self.label = label
-
-    @classmethod
-    def from_code(cls, code: str) -> "Section":
-        return lookup(_SECTION_BY_CODE, code, "section code")
-
-
-_SECTION_BY_CODE = {s.code: s for s in Section}
-
-
-class Group(Enum):
-    """Top-level quality indicator a dimension rolls up into."""
-
-    TRANSPARENCY = "Transparency"
-    USEFULNESS = "Usefulness"
-
-    @property
-    def label(self) -> str:
-        return self.value
-
-
-class Dimension(Enum):
-    """The six quality dimensions; four feed Transparency, two Usefulness."""
-
-    CLARITY = ("Clarity", Group.TRANSPARENCY)
-    COMPLETENESS = ("Completeness", Group.TRANSPARENCY)
-    CONSISTENCY = ("Consistency", Group.TRANSPARENCY)
-    CORRECTNESS = ("Correctness", Group.TRANSPARENCY)
-    ACCESSIBILITY = ("Accessibility", Group.USEFULNESS)
-    COMPREHENSION = ("Comprehension", Group.USEFULNESS)
-
-    def __init__(self, code: str, group: Group):
-        self.code = code
-        self.group = group
-
-    @property
-    def label(self) -> str:
-        return self.code
-
-    @classmethod
-    def from_code(cls, code: str) -> "Dimension":
-        return lookup(_DIMENSION_BY_CODE, code, "dimension code")
-
-
-_DIMENSION_BY_CODE = {d.code: d for d in Dimension}
-
-#: Dimensions in canonical report order.
-DIMENSION_ORDER = (
-    Dimension.CLARITY,
-    Dimension.COMPLETENESS,
-    Dimension.CONSISTENCY,
-    Dimension.CORRECTNESS,
-    Dimension.ACCESSIBILITY,
-    Dimension.COMPREHENSION,
-)
-
-#: Sections in canonical report order.
-SECTION_ORDER = (
-    Section.DOCUMENT,
-    Section.GENERAL_INFORMATION,
-    Section.PUBLIC_DATA_SOURCES,
-    Section.PRIVATE_DATA_SOURCES,
-    Section.SCRAPED_CRAWLED_DATA,
-    Section.USER_DATA,
-    Section.SYNTHETIC_OTHER_DATA,
-    Section.DATA_PROCESSING,
-)
-
-#: (section, dimension) cells in canonical report order; a metric's cell
-#: index points into this tuple.
-CELLS = tuple((section, dimension) for section in SECTION_ORDER for dimension in DIMENSION_ORDER)
+#: A cell's index in CELLS, the cell index of a compiled row.
 _CELL_INDEX = {cell: i for i, cell in enumerate(CELLS)}
 
 

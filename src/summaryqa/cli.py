@@ -9,7 +9,7 @@ value the same way wherever it comes from.  Four keys exist only in the file
 and are checked under every command: ``section_group_strategy``,
 ``overall_strategy``, ``grade_scale`` and ``severity_bands`` (the two scales
 are ``LABEL:MIN,...`` lists, best band first, checked by
-``scoring.GradeScale.check``).
+``reporting.GradeScale.check``).
 
 Diagnostics go to stderr; findings and requested data go to stdout or files.
 Exit status is 0 only when there are no findings and no errors.  Validation
@@ -38,7 +38,7 @@ from . import __version__
 from .errors import Finding, MalformedAssessment, MalformedRegistry, SummaryQAError
 
 if TYPE_CHECKING:
-    from .scoring import AggregationConfig, GradeScale
+    from .reporting import AggregationConfig, GradeScale
 
 # A config key that names an option sets that option's default; the
 # aggregation keys and severity_bands exist only in the file.
@@ -69,7 +69,7 @@ class RunConfig:
     output_dir: Path | None
     report_format: str
     # None: neither flags nor config file set it, and the command uses its
-    # layer's default (scoring.DEFAULT_CONFIG, reporting.DEFAULT_SEVERITY_BANDS).
+    # layer's default (reporting.DEFAULT_CONFIG, reporting.DEFAULT_SEVERITY_BANDS).
     aggregation: AggregationConfig | None
     severity_bands: GradeScale | None
 
@@ -78,7 +78,7 @@ def _parse_scale(text: str) -> GradeScale:
     """A ``LABEL:MIN,...`` scale (grades or severity bands), best band first."""
     from fractions import Fraction
 
-    from .scoring import GradeScale
+    from .reporting import GradeScale
 
     bands = []
     for part in text.split(","):
@@ -158,7 +158,7 @@ def _aggregation(ctx: click.Context, name: str | None, file_values: dict[str, st
     """
     if name is None and not any(key in file_values for key in _AGGREGATION_KEYS):
         return None
-    from .scoring import DEFAULT_GRADE_SCALE, AggregationConfig, OverallAggregation, SectionAggregation
+    from .reporting import DEFAULT_GRADE_SCALE, AggregationConfig, OverallAggregation, SectionAggregation
 
     section = _file_value(file_values, "section_group_strategy", SectionAggregation, None)
     overall = _file_value(file_values, "overall_strategy", OverallAggregation, None)
@@ -317,10 +317,10 @@ def score(config, source):
     report is written, so one bad file writes nothing.
     """
     from .assessment import load_assessment
-    from .base import write_atomic
+    from .base import Group, write_atomic
     from .catalog import load_catalog, validate_catalog
-    from .reporting import render_scorecard, scorecard_to_json
-    from .scoring import DEFAULT_CONFIG, Group, score_summary
+    from .reporting import DEFAULT_CONFIG, render_scorecard, scorecard_to_json
+    from .scoring import score_summary
 
     catalog_path = _require(config.catalog_path, "--catalog")
     out_dir = _require(config.output_dir, "--out")
@@ -526,7 +526,8 @@ def site(config, registry_path, cards_dir, store, methodology, title):
 @click.pass_obj
 def catalog_stats(config):
     """Per-section metric counts of the catalog."""
-    from .catalog import SECTION_ORDER, load_catalog, section_counts
+    from .base import SECTION_ORDER
+    from .catalog import load_catalog, section_counts
 
     catalog = _load(load_catalog, _require(config.catalog_path, "--catalog"))
     counts = section_counts(catalog)

@@ -187,7 +187,7 @@ def registry_from_json(text: str | bytes) -> Registry:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
         return _registry_from_dict(json.loads(text))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise MalformedRegistry(malformed_message(exc)) from exc
 
 

@@ -1,4 +1,9 @@
-"""Score card and comparison rendering.
+"""Score cards: their types, their file format, and rendering.
+
+A :class:`ScoreCard` holds exact values; :class:`GradeScale` and
+:class:`AggregationConfig` are the settings it was scored under.  This module
+imports no catalog, assessment or scoring code, so ``compare`` and ``site``
+read cards without loading the assessment side.
 
 Reporting is a pure projection: every number shown comes from the score
 card's stored exact values, rendered at two decimals (round half up); nothing
@@ -17,12 +22,14 @@ import html
 import io
 import json
 import math
+import re
 import csv as _csv
+from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from .base import meta_from_dict, meta_to_dict
-from .catalog import DIMENSION_ORDER, Group, SECTION_ORDER
+from .base import DIMENSION_ORDER, SECTION_ORDER, Dimension, Group, Section, SummaryMeta, meta_from_dict, meta_to_dict
 from .errors import (
     CatalogVersionMismatch,
     MalformedScoreCard,
@@ -30,17 +37,145 @@ from .errors import (
     UnsupportedFormat,
     malformed_message,
 )
-from .scoring import (
-    AggregationConfig,
-    GradeScale,
-    OverallAggregation,
-    ScoreCard,
-    ScoreValue,
-    SectionAggregation,
-    assign_grade,
-)
 
 FORMATS = ("json", "csv", "html")
+
+
+@dataclass(frozen=True)
+class ScoreValue:
+    """A normalized percentage in [0, 100], or N/A when nothing applies."""
+
+    pct: Fraction | None
+
+    @classmethod
+    def percentage(cls, pct: Fraction | int) -> "ScoreValue":
+        if not isinstance(pct, Fraction):
+            pct = Fraction(pct)
+        # A Fraction's denominator is positive, so the range check is on integers.
+        if not 0 <= pct.numerator <= 100 * pct.denominator:
+            raise ValueError(f"percentage out of range: {pct}")
+        return cls(pct)
+
+    @classmethod
+    def na(cls) -> "ScoreValue":
+        return cls(None)
+
+    @property
+    def is_na(self) -> bool:
+        return self.pct is None
+
+    @property
+    def display(self) -> str:
+        """Two-decimal rendering, ``N/A`` for not-applicable."""
+        if self.pct is None:
+            return "N/A"
+        return format_percentage(self.pct)
+
+
+def format_percentage(pct: Fraction) -> str:
+    """Render an exact percentage at two decimals, rounding half up."""
+    n, d = pct.numerator, pct.denominator
+    hundredths = (200 * n + d) // (2 * d)  # floor(pct * 100 + 1/2)
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
+
+
+# ---------------------------------------------------------------------------
+# Grades
+# ---------------------------------------------------------------------------
+
+
+# A band label is printed as a grade and used as a CSS class name in HTML
+# reports, so it is limited to characters that need no escaping there.
+_LABEL_RE = re.compile(r"[A-Za-z0-9+-]+")
+
+
+@dataclass(frozen=True)
+class GradeScale:
+    """Ordered (letter, inclusive minimum percentage) bands, best first."""
+
+    bands: tuple[tuple[str, Fraction], ...]
+
+    def check(self) -> None:
+        if not self.bands:
+            raise ValueError("grade scale has no bands")
+        letters = [letter for letter, _ in self.bands]
+        for letter in letters:
+            if _LABEL_RE.fullmatch(letter) is None:
+                raise ValueError(f"band label {letter!r} must be letters, digits, '+' or '-'")
+        if len(set(letters)) != len(letters):
+            raise ValueError("band labels must be unique")
+        mins = [m for _, m in self.bands]
+        if any(a <= b for a, b in zip(mins, mins[1:])):
+            raise ValueError("band minimums must be strictly decreasing")
+        if mins[-1] != 0:
+            raise ValueError("last band minimum must be 0 so the scale covers [0, 100]")
+
+
+DEFAULT_GRADE_SCALE = GradeScale(
+    bands=(
+        ("A+", Fraction(95)),
+        ("A", Fraction(90)),
+        ("B+", Fraction(80)),
+        ("B", Fraction(75)),
+        ("C+", Fraction(70)),
+        ("C", Fraction(60)),
+        ("D", Fraction(30)),
+        ("F", Fraction(0)),
+    )
+)
+
+
+def assign_grade(score: ScoreValue, scale: GradeScale = DEFAULT_GRADE_SCALE) -> str:
+    """Letter of the first band whose minimum is at or below the score."""
+    if score.is_na:
+        return "N/A"
+    for letter, min_pct in scale.bands:
+        if score.pct >= min_pct:
+            return letter
+    return scale.bands[-1][0]
+
+
+# ---------------------------------------------------------------------------
+# Aggregation configuration and the score card
+# ---------------------------------------------------------------------------
+
+
+class SectionAggregation(Enum):
+    """How a section's Transparency/Usefulness score combines its metrics."""
+
+    POOLED_WEIGHTED = "pooled-weighted"
+    MEAN_OF_DIMENSIONS = "mean-of-dimensions"
+
+
+class OverallAggregation(Enum):
+    """How the overall group score combines the sections."""
+
+    POOLED_WEIGHTED = "pooled-weighted"
+    MEAN_OF_SECTIONS = "mean-of-sections"
+
+
+@dataclass(frozen=True)
+class AggregationConfig:
+    section_group_strategy: SectionAggregation = SectionAggregation.POOLED_WEIGHTED
+    overall_strategy: OverallAggregation = OverallAggregation.POOLED_WEIGHTED
+    grade_scale: GradeScale = field(default_factory=lambda: DEFAULT_GRADE_SCALE)
+
+
+DEFAULT_CONFIG = AggregationConfig()
+
+
+@dataclass(frozen=True)
+class ScoreCard:
+    """Full score matrix for one assessed summary."""
+
+    meta: SummaryMeta
+    catalog_ref: str
+    config_used: AggregationConfig
+    per_cell: dict[tuple[Section, Dimension], ScoreValue]
+    per_section_group: dict[tuple[Section, Group], ScoreValue]
+    per_dimension_overall: dict[Dimension, ScoreValue]
+    overall: dict[Group, ScoreValue]
+    grades: dict[Group, str]
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +323,7 @@ def scorecard_from_json(text: str | bytes) -> ScoreCard:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
         return scorecard_from_dict(json.loads(text))
-    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError, RecursionError) as exc:
         raise MalformedScoreCard(malformed_message(exc)) from exc
 
 

@@ -23,17 +23,18 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from urllib.parse import urlparse
 
-from .catalog import Group
+from .base import Group
 from .errors import Finding, MalformedScoreCard, PublishRefused, UnmatchedScoreCard, WriteFailed
 from .registry import Registry, RegistryEntry, media_type_suffix, read_archived, valid_slug
 from .reporting import (
     DEFAULT_SEVERITY_BANDS,
+    GradeScale,
+    ScoreCard,
     _page,
     comparison_table_html,
     scorecard_from_json,
     scorecard_table_html,
 )
-from .scoring import GradeScale, ScoreCard
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,8 @@ from datetime import date
 from fractions import Fraction
 
 from summaryqa.assessment import Assessment, Verdict, VerdictValue
-from summaryqa.base import PublishedForm, SummaryMeta
-from summaryqa.catalog import (
-    ApplicabilityRule,
-    Catalog,
-    DIMENSION_ORDER,
-    Metric,
-    SECTION_ORDER,
-)
+from summaryqa.base import DIMENSION_ORDER, SECTION_ORDER, PublishedForm, SummaryMeta
+from summaryqa.catalog import ApplicabilityRule, Catalog, Metric
 
 SCOREABLE = (VerdictValue.SUFFICIENT, VerdictValue.PARTIALLY_SUFFICIENT, VerdictValue.INSUFFICIENT)
 

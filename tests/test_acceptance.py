@@ -16,13 +16,11 @@ import pytest
 from click.testing import CliRunner
 
 from summaryqa.assessment import Verdict, applicability_map
+from summaryqa.base import Dimension, Group, Section
 from summaryqa.catalog import (
     ApplicabilityRule,
     Catalog,
-    Dimension,
-    Group,
     Metric,
-    Section,
     load_reference_catalog,
     section_counts,
     validate_catalog,
@@ -30,20 +28,18 @@ from summaryqa.catalog import (
 from summaryqa.cli import cli
 from summaryqa.registry import archive_fetch, load_registry
 from summaryqa.reporting import (
+    DEFAULT_GRADE_SCALE,
+    AggregationConfig,
+    OverallAggregation,
+    ScoreValue,
+    SectionAggregation,
+    assign_grade,
     render_comparison,
     render_scorecard,
     scorecard_from_json,
     scorecard_to_json,
 )
-from summaryqa.scoring import (
-    AggregationConfig,
-    DEFAULT_GRADE_SCALE,
-    OverallAggregation,
-    ScoreValue,
-    SectionAggregation,
-    assign_grade,
-    score_summary,
-)
+from summaryqa.scoring import score_summary
 from summaryqa.site import SiteConfig, build_site, check_links
 
 from oracle import assert_card_matches_oracle, oracle_scorecard

@@ -21,7 +21,8 @@ from summaryqa.assessment import (
     parse_assessment,
 )
 from summaryqa.base import PublishedForm, SummaryMeta
-from summaryqa.catalog import ApplicabilityRule, Catalog, Dimension, Metric, Section
+from summaryqa.base import Dimension, Section
+from summaryqa.catalog import ApplicabilityRule, Catalog, Metric
 from summaryqa.errors import (
     CatalogMismatch,
     GateUnanswered,
@@ -518,6 +519,37 @@ class TestFileFormat:
             assert again == tweaked
 
         check()
+
+    @pytest.mark.parametrize(
+        "note",
+        ["one\u2028two", "one\u2029two", "one\x0ctwo", "one\x85two", "a\r\nb"],
+        ids=["line-separator", "paragraph-separator", "form-feed", "next-line", "crlf"],
+    )
+    def test_notes_with_line_break_characters_round_trip(self, note):
+        # The CSV writer quotes only "\r" and "\n"; str.splitlines() also breaks at the others.
+        base = parse_assessment(SAMPLE_FILE)
+        tweaked = with_verdict(base, "G", Verdict(S, f"gate=yes; {note}"))
+        again = parse_assessment(dumps_assessment(tweaked))
+        assert again == tweaked
+        assert again.verdicts["G"].note == f"gate=yes; {note}"
+
+    def test_note_over_the_csv_field_limit_is_a_typed_error(self):
+        with pytest.raises(MalformedAssessment, match=r"^line 14: field larger than field limit"):
+            parse_assessment(SAMPLE_FILE + f"E,sufficient,{'x' * 200_000}\n")
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            (SAMPLE_FILE + 'E,sufficient,"unterminated', 14),
+            (SAMPLE_FILE + 'E,sufficient,"unterminated\n', 14),
+            (SAMPLE_FILE + 'E,sufficient,"unterminated\nF,sufficient,\n', 14),
+            (SAMPLE_FILE.partition("metric_id")[0] + '\n\nmetric_id,verdict,"note\nG,sufficient,\n', 13),
+        ],
+        ids=["no-final-newline", "final-newline", "swallows-a-row", "table-header-after-blank-lines"],
+    )
+    def test_unterminated_quote_is_refused_on_its_row(self, text, line):
+        with pytest.raises(MalformedAssessment, match=f"^line {line}: unexpected end of data$"):
+            parse_assessment(text)
 
     def test_plain_rows_share_one_verdict_and_noted_rows_keep_their_own(self):
         text = SAMPLE_FILE + "".join(

@@ -5,13 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from summaryqa.base import Dimension, Group, Section
 from summaryqa.catalog import (
     ApplicabilityRule,
     Catalog,
-    Dimension,
-    Group,
     Metric,
-    Section,
     dumps_catalog,
     load_catalog,
     load_reference_catalog,

