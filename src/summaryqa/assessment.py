@@ -39,14 +39,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .base import Source, SummaryMeta, header_value, lookup, meta_from_dict, meta_to_dict, read_text
-from .errors import (
-    CatalogMismatch,
-    Finding,
-    GateUnanswered,
-    MalformedAssessment,
-    MissingVerdict,
-    UnknownMetricId,
-)
+from .errors import Finding, MalformedAssessment, Refused
 
 if TYPE_CHECKING:
     from .catalog import Catalog
@@ -118,18 +111,12 @@ class Assessment:
 # ---------------------------------------------------------------------------
 
 
-def _applicability(
-    catalog: Catalog,
-    assessment: Assessment,
-    unanswered: list[str] | None,
-) -> dict[str, bool]:
+def _applicability(catalog: Catalog, assessment: Assessment, unanswered: list[str]) -> dict[str, bool]:
     """Resolve each metric's applicability under the recorded gate answers.
 
     One forward pass over the compiled catalog, whose rows place every gate
-    before the metrics it switches.  When ``unanswered`` is None, an
-    applicable gate without an answer raises :class:`GateUnanswered`;
-    otherwise the gate id is appended there and its dependents are treated
-    as inapplicable so resolution can continue.
+    before the metrics it switches.  An applicable gate without an answer is
+    appended to ``unanswered`` and switches its dependents off.
     """
     rows = catalog.compiled.rows
     verdicts = assessment.verdicts
@@ -144,22 +131,16 @@ def _applicability(
             if gate_row not in answers:
                 verdict = verdicts.get(rows[gate_row][0])
                 answers[gate_row] = None if verdict is None else verdict.gate_answer
+                if answers[gate_row] is None:
+                    unanswered.append(rows[gate_row][0])
             answer = answers[gate_row]
-            if answer is None:
-                gate_id = rows[gate_row][0]
-                if unanswered is None:
-                    raise GateUnanswered(gate_id)
-                if gate_id not in unanswered:
-                    unanswered.append(gate_id)
-                applicable.append(False)
-            else:
-                applicable.append(answer == required_answer)
+            applicable.append(answer is not None and answer == required_answer)
     return {row[0]: ok for row, ok in zip(rows, applicable)}
 
 
 def applicability_map(catalog: Catalog, assessment: Assessment) -> dict[str, bool]:
-    """Metric id -> applicable?  Raises GateUnanswered for unanswerable gates."""
-    return _applicability(catalog, assessment, None)
+    """Metric id -> applicable?  An unanswered gate switches its dependents off."""
+    return _applicability(catalog, assessment, [])
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +148,8 @@ def applicability_map(catalog: Catalog, assessment: Assessment) -> dict[str, boo
 # ---------------------------------------------------------------------------
 
 
-def assessment_findings(catalog: Catalog, assessment: Assessment, today: date | None = None) -> list[Finding]:
-    """Every violated assessment invariant as findings (empty = valid)."""
+def assessment_findings(catalog: Catalog, assessment: Assessment, today: date) -> list[Finding]:
+    """Every violated assessment invariant as findings (empty = valid), dates checked against ``today``."""
     findings: list[Finding] = []
     meta = assessment.meta
 
@@ -176,7 +157,7 @@ def assessment_findings(catalog: Catalog, assessment: Assessment, today: date | 
         findings.append(Finding("empty-provider", "meta", "provider must be non-empty"))
     if not meta.model:
         findings.append(Finding("empty-model", "meta", "model must be non-empty"))
-    if meta.assessed_version_date > (today or date.today()):
+    if meta.assessed_version_date > today:
         findings.append(
             Finding("future-date", "meta", f"assessed_version_date {meta.assessed_version_date} is in the future")
         )
@@ -191,13 +172,11 @@ def assessment_findings(catalog: Catalog, assessment: Assessment, today: date | 
         )
         return findings
 
-    known = {m.id for m in catalog.metrics}
-    for metric_id in assessment.verdicts:
-        if metric_id not in known:
-            findings.append(Finding("unknown-metric-id", metric_id, "metric does not exist in the catalog"))
-
     unanswered: list[str] = []
-    amap = _applicability(catalog, assessment, unanswered)
+    amap = _applicability(catalog, assessment, unanswered)  # keyed by every metric id
+    for metric_id in assessment.verdicts:
+        if metric_id not in amap:
+            findings.append(Finding("unknown-metric-id", metric_id, "metric does not exist in the catalog"))
     for gate_id in unanswered:
         findings.append(Finding("gate-unanswered", gate_id, "applicable gate metric has no recorded yes/no answer"))
 
@@ -213,36 +192,12 @@ def assessment_findings(catalog: Catalog, assessment: Assessment, today: date | 
     return findings
 
 
-#: Finding code -> the typed error :func:`check_assessment` raises for the
-#: findings with that code, in precedence order.
-_ERROR_FOR_CODE = (
-    ("empty-provider", lambda found: MalformedAssessment("provider and model must be non-empty")),
-    ("empty-model", lambda found: MalformedAssessment("provider and model must be non-empty")),
-    ("future-date", lambda found: MalformedAssessment(found[0].message)),
-    ("catalog-mismatch", lambda found: CatalogMismatch(found[0].message)),
-    ("unknown-metric-id", lambda found: UnknownMetricId(found[0].locus)),
-    ("gate-unanswered", lambda found: GateUnanswered(found[0].locus)),
-    (
-        "verdict-on-inapplicable",
-        lambda found: MalformedAssessment(
-            f"metric {found[0].locus}: scoreable verdict recorded for an inapplicable metric"
-        ),
-    ),
-    ("missing-verdict", lambda found: MissingVerdict([f.locus for f in found])),
-)
-
-
-def check_assessment(catalog: Catalog, assessment: Assessment, today: date | None = None) -> None:
-    """Raise a typed error if :func:`assessment_findings` reports anything.
-
-    The error is chosen by the first code in ``_ERROR_FOR_CODE`` that has a
-    finding, so this check and ``validate`` can never disagree.
-    """
+def check_assessment(catalog: Catalog, assessment: Assessment, today: date) -> None:
+    """Raise :class:`Refused` with the findings of :func:`assessment_findings`, if any,
+    so this check and ``validate`` can never disagree."""
     findings = assessment_findings(catalog, assessment, today)
-    for code, error in _ERROR_FOR_CODE:
-        found = [f for f in findings if f.code == code]
-        if found:
-            raise error(found)
+    if findings:
+        raise Refused("assessment", findings)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +307,7 @@ def _refused_row(body: str) -> int:
     return start
 
 
-def load_assessment(source: Source, catalog: Catalog, today: date | None = None) -> Assessment:
+def load_assessment(source: Source, catalog: Catalog, today: date) -> Assessment:
     """Load and fully check an assessment against the catalog."""
     assessment = parse_assessment(read_text(source, MalformedAssessment))
     check_assessment(catalog, assessment, today)

@@ -8,14 +8,18 @@ card side (``reporting``, ``compare``, ``site``) no catalog parser.
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import IO, TypeVar, Union
+from typing import IO, TYPE_CHECKING, TypeVar, Union
 
 from .errors import SummaryQAError, WriteFailed
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _Member = TypeVar("_Member")
 
@@ -28,6 +32,20 @@ def lookup(members: dict[str, _Member], token: str, what: str) -> _Member:
         return members[token]
     except KeyError:
         raise ValueError(f"unknown {what} {token!r}") from None
+
+
+_NUMBER = re.compile(r"[-+]?[0-9]+(?:[./][0-9]+)?")
+
+
+def exact_number(text: str) -> Fraction:
+    """``text`` as an exact number written like ``2``, ``-0.5`` or ``3/2``.  Exponents,
+    ``_`` separators and the other forms ``Fraction`` reads are a ValueError, so
+    a few bytes cannot make a huge number; a zero denominator is a ZeroDivisionError."""
+    if not _NUMBER.fullmatch(text):
+        raise ValueError(f"{text!r} is not a number such as 2, 0.5 or 3/2")
+    from fractions import Fraction  # on first use, so importing this module loads no fractions
+
+    return Fraction(text)
 
 
 def read_text(source: Source, error: type[SummaryQAError]) -> str:

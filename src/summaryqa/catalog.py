@@ -20,7 +20,8 @@ Catalog file format (UTF-8 text, one record per blank-line-separated block)::
 
 The first block is the header (``catalog`` + ``version``); every other block
 is a metric with exactly the eight fields shown.  ``weight`` is a positive
-rational (``2``, ``3/2``, ``0.5``).  ``applicability`` is either ``always``
+rational written as an integer, a decimal or a ratio (``2``, ``0.5``,
+``3/2``; no exponent).  ``applicability`` is either ``always``
 or ``if <gate-metric-id> = yes|no``.  Lines starting with ``#`` are ignored
 on load and never emitted by the serializer, so files produced by
 :func:`dumps_catalog` round-trip byte-exact.
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .base import CELLS, SECTION_ORDER, Dimension, Section, Source, header_value, read_text
+from .base import CELLS, SECTION_ORDER, Dimension, Section, Source, exact_number, header_value, read_text
 from .errors import Finding, MalformedCatalog, SchemaViolation
 
 #: A cell's index in CELLS, the cell index of a compiled row.
@@ -119,17 +120,14 @@ class Catalog:
 
     @cached_property
     def compiled(self) -> "CompiledCatalog":
-        """The catalog as flat rows for applicability and scoring, built once.
-
-        Raises ValueError on an applicability cycle or a gate naming an
-        unknown metric; :func:`validate_catalog` reports both as findings.
-        """
+        """The catalog as flat rows for applicability and scoring, built once."""
         return _compile(self)
 
 
 @dataclass(frozen=True)
 class CompiledCatalog:
-    """A catalog flattened for the per-assessment hot path.
+    """A catalog flattened for the per-assessment hot path, by the one walk
+    of its gate graph.
 
     ``rows`` holds one ``(metric id, gate row, required answer, cell index,
     weight units)`` tuple per metric.  The gate row indexes ``rows`` (-1 for
@@ -139,9 +137,25 @@ class CompiledCatalog:
     the gate of its first occurrence.  Weight units are the weight times
     the LCM of every weight denominator, so sums of weights are exact
     integers.
+
+    ``cycles`` holds one ``applicability-cycle`` finding per gate cycle, in
+    the order the walk meets them.  A gate graph with a cycle or a gate
+    naming an unknown metric has no rows: reading ``rows`` then raises
+    ValueError with ``broken``, the first such defect the walk met.  The
+    weights are scaled only when ``rows`` is first read, so ``validate``
+    never computes the LCM of a catalog's weight denominators.
     """
 
-    rows: tuple[tuple[str, int, str | None, int, int], ...]
+    placed: tuple[tuple[str, int, str | None, int, Fraction], ...]  # rows with their weights
+    cycles: tuple[Finding, ...]
+    broken: str | None
+
+    @cached_property
+    def rows(self) -> tuple[tuple[str, int, str | None, int, int], ...]:
+        if self.broken is not None:
+            raise ValueError(f"{self.broken}; validate the catalog first")
+        scale = math.lcm(*(weight.denominator for *_, weight in self.placed))
+        return tuple((*row, (weight * scale).numerator) for *row, weight in self.placed)
 
 
 def _compile(catalog: Catalog) -> CompiledCatalog:
@@ -149,46 +163,52 @@ def _compile(catalog: Catalog) -> CompiledCatalog:
     first: dict[str, int] = {}  # id -> position of its first occurrence
     for position, metric in enumerate(metrics):
         first.setdefault(metric.id, position)
-    scale = math.lcm(*(m.weight.denominator for m in metrics))
-    rows: list[tuple[str, int, str | None, int, int]] = []
+    rows: list[tuple[str, int, str | None, int, Fraction]] = []
     row_of: dict[str, int] = {}
+    unplaced: set[str] = set()  # ids whose gate chain meets a cycle or an unknown gate
+    cycles: list[Finding] = []
+    broken: str | None = None
 
-    def emit(metric: Metric, gate_row: int, required_answer: str | None) -> None:
+    def emit(metric: Metric, rule: ApplicabilityRule) -> None:
         row_of.setdefault(metric.id, len(rows))
-        units = (metric.weight * scale).numerator
-        rows.append((metric.id, gate_row, required_answer, _CELL_INDEX[(metric.section, metric.dimension)], units))
+        gate_row = row_of[rule.gate_metric_id] if rule.kind is RuleKind.IF_GATE_EQUALS else -1
+        cell = _CELL_INDEX[(metric.section, metric.dimension)]
+        rows.append((metric.id, gate_row, rule.required_answer, cell, metric.weight))
 
     for position, metric in enumerate(metrics):
         if first[metric.id] != position:
-            emit(metric, *rows[row_of[metric.id]][1:3])
+            if metric.id in row_of:
+                emit(metric, metrics[first[metric.id]].applicability)
             continue
         # Follow the gate chain up to a metric already placed or an ungated
         # one, then place the chain from its far end back.
-        chain: list[tuple[Metric, Metric | None]] = []
-        on_chain: set[str] = set()
+        chain: dict[str, Metric] = {}
+        defect = None
         node: Metric | None = metric
-        while node is not None and node.id not in row_of:
-            if node.id in on_chain:
-                raise ValueError(f"applicability cycle through {node.id!r}; validate the catalog first")
-            on_chain.add(node.id)
-            rule = node.applicability
-            gate = None
-            if rule.kind is RuleKind.IF_GATE_EQUALS:
-                gate_position = first.get(rule.gate_metric_id or "")
-                if gate_position is None:
-                    raise ValueError(
-                        f"metric {node.id!r} gates on unknown metric "
-                        f"{rule.gate_metric_id!r}; validate the catalog first"
-                    )
-                gate = metrics[gate_position]
-            chain.append((node, gate))
-            node = gate
-        for node, gate in reversed(chain):
-            if gate is None:
-                emit(node, -1, None)
+        while node is not None and node.id not in row_of and defect is None:
+            if node.id in unplaced:
+                defect = broken
+            elif node.id in chain:
+                ids = list(chain)
+                cycle = " -> ".join([*ids[ids.index(node.id):], node.id])
+                cycles.append(Finding("applicability-cycle", node.id, f"gate chain forms a cycle: {cycle}"))
+                defect = f"applicability cycle through {node.id!r}"
             else:
-                emit(node, row_of[gate.id], node.applicability.required_answer)
-    return CompiledCatalog(rows=tuple(rows))
+                chain[node.id] = node
+                rule = node.applicability
+                if rule.kind is RuleKind.ALWAYS:
+                    node = None
+                elif rule.gate_metric_id in first:
+                    node = metrics[first[rule.gate_metric_id]]
+                else:
+                    defect = f"metric {node.id!r} gates on unknown metric {rule.gate_metric_id!r}"
+        if defect is None:
+            for node in reversed(chain.values()):
+                emit(node, node.applicability)
+        else:
+            unplaced.update(chain)
+            broken = broken or defect
+    return CompiledCatalog(placed=tuple(rows), cycles=tuple(cycles), broken=broken)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +312,7 @@ def parse_catalog(text: str) -> Catalog:
 
         lineno, weight_text = fields["weight"]
         try:
-            weight = Fraction(weight_text)
+            weight = exact_number(weight_text)
         except (ValueError, ZeroDivisionError):
             raise SchemaViolation(f"unparsable weight {weight_text!r}", line=lineno, field="weight") from None
 
@@ -385,40 +405,7 @@ def validate_catalog(catalog: Catalog) -> list[Finding]:
                     Finding("unknown-gate", metric.id, f"gate metric {rule.gate_metric_id!r} does not exist")
                 )
 
-    findings.extend(_cycle_findings(catalog))
-    return findings
-
-
-def _cycle_findings(catalog: Catalog) -> list[Finding]:
-    """One finding per applicability cycle, discovered in catalog order."""
-    gate_of: dict[str, str] = {}
-    ids = {m.id for m in catalog.metrics}
-    for metric in catalog.metrics:
-        rule = metric.applicability
-        if rule.kind is RuleKind.IF_GATE_EQUALS and rule.gate_metric_id in ids:
-            gate_of.setdefault(metric.id, rule.gate_metric_id)
-
-    findings: list[Finding] = []
-    state: dict[str, int] = {}  # 0 visiting, 1 done
-
-    def walk(start: str) -> None:
-        path: list[str] = []
-        node: str | None = start
-        while node is not None and node not in state:
-            state[node] = 0
-            path.append(node)
-            node = gate_of.get(node)
-        if node is not None and state.get(node) == 0:
-            cycle = path[path.index(node):] + [node]
-            findings.append(
-                Finding("applicability-cycle", cycle[0], "gate chain forms a cycle: " + " -> ".join(cycle))
-            )
-        for visited in path:
-            state[visited] = 1
-
-    for metric in catalog.metrics:
-        if metric.id not in state:
-            walk(metric.id)
+    findings.extend(catalog.compiled.cycles)
     return findings
 
 

@@ -76,8 +76,7 @@ class RunConfig:
 
 def _parse_scale(text: str) -> GradeScale:
     """A ``LABEL:MIN,...`` scale (grades or severity bands), best band first."""
-    from fractions import Fraction
-
+    from .base import exact_number
     from .reporting import GradeScale
 
     bands = []
@@ -85,7 +84,7 @@ def _parse_scale(text: str) -> GradeScale:
         label, sep, min_pct = part.partition(":")
         if not sep:
             raise ValueError(f"entry {part!r} must be LABEL:MIN")
-        bands.append((label.strip(), Fraction(min_pct.strip())))
+        bands.append((label.strip(), exact_number(min_pct.strip())))
     scale = GradeScale(tuple(bands))
     scale.check()
     return scale
@@ -255,8 +254,10 @@ def main():
 def validate(config, assessments, registry_path, store):
     """Validate catalog, assessments, registry, and archive integrity.
 
-    Assessments are checked only against a catalog without findings.
+    Assessments are checked only against a catalog without findings, and
+    their dates against today's.
     """
+    today = date.today()
     from .assessment import assessment_findings, parse_assessment
     from .base import read_text
     from .catalog import load_catalog, validate_catalog
@@ -284,7 +285,7 @@ def validate(config, assessments, registry_path, store):
                 click.echo(f"{source}\t{path.name}\tmalformed-assessment\t{exc}")
                 total += 1
                 continue
-            total += _echo_findings(source, assessment_findings(catalog, assessment))
+            total += _echo_findings(source, assessment_findings(catalog, assessment, today))
 
     if registry_path is not None:
         try:
@@ -312,13 +313,16 @@ def validate(config, assessments, registry_path, store):
 def score(config, source):
     """Score one assessment file, or every *.csv in a directory.
 
-    A catalog that ``validate`` would report on is refused before any card is
-    written.  Every file is loaded, checked and scored before any card or
-    report is written, so one bad file writes nothing.
+    A catalog or an assessment that ``validate`` would report on is refused,
+    naming the count and the first finding.  Every file is loaded, checked
+    and scored before any card or report is written, so one bad file writes
+    nothing.
     """
+    today = date.today()
     from .assessment import load_assessment
     from .base import Group, write_atomic
     from .catalog import load_catalog, validate_catalog
+    from .errors import Refused
     from .reporting import DEFAULT_CONFIG, render_scorecard, scorecard_to_json
     from .scoring import score_summary
 
@@ -327,10 +331,7 @@ def score(config, source):
     catalog = _load(load_catalog, catalog_path)
     findings = validate_catalog(catalog)
     if findings:
-        first = findings[0]
-        raise click.ClickException(
-            f"{catalog_path}: catalog has {len(findings)} finding(s), first {first.code} at {first.locus}: {first.message}"
-        )
+        raise click.ClickException(f"{catalog_path}: {Refused('catalog', findings)}")
     aggregation = config.aggregation or DEFAULT_CONFIG
     bands = _severity_bands(config)
 
@@ -343,7 +344,7 @@ def score(config, source):
     notes: list[str] = []
     for path in paths:
         try:
-            assessment = load_assessment(path, catalog)
+            assessment = load_assessment(path, catalog, today)
             card = score_summary(catalog, assessment, aggregation)
             written = [(out_dir / f"{path.stem}.scorecard.json", scorecard_to_json(card).encode("utf-8"))]
             if config.report_format != "json":

@@ -14,6 +14,21 @@ class SummaryQAError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class Refused(SummaryQAError):
+    """An input that ``validate`` reports on, refused with those findings.
+
+    The message names the count and the first finding, so ``score`` refuses
+    a catalog and an assessment in the same words.
+    """
+
+    def __init__(self, kind: str, findings: list[Finding]):
+        self.findings = findings
+        first = findings[0]
+        super().__init__(
+            f"{kind} has {len(findings)} finding(s), first {first.code} at {first.locus}: {first.message}"
+        )
+
+
 # -- catalog ----------------------------------------------------------------
 
 class MalformedCatalog(SummaryQAError):
@@ -42,36 +57,6 @@ class MalformedAssessment(SummaryQAError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line else message)
-
-
-class UnknownMetricId(SummaryQAError):
-    """Assessment references a metric id not present in the catalog."""
-
-    def __init__(self, metric_id: str):
-        self.metric_id = metric_id
-        super().__init__(f"unknown metric id {metric_id!r}")
-
-
-class CatalogMismatch(SummaryQAError):
-    """Assessment's catalog reference does not match the supplied catalog."""
-
-
-class MissingVerdict(SummaryQAError):
-    """Applicable metrics without a scoreable verdict."""
-
-    def __init__(self, metric_ids: list[str]):
-        self.metric_ids = list(metric_ids)
-        shown = ", ".join(self.metric_ids[:5])
-        more = f" (+{len(self.metric_ids) - 5} more)" if len(self.metric_ids) > 5 else ""
-        super().__init__(f"applicable metrics without verdict: {shown}{more}")
-
-
-class GateUnanswered(SummaryQAError):
-    """A gate metric is applicable but carries no yes/no answer."""
-
-    def __init__(self, gate_id: str):
-        self.gate_id = gate_id
-        super().__init__(f"gate metric {gate_id!r} has no recorded yes/no answer")
 
 
 # -- reporting --------------------------------------------------------------

@@ -8,9 +8,10 @@ config), so identical inputs always yield identical score cards regardless
 of execution order.
 
 A metric *contributes* to scoring when it is applicable under the recorded
-gate answers and carries a scoreable verdict.  Applicable metrics without a
-scoreable verdict are rejected by assessment validation; when scoring is
-invoked directly on such an assessment (e.g. the degenerate all
+gate answers and carries a scoreable verdict.  An applicable gate without a
+recorded answer switches its dependents off.  Assessment validation refuses
+that gate, and applicable metrics without a scoreable verdict; when scoring
+is invoked directly on such an assessment (e.g. the degenerate all
 not-applicable case) they simply contribute nothing, which yields N/A cells
 rather than an error.
 

@@ -69,10 +69,9 @@ def random_assessment(rng: random.Random, catalog: Catalog, yes_probability: flo
     Inapplicable metrics are randomly omitted or recorded as explicit
     not-applicable, exercising both permitted conventions.
     """
-    gate_ids = {
-        m.applicability.gate_metric_id for m in catalog.metrics if m.applicability.gate_metric_id is not None
-    }
-    answers = {gid: ("yes" if rng.random() < yes_probability else "no") for gid in gate_ids}
+    gate_ids = {m.applicability.gate_metric_id for m in catalog.metrics}
+    # Drawn in catalog order, so the draws do not depend on PYTHONHASHSEED.
+    answers = {m.id: ("yes" if rng.random() < yes_probability else "no") for m in catalog.metrics if m.id in gate_ids}
     applicable = _resolve_applicable(catalog, answers)
 
     verdicts: dict[str, Verdict] = {}

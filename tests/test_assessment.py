@@ -23,14 +23,7 @@ from summaryqa.assessment import (
 from summaryqa.base import PublishedForm, SummaryMeta
 from summaryqa.base import Dimension, Section
 from summaryqa.catalog import ApplicabilityRule, Catalog, Metric
-from summaryqa.errors import (
-    CatalogMismatch,
-    GateUnanswered,
-    MalformedAssessment,
-    MissingVerdict,
-    SummaryQAError,
-    UnknownMetricId,
-)
+from summaryqa.errors import MalformedAssessment, Refused, SummaryQAError
 
 from randgen import SCOREABLE, random_assessment, random_catalog
 from toys import applicable_metrics, with_verdict
@@ -56,6 +49,17 @@ def make_metric(mid, gate=None, answer="yes", section=Section.DOCUMENT, dimensio
 
 def make_catalog(*metrics):
     return Catalog("toy", "0.1", tuple(metrics))
+
+
+CHECK_TODAY = date(2026, 1, 31)  # later than every assessed_version_date below not meant to be in the future
+
+
+def refusal(catalog, assessment, today=CHECK_TODAY):
+    """The error check_assessment refuses ``assessment`` with, after checking it carries the findings."""
+    with pytest.raises(Refused) as exc:
+        check_assessment(catalog, assessment, today)
+    assert exc.value.findings == assessment_findings(catalog, assessment, today)
+    return exc.value
 
 
 def make_meta(**overrides):
@@ -148,8 +152,9 @@ class TestApplicability:
     def test_unanswered_applicable_gate_raises(self):
         cat = make_catalog(make_metric("G"), make_metric("D", gate="G"))
         a = make_assessment(cat, {"G": Verdict(S), "D": Verdict(S)})
-        with pytest.raises(GateUnanswered):
-            applicable_metrics(cat, a)
+        # The unanswered gate switches D off, and the check refuses the assessment.
+        assert applicable_metrics(cat, a) == ["G"]
+        assert [f.code for f in refusal(cat, a).findings] == ["gate-unanswered", "verdict-on-inapplicable"]
 
     def test_monotone_in_gates(self):
         cat = make_catalog(
@@ -212,11 +217,11 @@ class TestApplicability:
     def test_unanswered_gates_named_in_post_order(self, answered, first, findings):
         cat = self.deep_catalog()
         a = make_assessment(cat, answered)
-        with pytest.raises(GateUnanswered) as exc:
-            applicability_map(cat, a)
-        assert exc.value.gate_id == first
-        unanswered = [f.locus for f in assessment_findings(cat, a) if f.code == "gate-unanswered"]
-        assert unanswered == findings
+        amap = applicability_map(cat, a)
+        assert amap[first] and not amap["D"] and not amap["F"]
+        refused = refusal(cat, a)
+        assert [f.locus for f in refused.findings if f.code == "gate-unanswered"] == findings
+        assert (refused.findings[0].code, refused.findings[0].locus) == ("gate-unanswered", first)
 
     def test_repeated_id_takes_first_occurrence_rule(self):
         cat = make_catalog(
@@ -228,7 +233,7 @@ class TestApplicability:
         )
         a = make_assessment(cat, {"G": Verdict(S, "gate=no"), "X": Verdict(P)})
         assert list(applicability_map(cat, a).items()) == [("G", True), ("X", False), ("Y", False)]
-        assert [(f.code, f.locus) for f in assessment_findings(cat, a)] == [
+        assert [(f.code, f.locus) for f in assessment_findings(cat, a, CHECK_TODAY)] == [
             ("verdict-on-inapplicable", "X"),
             ("verdict-on-inapplicable", "X"),
         ]
@@ -253,61 +258,54 @@ class TestValidation:
     def test_valid_assessment_no_findings(self):
         cat = make_catalog(make_metric("A"))
         a = make_assessment(cat, {"A": Verdict(S)})
-        assert assessment_findings(cat, a) == []
-        check_assessment(cat, a)
+        assert assessment_findings(cat, a, CHECK_TODAY) == []
+        check_assessment(cat, a, CHECK_TODAY)
 
     def test_unknown_metric_id(self):
         cat = make_catalog(make_metric("A"))
         a = make_assessment(cat, {"A": Verdict(S), "F9.9.z": Verdict(S)})
-        with pytest.raises(UnknownMetricId):
-            check_assessment(cat, a)
-        assert "unknown-metric-id" in [f.code for f in assessment_findings(cat, a)]
+        assert [f.code for f in refusal(cat, a).findings] == ["unknown-metric-id"]
 
     def test_catalog_mismatch(self):
         cat = make_catalog(make_metric("A"))
         a = make_assessment(cat, {"A": Verdict(S)}, catalog_ref="other/9.9")
-        with pytest.raises(CatalogMismatch):
-            check_assessment(cat, a)
+        assert [f.code for f in refusal(cat, a).findings] == ["catalog-mismatch"]
 
     def test_missing_applicable_verdict(self):
         cat = make_catalog(make_metric("A"), make_metric("B"))
         a = make_assessment(cat, {"A": Verdict(S)})
-        with pytest.raises(MissingVerdict) as exc:
-            check_assessment(cat, a)
-        assert exc.value.metric_ids == ["B"]
+        assert [(f.code, f.locus) for f in refusal(cat, a).findings] == [("missing-verdict", "B")]
 
     def test_na_verdict_on_applicable_metric_is_missing(self):
         cat = make_catalog(make_metric("A"))
         a = make_assessment(cat, {"A": Verdict(NA)})
-        with pytest.raises(MissingVerdict):
-            check_assessment(cat, a)
+        assert [f.code for f in refusal(cat, a).findings] == ["missing-verdict"]
 
     def test_gated_out_metrics_may_be_absent(self):
         cat = make_catalog(make_metric("G"), make_metric("D", gate="G"))
         a = make_assessment(cat, {"G": Verdict(S, "gate=no")})
-        assert assessment_findings(cat, a) == []
+        assert assessment_findings(cat, a, CHECK_TODAY) == []
 
     def test_gated_out_metrics_may_be_explicit_na(self):
         cat = make_catalog(make_metric("G"), make_metric("D", gate="G"))
         a = make_assessment(cat, {"G": Verdict(S, "gate=no"), "D": Verdict(NA)})
-        assert assessment_findings(cat, a) == []
+        assert assessment_findings(cat, a, CHECK_TODAY) == []
 
     def test_future_date_flagged(self):
         cat = make_catalog(make_metric("A"))
         a = make_assessment(cat, {"A": Verdict(S)}, meta=make_meta(assessed_version_date=date(2099, 1, 1)))
-        assert "future-date" in [f.code for f in assessment_findings(cat, a)]
+        assert "future-date" in [f.code for f in assessment_findings(cat, a, CHECK_TODAY)]
 
     def test_checks_take_today_instead_of_the_clock(self):
         cat = make_catalog(make_metric("A"))
         a = make_assessment(cat, {"A": Verdict(S)})  # assessed 2026-01-12
         day_before, same_day = date(2026, 1, 11), date(2026, 1, 12)
-        with pytest.raises(MalformedAssessment, match="in the future"):
-            check_assessment(cat, a, today=day_before)
+        assert [f.code for f in refusal(cat, a, today=day_before).findings] == ["future-date"]
         check_assessment(cat, a, today=same_day)
         assert [f.code for f in assessment_findings(cat, a, today=day_before)] == ["future-date"]
         assert assessment_findings(cat, a, today=same_day) == []
         text = dumps_assessment(a).encode()
-        with pytest.raises(MalformedAssessment, match="in the future"):
+        with pytest.raises(Refused, match="first future-date at meta: .* is in the future"):
             load_assessment(io.BytesIO(text), cat, today=day_before)
         assert load_assessment(io.BytesIO(text), cat, today=same_day) == a
 
@@ -317,7 +315,7 @@ class TestValidation:
         a = make_assessment(cat, verdicts)
         reversed_map = dict(reversed(list(verdicts.items())))
         b = make_assessment(cat, reversed_map)
-        assert assessment_findings(cat, a) == assessment_findings(cat, b)
+        assert assessment_findings(cat, a, CHECK_TODAY) == assessment_findings(cat, b, CHECK_TODAY)
 
 
 CHECK_CATALOG = make_catalog(
@@ -328,7 +326,6 @@ CHECK_CATALOG = make_catalog(
     make_metric("D2", gate="G"),
 )
 CHECK_VALID = {"A": Verdict(S), "B": Verdict(P), "G": Verdict(I, "gate=yes"), "D1": Verdict(S), "D2": Verdict(I)}
-CHECK_TODAY = date(2026, 1, 31)
 
 
 def check_case(drop=(), catalog_ref=CHECK_CATALOG.ref, meta=None, **changes):
@@ -339,67 +336,66 @@ def check_case(drop=(), catalog_ref=CHECK_CATALOG.ref, meta=None, **changes):
 
 
 class TestCheckMatchesFindings:
-    """check_assessment raises exactly when assessment_findings reports something."""
+    """check_assessment raises exactly when assessment_findings reports something,
+    with those findings, and names the first."""
 
     @pytest.mark.parametrize(
-        "assessment,error,message",
+        "assessment,codes,message",
         [
             pytest.param(
                 check_case(meta=make_meta(provider="")),
-                MalformedAssessment,
-                "provider and model must be non-empty",
+                ["empty-provider"],
+                "first empty-provider at meta: provider must be non-empty",
                 id="empty-provider",
             ),
             pytest.param(
                 check_case(meta=make_meta(model="", assessed_version_date=date(2026, 2, 1))),
-                MalformedAssessment,
-                "provider and model must be non-empty",
+                ["empty-model", "future-date"],
+                "first empty-model at meta: model must be non-empty",
                 id="empty-model",
             ),
             pytest.param(
                 check_case(catalog_ref="x/1", meta=make_meta(assessed_version_date=date(2026, 2, 1))),
-                MalformedAssessment,
-                "assessed_version_date 2026-02-01 is in the future",
+                ["future-date", "catalog-mismatch"],
+                "first future-date at meta: assessed_version_date 2026-02-01 is in the future",
                 id="future-date",
             ),
             pytest.param(
                 check_case(catalog_ref="toy/9.9"),
-                CatalogMismatch,
-                "assessment references catalog 'toy/9.9', expected 'toy/0.1'",
+                ["catalog-mismatch"],
+                "first catalog-mismatch at meta: assessment references catalog 'toy/9.9', expected 'toy/0.1'",
                 id="catalog-mismatch",
             ),
             pytest.param(
                 check_case(X9=Verdict(S), X1=Verdict(S), G=Verdict(S)),
-                UnknownMetricId,
-                "unknown metric id 'X9'",
+                ["unknown-metric-id"] * 2 + ["gate-unanswered"] + ["verdict-on-inapplicable"] * 2,
+                "first unknown-metric-id at X9: metric does not exist in the catalog",
                 id="unknown-metric-id",
             ),
             pytest.param(
                 check_case(drop=["A"], G=Verdict(S)),
-                GateUnanswered,
-                "gate metric 'G' has no recorded yes/no answer",
+                ["gate-unanswered", "missing-verdict"] + ["verdict-on-inapplicable"] * 2,
+                "first gate-unanswered at G: applicable gate metric has no recorded yes/no answer",
                 id="gate-unanswered",
             ),
             pytest.param(
                 check_case(drop=["A"], G=Verdict(S, "gate=no"), D1=Verdict(NA)),
-                MalformedAssessment,
-                "metric D2: scoreable verdict recorded for an inapplicable metric",
+                ["missing-verdict", "verdict-on-inapplicable"],
+                "first missing-verdict at A: applicable metric has no scoreable verdict",
                 id="verdict-on-inapplicable",
             ),
             pytest.param(
                 check_case(drop=["A"], D2=Verdict(NA)),
-                MissingVerdict,
-                "applicable metrics without verdict: A, D2",
+                ["missing-verdict", "missing-verdict"],
+                "first missing-verdict at A: applicable metric has no scoreable verdict",
                 id="missing-verdict",
             ),
         ],
     )
-    def test_error_for_each_finding_code(self, assessment, error, message):
-        assert assessment_findings(CHECK_CATALOG, assessment, today=CHECK_TODAY)
-        with pytest.raises(SummaryQAError) as exc:
-            check_assessment(CHECK_CATALOG, assessment, today=CHECK_TODAY)
-        assert type(exc.value) is error
-        assert str(exc.value) == message
+    def test_error_for_each_finding_code(self, assessment, codes, message):
+        refused = refusal(CHECK_CATALOG, assessment)
+        assert [f.code for f in refused.findings] == codes
+        assert str(refused) == f"assessment has {len(codes)} finding(s), {message}"
 
     def test_raises_iff_findings_on_random_assessments(self):
         rng = random.Random(20260117)
@@ -462,7 +458,7 @@ class TestFileFormat:
         return make_catalog(make_metric("G"), make_metric("D", gate="G"))
 
     def test_load_valid_file(self):
-        a = load_assessment(__import__("io").BytesIO(SAMPLE_FILE.encode()), self.catalog())
+        a = load_assessment(io.BytesIO(SAMPLE_FILE.encode()), self.catalog(), CHECK_TODAY)
         assert a.meta.provider == "ExampleCo"
         assert a.verdicts["D"].value is P
         assert a.verdicts["D"].note == "terse, but present"
@@ -618,6 +614,6 @@ class TestFileFormat:
         catalog = load_reference_catalog()
         full = uniform_assessment(catalog, S)
         assert len(full.verdicts) == 242
-        loaded = load_assessment(io.BytesIO(dumps_assessment(full).encode()), catalog)
+        loaded = load_assessment(io.BytesIO(dumps_assessment(full).encode()), catalog, CHECK_TODAY)
         assert loaded == full
         assert applicable_metrics(catalog, loaded) == [m.id for m in catalog.metrics]

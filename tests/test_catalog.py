@@ -1,6 +1,7 @@
 """Catalog loading, serialization, validation, and section counts."""
 
 import io
+import random
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,16 @@ class TestParsing:
         with pytest.raises(SchemaViolation, match="unparsable weight"):
             parse_catalog(text)
 
+    def test_weight_is_a_plain_number(self):
+        for text in ("1e1000000", "1E3", "1_000", ".5", "5.", "\u0663", "0x10", "1/2/3", "inf"):
+            with pytest.raises(SchemaViolation, match="unparsable weight") as exc:
+                parse_catalog(MINIMAL.replace("weight: 1\n", f"weight: {text}\n"))
+            assert exc.value.field == "weight"
+        for text, weight in (("2", 2), ("+4", 4), ("0.25", Fraction(1, 4)), ("3/2", Fraction(3, 2)), ("0", 0), ("-1", -1)):
+            cat = parse_catalog(MINIMAL.replace("weight: 1\n", f"weight: {text}\n"))
+            assert cat.metrics[0].weight == weight
+            assert [f.code for f in validate_catalog(cat)] == ([] if weight > 0 else ["nonpositive-weight"])
+
     def test_bad_rule_rejected(self):
         text = MINIMAL.replace("applicability: if A = yes", "applicability: if A equals yes")
         with pytest.raises(SchemaViolation, match="unparsable applicability"):
@@ -191,6 +202,61 @@ class TestValidation:
     def test_findings_deterministic(self):
         cat = Catalog("toy", "0.1", (metric("A", weight=-1), metric("B", gate="zz")))
         assert validate_catalog(cat) == validate_catalog(cat)
+
+
+def random_gate_graph(rng):
+    """A catalog of a few metrics with random gates: repeated ids, self-gates,
+    cycles and gates naming no metric all occur."""
+    ids = [f"M{rng.randrange(6)}" for _ in range(rng.randint(1, 8))]
+    metrics = []
+    for mid in ids:
+        roll = rng.random()
+        gate = None if roll < 0.3 else "Z" if roll < 0.4 else rng.choice(ids)
+        metrics.append(metric(mid, gate=gate, answer=rng.choice(["yes", "no"])))
+    return Catalog("toy", "0.1", tuple(metrics))
+
+
+def chain_defects(catalog):
+    """The cycles (as id sets) and whether a gate names no metric, found by
+    following every metric's gate chain, each id taking its first occurrence's gate."""
+    gate_of = {}
+    for m in catalog.metrics:
+        gate_of.setdefault(m.id, m.applicability.gate_metric_id)
+    cycles, unknown = set(), False
+    for start in gate_of:
+        chain, node = [], start
+        while node is not None:
+            if node not in gate_of:
+                unknown = True
+                break
+            if node in chain:
+                cycles.add(frozenset(chain[chain.index(node):]))
+                break
+            chain.append(node)
+            node = gate_of[node]
+    return cycles, unknown
+
+
+class TestGateGraph:
+    def test_one_walk_finds_cycles_and_broken_rows(self):
+        rng = random.Random(20261018)
+        seen = set()
+        for _ in range(2000):
+            cat = random_gate_graph(rng)
+            cycles, unknown = chain_defects(cat)
+            found = [f for f in validate_catalog(cat) if f.code == "applicability-cycle"]
+            walked = [frozenset(f.message.split(": ")[1].split(" -> ")) for f in found]
+            assert len(walked) == len(cycles) and set(walked) == cycles, cat
+            assert all(f.locus in cycle for f, cycle in zip(found, walked))
+            if cycles or unknown:
+                with pytest.raises(ValueError, match="; validate the catalog first$"):
+                    cat.compiled.rows
+            else:
+                rows = cat.compiled.rows
+                assert sorted(row[0] for row in rows) == sorted(m.id for m in cat.metrics)
+                assert all(gate_row < i for i, (_, gate_row, *_) in enumerate(rows))
+            seen.add((bool(cycles), unknown, len(cat.metrics) > len(set(m.id for m in cat.metrics))))
+        assert len(seen) == 8
 
 
 class TestSectionCounts:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,35 @@ class TestValidate:
         ]
 
 
+class TestCheckDate:
+    """``validate`` and ``score`` read today's date once, at entry, and check against it."""
+
+    @pytest.mark.parametrize("command", ["validate", "score"])
+    def test_future_date_follows_the_one_read(self, runner, tmp_path, monkeypatch, command):
+        import summaryqa.cli as cli_module
+
+        assessments = tmp_path / "assessments"
+        assessments.mkdir()
+        (assessments / "phi-4.csv").write_bytes((Path(ASSESSMENTS) / "phi-4.csv").read_bytes())  # assessed 2026-01-15
+        for day, status in ((date(2026, 1, 14), 1), (date(2026, 1, 15), 0)):
+
+            class Today(date):
+                @classmethod
+                def today(cls):
+                    return day
+
+            monkeypatch.setattr(cli_module, "date", Today)
+            out = tmp_path / f"out-{day}"
+            args = ["validate", "--assessments"] if command == "validate" else ["--out", str(out), "score"]
+            result = run(runner, "--catalog", CATALOG, *args, str(assessments))
+            assert result.exit_code == status, result.output
+            future = "future-date\tassessed_version_date 2026-01-15 is in the future"
+            if command == "score":
+                future = "assessment has 1 finding(s), first future-date at meta: assessed_version_date 2026-01-15"
+            assert (future in result.output) == bool(status)
+            assert out.exists() == (command == "score" and not status)
+
+
 # Catalog edits that validate_catalog reports, with the finding each one gives.
 CATALOG_DEFECTS = {
     "gate-cycle": (("applicability: if F1.2.e.1 = yes", "applicability: if F1.2.e.2 = yes"), "applicability-cycle"),
@@ -349,6 +379,25 @@ class TestScoreAndCompare:
         assert result.exit_code == 1
         assert "zz-broken.csv" in result.output
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_score_refuses_an_assessment_with_validates_findings(self, runner, tmp_path):
+        assessments, out = tmp_path / "assessments", tmp_path / "out"
+        assessments.mkdir()
+        lines = (Path(ASSESSMENTS) / "apertus.csv").read_text().splitlines()
+        kept = [line for line in lines if not line.startswith(("F1.1.a.1,", "F1.1.b.1,"))]
+        (assessments / "apertus.csv").write_text("\n".join(kept) + "\n")
+        validated = run(runner, "--catalog", CATALOG, "validate", "--assessments", str(assessments))
+        found = [line.split("\t") for line in validated.output.splitlines() if "\t" in line]
+        assert [(locus, code) for _, locus, code, _ in found] == [
+            ("F1.1.a.1", "missing-verdict"), ("F1.1.b.1", "missing-verdict")
+        ]
+        result = run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(assessments))
+        assert result.exit_code == 1
+        assert (
+            f"{assessments / 'apertus.csv'}: assessment has 2 finding(s), "
+            f"first missing-verdict at F1.1.a.1: {found[0][3]}"
+        ) in result.output
+        assert not out.exists()
 
     def test_compare_mixed_configurations_fails(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -810,6 +859,10 @@ class TestConfigValues:
             "severity_bands: A:50,A:0",
             'severity_bands: x"><script>alert(1)</script>:50,ok:0',
             "grade_scale: :0",
+            "grade_scale: A:1e1000000,F:0",
+            "grade_scale: A:5_0,F:0",
+            "severity_bands: High:.5,Low:0",
+            "severity_bands: High:5E1,Low:0",
         ],
     )
     def test_bad_value_names_its_key(self, runner, tmp_path, line):

@@ -2,6 +2,8 @@
 
 import math
 import random
+from dataclasses import replace
+from datetime import date
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,7 @@ from summaryqa.reporting import (
     format_percentage,
 )
 from summaryqa.scoring import _mean, score_summary
-from summaryqa.assessment import Verdict
+from summaryqa.assessment import Verdict, applicability_map, assessment_findings
 
 from oracle import assert_card_matches_oracle, oracle_scorecard
 from randgen import random_assessment, random_catalog
@@ -244,6 +246,33 @@ class TestScoreSummary:
             card = score_summary(cat, a, config)
             expected = oracle_scorecard(cat, a, *strategies)
             assert_card_matches_oracle(card, expected)
+
+    def test_unanswered_gate_switches_dependents_off_as_the_oracle_does(self):
+        rng = random.Random(20261018)
+        checked = 0
+        for _ in range(200):
+            cat = random_catalog(rng, max_metrics=30)
+            a = random_assessment(rng, cat)
+            amap = applicability_map(cat, a)
+            gates = [g for g in dict.fromkeys(m.applicability.gate_metric_id for m in cat.metrics) if g and amap[g]]
+            if not gates:
+                continue
+            gate = rng.choice(gates)
+            # The gate's answer is dropped with its note, or with its whole row.
+            verdicts = {mid: v for mid, v in a.verdicts.items() if mid != gate}
+            if rng.random() < 0.5:
+                verdicts[gate] = Verdict(a.verdicts[gate].value)
+            unanswered = replace(a, verdicts=verdicts)
+            findings = assessment_findings(cat, unanswered, date(2026, 1, 31))
+            assert ("gate-unanswered", gate) in [(f.code, f.locus) for f in findings]
+            for config, strategies in (
+                (AggregationConfig(), ("pooled-weighted", "pooled-weighted")),
+                (MEAN_CONFIG, ("mean-of-dimensions", "mean-of-sections")),
+            ):
+                card = score_summary(cat, unanswered, config)
+                assert_card_matches_oracle(card, oracle_scorecard(cat, unanswered, *strategies))
+            checked += 1
+        assert checked >= 100
 
     def test_mixed_weight_denominators_match_oracle(self):
         # Weights 3/2, 0.5 and 7/3 sum as integers over their LCM, 6.  The

@@ -1,8 +1,12 @@
 """Property-based checks of the scoring invariants on random toy instances."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +35,32 @@ CONFIGS = (
 )
 
 UPGRADE = {I: P, P: S}
+
+
+def test_random_inputs_do_not_depend_on_the_hash_seed():
+    """A seed names the same catalogs and assessments in every process, so a
+    failing property can be reproduced from its seed."""
+    tests = Path(__file__).resolve().parent
+    code = (
+        "import random\n"
+        "from randgen import random_assessment, random_catalog\n"
+        "from summaryqa.assessment import dumps_assessment\n"
+        "from summaryqa.catalog import dumps_catalog\n"
+        "rng = random.Random(7)\n"
+        "for _ in range(20):\n"
+        "    catalog = random_catalog(rng)\n"
+        "    print(dumps_catalog(catalog), dumps_assessment(random_assessment(rng, catalog)))\n"
+    )
+    path = os.pathsep.join([str(tests), str(tests.parent / "src")])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60, check=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 @st.composite

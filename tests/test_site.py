@@ -256,7 +256,7 @@ def fixture_site_inputs(tmp_path):
     """The shipped registry and assessments, a store of the shipped sources, a methodology fragment."""
     catalog = load_reference_catalog()
     cards = [
-        score_summary(catalog, load_assessment(path, catalog))
+        score_summary(catalog, load_assessment(path, catalog, date(2026, 1, 31)))
         for path in sorted((FIXTURES / "assessments").glob("*.csv"))
     ]
     store = tmp_path / "store"
