@@ -38,7 +38,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .base import Source, SummaryMeta, header_value, lookup, meta_from_dict, meta_to_dict, read_text
+from .base import Source, SummaryMeta, header_value, lookup, meta_from_dict, meta_to_dict, read_text, well_formed_url
 from .errors import Finding, MalformedAssessment, Refused
 
 if TYPE_CHECKING:
@@ -157,6 +157,8 @@ def assessment_findings(catalog: Catalog, assessment: Assessment, today: date) -
         findings.append(Finding("empty-provider", "meta", "provider must be non-empty"))
     if not meta.model:
         findings.append(Finding("empty-model", "meta", "model must be non-empty"))
+    if not well_formed_url(meta.source_url):
+        findings.append(Finding("bad-source-url", "meta", f"source_url {meta.source_url!r} is not well-formed"))
     if meta.assessed_version_date > today:
         findings.append(
             Finding("future-date", "meta", f"assessed_version_date {meta.assessed_version_date} is in the future")

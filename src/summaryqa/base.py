@@ -10,11 +10,12 @@ from __future__ import annotations
 import os
 import re
 import tempfile
+import urllib.parse
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, TypeVar, Union
+from typing import IO, TYPE_CHECKING, Callable, TypeVar, Union
 
 from .errors import SummaryQAError, WriteFailed
 
@@ -22,6 +23,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 _Member = TypeVar("_Member")
+_Decoded = TypeVar("_Decoded")
 
 Source = Union[str, Path, IO[str], IO[bytes]]
 
@@ -59,6 +61,19 @@ def read_text(source: Source, error: type[SummaryQAError]) -> str:
         raise error(str(exc)) from exc
 
 
+def read_json(text: str | bytes, decode: Callable[[object], _Decoded], error: type[SummaryQAError]) -> _Decoded:
+    """``decode`` of the JSON in ``text`` (or its UTF-8 bytes); input that is not UTF-8
+    or JSON, or that ``decode`` refuses, raises ``error``, naming a missing key as such."""
+    import json  # on first use, so importing this module loads no json
+
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        return decode(json.loads(text))
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError, RecursionError) as exc:
+        raise error(f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)) from exc
+
+
 def write_atomic(path: Path, data: bytes) -> None:
     """Replace ``path`` with ``data`` in one rename, so readers never see a partial file."""
     try:
@@ -73,6 +88,16 @@ def write_atomic(path: Path, data: bytes) -> None:
                 os.unlink(tmp)
     except OSError as exc:
         raise WriteFailed(f"cannot write {path}: {exc}") from exc
+
+
+def well_formed_url(url: str) -> bool:
+    """Whether ``url`` is an http(s) URL with a host, or a file: URL: the only source
+    URLs a registry entry, an assessment or a published page may hold."""
+    try:
+        parsed = urllib.parse.urlparse(url)
+    except ValueError:  # such as an unclosed "[" in the host
+        return False
+    return parsed.scheme == "file" or (parsed.scheme in ("http", "https") and bool(parsed.netloc))
 
 
 def header_value(value: str, what: str) -> str:

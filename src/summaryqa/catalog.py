@@ -21,7 +21,8 @@ Catalog file format (UTF-8 text, one record per blank-line-separated block)::
 The first block is the header (``catalog`` + ``version``); every other block
 is a metric with exactly the eight fields shown.  ``weight`` is a positive
 rational written as an integer, a decimal or a ratio (``2``, ``0.5``,
-``3/2``; no exponent).  ``applicability`` is either ``always``
+``3/2``; no exponent); the weights' common denominator, and their total in
+units of it, are at most 10**12.  ``applicability`` is either ``always``
 or ``if <gate-metric-id> = yes|no``.  Lines starting with ``#`` are ignored
 on load and never emitted by the serializer, so files produced by
 :func:`dumps_catalog` round-trip byte-exact.
@@ -215,16 +216,33 @@ def _compile(catalog: Catalog) -> CompiledCatalog:
 # File format
 # ---------------------------------------------------------------------------
 
-_METRIC_FIELDS = (
-    "id",
-    "element_id",
-    "section",
-    "dimension",
-    "weight",
-    "prompt",
-    "optional_field",
-    "applicability",
-)
+def _weight(text: str) -> Fraction:
+    try:
+        return exact_number(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"unparsable weight {text!r}") from None
+
+
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"optional_field must be 'true' or 'false', got {text!r}")
+    return text == "true"
+
+
+#: Each metric field in file order, with the reader of its value: a
+#: ValueError from a reader is a SchemaViolation on that field's line.
+_METRIC_READERS = {
+    "id": str,
+    "element_id": str,
+    "section": Section.from_code,
+    "dimension": Dimension.from_code,
+    "weight": _weight,
+    "prompt": str,
+    "optional_field": _flag,
+    "applicability": ApplicabilityRule.parse,
+}
+_METRIC_FIELDS = tuple(_METRIC_READERS)
+
 
 def _split_blocks(text: str) -> list[list[tuple[int, str]]]:
     """Split into blocks of (line_number, line), skipping blanks and comments."""
@@ -298,50 +316,14 @@ def parse_catalog(text: str) -> Catalog:
             raise SchemaViolation(f"duplicate metric id {metric_id!r}", line=fields["id"][0], field="id")
         seen_ids.add(metric_id)
 
-        lineno, section_code = fields["section"]
-        try:
-            section = Section.from_code(section_code)
-        except ValueError as exc:
-            raise SchemaViolation(str(exc), line=lineno, field="section") from None
-
-        lineno, dimension_code = fields["dimension"]
-        try:
-            dimension = Dimension.from_code(dimension_code)
-        except ValueError as exc:
-            raise SchemaViolation(str(exc), line=lineno, field="dimension") from None
-
-        lineno, weight_text = fields["weight"]
-        try:
-            weight = exact_number(weight_text)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaViolation(f"unparsable weight {weight_text!r}", line=lineno, field="weight") from None
-
-        lineno, optional_text = fields["optional_field"]
-        if optional_text not in ("true", "false"):
-            raise SchemaViolation(
-                f"optional_field must be 'true' or 'false', got {optional_text!r}",
-                line=lineno,
-                field="optional_field",
-            )
-
-        lineno, rule_text = fields["applicability"]
-        try:
-            rule = ApplicabilityRule.parse(rule_text)
-        except ValueError as exc:
-            raise SchemaViolation(str(exc), line=lineno, field="applicability") from None
-
-        metrics.append(
-            Metric(
-                id=metric_id,
-                element_id=fields["element_id"][1],
-                section=section,
-                dimension=dimension,
-                weight=weight,
-                prompt=fields["prompt"][1],
-                optional_field=optional_text == "true",
-                applicability=rule,
-            )
-        )
+        values = {}
+        for key, read in _METRIC_READERS.items():
+            lineno, text = fields[key]
+            try:
+                values[key] = read(text)
+            except ValueError as exc:
+                raise SchemaViolation(str(exc), line=lineno, field=key) from None
+        metrics.append(Metric(**values))
 
     return Catalog(name=name, version=version, metrics=tuple(metrics))
 
@@ -374,6 +356,27 @@ def dumps_catalog(catalog: Catalog) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: The bound on the weights' common denominator and on their total over it,
+#: so that every exact score stays a ratio of small integers.
+_WEIGHT_BOUND = 10**12
+
+
+def _weight_scale(metrics: tuple[Metric, ...]) -> str | None:
+    """Why the weights' common denominator or their total over it passes _WEIGHT_BOUND, or None.
+
+    The LCM stops at the first denominator that takes it past the bound, so
+    a catalog of huge denominators is refused without computing it.
+    """
+    scale = 1
+    for metric in metrics:
+        scale = math.lcm(scale, metric.weight.denominator)
+        if scale > _WEIGHT_BOUND:
+            return "the weights' common denominator exceeds 10**12"
+    if sum(abs(m.weight.numerator) * (scale // m.weight.denominator) for m in metrics) > _WEIGHT_BOUND:
+        return f"the weights total more than 10**12 units of 1/{scale}"
+    return None
+
+
 def validate_catalog(catalog: Catalog) -> list[Finding]:
     """Report every violated catalog invariant.  Empty list means valid.
 
@@ -385,6 +388,9 @@ def validate_catalog(catalog: Catalog) -> list[Finding]:
     if not catalog.metrics:
         findings.append(Finding("empty-catalog", catalog.ref, "catalog contains no metrics"))
         return findings
+    scale = _weight_scale(catalog.metrics)
+    if scale is not None:
+        findings.append(Finding("weight-scale", catalog.ref, scale))
 
     seen: set[str] = set()
     ids = {m.id for m in catalog.metrics}

@@ -208,7 +208,17 @@ def _iso_date(ctx: click.Context, param: click.Parameter, value: str | None) -> 
         raise click.BadParameter(f"{value!r} is not a YYYY-MM-DD date") from exc
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group: a command that raises a SummaryQAError ends with its message and status 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except SummaryQAError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="summaryqa")
 @click.option(
     "--config",
@@ -234,11 +244,7 @@ def cli(ctx, config, catalog, fmt, aggregation, out):
 
 
 def main():
-    try:
-        cli(standalone_mode=True)
-    except SummaryQAError as exc:  # pragma: no cover - click wraps most paths
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    cli()
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +361,8 @@ def score(config, source):
         outputs += written
         grades = " ".join(f"{g.value}={card.grades[g]}" for g in Group)
         notes.append(f"{path.name}: {grades} -> {', '.join(str(target) for target, _ in written)}")
-    try:
-        for target, data in outputs:
-            write_atomic(target, data)
-    except SummaryQAError as exc:
-        raise click.ClickException(str(exc)) from exc
+    for target, data in outputs:
+        write_atomic(target, data)
     for note in notes:
         click.echo(note, err=True)
 
@@ -382,16 +385,13 @@ def compare(config, cards_dir):
     if not card_paths:
         raise click.ClickException(f"no score cards found in {directory}")
     cards = [_load(load_scorecard, p) for p in card_paths]
-    try:
-        rendered = render_comparison(cards, config.report_format, bands=_severity_bands(config))
-        if config.output_dir is not None:
-            out_path = config.output_dir / f"comparison.{config.report_format}"
-            write_atomic(out_path, rendered)
-            click.echo(f"wrote {out_path}", err=True)
-        else:
-            click.echo(rendered.decode("utf-8"), nl=False)
-    except SummaryQAError as exc:
-        raise click.ClickException(str(exc)) from exc
+    rendered = render_comparison(cards, config.report_format, bands=_severity_bands(config))
+    if config.output_dir is not None:
+        out_path = config.output_dir / f"comparison.{config.report_format}"
+        write_atomic(out_path, rendered)
+        click.echo(f"wrote {out_path}", err=True)
+    else:
+        click.echo(rendered.decode("utf-8"), nl=False)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +440,7 @@ def archive(url, slug, provider, model, title, source_url, published_form, versi
     if registry.get(slug) is not None:
         raise click.ClickException(f"registry already contains slug {slug!r}")
 
-    try:
-        copy = archive_fetch(url, store_root, timeout=timeout)
-    except SummaryQAError as exc:
-        raise click.ClickException(str(exc)) from exc
+    copy = archive_fetch(url, store_root, timeout=timeout)
 
     meta = SummaryMeta(
         provider=provider,
@@ -463,10 +460,7 @@ def archive(url, slug, provider, model, title, source_url, published_form, versi
         ),
     )
     add_entry(registry, attach_archive(entry, copy))
-    try:
-        save_registry(registry, registry_file)
-    except SummaryQAError as exc:
-        raise click.ClickException(str(exc)) from exc
+    save_registry(registry, registry_file)
     click.echo(copy.content_digest)
     click.echo(f"archived {url} ({copy.byte_length} bytes, {copy.media_type})", err=True)
 
@@ -513,8 +507,6 @@ def site(config, registry_path, cards_dir, store, methodology, title):
     except PublishRefused as exc:
         _echo_findings("site", exc.findings)
         raise click.ClickException(f"site not published: {exc}") from exc
-    except SummaryQAError as exc:
-        raise click.ClickException(str(exc)) from exc
     click.echo(f"built {len(plan.pages)} page(s) under {site_root}", err=True)
 
 

@@ -128,9 +128,3 @@ class Finding:
     locus: str
     message: str
 
-
-def malformed_message(exc: Exception) -> str:
-    """The reason a JSON decoder gives when it meets input of the wrong shape."""
-    if isinstance(exc, KeyError):
-        return f"missing field {exc.args[0]!r}"
-    return str(exc)

@@ -18,8 +18,10 @@ from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
 
-from .base import SummaryMeta, lookup, meta_from_dict, meta_to_dict, require_strings, write_atomic
-from .errors import DuplicateSlug, FetchFailed, Finding, MalformedRegistry, WriteFailed, malformed_message
+from .base import (
+    SummaryMeta, lookup, meta_from_dict, meta_to_dict, read_json, require_strings, well_formed_url, write_atomic
+)
+from .errors import DuplicateSlug, FetchFailed, Finding, MalformedRegistry, WriteFailed
 
 _SLUG_RE = re.compile(r"[a-z0-9][a-z0-9-]*")
 
@@ -135,10 +137,7 @@ def validate_registry(registry: Registry) -> list[Finding]:
         seen.add(entry.id)
         if not valid_slug(entry.id):
             findings.append(Finding("bad-slug", entry.id, "slug must be lowercase alphanumeric/hyphen"))
-        parsed = urllib.parse.urlparse(entry.meta.source_url)
-        if parsed.scheme not in ("http", "https", "file") or (
-            parsed.scheme in ("http", "https") and not parsed.netloc
-        ):
+        if not well_formed_url(entry.meta.source_url):
             findings.append(
                 Finding("bad-source-url", entry.id, f"source_url {entry.meta.source_url!r} is not well-formed")
             )
@@ -183,12 +182,7 @@ _ARCHIVED_TEXT = ("fetched_at", "content_digest", "media_type", "storage_path")
 
 def registry_from_json(text: str | bytes) -> Registry:
     """Parse registry JSON (text, or UTF-8 bytes); any malformed input raises MalformedRegistry."""
-    try:
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-        return _registry_from_dict(json.loads(text))
-    except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
-        raise MalformedRegistry(malformed_message(exc)) from exc
+    return read_json(text, _registry_from_dict, MalformedRegistry)
 
 
 def _registry_from_dict(data: dict) -> Registry:

@@ -28,14 +28,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
-from .base import DIMENSION_ORDER, SECTION_ORDER, Dimension, Group, Section, SummaryMeta, meta_from_dict, meta_to_dict
+from .base import (
+    DIMENSION_ORDER, SECTION_ORDER, Dimension, Group, Section, SummaryMeta, meta_from_dict, meta_to_dict, read_json
+)
 from .errors import (
     CatalogVersionMismatch,
     MalformedScoreCard,
     NoScoreCards,
     UnsupportedFormat,
-    malformed_message,
 )
 
 FORMATS = ("json", "csv", "html")
@@ -319,12 +321,7 @@ def scorecard_to_json(card: ScoreCard) -> str:
 
 def scorecard_from_json(text: str | bytes) -> ScoreCard:
     """Parse score card JSON (text, or UTF-8 bytes); any malformed input raises MalformedScoreCard."""
-    try:
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-        return scorecard_from_dict(json.loads(text))
-    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError, RecursionError) as exc:
-        raise MalformedScoreCard(malformed_message(exc)) from exc
+    return read_json(text, scorecard_from_dict, MalformedScoreCard)
 
 
 def load_scorecard(path: str | Path) -> ScoreCard:
@@ -332,73 +329,27 @@ def load_scorecard(path: str | Path) -> ScoreCard:
 
 
 # ---------------------------------------------------------------------------
-# Score card rendering
+# Tables and formats, shared by score cards and comparisons
 # ---------------------------------------------------------------------------
 
-_DETAIL_HEADER = [
-    "Section",
-    *[d.label for d in DIMENSION_ORDER],
-    Group.TRANSPARENCY.label,
-    Group.USEFULNESS.label,
-]
+#: A table row: its label cells, its values, and whether the values are
+#: grades (shown as text) rather than percentage displays.
+_Row = tuple[list[str], list[str], bool]
 
 
-def _detail_rows(card: ScoreCard) -> list[list[str]]:
-    """One row per section: all six dimension cells plus the two group columns."""
-    rows = []
-    for section in SECTION_ORDER:
-        rows.append(
-            [
-                section.label,
-                *[card.per_cell[(section, d)].display for d in DIMENSION_ORDER],
-                *[card.per_section_group[(section, g)].display for g in Group],
-            ]
-        )
-    rows.append(
-        [
-            "Overall",
-            *[card.per_dimension_overall[d].display for d in DIMENSION_ORDER],
-            *[card.overall[g].display for g in Group],
-        ]
-    )
-    rows.append(["Grade", *[""] * len(DIMENSION_ORDER), *[card.grades[g] for g in Group]])
-    return rows
+def _render(fmt: str, **makers: Callable[[], str]) -> bytes:
+    """The text that ``makers[fmt]`` makes, as UTF-8; there is one maker per entry of FORMATS."""
+    if fmt not in FORMATS:
+        raise UnsupportedFormat(f"unsupported format {fmt!r}; expected one of {', '.join(FORMATS)}")
+    return makers[fmt]().encode("utf-8")
 
 
-def render_scorecard(card: ScoreCard, fmt: str, bands: GradeScale = DEFAULT_SEVERITY_BANDS) -> bytes:
-    """Render one score card; ``fmt`` is one of ``json``, ``csv``, ``html``."""
-    if fmt == "json":
-        return scorecard_to_json(card).encode("utf-8")
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = _csv.writer(out, lineterminator="\n")
-        writer.writerow(_DETAIL_HEADER)
-        writer.writerows(_detail_rows(card))
-        return out.getvalue().encode("utf-8")
-    if fmt == "html":
-        title = f"{card.meta.model} score card"
-        body = (
-            f"<h1>{html.escape(title)}</h1>\n"
-            + _meta_html(card)
-            + scorecard_table_html(card, bands=bands)
-        )
-        return _page(title, f"Quality scores for {card.meta.model}", body).encode("utf-8")
-    raise UnsupportedFormat(f"unsupported format {fmt!r}; expected one of {', '.join(FORMATS)}")
-
-
-def _meta_html(card: ScoreCard) -> str:
-    meta = card.meta
-    items = [
-        ("Provider", meta.provider),
-        ("Model", meta.model),
-        ("Assessed version date", meta.assessed_version_date.isoformat()),
-        ("Published as", meta.published_form.value),
-        ("Catalog", card.catalog_ref),
-    ]
-    rows = "\n".join(
-        f"  <dt>{html.escape(k)}</dt><dd>{html.escape(v)}</dd>" for k, v in items
-    )
-    return f"<dl>\n{rows}\n</dl>\n"
+def _csv_text(header: list[str], rows: list[_Row]) -> str:
+    out = io.StringIO()
+    writer = _csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([*labels, *values] for labels, values, _ in rows)
+    return out.getvalue()
 
 
 def _severity_classes(bands: GradeScale) -> list[tuple[int, str]]:
@@ -419,23 +370,80 @@ def _cell_html(display: str, classes: list[tuple[int, str]]) -> str:
     return f'<td class="pct {label}">{display}%</td>'
 
 
+def _table_html(css_class: str, head: list[str], rows: list[_Row], bands: GradeScale = DEFAULT_SEVERITY_BANDS) -> str:
+    """An HTML table; ``head`` holds each header cell's markup, and a row's first label heads the row."""
+    classes = _severity_classes(bands)
+    body = []
+    for (label, *labels), values, grades in rows:
+        cells = [f"<td>{html.escape(text)}</td>" for text in labels]
+        cells += [f"<td>{html.escape(v)}</td>" if grades else _cell_html(v, classes) for v in values]
+        body.append(f'<tr><th scope="row">{html.escape(label)}</th>{"".join(cells)}</tr>\n')
+    return (
+        f'<table class="{css_class}">\n'
+        f"<thead><tr>{''.join(f'<th>{h}</th>' for h in head)}</tr></thead>\n"
+        f"<tbody>\n{''.join(body)}</tbody>\n</table>\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Score card rendering
+# ---------------------------------------------------------------------------
+
+_DETAIL_HEADER = [
+    "Section",
+    *[d.label for d in DIMENSION_ORDER],
+    Group.TRANSPARENCY.label,
+    Group.USEFULNESS.label,
+]
+
+
+def _detail_rows(card: ScoreCard) -> list[_Row]:
+    """One row per section: all six dimension cells plus the two group columns."""
+    cells, groups = card.per_cell, card.per_section_group
+    scores = [
+        (s.label, [cells[(s, d)] for d in DIMENSION_ORDER] + [groups[(s, g)] for g in Group]) for s in SECTION_ORDER
+    ]
+    scores.append(
+        ("Overall", [card.per_dimension_overall[d] for d in DIMENSION_ORDER] + [card.overall[g] for g in Group])
+    )
+    rows: list[_Row] = [([label], [value.display for value in values], False) for label, values in scores]
+    rows.append((["Grade"], [""] * len(DIMENSION_ORDER) + [card.grades[g] for g in Group], True))
+    return rows
+
+
+def render_scorecard(card: ScoreCard, fmt: str, bands: GradeScale = DEFAULT_SEVERITY_BANDS) -> bytes:
+    """Render one score card; ``fmt`` is one of ``json``, ``csv``, ``html``."""
+    title = f"{card.meta.model} score card"
+    return _render(
+        fmt,
+        json=lambda: scorecard_to_json(card),
+        csv=lambda: _csv_text(_DETAIL_HEADER, _detail_rows(card)),
+        html=lambda: _page(
+            title,
+            f"Quality scores for {card.meta.model}",
+            f"<h1>{html.escape(title)}</h1>\n" + _meta_html(card) + scorecard_table_html(card, bands=bands),
+        ),
+    )
+
+
+def _meta_html(card: ScoreCard) -> str:
+    meta = card.meta
+    items = [
+        ("Provider", meta.provider),
+        ("Model", meta.model),
+        ("Assessed version date", meta.assessed_version_date.isoformat()),
+        ("Published as", meta.published_form.value),
+        ("Catalog", card.catalog_ref),
+    ]
+    rows = "\n".join(
+        f"  <dt>{html.escape(k)}</dt><dd>{html.escape(v)}</dd>" for k, v in items
+    )
+    return f"<dl>\n{rows}\n</dl>\n"
+
+
 def scorecard_table_html(card: ScoreCard, bands: GradeScale = DEFAULT_SEVERITY_BANDS) -> str:
     """The detail table as an HTML fragment (used by reports and the site)."""
-    classes = _severity_classes(bands)
-    head = "".join(f"<th>{html.escape(h)}</th>" for h in _DETAIL_HEADER)
-    body_rows = []
-    for row in _detail_rows(card):
-        label, *values = row
-        if label == "Grade":
-            cells = "".join(f"<td>{html.escape(v)}</td>" for v in values)
-        else:
-            cells = "".join(_cell_html(v, classes) for v in values)
-        body_rows.append(f"<tr><th scope=\"row\">{html.escape(label)}</th>{cells}</tr>")
-    return (
-        '<table class="scorecard">\n'
-        f"<thead><tr>{head}</tr></thead>\n"
-        "<tbody>\n" + "\n".join(body_rows) + "\n</tbody>\n</table>\n"
-    )
+    return _table_html("scorecard", [html.escape(h) for h in _DETAIL_HEADER], _detail_rows(card), bands)
 
 
 # ---------------------------------------------------------------------------
@@ -456,22 +464,15 @@ def _comparison_check(cards: list[ScoreCard]) -> None:
         )
 
 
-def _comparison_rows(cards: list[ScoreCard]) -> list[tuple[str, str, list[str]]]:
-    """(section label, group label, per-card display) rows in table order."""
-    rows = []
-    for section in SECTION_ORDER:
-        for group in Group:
-            rows.append(
-                (
-                    section.label,
-                    group.value,
-                    [card.per_section_group[(section, group)].display for card in cards],
-                )
-            )
-    for group in Group:
-        rows.append(("Overall Scores", group.value, [card.overall[group].display for card in cards]))
-    for group in Group:
-        rows.append(("Overall Grades", group.value, [card.grades[group] for card in cards]))
+def _comparison_rows(cards: list[ScoreCard]) -> list[_Row]:
+    """([section label, group label], per-card display, grades?) rows in table order."""
+    rows: list[_Row] = [
+        ([section.label, group.value], [card.per_section_group[(section, group)].display for card in cards], False)
+        for section in SECTION_ORDER
+        for group in Group
+    ]
+    rows += [(["Overall Scores", g.value], [card.overall[g].display for card in cards], False) for g in Group]
+    rows += [(["Overall Grades", g.value], [card.grades[g] for card in cards], True) for g in Group]
     return rows
 
 
@@ -479,34 +480,23 @@ def render_comparison(cards: list[ScoreCard], fmt: str, bands: GradeScale = DEFA
     """Side-by-side section/group scores, one column per summary."""
     _comparison_check(cards)
     columns = [card.meta.model for card in cards]
-    rows = _comparison_rows(cards)
+    title = "Public summary quality comparison"
 
-    if fmt == "json":
-        data = {
-            "kind": "comparison",
-            "catalog_ref": cards[0].catalog_ref,
-            "columns": columns,
-            "rows": [
-                {"section": section, "group": group, "values": values}
-                for section, group, values in rows
-            ],
-        }
-        return (json.dumps(data, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    def json_text() -> str:
+        rows = [{"section": s, "group": g, "values": values} for (s, g), values, _ in _comparison_rows(cards)]
+        data = {"kind": "comparison", "catalog_ref": cards[0].catalog_ref, "columns": columns, "rows": rows}
+        return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
 
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = _csv.writer(out, lineterminator="\n")
-        writer.writerow(["Section", "Group", *columns])
-        for section, group, values in rows:
-            writer.writerow([section, group, *values])
-        return out.getvalue().encode("utf-8")
-
-    if fmt == "html":
-        title = "Public summary quality comparison"
-        body = f"<h1>{html.escape(title)}</h1>\n" + comparison_table_html(cards, bands=bands)
-        return _page(title, "Side-by-side quality scores", body).encode("utf-8")
-
-    raise UnsupportedFormat(f"unsupported format {fmt!r}; expected one of {', '.join(FORMATS)}")
+    return _render(
+        fmt,
+        json=json_text,
+        csv=lambda: _csv_text(["Section", "Group", *columns], _comparison_rows(cards)),
+        html=lambda: _page(
+            title,
+            "Side-by-side quality scores",
+            f"<h1>{html.escape(title)}</h1>\n" + comparison_table_html(cards, bands=bands),
+        ),
+    )
 
 
 def comparison_table_html(
@@ -516,30 +506,16 @@ def comparison_table_html(
 ) -> str:
     """Comparison table fragment; ``links`` holds each card's detail href, in card order."""
     _comparison_check(cards)
-    classes = _severity_classes(bands)
-    headers = []
+    head = ["Section", "Group"]
     for card, href in zip(cards, links or [None] * len(cards), strict=True):
         name = html.escape(card.meta.model)
-        headers.append(f'<th><a href="{html.escape(href)}">{name}</a></th>' if href else f"<th>{name}</th>")
-    head = "<th>Section</th><th>Group</th>" + "".join(headers)
-
-    body_rows = []
+        head.append(f'<a href="{html.escape(href)}">{name}</a>' if href else name)
+    rows: list[_Row] = []
     last_section = None
-    for section, group, values in _comparison_rows(cards):
-        shown = "" if section == last_section else section
+    for (section, group), values, grades in _comparison_rows(cards):
+        rows.append((["" if section == last_section else section, group], values, grades))
         last_section = section
-        if section == "Overall Grades":
-            cells = "".join(f"<td>{html.escape(v)}</td>" for v in values)
-        else:
-            cells = "".join(_cell_html(v, classes) for v in values)
-        body_rows.append(
-            f'<tr><th scope="row">{html.escape(shown)}</th><td>{html.escape(group)}</td>{cells}</tr>'
-        )
-    return (
-        '<table class="comparison">\n'
-        f"<thead><tr>{head}</tr></thead>\n"
-        "<tbody>\n" + "\n".join(body_rows) + "\n</tbody>\n</table>\n"
-    )
+    return _table_html("comparison", head, rows, bands)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 from .assessment import Assessment, VerdictValue, applicability_map
-from .base import CELLS, DIMENSION_ORDER, SECTION_ORDER, Dimension, Group, Section
+from .base import CELLS, DIMENSION_ORDER, SECTION_ORDER, Group
 from .catalog import Catalog
 from .reporting import (
     DEFAULT_CONFIG,
@@ -47,6 +48,8 @@ def _cells_of(sections, dimensions) -> tuple[int, ...]:
 
 
 _GROUP_DIMENSIONS = {group: tuple(d for d in DIMENSION_ORDER if d.group is group) for group in Group}
+#: The cells each reported score covers, by its key in the score card.
+_CELL_CELLS = {cell: (i,) for i, cell in enumerate(CELLS)}
 _SECTION_GROUP_CELLS = {
     (section, group): _cells_of([section], _GROUP_DIMENSIONS[group]) for section in SECTION_ORDER for group in Group
 }
@@ -83,10 +86,6 @@ def _cell_pools(catalog: Catalog, assessment: Assessment) -> _Pools:
     return list(zip(achieved, weight))
 
 
-def _pooled(pools: _Pools, cells: tuple[int, ...]) -> ScoreValue:
-    return _pool_score(sum(pools[i][0] for i in cells), sum(pools[i][1] for i in cells))
-
-
 def _mean(parts: list[ScoreValue]) -> ScoreValue:
     """Mean of the applicable parts: integer numerators summed over the LCM of the denominators."""
     values = [part.pct for part in parts if part.pct is not None]
@@ -97,38 +96,15 @@ def _mean(parts: list[ScoreValue]) -> ScoreValue:
     return ScoreValue.percentage(Fraction(total, common * len(values)))
 
 
-def _cell_scores(pools: _Pools) -> list[ScoreValue]:
-    return [_pool_score(achieved, weight) for achieved, weight in pools]
-
-
-def _section_groups(
-    pools: _Pools,
-    cell_scores: list[ScoreValue],
-    config: AggregationConfig,
-) -> dict[tuple[Section, Group], ScoreValue]:
-    if config.section_group_strategy is SectionAggregation.POOLED_WEIGHTED:
-        return {key: _pooled(pools, cells) for key, cells in _SECTION_GROUP_CELLS.items()}
-    return {key: _mean([cell_scores[i] for i in cells]) for key, cells in _SECTION_GROUP_CELLS.items()}
-
-
-def _overall(
-    pools: _Pools,
-    section_groups: dict[tuple[Section, Group], ScoreValue],
-    config: AggregationConfig,
-) -> dict[Group, ScoreValue]:
-    if config.overall_strategy is OverallAggregation.POOLED_WEIGHTED:
-        return {group: _pooled(pools, cells) for group, cells in _GROUP_CELLS.items()}
-    return {group: _mean([section_groups[(s, group)] for s in SECTION_ORDER]) for group in Group}
-
-
-def _dimension_overall(
-    pools: _Pools,
-    cell_scores: list[ScoreValue],
-    config: AggregationConfig,
-) -> dict[Dimension, ScoreValue]:
-    if config.overall_strategy is OverallAggregation.POOLED_WEIGHTED:
-        return {dimension: _pooled(pools, cells) for dimension, cells in _DIMENSION_CELLS.items()}
-    return {dimension: _mean([cell_scores[i] for i in cells]) for dimension, cells in _DIMENSION_CELLS.items()}
+def _aggregate(index: dict, pooled: bool, pools: _Pools, parts: Callable[..., list[ScoreValue]] | None = None) -> dict:
+    """Score each key of ``index``, which lists the cells it covers: the pooled
+    sums of those cells, or, unless ``pooled``, the mean of ``parts(key, cells)``."""
+    if pooled:
+        return {
+            key: _pool_score(sum(pools[i][0] for i in cells), sum(pools[i][1] for i in cells))
+            for key, cells in index.items()
+        }
+    return {key: _mean(parts(key, cells)) for key, cells in index.items()}
 
 
 def score_summary(
@@ -139,18 +115,22 @@ def score_summary(
     """Compute the complete score card for one assessment."""
     config.grade_scale.check()
     pools = _cell_pools(catalog, assessment)
-    cell_scores = _cell_scores(pools)
-    per_section_group = _section_groups(pools, cell_scores, config)
-    overall = _overall(pools, per_section_group, config)
-    grades = {group: assign_grade(overall[group], config.grade_scale) for group in Group}
-
+    per_cell = _aggregate(_CELL_CELLS, True, pools)
+    cell_scores = list(per_cell.values())
+    of_cells = lambda _, cells: [cell_scores[i] for i in cells]
+    sections_pooled = config.section_group_strategy is SectionAggregation.POOLED_WEIGHTED
+    overall_pooled = config.overall_strategy is OverallAggregation.POOLED_WEIGHTED
+    per_section_group = _aggregate(_SECTION_GROUP_CELLS, sections_pooled, pools, of_cells)
+    overall = _aggregate(
+        _GROUP_CELLS, overall_pooled, pools, lambda group, _: [per_section_group[(s, group)] for s in SECTION_ORDER]
+    )
     return ScoreCard(
         meta=assessment.meta,
         catalog_ref=assessment.catalog_ref,
         config_used=config,
-        per_cell=dict(zip(CELLS, cell_scores)),
+        per_cell=per_cell,
         per_section_group=per_section_group,
-        per_dimension_overall=_dimension_overall(pools, cell_scores, config),
+        per_dimension_overall=_aggregate(_DIMENSION_CELLS, overall_pooled, pools, of_cells),
         overall=overall,
-        grades=grades,
+        grades={group: assign_grade(overall[group], config.grade_scale) for group in Group},
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from urllib.parse import urlparse
 
-from .base import Group
+from .base import Group, well_formed_url
 from .errors import Finding, MalformedScoreCard, PublishRefused, UnmatchedScoreCard, WriteFailed
 from .registry import Registry, RegistryEntry, media_type_suffix, read_archived, valid_slug
 from .reporting import (
@@ -31,6 +31,7 @@ from .reporting import (
     GradeScale,
     ScoreCard,
     _page,
+    _table_html,
     comparison_table_html,
     scorecard_from_json,
     scorecard_table_html,
@@ -51,15 +52,6 @@ class SiteConfig:
     methodology_html: Path | None = None  # optional fragment to publish
     site_title: str = "GPAI training-content disclosure quality"
     severity_bands: GradeScale = DEFAULT_SEVERITY_BANDS
-
-
-def _empty_comparison_html() -> str:
-    return (
-        "<p>No assessed summaries yet.</p>\n"
-        '<table class="comparison">\n'
-        "<thead><tr><th>Section</th><th>Group</th></tr></thead>\n"
-        "<tbody>\n</tbody>\n</table>\n"
-    )
 
 
 def _anchor(hrefs: list[str], href: str, text: str, attrs: str = "") -> str:
@@ -160,6 +152,8 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
             card = scorecard_from_json(data)
         except MalformedScoreCard as exc:
             raise MalformedScoreCard(f"{path}: {exc}") from exc
+        if not well_formed_url(card.meta.source_url):
+            raise PublishRefused(f"{path}: source_url {card.meta.source_url!r} is not well-formed")
         key = (card.meta.provider, card.meta.model)
         entry = by_summary.get(key)
         if entry is None:
@@ -185,7 +179,7 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
     if cards:
         table = comparison_table_html(cards, links=columns, bands=config.severity_bands)
     else:
-        table = _empty_comparison_html()
+        table = "<p>No assessed summaries yet.</p>\n" + _table_html("comparison", ["Section", "Group"], [])
     index_lines = [
         f"<h1>{html.escape(config.site_title)}</h1>",
         "<p>Quality assessment of the public summaries of training content "

@@ -349,6 +349,12 @@ class TestCheckMatchesFindings:
                 id="empty-provider",
             ),
             pytest.param(
+                check_case(meta=make_meta(source_url="javascript:alert(document.cookie)")),
+                ["bad-source-url"],
+                "first bad-source-url at meta: source_url 'javascript:alert(document.cookie)' is not well-formed",
+                id="bad-source-url",
+            ),
+            pytest.param(
                 check_case(meta=make_meta(model="", assessed_version_date=date(2026, 2, 1))),
                 ["empty-model", "future-date"],
                 "first empty-model at meta: model must be non-empty",

@@ -2,7 +2,9 @@
 
 import io
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from summaryqa.catalog import (
     load_catalog,
     load_reference_catalog,
     parse_catalog,
+    reference_catalog_path,
     section_counts,
     validate_catalog,
 )
@@ -198,6 +201,48 @@ class TestValidation:
     def test_duplicate_id_in_memory(self):
         cat = Catalog("toy", "0.1", (metric("A"), metric("A")))
         assert "duplicate-id" in [f.code for f in validate_catalog(cat)]
+
+    def test_reference_weights_are_within_the_bound(self):
+        assert "weight-scale" not in [f.code for f in validate_catalog(load_reference_catalog())]
+
+    @pytest.mark.parametrize(
+        "weights,message",
+        [
+            pytest.param(
+                [Fraction(1, 10**12), Fraction(1, 10**12 - 1)],
+                "the weights' common denominator exceeds 10**12",
+                id="denominator",
+            ),
+            pytest.param([Fraction(10**12), Fraction(1, 2)], "the weights total more than 10**12 units of 1/2", id="total"),
+            pytest.param(
+                [Fraction(-(10**12)), Fraction(2)], "the weights total more than 10**12 units of 1/1", id="negative"
+            ),
+        ],
+    )
+    def test_weight_scale_past_the_bound(self, weights, message):
+        cat = Catalog("toy", "0.1", tuple(metric(f"M{i}", weight=w) for i, w in enumerate(weights)))
+        scale = [f for f in validate_catalog(cat) if f.code == "weight-scale"]
+        assert [(f.locus, f.message) for f in scale] == [("toy/0.1", message)]
+
+    def test_weight_scale_at_the_bound_is_clean(self):
+        # A common denominator of 10**12 and a total of 10**12 units of it.
+        weights = (Fraction(1, 10**12), Fraction(10**12 - 1, 10**12))
+        cat = Catalog("toy", "0.1", (metric("A", weight=weights[0]), metric("B", weight=weights[1])))
+        assert validate_catalog(cat) == []
+
+    @pytest.mark.parametrize("digits,count", [(1500, 4), (4000, 242)])
+    def test_huge_weight_denominators_are_one_quick_finding(self, digits, count):
+        """The reference catalog with ``count`` weights of 1/<``digits``-digit number>."""
+        text = Path(reference_catalog_path()).read_text(encoding="utf-8")
+        lines = text.splitlines(keepends=True)
+        weights = [i for i, line in enumerate(lines) if line.startswith("weight: ")][:count]
+        for n, i in enumerate(weights):
+            lines[i] = f"weight: 1/{n + 1}{'3' * (digits - 1)}\n"
+        cat = parse_catalog("".join(lines))
+        start = time.perf_counter()
+        findings = validate_catalog(cat)
+        assert time.perf_counter() - start < 1.0
+        assert [f.code for f in findings] == ["weight-scale"]
 
     def test_findings_deterministic(self):
         cat = Catalog("toy", "0.1", (metric("A", weight=-1), metric("B", gate="zz")))

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, outputs, config precedence, full pipeline."""
 
 import json
+import re
 import subprocess
 import sys
 from datetime import date
@@ -265,6 +266,68 @@ class TestCatalogFindings:
         assert result.exit_code == 1
         assert [line.split("\t")[2] for line in result.output.splitlines() if "\t" in line] == [code]
         assert "assessments not checked: the catalog has findings" in result.output
+
+
+    def test_huge_weight_denominators_are_refused_without_a_traceback(self, runner, tmp_path):
+        """Four weights of 1/<1500-digit number>: one weight-scale finding, and score refuses the catalog."""
+        lines = Path(CATALOG).read_text().splitlines(keepends=True)
+        for n, i in enumerate([i for i, line in enumerate(lines) if line.startswith("weight: ")][:4]):
+            lines[i] = f"weight: 1/{n + 1}{'3' * 1499}\n"
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text("".join(lines))
+        result = run(runner, "--catalog", str(catalog), "validate")
+        assert result.exit_code == 1
+        assert [line.split("\t")[2] for line in result.output.splitlines() if "\t" in line] == ["weight-scale"]
+        out = tmp_path / "out"
+        result = run(runner, "--catalog", str(catalog), "--out", str(out), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
+        assert result.exit_code == 1
+        assert f"{catalog}: catalog has 1 finding(s), first weight-scale at " in result.output
+        assert not out.exists()
+
+
+class TestScriptSourceUrl:
+    """A source_url that is a script, not an http(s) or file: URL, is refused by validate, score and site."""
+
+    URL = "javascript:alert(document.cookie)"
+
+    def assessments(self, tmp_path):
+        """The fixture assessments, with phi-4's source_url set to URL."""
+        directory = tmp_path / "assessments"
+        directory.mkdir()
+        for path in Path(ASSESSMENTS).glob("*.csv"):
+            text = path.read_text(encoding="utf-8")
+            if path.name == "phi-4.csv":
+                text = re.sub(r"(?m)^source_url: .*$", f"source_url: {self.URL}", text, count=1)
+            (directory / path.name).write_text(text, encoding="utf-8")
+        return directory
+
+    def test_validate_reports_it(self, runner, tmp_path):
+        result = run(runner, "--catalog", CATALOG, "validate", "--assessments", str(self.assessments(tmp_path)))
+        assert result.exit_code == 1
+        assert result.output.splitlines()[0] == (
+            f"assessment:phi-4.csv\tmeta\tbad-source-url\tsource_url '{self.URL}' is not well-formed"
+        )
+
+    def test_score_refuses_it(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(self.assessments(tmp_path)))
+        assert result.exit_code == 1
+        assert "phi-4.csv: assessment has 1 finding(s), first bad-source-url at meta" in result.output
+        assert not out.exists()
+
+    def test_site_keeps_the_previous_site(self, runner, tmp_path):
+        out = tmp_path / "out"
+        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
+        before = tree_bytes(out / "site")
+        card = out / "phi-4.scorecard.json"
+        data = json.loads(card.read_text(encoding="utf-8"))
+        data["meta"]["source_url"] = self.URL
+        card.write_text(json.dumps(data, indent=2), encoding="utf-8")
+        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY)
+        assert result.exit_code == 1
+        assert f"site not published: {card}: source_url '{self.URL}' is not well-formed" in result.output
+        assert tree_bytes(out / "site") == before
 
 
 class TestNonUtf8Input:

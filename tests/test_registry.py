@@ -109,6 +109,15 @@ class TestRegistry:
         codes = {f.code for f in validate_registry(registry)}
         assert codes == {"bad-slug", "bad-source-url"}
 
+    @pytest.mark.parametrize(
+        "url", ["javascript:alert(document.cookie)", "data:text/html,x", "https:///no-host", "http://[unclosed"]
+    )
+    def test_validate_url_outside_the_rule(self, url):
+        registry = Registry(entries=[make_entry(meta=toy_meta(source_url=url))])
+        assert [(f.code, f.message) for f in validate_registry(registry)] == [
+            ("bad-source-url", f"source_url {url!r} is not well-formed")
+        ]
+
     @pytest.mark.parametrize("slug", ["apertus-8b\n", "../../escaped", "-apertus", ""])
     def test_validate_slug_must_be_whole(self, slug):
         registry = Registry(entries=[make_entry(slug=slug)])

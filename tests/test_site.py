@@ -376,6 +376,17 @@ class TestPublishing:
         assert index == [f"summaries/model-{i}/" for i in range(5)]
         assert parsed_links(tmp_path / "site") == sorted(plan.links)
 
+    def test_script_source_url_keeps_the_previous_site(self, site_inputs, tmp_path):
+        registry, cards = site_inputs
+        build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
+        published = tree_bytes(tmp_path / "site")
+        card = load_scorecard(cards[2])
+        rewrite_card(cards[2], meta=replace(card.meta, source_url="javascript:alert(document.cookie)"))
+        with pytest.raises(PublishRefused, match="source_url 'javascript:alert\\(document.cookie\\)' is not well-formed"):
+            build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
+        assert tree_bytes(tmp_path / "site") == published
+        assert no_staging_left(tmp_path)
+
     def test_mixed_configurations_refused(self, site_inputs, tmp_path):
         registry, cards = site_inputs
         mean = AggregationConfig(SectionAggregation.MEAN_OF_DIMENSIONS, OverallAggregation.MEAN_OF_SECTIONS)
