@@ -202,9 +202,6 @@ class TestValidation:
         cat = Catalog("toy", "0.1", (metric("A"), metric("A")))
         assert "duplicate-id" in [f.code for f in validate_catalog(cat)]
 
-    def test_reference_weights_are_within_the_bound(self):
-        assert "weight-scale" not in [f.code for f in validate_catalog(load_reference_catalog())]
-
     @pytest.mark.parametrize(
         "weights,message",
         [
