@@ -38,7 +38,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .base import Source, SummaryMeta, header_value, lookup, meta_from_dict, meta_to_dict, read_text, well_formed_url
+from .base import Source, SummaryMeta, lookup, meta_from_dict, read_text, well_formed_url
 from .errors import Finding, MalformedAssessment, Refused
 
 if TYPE_CHECKING:
@@ -315,26 +315,3 @@ def load_assessment(source: Source, catalog: Catalog, today: date) -> Assessment
     check_assessment(catalog, assessment, today)
     return assessment
 
-
-def dumps_assessment(assessment: Assessment) -> str:
-    """Serialize to the canonical assessment file format.
-
-    Header fields are single-line; verdict notes may contain anything CSV
-    can quote (commas, quotes, even line breaks).
-    """
-    header = {
-        **meta_to_dict(assessment.meta),
-        "catalog_ref": assessment.catalog_ref,
-        "evaluator": assessment.evaluator,
-        "verifier": assessment.verifier,
-    }
-    out = io.StringIO()
-    for key, value in header.items():
-        if value or key in _HEADER_REQUIRED:
-            out.write(f"{key}: {header_value(value, key)}\n")
-    out.write("\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    for metric_id, verdict in assessment.verdicts.items():
-        writer.writerow([metric_id, verdict.value.token, verdict.note])
-    return out.getvalue()

@@ -100,13 +100,6 @@ def well_formed_url(url: str) -> bool:
     return parsed.scheme == "file" or (parsed.scheme in ("http", "https") and bool(parsed.netloc))
 
 
-def header_value(value: str, what: str) -> str:
-    """``value`` for a ``key: value`` line; ValueError if it spans lines."""
-    if "\n" in value or "\r" in value:
-        raise ValueError(f"{what} must not contain line breaks: {value!r}")
-    return value
-
-
 def require_strings(fields: dict[str, object]) -> None:
     """Raise ValueError naming the first field whose value is not a string."""
     for key, value in fields.items():

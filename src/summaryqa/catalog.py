@@ -1,4 +1,4 @@
-"""Metric catalog: domain types, the catalog file format, and validation.
+"""Metric catalog: domain types, the catalog file format, and its one check.
 
 A catalog is an ordered collection of metrics, each tied to one section of
 the disclosure template and one quality dimension.  Catalogs are immutable
@@ -19,26 +19,28 @@ Catalog file format (UTF-8 text, one record per blank-line-separated block)::
     applicability: always
 
 The first block is the header (``catalog`` + ``version``); every other block
-is a metric with exactly the eight fields shown.  ``weight`` is a positive
-rational written as an integer, a decimal or a ratio (``2``, ``0.5``,
-``3/2``; no exponent); the weights' common denominator, and their total in
-units of it, are at most 10**12.  ``applicability`` is either ``always``
-or ``if <gate-metric-id> = yes|no``.  Lines starting with ``#`` are ignored
-on load and never emitted by the serializer, so files produced by
-:func:`dumps_catalog` round-trip byte-exact.
+is a metric with exactly the eight fields shown.  Metric ids are unique:
+``parse_catalog`` refuses a repeated id, naming its line.  ``weight`` is a
+positive rational written as an integer, a decimal or a ratio (``2``,
+``0.5``, ``3/2``; no exponent); the weights' common denominator, and their
+total in units of it, are at most 10**12.  ``applicability`` is either
+``always`` or ``if <gate-metric-id> = yes|no``.  Lines starting with ``#``
+are ignored on load.
+
+A parsed catalog, or one built in code, is checked by one pass,
+:func:`_compile`, whose findings :func:`validate_catalog` reports and whose
+rows the applicability and scoring passes read (see :class:`CompiledCatalog`).
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
 
-from .base import CELLS, SECTION_ORDER, Dimension, Section, Source, exact_number, header_value, read_text
+from .base import CELLS, SECTION_ORDER, Dimension, Section, Source, exact_number, read_text
 from .errors import Finding, MalformedCatalog, SchemaViolation
 
 #: A cell's index in CELLS, the cell index of a compiled row.
@@ -70,11 +72,6 @@ class ApplicabilityRule:
     @classmethod
     def if_gate(cls, gate_metric_id: str, required_answer: str = "yes") -> "ApplicabilityRule":
         return cls(RuleKind.IF_GATE_EQUALS, gate_metric_id, required_answer)
-
-    def serialize(self) -> str:
-        if self.kind is RuleKind.ALWAYS:
-            return "always"
-        return f"if {self.gate_metric_id} = {self.required_answer}"
 
     @classmethod
     def parse(cls, text: str) -> "ApplicabilityRule":
@@ -127,89 +124,101 @@ class Catalog:
 
 @dataclass(frozen=True)
 class CompiledCatalog:
-    """A catalog flattened for the per-assessment hot path, by the one walk
-    of its gate graph.
+    """A parsed catalog after the one pass that checks it and walks its gate graph.
+
+    ``findings`` holds every violated catalog invariant, as ``validate``
+    reports them: catalog-level findings first (``empty-catalog``,
+    ``weight-scale``), then per-metric findings in catalog order
+    (``duplicate-id``, ``nonpositive-weight``, ``unknown-gate``), then one
+    ``applicability-cycle`` per gate cycle, in the order the walk meets them.
 
     ``rows`` holds one ``(metric id, gate row, required answer, cell index,
     weight units)`` tuple per metric.  The gate row indexes ``rows`` (-1 for
     ``always``) and always points backwards: rows are in DFS post-order of
-    the gate graph, visiting metrics in catalog order, which is the order
-    in which a recursive resolution finishes them.  A repeated id reuses
-    the gate of its first occurrence.  Weight units are the weight times
-    the LCM of every weight denominator, so sums of weights are exact
-    integers.
-
-    ``cycles`` holds one ``applicability-cycle`` finding per gate cycle, in
-    the order the walk meets them.  A gate graph with a cycle or a gate
-    naming an unknown metric has no rows: reading ``rows`` then raises
-    ValueError with ``broken``, the first such defect the walk met.  The
-    weights are scaled only when ``rows`` is first read, so ``validate``
-    never computes the LCM of a catalog's weight denominators.
+    the gate graph, visiting metrics in catalog order, which is the order in
+    which a recursive resolution finishes them.  Weight units are the weight
+    times the LCM of every weight denominator, so sums of weights are exact
+    integers.  A catalog with a repeated id, a gate cycle or a gate naming
+    an unknown metric has no rows: reading ``rows`` then raises ValueError
+    with ``broken``, the first such defect in ``findings``.  Rows are built
+    only when first read, so ``validate`` never computes the unbounded LCM.
     """
 
-    placed: tuple[tuple[str, int, str | None, int, Fraction], ...]  # rows with their weights
-    cycles: tuple[Finding, ...]
+    order: tuple[Metric, ...]  # the metrics in row order
+    findings: tuple[Finding, ...]
     broken: str | None
 
     @cached_property
     def rows(self) -> tuple[tuple[str, int, str | None, int, int], ...]:
         if self.broken is not None:
             raise ValueError(f"{self.broken}; validate the catalog first")
-        scale = math.lcm(*(weight.denominator for *_, weight in self.placed))
-        return tuple((*row, (weight * scale).numerator) for *row, weight in self.placed)
+        scale = math.lcm(*(metric.weight.denominator for metric in self.order))
+        row_of = {metric.id: i for i, metric in enumerate(self.order)}
+        rows = []
+        for metric in self.order:
+            rule = metric.applicability
+            gate_row = row_of[rule.gate_metric_id] if rule.kind is RuleKind.IF_GATE_EQUALS else -1
+            cell = _CELL_INDEX[(metric.section, metric.dimension)]
+            rows.append((metric.id, gate_row, rule.required_answer, cell, (metric.weight * scale).numerator))
+        return tuple(rows)
+
+
+#: The bound on the weights' common denominator and on their total over it,
+#: so that every exact score stays a ratio of small integers.
+_WEIGHT_BOUND = 10**12
 
 
 def _compile(catalog: Catalog) -> CompiledCatalog:
+    """The one check of a parsed catalog, which also orders its rows."""
     metrics = catalog.metrics
-    first: dict[str, int] = {}  # id -> position of its first occurrence
-    for position, metric in enumerate(metrics):
-        first.setdefault(metric.id, position)
-    rows: list[tuple[str, int, str | None, int, Fraction]] = []
-    row_of: dict[str, int] = {}
-    unplaced: set[str] = set()  # ids whose gate chain meets a cycle or an unknown gate
-    cycles: list[Finding] = []
+    findings: list[Finding] = []
+    if not metrics:
+        findings.append(Finding("empty-catalog", catalog.ref, "catalog contains no metrics"))
+    scale = 1  # the weights' common denominator, computed only up to the bound
+    for metric in metrics:
+        scale = math.lcm(scale, metric.weight.denominator)
+        if scale > _WEIGHT_BOUND:
+            findings.append(Finding("weight-scale", catalog.ref, "the weights' common denominator exceeds 10**12"))
+            break
+    else:
+        if sum(abs(m.weight.numerator) * (scale // m.weight.denominator) for m in metrics) > _WEIGHT_BOUND:
+            findings.append(Finding("weight-scale", catalog.ref, f"the weights total more than 10**12 units of 1/{scale}"))
+
+    by_id = {metric.id: metric for metric in reversed(metrics)}  # a repeated id walks as its first occurrence
+    seen: set[str] = set()
     broken: str | None = None
+    for metric in metrics:
+        if metric.id in seen:
+            findings.append(Finding("duplicate-id", metric.id, "metric id occurs more than once"))
+            broken = broken or f"metric id {metric.id!r} occurs more than once"
+        seen.add(metric.id)
+        if metric.weight <= 0:
+            findings.append(Finding("nonpositive-weight", metric.id, f"weight must be positive, got {metric.weight}"))
+        rule = metric.applicability
+        if rule.kind is RuleKind.IF_GATE_EQUALS and rule.gate_metric_id not in by_id:
+            findings.append(Finding("unknown-gate", metric.id, f"gate metric {rule.gate_metric_id!r} does not exist"))
+            broken = broken or f"metric {metric.id!r} gates on unknown metric {rule.gate_metric_id!r}"
 
-    def emit(metric: Metric, rule: ApplicabilityRule) -> None:
-        row_of.setdefault(metric.id, len(rows))
-        gate_row = row_of[rule.gate_metric_id] if rule.kind is RuleKind.IF_GATE_EQUALS else -1
-        cell = _CELL_INDEX[(metric.section, metric.dimension)]
-        rows.append((metric.id, gate_row, rule.required_answer, cell, metric.weight))
-
-    for position, metric in enumerate(metrics):
-        if first[metric.id] != position:
-            if metric.id in row_of:
-                emit(metric, metrics[first[metric.id]].applicability)
-            continue
-        # Follow the gate chain up to a metric already placed or an ungated
-        # one, then place the chain from its far end back.
+    # The one walk of the gate graph: follow each gate chain up to a metric
+    # already met, then place the chain from its far end back.
+    order: list[Metric] = []
+    met: set[str] = set()
+    for metric in metrics:
         chain: dict[str, Metric] = {}
-        defect = None
-        node: Metric | None = metric
-        while node is not None and node.id not in row_of and defect is None:
-            if node.id in unplaced:
-                defect = broken
-            elif node.id in chain:
+        node: Metric | None = by_id[metric.id]
+        while node is not None and node.id not in met:
+            if node.id in chain:
                 ids = list(chain)
                 cycle = " -> ".join([*ids[ids.index(node.id):], node.id])
-                cycles.append(Finding("applicability-cycle", node.id, f"gate chain forms a cycle: {cycle}"))
-                defect = f"applicability cycle through {node.id!r}"
-            else:
-                chain[node.id] = node
-                rule = node.applicability
-                if rule.kind is RuleKind.ALWAYS:
-                    node = None
-                elif rule.gate_metric_id in first:
-                    node = metrics[first[rule.gate_metric_id]]
-                else:
-                    defect = f"metric {node.id!r} gates on unknown metric {rule.gate_metric_id!r}"
-        if defect is None:
-            for node in reversed(chain.values()):
-                emit(node, node.applicability)
-        else:
-            unplaced.update(chain)
-            broken = broken or defect
-    return CompiledCatalog(placed=tuple(rows), cycles=tuple(cycles), broken=broken)
+                findings.append(Finding("applicability-cycle", node.id, f"gate chain forms a cycle: {cycle}"))
+                broken = broken or f"applicability cycle through {node.id!r}"
+                break
+            chain[node.id] = node
+            rule = node.applicability
+            node = by_id.get(rule.gate_metric_id) if rule.kind is RuleKind.IF_GATE_EQUALS else None
+        met.update(chain)
+        order.extend(reversed(chain.values()))
+    return CompiledCatalog(order=tuple(order), findings=tuple(findings), broken=broken)
 
 
 # ---------------------------------------------------------------------------
@@ -333,86 +342,10 @@ def load_catalog(source: Source) -> Catalog:
     return parse_catalog(read_text(source, MalformedCatalog))
 
 
-def dumps_catalog(catalog: Catalog) -> str:
-    """Serialize to the canonical catalog file format (stable, diffable)."""
-    out = io.StringIO()
-    out.write(f"catalog: {header_value(catalog.name, 'catalog name')}\n")
-    out.write(f"version: {header_value(catalog.version, 'catalog version')}\n")
-    for metric in catalog.metrics:
-        out.write("\n")
-        out.write(f"id: {header_value(metric.id, 'metric id')}\n")
-        out.write(f"element_id: {header_value(metric.element_id, 'element id')}\n")
-        out.write(f"section: {metric.section.code}\n")
-        out.write(f"dimension: {metric.dimension.code}\n")
-        out.write(f"weight: {metric.weight}\n")
-        out.write(f"prompt: {header_value(metric.prompt, 'prompt')}\n")
-        out.write(f"optional_field: {'true' if metric.optional_field else 'false'}\n")
-        out.write(f"applicability: {metric.applicability.serialize()}\n")
-    return out.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-
-#: The bound on the weights' common denominator and on their total over it,
-#: so that every exact score stays a ratio of small integers.
-_WEIGHT_BOUND = 10**12
-
-
-def _weight_scale(metrics: tuple[Metric, ...]) -> str | None:
-    """Why the weights' common denominator or their total over it passes _WEIGHT_BOUND, or None.
-
-    The LCM stops at the first denominator that takes it past the bound, so
-    a catalog of huge denominators is refused without computing it.
-    """
-    scale = 1
-    for metric in metrics:
-        scale = math.lcm(scale, metric.weight.denominator)
-        if scale > _WEIGHT_BOUND:
-            return "the weights' common denominator exceeds 10**12"
-    if sum(abs(m.weight.numerator) * (scale // m.weight.denominator) for m in metrics) > _WEIGHT_BOUND:
-        return f"the weights total more than 10**12 units of 1/{scale}"
-    return None
-
-
 def validate_catalog(catalog: Catalog) -> list[Finding]:
-    """Report every violated catalog invariant.  Empty list means valid.
-
-    Findings come out in a deterministic order: catalog-level first, then
-    per-metric findings in catalog order, then applicability cycles.
-    """
-    findings: list[Finding] = []
-
-    if not catalog.metrics:
-        findings.append(Finding("empty-catalog", catalog.ref, "catalog contains no metrics"))
-        return findings
-    scale = _weight_scale(catalog.metrics)
-    if scale is not None:
-        findings.append(Finding("weight-scale", catalog.ref, scale))
-
-    seen: set[str] = set()
-    ids = {m.id for m in catalog.metrics}
-    for metric in catalog.metrics:
-        if metric.id in seen:
-            findings.append(Finding("duplicate-id", metric.id, "metric id occurs more than once"))
-        seen.add(metric.id)
-        if metric.weight <= 0:
-            findings.append(
-                Finding("nonpositive-weight", metric.id, f"weight must be positive, got {metric.weight}")
-            )
-        rule = metric.applicability
-        if rule.kind is RuleKind.IF_GATE_EQUALS:
-            if not rule.gate_metric_id or rule.required_answer not in ("yes", "no"):
-                findings.append(Finding("malformed-rule", metric.id, "gate rule needs a metric id and a yes/no answer"))
-            elif rule.gate_metric_id not in ids:
-                findings.append(
-                    Finding("unknown-gate", metric.id, f"gate metric {rule.gate_metric_id!r} does not exist")
-                )
-
-    findings.extend(catalog.compiled.cycles)
-    return findings
+    """Every violated catalog invariant, in the order of ``CompiledCatalog.findings``.
+    Empty list means valid."""
+    return list(catalog.compiled.findings)
 
 
 def section_counts(catalog: Catalog) -> dict[Section, int]:
@@ -422,11 +355,3 @@ def section_counts(catalog: Catalog) -> dict[Section, int]:
         counts[metric.section] += 1
     return counts
 
-
-def reference_catalog_path() -> Path:
-    """Path of the reference catalog shipped with the package."""
-    return Path(__file__).parent / "data" / "reference_catalog.txt"
-
-
-def load_reference_catalog() -> Catalog:
-    return load_catalog(reference_catalog_path())

@@ -416,7 +416,7 @@ def compare(config, cards_dir):
 @click.option("--timeout", type=float, default=30.0, show_default=True)
 def archive(url, slug, provider, model, title, source_url, published_form, version_date, channel, query, discovered_on, registry_path, store, timeout):
     """Fetch a summary, pin it in the object store, and register it."""
-    from .base import PublishedForm, SummaryMeta
+    from .base import PublishedForm, SummaryMeta, well_formed_url
     from .registry import (
         DiscoveryChannel,
         DiscoveryProvenance,
@@ -435,6 +435,8 @@ def archive(url, slug, provider, model, title, source_url, published_form, versi
     store_root = _require(store, "--store")
     if not valid_slug(slug):
         raise click.BadParameter(f"{slug!r} must be lowercase alphanumeric/hyphen", param_hint="--slug")
+    if source_url and not well_formed_url(source_url):
+        raise click.BadParameter(f"{source_url!r} is not an http(s) URL with a host or a file: URL", param_hint="--source-url")
 
     registry = _load(load_registry, registry_file) if registry_file.exists() else Registry()
     if registry.get(slug) is not None:

@@ -21,7 +21,6 @@ from summaryqa.catalog import (
     ApplicabilityRule,
     Catalog,
     Metric,
-    load_reference_catalog,
     section_counts,
     validate_catalog,
 )
@@ -44,7 +43,7 @@ from summaryqa.site import SiteConfig, build_site, check_links
 
 from oracle import assert_card_matches_oracle, oracle_scorecard
 from randgen import random_assessment, random_catalog
-from toys import I, NA, P, S, letter_rank, uniform_assessment, with_verdict
+from toys import I, NA, P, S, letter_rank, load_reference_catalog, uniform_assessment, with_verdict
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"

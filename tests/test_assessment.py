@@ -16,7 +16,6 @@ from summaryqa.assessment import (
     applicability_map,
     assessment_findings,
     check_assessment,
-    dumps_assessment,
     load_assessment,
     parse_assessment,
 )
@@ -26,7 +25,7 @@ from summaryqa.catalog import ApplicabilityRule, Catalog, Metric
 from summaryqa.errors import MalformedAssessment, Refused, SummaryQAError
 
 from randgen import SCOREABLE, random_assessment, random_catalog
-from toys import applicable_metrics, with_verdict
+from toys import applicable_metrics, dumps_assessment, load_reference_catalog, with_verdict
 
 S = VerdictValue.SUFFICIENT
 P = VerdictValue.PARTIALLY_SUFFICIENT
@@ -224,6 +223,8 @@ class TestApplicability:
         assert (refused.findings[0].code, refused.findings[0].locus) == ("gate-unanswered", first)
 
     def test_repeated_id_takes_first_occurrence_rule(self):
+        # A repeated id is a defect of the catalog, not a second row: neither
+        # occurrence's rule is taken, and the catalog has no applicability.
         cat = make_catalog(
             make_metric("X", gate="G"),
             make_metric("G"),
@@ -232,11 +233,13 @@ class TestApplicability:
             make_metric("Y", gate="X"),
         )
         a = make_assessment(cat, {"G": Verdict(S, "gate=no"), "X": Verdict(P)})
-        assert list(applicability_map(cat, a).items()) == [("G", True), ("X", False), ("Y", False)]
-        assert [(f.code, f.locus) for f in assessment_findings(cat, a, CHECK_TODAY)] == [
-            ("verdict-on-inapplicable", "X"),
-            ("verdict-on-inapplicable", "X"),
-        ]
+        message = "metric id 'X' occurs more than once; validate the catalog first"
+        with pytest.raises(ValueError) as exc:
+            applicability_map(cat, a)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            assessment_findings(cat, a, CHECK_TODAY)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "metrics, message",
@@ -614,7 +617,6 @@ class TestFileFormat:
         # All gates answered yes -> all 242 metrics applicable and scored.
         import io
 
-        from summaryqa.catalog import load_reference_catalog
         from toys import S, uniform_assessment
 
         catalog = load_reference_catalog()

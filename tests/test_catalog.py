@@ -1,8 +1,10 @@
 """Catalog loading, serialization, validation, and section counts."""
 
 import io
+import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,15 +15,15 @@ from summaryqa.catalog import (
     ApplicabilityRule,
     Catalog,
     Metric,
-    dumps_catalog,
+    RuleKind,
     load_catalog,
-    load_reference_catalog,
     parse_catalog,
-    reference_catalog_path,
     section_counts,
     validate_catalog,
 )
-from summaryqa.errors import MalformedCatalog, SchemaViolation
+from summaryqa.errors import Finding, MalformedCatalog, SchemaViolation
+
+from toys import dumps_catalog, load_reference_catalog, reference_catalog_path
 
 MINIMAL = """\
 catalog: toy
@@ -142,8 +144,6 @@ class TestRoundTrip:
 
     def test_multiline_prompt_rejected_at_dump(self):
         cat = Catalog("toy", "0.1", (metric("A"),))
-        from dataclasses import replace
-
         broken = Catalog("toy", "0.1", (replace(cat.metrics[0], prompt="two\nlines"),))
         with pytest.raises(ValueError, match="line breaks"):
             dumps_catalog(broken)
@@ -286,19 +286,109 @@ class TestGateGraph:
         for _ in range(2000):
             cat = random_gate_graph(rng)
             cycles, unknown = chain_defects(cat)
+            repeated = len(cat.metrics) > len({m.id for m in cat.metrics})
             found = [f for f in validate_catalog(cat) if f.code == "applicability-cycle"]
             walked = [frozenset(f.message.split(": ")[1].split(" -> ")) for f in found]
             assert len(walked) == len(cycles) and set(walked) == cycles, cat
             assert all(f.locus in cycle for f, cycle in zip(found, walked))
-            if cycles or unknown:
+            if cycles or unknown or repeated:
                 with pytest.raises(ValueError, match="; validate the catalog first$"):
                     cat.compiled.rows
             else:
                 rows = cat.compiled.rows
                 assert sorted(row[0] for row in rows) == sorted(m.id for m in cat.metrics)
                 assert all(gate_row < i for i, (_, gate_row, *_) in enumerate(rows))
-            seen.add((bool(cycles), unknown, len(cat.metrics) > len(set(m.id for m in cat.metrics))))
+            seen.add((bool(cycles), unknown, repeated))
         assert len(seen) == 8
+
+    def test_findings_match_a_brute_force_check(self):
+        rng = random.Random(20261019)
+        seen = set()
+        for _ in range(3000):
+            cat = random_defective_catalog(rng)
+            findings, broken = brute_force_findings(cat)
+            assert validate_catalog(cat) == findings, cat
+            if broken is None:
+                assert len(cat.compiled.rows) == len(cat.metrics)
+            else:
+                with pytest.raises(ValueError) as exc:
+                    cat.compiled.rows
+                assert str(exc.value) == f"{broken}; validate the catalog first"
+            seen.add(frozenset(f.code for f in findings))
+        codes = {"weight-scale", "duplicate-id", "nonpositive-weight", "unknown-gate", "applicability-cycle"}
+        assert codes in seen and frozenset({"empty-catalog"}) in seen and frozenset() in seen
+
+
+#: Weights a random catalog draws from: clean ones, nonpositive ones, and ones
+#: whose common denominator or total passes the bound.
+RANDOM_WEIGHTS = [1, 2, Fraction(3, 2), Fraction(1, 3), 0, -1, Fraction(1, 10**7), Fraction(1, 10**7 + 1), 10**12]
+
+
+def random_defective_catalog(rng):
+    """A catalog built in code in which every catalog finding can occur at once:
+    repeated ids, nonpositive weights, weights past the bound, self-gates,
+    cycles, gates naming no metric and gate rules with no gate id."""
+    metrics = []
+    for _ in range(rng.choice([0, *range(1, 9)])):
+        mid = f"M{rng.randrange(6)}"
+        weight = rng.choice(RANDOM_WEIGHTS) if rng.random() < 0.3 else rng.choice(RANDOM_WEIGHTS[:4])
+        roll = rng.random()
+        if roll < 0.35:
+            rule = ApplicabilityRule.always()
+        elif roll < 0.4:
+            rule = ApplicabilityRule(RuleKind.IF_GATE_EQUALS, None, "yes")
+        else:
+            rule = ApplicabilityRule.if_gate(rng.choice(["Z", *(f"M{i}" for i in range(6))]), rng.choice(["yes", "no"]))
+        metrics.append(replace(metric(mid, weight=weight), applicability=rule))
+    return Catalog("toy", "0.1", tuple(metrics))
+
+
+def brute_force_findings(catalog):
+    """The findings ``validate_catalog`` must report, in its order, and the
+    defect ``rows`` must name, computed without the bounded LCM or the
+    iterative walk: the full LCM, one scan per metric, and a recursive
+    resolution of each id's gate under its first occurrence's rule."""
+    ref, metrics = catalog.ref, catalog.metrics
+    findings, defects = [], []
+    if not metrics:
+        findings.append(Finding("empty-catalog", ref, "catalog contains no metrics"))
+    scale = math.lcm(*(m.weight.denominator for m in metrics))
+    if scale > 10**12:
+        findings.append(Finding("weight-scale", ref, "the weights' common denominator exceeds 10**12"))
+    elif sum(abs(m.weight) * scale for m in metrics) > 10**12:
+        findings.append(Finding("weight-scale", ref, f"the weights total more than 10**12 units of 1/{scale}"))
+    ids = [m.id for m in metrics]
+    for i, m in enumerate(metrics):
+        if m.id in ids[:i]:
+            findings.append(Finding("duplicate-id", m.id, "metric id occurs more than once"))
+            defects.append(f"metric id {m.id!r} occurs more than once")
+        if m.weight <= 0:
+            findings.append(Finding("nonpositive-weight", m.id, f"weight must be positive, got {m.weight}"))
+        gate = m.applicability.gate_metric_id
+        if m.applicability.kind is RuleKind.IF_GATE_EQUALS and gate not in ids:
+            findings.append(Finding("unknown-gate", m.id, f"gate metric {gate!r} does not exist"))
+            defects.append(f"metric {m.id!r} gates on unknown metric {gate!r}")
+
+    rule_of = {m.id: m.applicability for m in reversed(metrics)}
+    resolved, stack = set(), []
+
+    def resolve(mid):
+        if mid in resolved:
+            return
+        if mid in stack:
+            cycle = " -> ".join([*stack[stack.index(mid):], mid])
+            findings.append(Finding("applicability-cycle", mid, f"gate chain forms a cycle: {cycle}"))
+            defects.append(f"applicability cycle through {mid!r}")
+            return
+        stack.append(mid)
+        rule = rule_of[mid]
+        if rule.kind is RuleKind.IF_GATE_EQUALS and rule.gate_metric_id in rule_of:
+            resolve(rule.gate_metric_id)
+        resolved.add(stack.pop())
+
+    for mid in ids:
+        resolve(mid)
+    return findings, (defects[0] if defects else None)
 
 
 class TestSectionCounts:
@@ -355,7 +445,5 @@ class TestReferenceCatalog:
             assert dims == set(Dimension), f"{section.code} missing {set(Dimension) - dims}"
 
     def test_round_trips_byte_exact(self):
-        from summaryqa.catalog import reference_catalog_path
-
         text = reference_catalog_path().read_text(encoding="utf-8")
         assert dumps_catalog(parse_catalog(text)) == text

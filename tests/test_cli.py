@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from summaryqa.catalog import reference_catalog_path
 from summaryqa.cli import cli
 from summaryqa.registry import archive_fetch
+
+from toys import reference_catalog_path
 
 REPO = Path(__file__).resolve().parent.parent
 CATALOG = str(reference_catalog_path())
@@ -597,6 +598,20 @@ class TestArchive:
         )
         assert result.exit_code == 2
         assert "Invalid value for --slug" in result.output
+        assert not store.exists()
+        assert not registry.exists()
+
+    @pytest.mark.parametrize("url", ["javascript:alert(document.cookie)", "http://[unclosed", "ftp://example.org/s"])
+    def test_bad_source_url_stops_before_the_fetch(self, runner, tmp_path, url):
+        registry, store = tmp_path / "registry.json", tmp_path / "store"
+        result = run(
+            runner,
+            "archive", str(SOURCES / "phi-4.md"),
+            "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4", "--source-url", url,
+            "--registry", str(registry), "--store", str(store),
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for --source-url" in result.output
         assert not store.exists()
         assert not registry.exists()
 

@@ -16,9 +16,10 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from summaryqa.catalog import reference_catalog_path
 from summaryqa.cli import cli
 from summaryqa.registry import archive_fetch
+
+from toys import reference_catalog_path
 
 REPO = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).with_name("output_manifest.json")

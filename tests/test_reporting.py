@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from summaryqa.base import Group, Section
-from summaryqa.catalog import load_reference_catalog
 from summaryqa.errors import CatalogVersionMismatch, MalformedScoreCard, NoScoreCards, UnsupportedFormat
 from summaryqa.reporting import (
     DEFAULT_SEVERITY_BANDS,
@@ -33,7 +32,7 @@ from summaryqa.reporting import (
 from summaryqa.scoring import score_summary
 
 from randgen import random_assessment, random_catalog
-from toys import I, NA, S, uniform_assessment
+from toys import I, NA, S, load_reference_catalog, uniform_assessment
 
 
 def random_card(seed):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from summaryqa.base import Dimension, Group, Section
-from summaryqa.catalog import load_reference_catalog
+from summaryqa.catalog import validate_catalog
 from summaryqa.reporting import (
     DEFAULT_GRADE_SCALE,
     AggregationConfig,
@@ -26,7 +26,7 @@ from summaryqa.assessment import Verdict, applicability_map, assessment_findings
 
 from oracle import assert_card_matches_oracle, oracle_scorecard
 from randgen import random_assessment, random_catalog
-from toys import I, NA, P, S, toy_assessment, toy_catalog, toy_metric, uniform_assessment
+from toys import I, NA, P, S, load_reference_catalog, toy_assessment, toy_catalog, toy_metric, uniform_assessment
 
 MEAN_CONFIG = AggregationConfig(
     section_group_strategy=SectionAggregation.MEAN_OF_DIMENSIONS,
@@ -310,7 +310,8 @@ class TestScoreSummary:
             assert card.overall[Group.TRANSPARENCY].pct == transparency
 
     def test_repeated_id_counts_each_occurrence(self):
-        # Both rows of a repeated id pool, under the first occurrence's gate.
+        # A repeated id is a duplicate-id finding, and no occurrence is
+        # scored: the catalog has no rows to pool.
         cat = toy_catalog(
             toy_metric("X", gate="G"),
             toy_metric("G"),
@@ -319,9 +320,10 @@ class TestScoreSummary:
             toy_metric("Y", gate="X"),
         )
         a = toy_assessment(cat, {"G": Verdict(S, "gate=yes"), "X": Verdict(P, "gate=yes"), "Y": Verdict(S)})
-        card = score_summary(cat, a)
-        assert card.per_cell[(Section.DOCUMENT, Dimension.CLARITY)].pct == Fraction(175, 2)
-        assert card.per_cell[(Section.USER_DATA, Dimension.COMPREHENSION)].pct == 50
+        assert [(f.code, f.locus) for f in validate_catalog(cat)] == [("duplicate-id", "X"), ("duplicate-id", "G")]
+        with pytest.raises(ValueError) as exc:
+            score_summary(cat, a)
+        assert str(exc.value) == "metric id 'X' occurs more than once; validate the catalog first"
 
 
 class TestFormatting:

@@ -44,8 +44,7 @@ def test_random_inputs_do_not_depend_on_the_hash_seed():
     code = (
         "import random\n"
         "from randgen import random_assessment, random_catalog\n"
-        "from summaryqa.assessment import dumps_assessment\n"
-        "from summaryqa.catalog import dumps_catalog\n"
+        "from toys import dumps_assessment, dumps_catalog\n"
         "rng = random.Random(7)\n"
         "for _ in range(20):\n"
         "    catalog = random_catalog(rng)\n"

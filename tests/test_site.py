@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from summaryqa.catalog import load_reference_catalog
 from summaryqa.errors import CatalogVersionMismatch, PublishRefused, UnmatchedScoreCard
 from summaryqa.registry import (
     DiscoveryChannel,
@@ -32,7 +31,7 @@ from summaryqa.scoring import score_summary
 from summaryqa.site import SiteConfig, build_site, check_links
 
 from randgen import random_assessment, random_catalog
-from toys import toy_meta
+from toys import load_reference_catalog, toy_meta
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -1,12 +1,18 @@
-"""Small hand-built catalogs/assessments shared across test modules."""
+"""Small hand-built catalogs/assessments shared across test modules, the
+reference catalog, and the canonical writers of the catalog and assessment
+file formats, which only the tests need."""
 
+import csv
+import io
 from dataclasses import replace
 from datetime import date
 from fractions import Fraction
+from pathlib import Path
 
-from summaryqa.assessment import Assessment, Verdict, VerdictValue, applicability_map
-from summaryqa.base import Dimension, PublishedForm, Section, SummaryMeta
-from summaryqa.catalog import ApplicabilityRule, Catalog, Metric
+import summaryqa
+from summaryqa.assessment import _CSV_HEADER, _HEADER_REQUIRED, Assessment, Verdict, VerdictValue, applicability_map
+from summaryqa.base import Dimension, PublishedForm, Section, SummaryMeta, meta_to_dict
+from summaryqa.catalog import ApplicabilityRule, Catalog, Metric, RuleKind, load_catalog
 
 S = VerdictValue.SUFFICIENT
 P = VerdictValue.PARTIALLY_SUFFICIENT
@@ -93,3 +99,65 @@ def applicable_metrics(catalog, assessment):
 def letter_rank(scale, letter):
     """Position of a grade letter in the scale; 0 is the best."""
     return [name for name, _ in scale.bands].index(letter)
+
+
+def reference_catalog_path():
+    """Path of the reference catalog shipped with the package."""
+    return Path(summaryqa.__file__).parent / "data" / "reference_catalog.txt"
+
+
+def load_reference_catalog():
+    return load_catalog(reference_catalog_path())
+
+
+def header_value(value, what):
+    """``value`` for a ``key: value`` line; ValueError if it spans lines."""
+    if "\n" in value or "\r" in value:
+        raise ValueError(f"{what} must not contain line breaks: {value!r}")
+    return value
+
+
+def dumps_catalog(catalog):
+    """Serialize to the canonical catalog file format (stable, diffable)."""
+    out = io.StringIO()
+    out.write(f"catalog: {header_value(catalog.name, 'catalog name')}\n")
+    out.write(f"version: {header_value(catalog.version, 'catalog version')}\n")
+    for metric in catalog.metrics:
+        rule = metric.applicability
+        out.write("\n")
+        out.write(f"id: {header_value(metric.id, 'metric id')}\n")
+        out.write(f"element_id: {header_value(metric.element_id, 'element id')}\n")
+        out.write(f"section: {metric.section.code}\n")
+        out.write(f"dimension: {metric.dimension.code}\n")
+        out.write(f"weight: {metric.weight}\n")
+        out.write(f"prompt: {header_value(metric.prompt, 'prompt')}\n")
+        out.write(f"optional_field: {'true' if metric.optional_field else 'false'}\n")
+        if rule.kind is RuleKind.ALWAYS:
+            out.write("applicability: always\n")
+        else:
+            out.write(f"applicability: if {rule.gate_metric_id} = {rule.required_answer}\n")
+    return out.getvalue()
+
+
+def dumps_assessment(assessment):
+    """Serialize to the canonical assessment file format.
+
+    Header fields are single-line; verdict notes may contain anything CSV
+    can quote (commas, quotes, even line breaks).
+    """
+    header = {
+        **meta_to_dict(assessment.meta),
+        "catalog_ref": assessment.catalog_ref,
+        "evaluator": assessment.evaluator,
+        "verifier": assessment.verifier,
+    }
+    out = io.StringIO()
+    for key, value in header.items():
+        if value or key in _HEADER_REQUIRED:
+            out.write(f"{key}: {header_value(value, key)}\n")
+    out.write("\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(_CSV_HEADER)
+    for metric_id, verdict in assessment.verdicts.items():
+        writer.writerow([metric_id, verdict.value.token, verdict.note])
+    return out.getvalue()
