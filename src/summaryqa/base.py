@@ -50,11 +50,22 @@ def exact_number(text: str) -> Fraction:
     return Fraction(text)
 
 
+def read_bytes(path: str | Path, error: type[SummaryQAError]) -> bytes:
+    """The bytes of the file at ``path``; a file that cannot be read, such as a
+    directory, raises ``error`` naming the path."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def read_text(source: Source, error: type[SummaryQAError]) -> str:
-    """The UTF-8 text of ``source``; bytes that are not UTF-8 raise ``error``."""
+    """The UTF-8 text of ``source``; bytes that are not UTF-8, or a path that
+    cannot be read, raise ``error``.  A path's line breaks read as in text mode."""
     try:
         if isinstance(source, (str, Path)):
-            return Path(source).read_text(encoding="utf-8")
+            text = read_bytes(source, error).decode("utf-8")
+            return text.replace("\r\n", "\n").replace("\r", "\n")
         data = source.read()
         return data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:

@@ -5,11 +5,11 @@ option is that option's default: ``catalog``, ``format``, ``aggregation`` and
 ``out`` for the group, ``assessments`` for ``validate``, and ``registry`` and
 ``store`` for ``validate``, ``archive`` and ``site``.  So flags win over the
 file and the file over the built-in defaults, and click parses and checks a
-value the same way wherever it comes from.  Four keys exist only in the file
+value the same way wherever it comes from.  Three keys exist only in the file
 and are checked under every command: ``section_group_strategy``,
-``overall_strategy``, ``grade_scale`` and ``severity_bands`` (the two scales
-are ``LABEL:MIN,...`` lists, best band first, checked by
-``reporting.GradeScale.check``).
+``overall_strategy`` and ``grade_scale`` (a ``LABEL:MIN,...`` list, best band
+first, checked by ``reporting.GradeScale.check``).  Any other key, and any
+value that holds a NUL byte, is refused with the file and line.
 
 Diagnostics go to stderr; findings and requested data go to stdout or files.
 Exit status is 0 only when there are no findings and no errors.  Validation
@@ -41,11 +41,9 @@ if TYPE_CHECKING:
     from .reporting import AggregationConfig, GradeScale
 
 # A config key that names an option sets that option's default; the
-# aggregation keys and severity_bands exist only in the file.
+# aggregation keys exist only in the file.
 _AGGREGATION_KEYS = ("section_group_strategy", "overall_strategy", "grade_scale")
-_CONFIG_KEYS = (
-    "catalog", "assessments", "registry", "store", "out", "format", "aggregation", *_AGGREGATION_KEYS, "severity_bands"
-)
+_CONFIG_KEYS = ("catalog", "assessments", "registry", "store", "out", "format", "aggregation", *_AGGREGATION_KEYS)
 
 # Choice lists, spelled out so that building the command line imports no layer.
 # tests/test_cli.py pins each to the layer's own list.
@@ -68,14 +66,13 @@ class RunConfig:
     catalog_path: Path | None
     output_dir: Path | None
     report_format: str
-    # None: neither flags nor config file set it, and the command uses its
-    # layer's default (reporting.DEFAULT_CONFIG, reporting.DEFAULT_SEVERITY_BANDS).
+    # None: neither flags nor config file set it, and the command uses
+    # reporting.DEFAULT_CONFIG.
     aggregation: AggregationConfig | None
-    severity_bands: GradeScale | None
 
 
 def _parse_scale(text: str) -> GradeScale:
-    """A ``LABEL:MIN,...`` scale (grades or severity bands), best band first."""
+    """A ``LABEL:MIN,...`` grade scale, best band first."""
     from .base import exact_number
     from .reporting import GradeScale
 
@@ -104,6 +101,8 @@ def _read_config_file(path: Path) -> dict[str, str]:
         key = key.strip()
         if not sep or key not in _CONFIG_KEYS:
             raise click.ClickException(f"{path}:{lineno}: unknown config line {raw!r}")
+        if "\0" in value:
+            raise click.ClickException(f"{path}:{lineno}: the value of {key} holds a NUL byte")
         values[key] = value.strip()
     return values
 
@@ -172,12 +171,6 @@ def _aggregation(ctx: click.Context, name: str | None, file_values: dict[str, st
     )
 
 
-def _severity_bands(config: RunConfig) -> GradeScale:
-    from .reporting import DEFAULT_SEVERITY_BANDS
-
-    return config.severity_bands or DEFAULT_SEVERITY_BANDS
-
-
 def _require(value, name: str):
     if value is None:
         raise click.ClickException(f"{name} is required (flag or config file)")
@@ -239,7 +232,6 @@ def cli(ctx, config, catalog, fmt, aggregation, out):
         output_dir=out,
         report_format=fmt,
         aggregation=_aggregation(ctx, aggregation, config),
-        severity_bands=_file_value(config, "severity_bands", _parse_scale, None),
     )
 
 
@@ -339,7 +331,6 @@ def score(config, source):
     if findings:
         raise click.ClickException(f"{catalog_path}: {Refused('catalog', findings)}")
     aggregation = config.aggregation or DEFAULT_CONFIG
-    bands = _severity_bands(config)
 
     source = Path(source)
     paths = sorted(source.glob("*.csv")) if source.is_dir() else [source]
@@ -354,7 +345,7 @@ def score(config, source):
             card = score_summary(catalog, assessment, aggregation)
             written = [(out_dir / f"{path.stem}.scorecard.json", scorecard_to_json(card).encode("utf-8"))]
             if config.report_format != "json":
-                report = render_scorecard(card, config.report_format, bands=bands)
+                report = render_scorecard(card, config.report_format)
                 written.append((out_dir / f"{path.stem}.report.{config.report_format}", report))
         except SummaryQAError as exc:
             raise click.ClickException(f"{path}: {exc}") from exc
@@ -385,7 +376,7 @@ def compare(config, cards_dir):
     if not card_paths:
         raise click.ClickException(f"no score cards found in {directory}")
     cards = [_load(load_scorecard, p) for p in card_paths]
-    rendered = render_comparison(cards, config.report_format, bands=_severity_bands(config))
+    rendered = render_comparison(cards, config.report_format)
     if config.output_dir is not None:
         out_path = config.output_dir / f"comparison.{config.report_format}"
         write_atomic(out_path, rendered)
@@ -502,7 +493,6 @@ def site(config, registry_path, cards_dir, store, methodology, title):
         store_root=store,
         methodology_html=Path(methodology) if methodology else None,
         site_title=title,
-        severity_bands=_severity_bands(config),
     )
     try:
         plan = build_site(registry, sorted(directory.glob("*.scorecard.json")), site_config)

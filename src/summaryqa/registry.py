@@ -19,7 +19,8 @@ from enum import Enum
 from pathlib import Path
 
 from .base import (
-    SummaryMeta, lookup, meta_from_dict, meta_to_dict, read_json, require_strings, well_formed_url, write_atomic
+    SummaryMeta, lookup, meta_from_dict, meta_to_dict, read_bytes, read_json, require_strings, well_formed_url,
+    write_atomic,
 )
 from .errors import DuplicateSlug, FetchFailed, Finding, MalformedRegistry, WriteFailed
 
@@ -222,7 +223,7 @@ def _assessment_refs(refs) -> tuple[str, ...]:
 
 
 def load_registry(path: str | Path) -> Registry:
-    return registry_from_json(Path(path).read_bytes())
+    return registry_from_json(read_bytes(path, MalformedRegistry))
 
 
 def save_registry(registry: Registry, path: str | Path) -> None:
@@ -254,12 +255,11 @@ def _fetch_bytes(url: str, timeout: float) -> tuple[bytes, str | None]:
 
         request = Request(url, headers={"User-Agent": "summaryqa-archiver"})
         try:
+            # urlopen raises HTTPError, a URLError, for every reply that is not 2xx.
             with urlopen(request, timeout=timeout) as resp:
-                if getattr(resp, "status", 200) >= 400:
-                    raise FetchFailed(f"{url}: HTTP status {resp.status}")
                 return resp.read(), resp.headers.get_content_type()
         except URLError as exc:
-            raise FetchFailed(f"{url}: {exc.reason if hasattr(exc, 'reason') else exc}") from exc
+            raise FetchFailed(f"{url}: {exc.reason}") from exc
         except OSError as exc:
             raise FetchFailed(f"{url}: {exc}") from exc
     if parsed.scheme == "file":

@@ -21,7 +21,6 @@ from __future__ import annotations
 import html
 import io
 import json
-import math
 import re
 import csv as _csv
 from dataclasses import dataclass, field
@@ -31,7 +30,8 @@ from pathlib import Path
 from typing import Callable
 
 from .base import (
-    DIMENSION_ORDER, SECTION_ORDER, Dimension, Group, Section, SummaryMeta, meta_from_dict, meta_to_dict, read_json
+    DIMENSION_ORDER, SECTION_ORDER, Dimension, Group, Section, SummaryMeta, meta_from_dict, meta_to_dict, read_bytes,
+    read_json,
 )
 from .errors import (
     CatalogVersionMismatch,
@@ -86,8 +86,9 @@ def format_percentage(pct: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-# A band label is printed as a grade and used as a CSS class name in HTML
-# reports, so it is limited to characters that need no escaping there.
+# A band label comes from a config file or a score card and is printed as a
+# grade in every report and in score's "Group=grade" lines, so it is limited
+# to one plain token: no markup, space, comma or "=" for a reader to unpick.
 _LABEL_RE = re.compile(r"[A-Za-z0-9+-]+")
 
 
@@ -178,25 +179,6 @@ class ScoreCard:
     per_dimension_overall: dict[Dimension, ScoreValue]
     overall: dict[Group, ScoreValue]
     grades: dict[Group, str]
-
-
-# ---------------------------------------------------------------------------
-# Severity bands (presentation only): a GradeScale whose labels are CSS classes
-# ---------------------------------------------------------------------------
-
-
-DEFAULT_SEVERITY_BANDS = GradeScale(
-    bands=(
-        ("High", Fraction(80)),
-        ("Moderate", Fraction(50)),
-        ("Low", Fraction(0)),
-    )
-)
-
-
-def severity(pct: Fraction, bands: GradeScale = DEFAULT_SEVERITY_BANDS) -> str:
-    """Label of the first band whose minimum is at or below the percentage."""
-    return assign_grade(ScoreValue.percentage(pct), bands)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +307,7 @@ def scorecard_from_json(text: str | bytes) -> ScoreCard:
 
 
 def load_scorecard(path: str | Path) -> ScoreCard:
-    return scorecard_from_json(Path(path).read_bytes())
+    return scorecard_from_json(read_bytes(path, MalformedScoreCard))
 
 
 # ---------------------------------------------------------------------------
@@ -352,31 +334,21 @@ def _csv_text(header: list[str], rows: list[_Row]) -> str:
     return out.getvalue()
 
 
-def _severity_classes(bands: GradeScale) -> list[tuple[int, str]]:
-    """(band minimum in hundredths of a percent, rounded up; CSS class) per band, best first.
-
-    A two-decimal display is a whole number of hundredths, so it reaches a
-    band's minimum exactly when it reaches that minimum rounded up: the class
-    is ``severity`` of the displayed value, found with integer comparisons.
-    """
-    return [(math.ceil(min_pct * 100), label.lower()) for label, min_pct in bands.bands]
-
-
-def _cell_html(display: str, classes: list[tuple[int, str]]) -> str:
+def _cell_html(display: str) -> str:
+    """A percentage cell, classed by the first entry of ``_SEVERITY_CLASSES`` that its display reaches."""
     if display == "N/A":
         return '<td class="na">N/A</td>'
     hundredths = int(display.replace(".", ""))
-    label = next((label for low, label in classes if hundredths >= low), classes[-1][1])
+    label = next(label for low, label in _SEVERITY_CLASSES if hundredths >= low)
     return f'<td class="pct {label}">{display}%</td>'
 
 
-def _table_html(css_class: str, head: list[str], rows: list[_Row], bands: GradeScale = DEFAULT_SEVERITY_BANDS) -> str:
+def _table_html(css_class: str, head: list[str], rows: list[_Row]) -> str:
     """An HTML table; ``head`` holds each header cell's markup, and a row's first label heads the row."""
-    classes = _severity_classes(bands)
     body = []
     for (label, *labels), values, grades in rows:
         cells = [f"<td>{html.escape(text)}</td>" for text in labels]
-        cells += [f"<td>{html.escape(v)}</td>" if grades else _cell_html(v, classes) for v in values]
+        cells += [f"<td>{html.escape(v)}</td>" if grades else _cell_html(v) for v in values]
         body.append(f'<tr><th scope="row">{html.escape(label)}</th>{"".join(cells)}</tr>\n')
     return (
         f'<table class="{css_class}">\n'
@@ -411,7 +383,7 @@ def _detail_rows(card: ScoreCard) -> list[_Row]:
     return rows
 
 
-def render_scorecard(card: ScoreCard, fmt: str, bands: GradeScale = DEFAULT_SEVERITY_BANDS) -> bytes:
+def render_scorecard(card: ScoreCard, fmt: str) -> bytes:
     """Render one score card; ``fmt`` is one of ``json``, ``csv``, ``html``."""
     title = f"{card.meta.model} score card"
     return _render(
@@ -421,7 +393,7 @@ def render_scorecard(card: ScoreCard, fmt: str, bands: GradeScale = DEFAULT_SEVE
         html=lambda: _page(
             title,
             f"Quality scores for {card.meta.model}",
-            f"<h1>{html.escape(title)}</h1>\n" + _meta_html(card) + scorecard_table_html(card, bands=bands),
+            f"<h1>{html.escape(title)}</h1>\n" + _meta_html(card) + scorecard_table_html(card),
         ),
     )
 
@@ -441,9 +413,9 @@ def _meta_html(card: ScoreCard) -> str:
     return f"<dl>\n{rows}\n</dl>\n"
 
 
-def scorecard_table_html(card: ScoreCard, bands: GradeScale = DEFAULT_SEVERITY_BANDS) -> str:
+def scorecard_table_html(card: ScoreCard) -> str:
     """The detail table as an HTML fragment (used by reports and the site)."""
-    return _table_html("scorecard", [html.escape(h) for h in _DETAIL_HEADER], _detail_rows(card), bands)
+    return _table_html("scorecard", [html.escape(h) for h in _DETAIL_HEADER], _detail_rows(card))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +448,7 @@ def _comparison_rows(cards: list[ScoreCard]) -> list[_Row]:
     return rows
 
 
-def render_comparison(cards: list[ScoreCard], fmt: str, bands: GradeScale = DEFAULT_SEVERITY_BANDS) -> bytes:
+def render_comparison(cards: list[ScoreCard], fmt: str) -> bytes:
     """Side-by-side section/group scores, one column per summary."""
     _comparison_check(cards)
     columns = [card.meta.model for card in cards]
@@ -494,16 +466,12 @@ def render_comparison(cards: list[ScoreCard], fmt: str, bands: GradeScale = DEFA
         html=lambda: _page(
             title,
             "Side-by-side quality scores",
-            f"<h1>{html.escape(title)}</h1>\n" + comparison_table_html(cards, bands=bands),
+            f"<h1>{html.escape(title)}</h1>\n" + comparison_table_html(cards),
         ),
     )
 
 
-def comparison_table_html(
-    cards: list[ScoreCard],
-    links: list[str] | None = None,
-    bands: GradeScale = DEFAULT_SEVERITY_BANDS,
-) -> str:
+def comparison_table_html(cards: list[ScoreCard], links: list[str] | None = None) -> str:
     """Comparison table fragment; ``links`` holds each card's detail href, in card order."""
     _comparison_check(cards)
     head = ["Section", "Group"]
@@ -515,12 +483,16 @@ def comparison_table_html(
     for (section, group), values, grades in _comparison_rows(cards):
         rows.append((["" if section == last_section else section, group], values, grades))
         last_section = section
-    return _table_html("comparison", head, rows, bands)
+    return _table_html("comparison", head, rows)
 
 
 # ---------------------------------------------------------------------------
 # Shared page shell
 # ---------------------------------------------------------------------------
+
+# The class of a percentage cell: the first entry whose minimum (in hundredths,
+# so 8000 is 80.00) the two-decimal display reaches.  Each class is styled in _CSS.
+_SEVERITY_CLASSES = ((8000, "high"), (5000, "moderate"), (0, "low"))
 
 _CSS = """\
 body { font-family: system-ui, sans-serif; margin: 2rem auto; max-width: 72rem; padding: 0 1rem; }

@@ -23,12 +23,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from urllib.parse import urlparse
 
-from .base import Group, well_formed_url
+from .base import Group, read_bytes, well_formed_url
 from .errors import Finding, MalformedScoreCard, PublishRefused, UnmatchedScoreCard, WriteFailed
 from .registry import Registry, RegistryEntry, media_type_suffix, read_archived, valid_slug
 from .reporting import (
-    DEFAULT_SEVERITY_BANDS,
-    GradeScale,
     ScoreCard,
     _page,
     _table_html,
@@ -51,7 +49,6 @@ class SiteConfig:
     store_root: Path | None = None
     methodology_html: Path | None = None  # optional fragment to publish
     site_title: str = "GPAI training-content disclosure quality"
-    severity_bands: GradeScale = DEFAULT_SEVERITY_BANDS
 
 
 def _anchor(hrefs: list[str], href: str, text: str, attrs: str = "") -> str:
@@ -86,7 +83,7 @@ def _detail_page(
     lines.append("<h2>Overall grades</h2>")
     lines.append(_grades_overview_html(card))
     lines.append("<h2>Section scores</h2>")
-    lines.append(scorecard_table_html(card, bands=config.severity_bands))
+    lines.append(scorecard_table_html(card))
     lines.append("<h2>Traceability</h2>")
     card_link = _anchor(hrefs, "scorecard.json", "Full score card (machine-readable)")
     source_link = _anchor(hrefs, meta.source_url, "Public summary at the source", ' rel="external"')
@@ -147,7 +144,7 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
     columns: list[str] = []  # each card's detail href, in card order
 
     for path in card_files:
-        data = Path(path).read_bytes()
+        data = read_bytes(path, MalformedScoreCard)
         try:
             card = scorecard_from_json(data)
         except MalformedScoreCard as exc:
@@ -177,7 +174,7 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
 
     index_hrefs = list(columns)
     if cards:
-        table = comparison_table_html(cards, links=columns, bands=config.severity_bands)
+        table = comparison_table_html(cards, links=columns)
     else:
         table = "<p>No assessed summaries yet.</p>\n" + _table_html("comparison", ["Section", "Group"], [])
     index_lines = [

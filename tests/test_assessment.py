@@ -473,6 +473,14 @@ class TestFileFormat:
         assert a.verdicts["D"].note == "terse, but present"
         assert a.verifier == "ver"
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_a_files_line_breaks_read_as_in_text_mode(self, tmp_path, newline):
+        path = tmp_path / "sample.csv"
+        path.write_bytes(SAMPLE_FILE.replace("\n", newline).encode())
+        assert "\r" not in SAMPLE_FILE
+        expected = load_assessment(io.BytesIO(SAMPLE_FILE.encode()), self.catalog(), CHECK_TODAY)
+        assert load_assessment(path, self.catalog(), CHECK_TODAY) == expected
+
     def test_round_trip_identity(self):
         a = parse_assessment(SAMPLE_FILE)
         assert parse_assessment(dumps_assessment(a)) == a

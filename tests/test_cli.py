@@ -370,6 +370,55 @@ class TestNonUtf8Input:
         assert f"{cfg}: 'utf-8' codec can't decode byte 0xff" in result.output
 
 
+class TestUnreadableInput:
+    """A directory where a file is expected is a typed error that names it, never a traceback."""
+
+    def test_validate_reports_a_finding(self, runner, tmp_path):
+        assessments = tmp_path / "assessments"
+        assessments.mkdir()
+        (assessments / "zz.csv").mkdir()
+        result = run(runner, "--catalog", CATALOG, "validate", "--assessments", str(assessments))
+        assert result.exit_code == 1
+        source, locus, code, message = result.output.splitlines()[0].split("\t")
+        assert (source, locus, code) == ("assessment:zz.csv", "zz.csv", "malformed-assessment")
+        assert message == f"cannot read {assessments / 'zz.csv'}: Is a directory"
+
+    def test_score_names_the_file(self, runner, tmp_path):
+        assessments = tmp_path / "assessments"
+        assessments.mkdir()
+        for path in Path(ASSESSMENTS).glob("*.csv"):
+            (assessments / path.name).write_bytes(path.read_bytes())
+        (assessments / "zz.csv").mkdir()
+        out = tmp_path / "out"
+        result = run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(assessments))
+        assert result.exit_code == 1
+        assert f"{assessments / 'zz.csv'}: cannot read {assessments / 'zz.csv'}: Is a directory" in result.output
+        assert not out.exists()
+
+    def test_compare_names_the_file(self, runner, tmp_path):
+        out = tmp_path / "out"
+        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        card = out / "x.scorecard.json"
+        card.mkdir()
+        result = run(runner, "--out", str(out), "--format", "html", "compare")
+        assert result.exit_code == 1
+        assert f"{card}: cannot read {card}: Is a directory" in result.output
+        assert not (out / "comparison.html").exists()
+
+    def test_site_names_the_card_and_keeps_the_previous_site(self, runner, tmp_path):
+        out = tmp_path / "out"
+        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
+        before = tree_bytes(out / "site")
+        card = out / "x.scorecard.json"
+        card.mkdir()
+        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY)
+        assert result.exit_code == 1
+        assert f"Error: cannot read {card}: Is a directory" in result.output
+        assert tree_bytes(out / "site") == before
+        assert not list(out.glob(".site.staging-*"))
+
+
 class TestScoreAndCompare:
     def test_score_directory_writes_cards(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -923,6 +972,14 @@ class TestConfigPrecedence:
         assert result.exit_code != 0
         assert "unknown config line" in result.output
 
+    def test_severity_bands_key_is_unknown(self, runner, tmp_path):
+        # The severity classes are fixed; the key that once set them is refused like any other.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"catalog: {CATALOG}\nseverity_bands: High:80,Moderate:50,Low:0\n")
+        result = run(runner, "--config", str(cfg), "catalog-stats")
+        assert result.exit_code == 1
+        assert f"{cfg}:2: unknown config line 'severity_bands: High:80,Moderate:50,Low:0'" in result.output
+
 
 class TestConfigValues:
     @pytest.mark.parametrize(
@@ -932,15 +989,13 @@ class TestConfigValues:
             "overall_strategy: bogus",
             "grade_scale: A:x",
             "grade_scale: A:10,B:90",
-            "severity_bands: High:x,Low:0",
-            "severity_bands: A:50,B:80,C:0",
-            "severity_bands: A:50,A:0",
-            'severity_bands: x"><script>alert(1)</script>:50,ok:0',
+            "grade_scale: A:50,A:0",
+            'grade_scale: x"><script>alert(1)</script>:50,ok:0',
             "grade_scale: :0",
             "grade_scale: A:1e1000000,F:0",
             "grade_scale: A:5_0,F:0",
-            "severity_bands: High:.5,Low:0",
-            "severity_bands: High:5E1,Low:0",
+            "grade_scale: A:.5,F:0",
+            "grade_scale: A:5E1,F:0",
         ],
     )
     def test_bad_value_names_its_key(self, runner, tmp_path, line):
@@ -949,6 +1004,24 @@ class TestConfigValues:
         result = run(runner, "--config", str(cfg), "catalog-stats")
         assert result.exit_code == 2
         assert f"Invalid value for {line.split(':')[0]}:" in result.output
+
+    @pytest.mark.parametrize(
+        "key,command",
+        [
+            ("catalog", "catalog-stats"),
+            ("out", "catalog-stats"),
+            ("assessments", "validate"),
+            ("registry", "validate"),
+            ("store", "validate"),
+        ],
+    )
+    def test_nul_byte_in_a_value_is_refused(self, runner, tmp_path, key, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# a path with a NUL byte\n" + f"{key}: a\0b\n".encode())
+        group = [] if key == "catalog" else ["--catalog", CATALOG]
+        result = run(runner, *group, "--config", str(cfg), command)
+        assert result.exit_code == 1
+        assert f"{cfg}:2: the value of {key} holds a NUL byte" in result.output
 
     @pytest.mark.parametrize(
         "key,value,command",
@@ -989,7 +1062,6 @@ class TestGradeScaleConfig:
         cfg.write_text(
             f"catalog: {CATALOG}\nout: {out}\n"
             "grade_scale: Pass:50,Fail:0\n"
-            "severity_bands: Good:90,Bad:0\n"
         )
         result = run(runner, "--config", str(cfg), "score", str(Path(ASSESSMENTS) / "apertus.csv"))
         assert result.exit_code == 0, result.output

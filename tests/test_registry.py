@@ -1,8 +1,11 @@
 """Registry persistence, content-addressed archiving, integrity checks."""
 
+import hashlib
 import json
 import re
+import threading
 from datetime import date
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -193,6 +196,57 @@ class TestArchiveFetch:
         copy = archive_fetch(source.as_uri(), tmp_path / "store")
         assert copy.media_type == "application/pdf"
         assert (tmp_path / "store" / copy.storage_path).read_bytes() == b"%PDF-1.4 fake"
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Serves ``/summary.md`` with 200 and answers any other path with the status it names."""
+
+    BODY = b"# disclosure\nserved over http\n"
+
+    def do_GET(self):
+        if self.path == "/summary.md":
+            self.send_response(200)
+            self.send_header("Content-Type", "text/markdown; charset=utf-8")
+            self.send_header("Content-Length", str(len(self.BODY)))
+            self.end_headers()
+            self.wfile.write(self.BODY)
+        else:
+            self.send_error(int(self.path.strip("/")))
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def http_base():
+    """The base URL of a server on a free loopback port, for the test's duration."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+class TestArchiveFetchHttp:
+    def test_ok_reply_is_stored_under_its_digest_with_the_served_type(self, tmp_path, http_base):
+        store = tmp_path / "store"
+        copy = archive_fetch(f"{http_base}/summary.md", store, timeout=5)
+        digest = hashlib.sha256(_Handler.BODY).hexdigest()
+        assert copy.content_digest == digest
+        assert copy.media_type == "text/markdown"
+        assert copy.byte_length == len(_Handler.BODY)
+        assert object_path(store, digest).read_bytes() == _Handler.BODY
+
+    @pytest.mark.parametrize("status,reason", [(404, "Not Found"), (503, "Service Unavailable")])
+    def test_error_reply_fails(self, tmp_path, http_base, status, reason):
+        url = f"{http_base}/{status}"
+        with pytest.raises(FetchFailed, match=f"^{re.escape(url)}: {reason}$"):
+            archive_fetch(url, tmp_path / "store", timeout=5)
+        assert not (tmp_path / "store").exists()
 
 
 @pytest.mark.usefixtures("no_host_mime_tables")

@@ -1,4 +1,4 @@
-"""Rendering: JSON round-trip, value-verbatim renders, severity bands."""
+"""Rendering: JSON round-trip, value-verbatim renders, severity classes."""
 
 import json
 import random
@@ -12,14 +12,12 @@ from hypothesis import given, settings, strategies as st
 from summaryqa.base import Group, Section
 from summaryqa.errors import CatalogVersionMismatch, MalformedScoreCard, NoScoreCards, UnsupportedFormat
 from summaryqa.reporting import (
-    DEFAULT_SEVERITY_BANDS,
     AggregationConfig,
     GradeScale,
     OverallAggregation,
     ScoreValue,
     SectionAggregation,
     _cell_html,
-    _severity_classes,
     _value_from_json,
     _value_to_json,
     comparison_table_html,
@@ -27,7 +25,6 @@ from summaryqa.reporting import (
     render_scorecard,
     scorecard_from_json,
     scorecard_to_json,
-    severity,
 )
 from summaryqa.scoring import score_summary
 
@@ -53,37 +50,33 @@ def card_displays(card):
 
 class TestSeverity:
     def test_default_thresholds(self):
-        assert severity(Fraction("92.90")) == "High"
-        assert severity(Fraction(0)) == "Low"
-        assert severity(Fraction(50)) == "Moderate"
-        assert severity(Fraction(80)) == "High"
-        assert severity(Fraction("49.99")) == "Low"
+        assert _cell_html("92.90") == '<td class="pct high">92.90%</td>'
+        assert _cell_html("0.00") == '<td class="pct low">0.00%</td>'
+        assert _cell_html("50.00") == '<td class="pct moderate">50.00%</td>'
+        assert _cell_html("80.00") == '<td class="pct high">80.00%</td>'
+        assert _cell_html("49.99") == '<td class="pct low">49.99%</td>'
+        assert _cell_html("N/A") == '<td class="na">N/A</td>'
 
     def test_monotone_over_band_order(self):
-        order = [label for label, _ in DEFAULT_SEVERITY_BANDS.bands]
+        order = ["high", "moderate", "low"]
         last_rank = len(order)
         for pct in range(0, 101):
-            rank = order.index(severity(Fraction(pct)))
+            label = re.fullmatch(r'<td class="pct (\w+)">.*</td>', _cell_html(f"{pct}.00")).group(1)
+            rank = order.index(label)
             assert rank <= last_rank
             last_rank = rank
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            severity(Fraction(101))
+            ScoreValue.percentage(Fraction(101))
 
-    @pytest.mark.parametrize(
-        "bands",
-        [
-            DEFAULT_SEVERITY_BANDS,
-            GradeScale((("Top", Fraction(200, 3)), ("Mid", Fraction("12.345")), ("Bottom", Fraction(0)))),
-        ],
-    )
+    # The scale the README documents, as (minimum percentage, class), best first.
+    @pytest.mark.parametrize("bands", [((80, "high"), (50, "moderate"), (0, "low"))])
     def test_html_class_is_the_severity_of_every_display(self, bands):
-        classes = _severity_classes(bands)
         for hundredths in range(10001):
             display = f"{hundredths // 100}.{hundredths % 100:02d}"
-            label = severity(Fraction(hundredths, 100), bands).lower()
-            assert _cell_html(display, classes) == f'<td class="pct {label}">{display}%</td>'
+            label = next(label for low, label in bands if Fraction(hundredths, 100) >= low)
+            assert _cell_html(display) == f'<td class="pct {label}">{display}%</td>'
 
 
 class TestScoreCardRoundTrip:
