@@ -19,8 +19,8 @@ Catalog file format (UTF-8 text, one record per blank-line-separated block)::
     applicability: always
 
 The first block is the header (``catalog`` + ``version``); every other block
-is a metric with exactly the eight fields shown.  Metric ids are unique:
-``parse_catalog`` refuses a repeated id, naming its line.  ``weight`` is a
+is a metric with exactly the eight fields shown.  Metric ids are unique; a
+repeated id is a ``duplicate-id`` finding of :func:`_compile`.  ``weight`` is a
 positive rational written as an integer, a decimal or a ratio (``2``,
 ``0.5``, ``3/2``; no exponent); the weights' common denominator, and their
 total in units of it, are at most 10**12.  ``applicability`` is either
@@ -306,7 +306,6 @@ def parse_catalog(text: str) -> Catalog:
         raise SchemaViolation("catalog name and version must be non-empty", line=blocks[0][0][0])
 
     metrics: list[Metric] = []
-    seen_ids: set[str] = set()
     for block in blocks[1:]:
         fields = _parse_block(block)
         first_line = block[0][0]
@@ -321,9 +320,6 @@ def parse_catalog(text: str) -> Catalog:
         metric_id = fields["id"][1]
         if not metric_id:
             raise SchemaViolation("metric id must be non-empty", line=fields["id"][0], field="id")
-        if metric_id in seen_ids:
-            raise SchemaViolation(f"duplicate metric id {metric_id!r}", line=fields["id"][0], field="id")
-        seen_ids.add(metric_id)
 
         values = {}
         for key, read in _METRIC_READERS.items():

@@ -467,10 +467,9 @@ def archive(url, slug, provider, model, title, source_url, published_form, versi
 @click.option("--registry", "registry_path", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
 @click.option("--cards", "cards_dir", type=click.Path(exists=True, file_okay=False), default=None)
 @click.option("--store", type=click.Path(file_okay=False, path_type=Path), default=None)
-@click.option("--methodology", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--title", default="GPAI training-content disclosure quality")
 @click.pass_obj
-def site(config, registry_path, cards_dir, store, methodology, title):
+def site(config, registry_path, cards_dir, store, title):
     """Build the static dissemination site from the score cards and publish it.
 
     The site is built in a staging directory beside ``<out>/site`` and
@@ -488,12 +487,7 @@ def site(config, registry_path, cards_dir, store, methodology, title):
 
     registry = _load(load_registry, registry_file)
     site_root = out_dir / "site"
-    site_config = SiteConfig(
-        output_root=site_root,
-        store_root=store,
-        methodology_html=Path(methodology) if methodology else None,
-        site_title=title,
-    )
+    site_config = SiteConfig(output_root=site_root, store_root=store, site_title=title)
     try:
         plan = build_site(registry, sorted(directory.glob("*.scorecard.json")), site_config)
     except PublishRefused as exc:

@@ -1,10 +1,13 @@
 """Static dissemination site: comparison index, per-summary detail pages.
 
-Pages are plain semantic HTML with inline styling and no scripts, readable
-on desktop and mobile.  The information order is: overall grades first,
-section-level scores second, then links to the full machine-readable score
-card, the live source, and the pinned archived copy.  Builds are
-reproducible: identical inputs produce byte-identical trees (no timestamps).
+Every page is markup this module writes: plain semantic HTML with inline
+styling and no scripts, readable on desktop and mobile.  No input is copied
+into a page; beside the pages, a site holds each score card's JSON bytes and
+the archived copies, which must match their pinned digests.  The
+information order is: overall grades first, section-level scores second,
+then links to the full machine-readable score card, the live source, and
+the pinned archived copy.  Builds are reproducible: identical inputs
+produce byte-identical trees (no timestamps).
 
 A build is one pass into a fresh staging directory beside the output root.
 The staged tree replaces the published one only after every archived copy
@@ -47,7 +50,6 @@ class SitePlan:
 class SiteConfig:
     output_root: Path
     store_root: Path | None = None
-    methodology_html: Path | None = None  # optional fragment to publish
     site_title: str = "GPAI training-content disclosure quality"
 
 
@@ -73,9 +75,7 @@ def _archive_name(entry: RegistryEntry) -> str | None:
     return f"archived-{entry.archived.content_digest[:12]}{media_type_suffix(entry.archived.media_type)}"
 
 
-def _detail_page(
-    card: ScoreCard, entry: RegistryEntry, config: SiteConfig, archive_file: str | None, hrefs: list[str]
-) -> str:
+def _detail_page(card: ScoreCard, entry: RegistryEntry, archive_file: str | None, hrefs: list[str]) -> str:
     meta = card.meta
     title = f"{meta.model} — {meta.provider}"
     lines = [f"<h1>{html.escape(title)}</h1>"]
@@ -164,7 +164,7 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
             raise PublishRefused(f"more than one score card matches registry slug {entry.id!r}") from None
         archive_file = _copy_archived(entry, store, page_dir)
         hrefs: list[str] = []
-        _create(page_dir / "index.html", _detail_page(card, entry, config, archive_file, hrefs).encode("utf-8"))
+        _create(page_dir / "index.html", _detail_page(card, entry, archive_file, hrefs).encode("utf-8"))
         _create(page_dir / "scorecard.json", data)
         route = f"summaries/{entry.id}/index.html"
         details.append(route)
@@ -172,7 +172,6 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
         cards.append(card)
         columns.append(f"summaries/{entry.id}/")
 
-    index_hrefs = list(columns)
     if cards:
         table = comparison_table_html(cards, links=columns)
     else:
@@ -185,8 +184,6 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
         "each summary links to its full report.</p>",
         table,
     ]
-    if config.methodology_html is not None:
-        index_lines.append(f"<p>{_anchor(index_hrefs, 'methodology.html', 'How the scores are computed')}</p>")
     _create(
         root / "index.html",
         _page(
@@ -195,22 +192,8 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
             "\n".join(index_lines) + "\n",
         ).encode("utf-8"),
     )
-    pages = ["index.html", *details]
-    links = [("index.html", href) for href in index_hrefs] + links
-
-    if config.methodology_html is not None:
-        try:
-            fragment = Path(config.methodology_html).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise PublishRefused(f"{config.methodology_html}: {exc}") from exc
-        _create(
-            root / "methodology.html",
-            _page("Methodology", "How the quality scores are computed", fragment).encode("utf-8"),
-        )
-        pages.append("methodology.html")
-        links += [("methodology.html", href) for href in _fragment_links(fragment)]
-
-    return SitePlan(output_root=root, pages=tuple(pages), links=tuple(links))
+    links = [("index.html", href) for href in columns] + links
+    return SitePlan(output_root=root, pages=("index.html", *details), links=tuple(links))
 
 
 def _swap(staged: Path, root: Path, previous: Path) -> None:
@@ -266,25 +249,6 @@ def build_site(registry: Registry, card_files: list[Path], config: SiteConfig) -
 # ---------------------------------------------------------------------------
 # Link checking
 # ---------------------------------------------------------------------------
-
-
-def _fragment_links(fragment: str) -> list[str]:
-    """The link targets of a user-supplied HTML fragment, in document order."""
-    # Only a --methodology fragment is parsed, so html.parser (about 3 ms to
-    # import) is loaded only for one.
-    from html.parser import HTMLParser
-
-    targets: list[str] = []
-
-    class Collector(HTMLParser):
-        def handle_starttag(self, tag, attrs):
-            wanted = {"a": "href", "link": "href", "img": "src", "script": "src"}.get(tag)
-            targets.extend(value for name, value in attrs if name == wanted and value)
-
-    collector = Collector()
-    collector.feed(fragment)
-    collector.close()
-    return targets
 
 
 def check_links(plan: SitePlan) -> list[Finding]:

@@ -79,9 +79,10 @@ class TestParsing:
         assert [m.id for m in cat.metrics] == ["A", "B"]
 
     def test_duplicate_id_rejected(self):
-        text = MINIMAL.replace("id: B", "id: A")
-        with pytest.raises(SchemaViolation, match="duplicate metric id"):
-            parse_catalog(text)
+        cat = parse_catalog(MINIMAL.replace("id: B", "id: A"))
+        assert [(f.code, f.locus, f.message) for f in validate_catalog(cat)] == [
+            ("duplicate-id", "A", "metric id occurs more than once")
+        ]
 
     def test_missing_field_rejected(self):
         text = MINIMAL.replace("weight: 1\n", "")

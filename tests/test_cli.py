@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from summaryqa.cli import cli
 from summaryqa.registry import archive_fetch
 
-from toys import reference_catalog_path
+from toys import link_dangling_from, reference_catalog_path
 
 REPO = Path(__file__).resolve().parent.parent
 CATALOG = str(reference_catalog_path())
@@ -117,12 +117,17 @@ class TestValidate:
 
     def test_duplicate_id_exit_nonzero(self, runner, tmp_path):
         text = Path(CATALOG).read_text()
-        # Two metrics with the same id, injected after parse by raw edit:
+        # Two metrics with the same id: parsed, then refused by the catalog check.
         bad = tmp_path / "bad.txt"
         bad.write_text(text.replace("id: F0.1.2", "id: F0.1.1", 1))
         result = run(runner, "--catalog", str(bad), "validate")
         assert result.exit_code == 1
-        assert "duplicate metric id" in result.output or "duplicate-id" in result.output
+        assert "catalog\tF0.1.1\tduplicate-id\tmetric id occurs more than once\n" in result.output
+        out = tmp_path / "out"
+        result = run(runner, "--catalog", str(bad), "--out", str(out), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
+        assert result.exit_code == 1
+        assert "catalog has 1 finding(s), first duplicate-id at F0.1.1" in result.output
+        assert not out.exists()
 
     def test_missing_verdict_lists_metric_ids(self, runner, tmp_path):
         assessments = tmp_path / "assessments"
@@ -879,26 +884,28 @@ class TestSite:
         ]
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
-    def test_non_utf8_methodology_fails_cleanly(self, runner, tmp_path):
+    def test_broken_link_exits_one_and_lists_it(self, runner, tmp_path, monkeypatch):
         out = tmp_path / "out"
         self.build_cards(runner, out)
-        fragment = tmp_path / "method.html"
-        fragment.write_bytes(NOT_UTF8)
-        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--methodology", str(fragment))
+        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
+        before = tree_bytes(out / "site")
+        link_dangling_from(monkeypatch, "phi-4")
+        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY)
         assert result.exit_code == 1
-        assert f"{fragment}: 'utf-8' codec can't decode byte 0xff" in result.output
-        assert not (out / "site").exists()
-
-    def test_broken_methodology_link_exits_one_and_lists_it(self, runner, tmp_path):
-        out = tmp_path / "out"
-        self.build_cards(runner, out)
-        fragment = tmp_path / "method.html"
-        fragment.write_text('<p><a href="weights.html">Weights</a></p>')
-        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--methodology", str(fragment))
-        assert result.exit_code == 1
-        assert "site\tmethodology.html\tbroken-link\t" in result.output
+        assert "site\tsummaries/phi-4/index.html\tbroken-link\t" in result.output
+        assert result.output.count("\tbroken-link\t") == 1
         assert "site not published: 1 broken link(s)" in result.output
-        assert not (out / "site").exists()
+        assert tree_bytes(out / "site") == before
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+
+    def test_methodology_is_an_unknown_option(self, runner, tmp_path):
+        fragment = tmp_path / "method.html"
+        fragment.write_text("<h1>Methodology</h1>")
+        out = tmp_path / "out"
+        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--methodology", str(fragment))
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--methodology" in result.output
+        assert not out.exists()
 
 
 class TestConfigPrecedence:

@@ -1,8 +1,8 @@
 """Byte identity of every output the fixture pipeline writes.
 
 The pipeline runs in-process: ``score`` in each format under both
-aggregations, ``compare`` to a file and to stdout, ``site`` with a store and
-a methodology page, and a site with no cards.  Each output's sha256 must
+aggregations, ``compare`` to a file and to stdout, ``site`` with a store,
+and a site with no cards.  Each output's sha256 must
 equal the one in ``output_manifest.json``, so a refactor that changes any
 byte of a card, report, comparison or page fails here.
 
@@ -25,7 +25,6 @@ REPO = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).with_name("output_manifest.json")
 FORMATS = ("json", "csv", "html")
 AGGREGATIONS = ("pooled", "mean")
-METHODOLOGY = '<h2>Method</h2>\n<p>See the <a href="index.html">comparison</a>.</p>\n'
 
 
 def pipeline_outputs(work: Path) -> dict[str, str]:
@@ -54,10 +53,8 @@ def pipeline_outputs(work: Path) -> dict[str, str]:
     store = work / "store"
     for source in sorted((fixtures / "sources").iterdir()):
         archive_fetch(str(source), store)
-    methodology = work / "methodology.html"
-    methodology.write_text(METHODOLOGY, encoding="utf-8")
     run("--out", str(out / "site-store"), "site", "--registry", str(fixtures / "registry.json"),
-        "--cards", str(out / "score-json-pooled"), "--store", str(store), "--methodology", str(methodology))
+        "--cards", str(out / "score-json-pooled"), "--store", str(store))
     (work / "no-cards").mkdir()
     run("--out", str(out / "site-empty"), "site", "--registry", str(fixtures / "registry.json"),
         "--cards", str(work / "no-cards"))

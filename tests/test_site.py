@@ -28,10 +28,10 @@ from summaryqa.reporting import (
     scorecard_to_json,
 )
 from summaryqa.scoring import score_summary
-from summaryqa.site import SiteConfig, build_site, check_links
+from summaryqa.site import SiteConfig, SitePlan, build_site, check_links
 
 from randgen import random_assessment, random_catalog
-from toys import load_reference_catalog, toy_meta
+from toys import link_dangling_from, load_reference_catalog, toy_meta
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -173,16 +173,6 @@ class TestBuildSite:
         detail = (page_dir / "index.html").read_text()
         assert published[0].name in detail
 
-    def test_methodology_page_optional(self, site_inputs, tmp_path):
-        registry, cards = site_inputs
-        fragment = tmp_path / "method.html"
-        fragment.write_text("<h1>Methodology</h1><p>Weighted rubric scoring.</p>")
-        config = SiteConfig(output_root=tmp_path / "site", methodology_html=fragment)
-        plan = build_site(registry, cards, config)
-        assert (tmp_path / "site" / "methodology.html").exists()
-        assert "methodology.html" in plan.pages
-        assert 'href="methodology.html"' in (tmp_path / "site" / "index.html").read_text()
-
 
 class TestCheckLinks:
     def test_fresh_build_clean(self, site_inputs, tmp_path):
@@ -211,15 +201,6 @@ class TestCheckLinks:
 # ---------------------------------------------------------------------------
 # The links the plan records are the links the pages hold
 # ---------------------------------------------------------------------------
-
-METHODOLOGY = (
-    "<h1>Methodology</h1>\n"
-    '<p>Scores per <a href="index.html">summary</a>, for example '
-    '<a href="summaries/phi-4/">Phi-4</a> and its <a href="/summaries/phi-4/scorecard.json">card</a>; '
-    'see <a href="https://example.org/rubric?a=1&amp;b=2">the rubric</a> and <a href="#weights">weights</a>.</p>\n'
-    '<img src="summaries/apertus/scorecard.json" alt="">\n'
-)
-
 
 class _PageLinks(HTMLParser):
     """Link targets of one page, read back from its HTML."""
@@ -252,7 +233,7 @@ def rewrite_card(path, **changes):
 
 @pytest.fixture()
 def fixture_site_inputs(tmp_path):
-    """The shipped registry and assessments, a store of the shipped sources, a methodology fragment."""
+    """The shipped registry and assessments, and a store of the shipped sources."""
     catalog = load_reference_catalog()
     cards = [
         score_summary(catalog, load_assessment(path, catalog, date(2026, 1, 31)))
@@ -261,15 +242,13 @@ def fixture_site_inputs(tmp_path):
     store = tmp_path / "store"
     for source in sorted((FIXTURES / "sources").iterdir()):
         archive_fetch(str(source), store)
-    methodology = tmp_path / "method.html"
-    methodology.write_text(METHODOLOGY, encoding="utf-8")
-    return load_registry(FIXTURES / "registry.json"), write_cards(cards, tmp_path / "cards"), store, methodology
+    return load_registry(FIXTURES / "registry.json"), write_cards(cards, tmp_path / "cards"), store
 
 
 class TestPlanLinks:
     def test_fixture_site(self, fixture_site_inputs, tmp_path):
-        registry, cards, store, methodology = fixture_site_inputs
-        config = SiteConfig(output_root=tmp_path / "site", store_root=store, methodology_html=methodology)
+        registry, cards, store = fixture_site_inputs
+        config = SiteConfig(output_root=tmp_path / "site", store_root=store)
         plan = build_site(registry, cards, config)
         assert len(list((tmp_path / "site").rglob("archived-*"))) == 5
         assert parsed_links(tmp_path / "site") == sorted(plan.links)
@@ -313,30 +292,27 @@ class TestPublishing:
         assert not (tmp_path / "site").exists()
         assert no_staging_left(tmp_path)
 
-    def test_broken_methodology_link_keeps_the_previous_site(self, site_inputs, tmp_path):
+    def test_broken_link_keeps_the_previous_site(self, site_inputs, tmp_path, monkeypatch):
         registry, cards = site_inputs
-        build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
+        config = SiteConfig(output_root=tmp_path / "site")
+        build_site(registry, cards, config)
         published = tree_bytes(tmp_path / "site")
-        fragment = tmp_path / "method.html"
-        fragment.write_text('<p><a href="weights.html">Weights</a></p>')
-        config = SiteConfig(output_root=tmp_path / "site", methodology_html=fragment)
+        link_dangling_from(monkeypatch, "model-1")
         with pytest.raises(PublishRefused) as refused:
             build_site(registry, cards[:2], config)
-        assert [(f.code, f.locus) for f in refused.value.findings] == [("broken-link", "methodology.html")]
+        assert [(f.code, f.locus) for f in refused.value.findings] == [
+            ("broken-link", "summaries/model-1/index.html")
+        ]
         assert tree_bytes(tmp_path / "site") == published
         assert no_staging_left(tmp_path)
 
-    def test_link_that_leaves_the_site_is_broken(self, site_inputs, tmp_path):
-        registry, cards = site_inputs
+    def test_link_that_leaves_the_site_is_broken(self, tmp_path):
         (tmp_path / "outside.html").write_text("<p>not part of the site</p>")
-        fragment = tmp_path / "method.html"
-        fragment.write_text('<p><a href="../outside.html">Outside</a></p>')
-        with pytest.raises(PublishRefused) as refused:
-            build_site(registry, cards, SiteConfig(output_root=tmp_path / "site", methodology_html=fragment))
-        assert [f.message for f in refused.value.findings] == [
-            "target '../outside.html' does not resolve to a file of the site"
+        (tmp_path / "site").mkdir()
+        plan = SitePlan(tmp_path / "site", ("index.html",), (("index.html", "../outside.html"),))
+        assert [(f.code, f.locus, f.message) for f in check_links(plan)] == [
+            ("broken-link", "index.html", "target '../outside.html' does not resolve to a file of the site")
         ]
-        assert not (tmp_path / "site").exists()
 
     @pytest.mark.parametrize("slug", ["../../escaped", "abc\n", "Model-0"])
     def test_unsafe_slug_refused(self, site_inputs, tmp_path, slug):

@@ -1,6 +1,7 @@
 """Small hand-built catalogs/assessments shared across test modules, the
-reference catalog, and the canonical writers of the catalog and assessment
-file formats, which only the tests need."""
+reference catalog, the canonical writers of the catalog and assessment
+file formats, which only the tests need, and a detail page with one
+dangling link."""
 
 import csv
 import io
@@ -108,6 +109,25 @@ def reference_catalog_path():
 
 def load_reference_catalog():
     return load_catalog(reference_catalog_path())
+
+
+def link_dangling_from(monkeypatch, slug):
+    """Make the site's detail page of ``slug`` also link to ``weights.html``, a file no build writes.
+
+    ``summaryqa.site._detail_page`` is wrapped: the link is recorded as the
+    build records every link, and the page holds it before ``</body>``.
+    """
+    from summaryqa import site
+
+    detail_page = site._detail_page
+
+    def with_dangling_link(card, entry, archive_file, hrefs):
+        page = detail_page(card, entry, archive_file, hrefs)
+        if entry.id != slug:
+            return page
+        return page.replace("</body>", f"<p>{site._anchor(hrefs, 'weights.html', 'Weights')}</p>\n</body>")
+
+    monkeypatch.setattr(site, "_detail_page", with_dangling_link)
 
 
 def header_value(value, what):
