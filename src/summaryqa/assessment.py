@@ -36,10 +36,11 @@ from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from fractions import Fraction
+from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .base import Source, SummaryMeta, lookup, meta_from_dict, read_text, well_formed_url
-from .errors import Finding, MalformedAssessment, Refused
+from .base import SummaryMeta, lookup, meta_from_dict, read_fields, read_text, well_formed_url
+from .errors import Finding, Malformed, Refused
 
 if TYPE_CHECKING:
     from .catalog import Catalog
@@ -199,7 +200,7 @@ def check_assessment(catalog: Catalog, assessment: Assessment, today: date) -> N
     so this check and ``validate`` can never disagree."""
     findings = assessment_findings(catalog, assessment, today)
     if findings:
-        raise Refused("assessment", findings)
+        raise Refused.with_findings("assessment", findings)
 
 
 # ---------------------------------------------------------------------------
@@ -224,36 +225,24 @@ def parse_assessment(text: str) -> Assessment:
     """Parse assessment file text without catalog cross-checks.  Only a line
     feed ends a line, so a note may hold any character ``str.splitlines`` breaks at."""
     lines = text.split("\n")
-    header: dict[str, str] = {}
-    body_start = None
-    for i, raw in enumerate(lines if lines[-1] else lines[:-1]):  # the "" after a final "\n" is no line
-        line = raw.strip()
-        if not line:
-            body_start = i + 1
-            break
-        if line.startswith("#"):
-            continue
-        key, sep, value = raw.partition(":")
-        if not sep:
-            raise MalformedAssessment(f"expected 'key: value' in header, got {raw!r}", line=i + 1)
-        key = key.strip()
-        if key in header:
-            raise MalformedAssessment(f"duplicate header field {key!r}", line=i + 1)
-        header[key] = value.strip()
-    if body_start is None:
-        raise MalformedAssessment("missing blank line between header and verdict rows")
+    header_lines = lines if lines[-1] else lines[:-1]  # the "" after a final "\n" is no line
+    fields, blank = read_fields(header_lines)
+    if blank == len(header_lines):
+        raise Malformed("missing blank line between header and verdict rows")
+    body_start = blank + 1
+    header = {key: value for key, (_, value) in fields.items()}
 
     for key in _HEADER_REQUIRED:
         if key not in header:
-            raise MalformedAssessment(f"header missing field {key!r}")
+            raise Malformed(f"header missing field {key!r}")
     unknown = set(header) - set(_HEADER_REQUIRED) - set(_HEADER_OPTIONAL)
     if unknown:
-        raise MalformedAssessment(f"unknown header field {sorted(unknown)[0]!r}")
+        raise Malformed(f"unknown header field {sorted(unknown)[0]!r}")
 
     try:
         meta = meta_from_dict(header)
     except ValueError as exc:
-        raise MalformedAssessment(str(exc)) from None
+        raise Malformed(str(exc)) from None
 
     body = "\n".join(lines[body_start:])
     reader = csv.reader(io.StringIO(body), strict=True)
@@ -266,26 +255,26 @@ def parse_assessment(text: str) -> Assessment:
     verdicts: dict[str, Verdict] = {}
     try:
         if next(filter(None, reader), None) != _CSV_HEADER:
-            raise MalformedAssessment(f"verdict table must start with header {','.join(_CSV_HEADER)!r}")
+            raise Malformed(f"verdict table must start with header {','.join(_CSV_HEADER)!r}")
         for row in reader:
             if not row:
                 continue
             if len(row) != 3:
-                raise MalformedAssessment(f"expected 3 columns, got {len(row)}", line=line())
+                raise Malformed(f"expected 3 columns, got {len(row)}", line=line())
             metric_id, token, note = row
             if not metric_id:
-                raise MalformedAssessment("empty metric_id", line=line())
+                raise Malformed("empty metric_id", line=line())
             if metric_id in verdicts:
-                raise MalformedAssessment(f"duplicate verdict for metric {metric_id!r}", line=line())
+                raise Malformed(f"duplicate verdict for metric {metric_id!r}", line=line())
             verdict = None if note else _PLAIN_VERDICTS.get(token)
             if verdict is None:
                 try:
                     verdict = Verdict(value=VerdictValue.from_token(token), note=note)
                 except ValueError as exc:
-                    raise MalformedAssessment(str(exc), line=line()) from None
+                    raise Malformed(str(exc), line=line()) from None
             verdicts[metric_id] = verdict
     except csv.Error as exc:
-        raise MalformedAssessment(str(exc), line=body_start + _refused_row(body)) from None
+        raise Malformed(str(exc), line=body_start + _refused_row(body)) from None
 
     return Assessment(
         meta=meta,
@@ -309,9 +298,9 @@ def _refused_row(body: str) -> int:
     return start
 
 
-def load_assessment(source: Source, catalog: Catalog, today: date) -> Assessment:
-    """Load and fully check an assessment against the catalog."""
-    assessment = parse_assessment(read_text(source, MalformedAssessment))
+def load_assessment(path: str | Path, catalog: Catalog, today: date) -> Assessment:
+    """Load the assessment file at ``path`` and fully check it against the catalog."""
+    assessment = parse_assessment(read_text(path))
     check_assessment(catalog, assessment, today)
     return assessment
 

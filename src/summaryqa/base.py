@@ -1,8 +1,10 @@
 """The summary's identity (:class:`SummaryMeta` and its one codec), the
 template's vocabulary (sections, dimensions, groups and their cells) and the
-file helpers every layer shares.  It imports only ``errors`` and the standard
-library, so ``archive`` loads no catalog or assessment code, and the score
-card side (``reporting``, ``compare``, ``site``) no catalog parser.
+file helpers every layer shares: readers of bytes, text, JSON and
+``key: value`` lines, each raising ``Malformed`` and leaving the caller to
+name the file, and one atomic writer.  It imports only ``errors`` and the
+standard library, so ``archive`` loads no catalog or assessment code, and
+the score card side (``reporting``, ``compare``, ``site``) no catalog parser.
 """
 
 from __future__ import annotations
@@ -15,17 +17,15 @@ from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, TypeVar
 
-from .errors import SummaryQAError, WriteFailed
+from .errors import Malformed, WriteFailed
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 _Member = TypeVar("_Member")
 _Decoded = TypeVar("_Decoded")
-
-Source = Union[str, Path, IO[str], IO[bytes]]
 
 
 def lookup(members: dict[str, _Member], token: str, what: str) -> _Member:
@@ -50,31 +50,28 @@ def exact_number(text: str) -> Fraction:
     return Fraction(text)
 
 
-def read_bytes(path: str | Path, error: type[SummaryQAError]) -> bytes:
+def read_bytes(path: str | Path) -> bytes:
     """The bytes of the file at ``path``; a file that cannot be read, such as a
-    directory, raises ``error`` naming the path."""
+    directory, is Malformed, and the caller names the path."""
     try:
         return Path(path).read_bytes()
     except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise Malformed(f"cannot read: {exc.strerror or exc}") from exc
 
 
-def read_text(source: Source, error: type[SummaryQAError]) -> str:
-    """The UTF-8 text of ``source``; bytes that are not UTF-8, or a path that
-    cannot be read, raise ``error``.  A path's line breaks read as in text mode."""
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file at ``path``, its line breaks read as in text mode;
+    bytes that are not UTF-8, or a file that cannot be read, are Malformed."""
     try:
-        if isinstance(source, (str, Path)):
-            text = read_bytes(source, error).decode("utf-8")
-            return text.replace("\r\n", "\n").replace("\r", "\n")
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
+        text = read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise error(str(exc)) from exc
+        raise Malformed(str(exc)) from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def read_json(text: str | bytes, decode: Callable[[object], _Decoded], error: type[SummaryQAError]) -> _Decoded:
+def read_json(text: str | bytes, decode: Callable[[object], _Decoded]) -> _Decoded:
     """``decode`` of the JSON in ``text`` (or its UTF-8 bytes); input that is not UTF-8
-    or JSON, or that ``decode`` refuses, raises ``error``, naming a missing key as such."""
+    or JSON, or that ``decode`` refuses, is Malformed, naming a missing key as such."""
     import json  # on first use, so importing this module loads no json
 
     try:
@@ -82,7 +79,34 @@ def read_json(text: str | bytes, decode: Callable[[object], _Decoded], error: ty
             text = text.decode("utf-8")
         return decode(json.loads(text))
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError, RecursionError) as exc:
-        raise error(f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)) from exc
+        raise Malformed(f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)) from exc
+
+
+def read_fields(lines: list[str], start: int = 0) -> tuple[dict[str, tuple[int, str]], int]:
+    """The ``key: value`` lines of ``lines`` from index ``start`` up to the first blank line.
+
+    Returns each key's line number (from 1) and value, and the index of the
+    blank line, or ``len(lines)`` when none follows.  Keys and values are
+    stripped, and lines starting with ``#`` are skipped.  A line with no
+    colon, and a key met twice, are Malformed.  Callers split their text at
+    line feeds only, so a value may hold any character ``str.splitlines``
+    breaks at.
+    """
+    fields: dict[str, tuple[int, str]] = {}
+    for index in range(start, len(lines)):
+        line = lines[index].strip()
+        if not line:
+            return fields, index
+        if line.startswith("#"):
+            continue
+        key, sep, value = line.partition(":")
+        if not sep:
+            raise Malformed(f"expected 'key: value', got {lines[index]!r}", line=index + 1)
+        key = key.strip()
+        if key in fields:
+            raise Malformed(f"duplicate field {key!r}", line=index + 1, field=key)
+        fields[key] = (index + 1, value.strip())
+    return fields, len(lines)
 
 
 def write_atomic(path: Path, data: bytes) -> None:

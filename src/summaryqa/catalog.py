@@ -25,7 +25,10 @@ positive rational written as an integer, a decimal or a ratio (``2``,
 ``0.5``, ``3/2``; no exponent); the weights' common denominator, and their
 total in units of it, are at most 10**12.  ``applicability`` is either
 ``always`` or ``if <gate-metric-id> = yes|no``.  Lines starting with ``#``
-are ignored on load.
+are ignored on load.  Each block is read by ``base.read_fields``, the reader
+the assessment header shares: only a line feed ends a line, so a prompt may
+hold U+2028 or any other character ``str.splitlines`` breaks at.  A file
+that does not parse is ``Malformed``, located by line and field.
 
 A parsed catalog, or one built in code, is checked by one pass,
 :func:`_compile`, whose findings :func:`validate_catalog` reports and whose
@@ -39,9 +42,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from pathlib import Path
 
-from .base import CELLS, SECTION_ORDER, Dimension, Section, Source, exact_number, read_text
-from .errors import Finding, MalformedCatalog, SchemaViolation
+from .base import CELLS, SECTION_ORDER, Dimension, Section, exact_number, read_fields, read_text
+from .errors import Finding, Malformed
 
 #: A cell's index in CELLS, the cell index of a compiled row.
 _CELL_INDEX = {cell: i for i, cell in enumerate(CELLS)}
@@ -239,7 +243,7 @@ def _flag(text: str) -> bool:
 
 
 #: Each metric field in file order, with the reader of its value: a
-#: ValueError from a reader is a SchemaViolation on that field's line.
+#: ValueError from a reader is Malformed on that field's line.
 _METRIC_READERS = {
     "id": str,
     "element_id": str,
@@ -253,73 +257,56 @@ _METRIC_READERS = {
 _METRIC_FIELDS = tuple(_METRIC_READERS)
 
 
-def _split_blocks(text: str) -> list[list[tuple[int, str]]]:
-    """Split into blocks of (line_number, line), skipping blanks and comments."""
-    blocks: list[list[tuple[int, str]]] = []
-    current: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            if current:
-                blocks.append(current)
-                current = []
+def _records(text: str) -> list[dict[str, tuple[int, str]]]:
+    """The blank-line-separated ``key: value`` blocks of ``text``, each as
+    ``read_fields`` returns it; a block of comments alone is no record."""
+    lines = text.split("\n")
+    records = []
+    index = 0
+    while index < len(lines):
+        if not lines[index].strip():
+            index += 1
             continue
-        if line.lstrip().startswith("#"):
-            continue
-        current.append((lineno, line))
-    if current:
-        blocks.append(current)
-    return blocks
-
-
-def _parse_block(block: list[tuple[int, str]]) -> dict[str, tuple[int, str]]:
-    fields: dict[str, tuple[int, str]] = {}
-    for lineno, line in block:
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise MalformedCatalog(f"expected 'key: value', got {line!r}", line=lineno)
-        key = key.strip()
-        if key in fields:
-            raise SchemaViolation(f"duplicate field {key!r} in record", line=lineno, field=key)
-        fields[key] = (lineno, value.strip())
-    return fields
+        fields, index = read_fields(lines, index)
+        if fields:
+            records.append(fields)
+    return records
 
 
 def parse_catalog(text: str) -> Catalog:
     """Parse catalog file text.  See the module docstring for the format."""
-    blocks = _split_blocks(text)
-    if not blocks:
-        raise MalformedCatalog("empty catalog file")
+    records = _records(text)
+    if not records:
+        raise Malformed("empty catalog file")
 
-    header = _parse_block(blocks[0])
+    header = records[0]
+    first_line = next(iter(header.values()))[0]
     for key in ("catalog", "version"):
         if key not in header:
-            first_line = blocks[0][0][0]
-            raise SchemaViolation(f"header block missing {key!r}", line=first_line, field=key)
+            raise Malformed(f"header block missing {key!r}", line=first_line, field=key)
     extras = set(header) - {"catalog", "version"}
     if extras:
         key = sorted(extras)[0]
-        raise SchemaViolation(f"unknown header field {key!r}", line=header[key][0], field=key)
+        raise Malformed(f"unknown header field {key!r}", line=header[key][0], field=key)
     name = header["catalog"][1]
     version = header["version"][1]
     if not name or not version:
-        raise SchemaViolation("catalog name and version must be non-empty", line=blocks[0][0][0])
+        raise Malformed("catalog name and version must be non-empty", line=first_line)
 
     metrics: list[Metric] = []
-    for block in blocks[1:]:
-        fields = _parse_block(block)
-        first_line = block[0][0]
+    for fields in records[1:]:
+        first_line = next(iter(fields.values()))[0]
         for key in _METRIC_FIELDS:
             if key not in fields:
-                raise SchemaViolation(f"metric record missing field {key!r}", line=first_line, field=key)
+                raise Malformed(f"metric record missing field {key!r}", line=first_line, field=key)
         extras = set(fields) - set(_METRIC_FIELDS)
         if extras:
             key = sorted(extras)[0]
-            raise SchemaViolation(f"unknown metric field {key!r}", line=fields[key][0], field=key)
+            raise Malformed(f"unknown metric field {key!r}", line=fields[key][0], field=key)
 
         metric_id = fields["id"][1]
         if not metric_id:
-            raise SchemaViolation("metric id must be non-empty", line=fields["id"][0], field="id")
+            raise Malformed("metric id must be non-empty", line=fields["id"][0], field="id")
 
         values = {}
         for key, read in _METRIC_READERS.items():
@@ -327,15 +314,15 @@ def parse_catalog(text: str) -> Catalog:
             try:
                 values[key] = read(text)
             except ValueError as exc:
-                raise SchemaViolation(str(exc), line=lineno, field=key) from None
+                raise Malformed(str(exc), line=lineno, field=key) from None
         metrics.append(Metric(**values))
 
     return Catalog(name=name, version=version, metrics=tuple(metrics))
 
 
-def load_catalog(source: Source) -> Catalog:
-    """Load a catalog from a path or a readable (byte or text) stream."""
-    return parse_catalog(read_text(source, MalformedCatalog))
+def load_catalog(path: str | Path) -> Catalog:
+    """Load the catalog file at ``path``."""
+    return parse_catalog(read_text(path))
 
 
 def validate_catalog(catalog: Catalog) -> list[Finding]:

@@ -8,8 +8,8 @@ file and the file over the built-in defaults, and click parses and checks a
 value the same way wherever it comes from.  Three keys exist only in the file
 and are checked under every command: ``section_group_strategy``,
 ``overall_strategy`` and ``grade_scale`` (a ``LABEL:MIN,...`` list, best band
-first, checked by ``reporting.GradeScale.check``).  Any other key, and any
-value that holds a NUL byte, is refused with the file and line.
+first, checked by ``reporting.GradeScale.check``).  Any other key, a key set
+twice, and a value that holds a NUL byte are refused with the file and line.
 
 Diagnostics go to stderr; findings and requested data go to stdout or files.
 Exit status is 0 only when there are no findings and no errors.  Validation
@@ -35,7 +35,7 @@ import click
 from click.core import ParameterSource
 
 from . import __version__
-from .errors import Finding, MalformedAssessment, MalformedRegistry, SummaryQAError
+from .errors import Finding, Malformed, Refused, SummaryQAError
 
 if TYPE_CHECKING:
     from .reporting import AggregationConfig, GradeScale
@@ -103,6 +103,8 @@ def _read_config_file(path: Path) -> dict[str, str]:
             raise click.ClickException(f"{path}:{lineno}: unknown config line {raw!r}")
         if "\0" in value:
             raise click.ClickException(f"{path}:{lineno}: the value of {key} holds a NUL byte")
+        if key in values:
+            raise click.ClickException(f"{path}:{lineno}: {key} is set more than once")
         values[key] = value.strip()
     return values
 
@@ -266,7 +268,7 @@ def validate(config, assessments, registry_path, store):
     total = 0
     try:
         catalog = load_catalog(catalog_path)
-    except SummaryQAError as exc:
+    except Malformed as exc:
         click.echo(f"catalog\t{catalog_path}\tmalformed-catalog\t{exc}")
         sys.exit(1)
     catalog_findings = validate_catalog(catalog)
@@ -278,8 +280,8 @@ def validate(config, assessments, registry_path, store):
         for path in sorted(assessments.glob("*.csv")):
             source = f"assessment:{path.name}"
             try:
-                assessment = parse_assessment(read_text(path, MalformedAssessment))
-            except MalformedAssessment as exc:
+                assessment = parse_assessment(read_text(path))
+            except Malformed as exc:
                 click.echo(f"{source}\t{path.name}\tmalformed-assessment\t{exc}")
                 total += 1
                 continue
@@ -288,7 +290,7 @@ def validate(config, assessments, registry_path, store):
     if registry_path is not None:
         try:
             registry = load_registry(registry_path)
-        except MalformedRegistry as exc:
+        except Malformed as exc:
             click.echo(f"registry\t{registry_path}\tmalformed-registry\t{exc}")
             total += 1
         else:
@@ -320,7 +322,6 @@ def score(config, source):
     from .assessment import load_assessment
     from .base import Group, write_atomic
     from .catalog import load_catalog, validate_catalog
-    from .errors import Refused
     from .reporting import DEFAULT_CONFIG, render_scorecard, scorecard_to_json
     from .scoring import score_summary
 
@@ -329,7 +330,7 @@ def score(config, source):
     catalog = _load(load_catalog, catalog_path)
     findings = validate_catalog(catalog)
     if findings:
-        raise click.ClickException(f"{catalog_path}: {Refused('catalog', findings)}")
+        raise click.ClickException(f"{catalog_path}: {Refused.with_findings('catalog', findings)}")
     aggregation = config.aggregation or DEFAULT_CONFIG
 
     source = Path(source)
@@ -477,7 +478,6 @@ def site(config, registry_path, cards_dir, store, title):
     every internal link resolves.  Otherwise the command exits 1, listing
     any broken links, and the previous site stays as it was.
     """
-    from .errors import PublishRefused
     from .registry import load_registry
     from .site import SiteConfig, build_site
 
@@ -490,7 +490,7 @@ def site(config, registry_path, cards_dir, store, title):
     site_config = SiteConfig(output_root=site_root, store_root=store, site_title=title)
     try:
         plan = build_site(registry, sorted(directory.glob("*.scorecard.json")), site_config)
-    except PublishRefused as exc:
+    except Refused as exc:
         _echo_findings("site", exc.findings)
         raise click.ClickException(f"site not published: {exc}") from exc
     click.echo(f"built {len(plan.pages)} page(s) under {site_root}", err=True)

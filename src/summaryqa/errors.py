@@ -1,46 +1,34 @@
-"""Exception hierarchy and the shared Finding record.
+"""Exception types and the shared Finding record.
 
-Hard failures (malformed files, broken references) raise exceptions; soft
-validation outcomes are returned as lists of :class:`Finding` so callers can
-report every problem in one pass.
+Errors are typed by what a caller does with them, not by which input failed:
+
+* :class:`Malformed` -- a catalog, assessment, score card or registry that
+  cannot be read or parsed; the caller names the file.
+* :class:`Refused` -- input that parses but is not accepted, with the
+  findings that refuse it when there are any.
+* :class:`FetchFailed` and :class:`WriteFailed` -- the archive fetch or a
+  write failed.
+
+Soft validation outcomes are returned as lists of :class:`Finding` so callers
+can report every problem in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 
 class SummaryQAError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class Refused(SummaryQAError):
-    """An input that ``validate`` reports on, refused with those findings.
+class Malformed(SummaryQAError):
+    """A catalog, assessment, score card or registry that cannot be read or parsed.
 
-    The message names the count and the first finding, so ``score`` refuses
-    a catalog and an assessment in the same words.
+    ``line`` and ``field`` locate the fault when the parser knows it; the
+    message then starts ``line N, field 'f': ``.
     """
-
-    def __init__(self, kind: str, findings: list[Finding]):
-        self.findings = findings
-        first = findings[0]
-        super().__init__(
-            f"{kind} has {len(findings)} finding(s), first {first.code} at {first.locus}: {first.message}"
-        )
-
-
-# -- catalog ----------------------------------------------------------------
-
-class MalformedCatalog(SummaryQAError):
-    """Catalog file cannot be parsed (syntax level)."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line else message)
-
-
-class SchemaViolation(SummaryQAError):
-    """Catalog record is missing fields, has unknown fields, or bad values."""
 
     def __init__(self, message: str, line: int | None = None, field: str | None = None):
         self.line = line
@@ -49,71 +37,28 @@ class SchemaViolation(SummaryQAError):
         super().__init__(f"{locus}: {message}" if locus else message)
 
 
-# -- assessment -------------------------------------------------------------
+class Refused(SummaryQAError):
+    """Input that parses but is not accepted; ``findings`` lists why, when a check found them."""
 
-class MalformedAssessment(SummaryQAError):
-    """Assessment file cannot be parsed."""
+    def __init__(self, message: str, findings: Sequence[Finding] = ()):
+        self.findings = list(findings)
+        super().__init__(message)
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line else message)
-
-
-# -- reporting --------------------------------------------------------------
-
-class UnsupportedFormat(SummaryQAError):
-    """Requested render format is not one of the supported formats."""
-
-
-class CatalogVersionMismatch(SummaryQAError):
-    """Comparison inputs reference different catalogs or were scored under different configurations."""
-
-
-class MalformedScoreCard(SummaryQAError):
-    """Score card file cannot be parsed."""
-
-
-# -- registry / archive -----------------------------------------------------
-
-class DuplicateSlug(SummaryQAError):
-    """Registry already contains an entry with this slug."""
-
-
-class MalformedRegistry(SummaryQAError):
-    """Registry file cannot be parsed."""
+    @classmethod
+    def with_findings(cls, kind: str, findings: Sequence[Finding]) -> Refused:
+        """A refusal of a ``kind`` input naming the count and the first finding, so
+        ``score`` refuses a catalog and an assessment in the same words."""
+        first = findings[0]
+        message = f"{kind} has {len(findings)} finding(s), first {first.code} at {first.locus}: {first.message}"
+        return cls(message, findings)
 
 
 class FetchFailed(SummaryQAError):
     """Source bytes could not be retrieved."""
 
 
-# -- site -------------------------------------------------------------------
-
-class UnmatchedScoreCard(SummaryQAError):
-    """A score card has no matching registry entry."""
-
-
-class PublishRefused(SummaryQAError):
-    """The staged site was not published.
-
-    A registry slug would leave its root, a stored archived object fails
-    ``registry.read_archived``, or a link does not resolve (those are
-    listed in ``findings``).
-    """
-
-    def __init__(self, message: str, findings: list[Finding] | None = None):
-        self.findings = findings or []
-        super().__init__(message)
-
-
 class WriteFailed(SummaryQAError):
     """An output file or stored object could not be written."""
-
-
-# -- cli --------------------------------------------------------------------
-
-class NoScoreCards(SummaryQAError):
-    """Comparison requested but no score cards were found."""
 
 
 @dataclass(frozen=True)
@@ -127,4 +72,3 @@ class Finding:
     code: str
     locus: str
     message: str
-

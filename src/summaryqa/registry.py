@@ -22,7 +22,7 @@ from .base import (
     SummaryMeta, lookup, meta_from_dict, meta_to_dict, read_bytes, read_json, require_strings, well_formed_url,
     write_atomic,
 )
-from .errors import DuplicateSlug, FetchFailed, Finding, MalformedRegistry, WriteFailed
+from .errors import FetchFailed, Finding, Refused, WriteFailed
 
 _SLUG_RE = re.compile(r"[a-z0-9][a-z0-9-]*")
 
@@ -35,9 +35,8 @@ def valid_slug(slug: str) -> bool:
     """
     return _SLUG_RE.fullmatch(slug) is not None
 
-# Media type of a local file by its suffix, and (first match) the suffix of an
-# archived copy on the site.  A fixed table rather than ``mimetypes``, whose
-# answers depend on the host's mime.types files.
+# Media type of a local file by its suffix.  A fixed table rather than
+# ``mimetypes``, whose answers depend on the host's mime.types files.
 MEDIA_TYPES = {
     ".html": "text/html",
     ".htm": "text/html",
@@ -45,14 +44,6 @@ MEDIA_TYPES = {
     ".md": "text/markdown",
     ".txt": "text/plain",
 }
-
-
-def media_type_suffix(media_type: str) -> str:
-    """File suffix for a media type; ``.bin`` for one outside the table."""
-    for suffix, known in MEDIA_TYPES.items():
-        if known == media_type:
-            return suffix
-    return ".bin"
 
 
 class DiscoveryChannel(Enum):
@@ -123,7 +114,7 @@ class Registry:
 def add_entry(registry: Registry, entry: RegistryEntry) -> Registry:
     """Append an entry; slugs must be unique."""
     if registry.get(entry.id) is not None:
-        raise DuplicateSlug(f"registry already contains slug {entry.id!r}")
+        raise Refused(f"registry already contains slug {entry.id!r}")
     registry.entries.append(entry)
     return registry
 
@@ -182,8 +173,8 @@ _ARCHIVED_TEXT = ("fetched_at", "content_digest", "media_type", "storage_path")
 
 
 def registry_from_json(text: str | bytes) -> Registry:
-    """Parse registry JSON (text, or UTF-8 bytes); any malformed input raises MalformedRegistry."""
-    return read_json(text, _registry_from_dict, MalformedRegistry)
+    """Parse registry JSON (text, or UTF-8 bytes); any malformed input is Malformed."""
+    return read_json(text, _registry_from_dict)
 
 
 def _registry_from_dict(data: dict) -> Registry:
@@ -223,7 +214,7 @@ def _assessment_refs(refs) -> tuple[str, ...]:
 
 
 def load_registry(path: str | Path) -> Registry:
-    return registry_from_json(read_bytes(path, MalformedRegistry))
+    return registry_from_json(read_bytes(path))
 
 
 def save_registry(registry: Registry, path: str | Path) -> None:

@@ -33,12 +33,7 @@ from .base import (
     DIMENSION_ORDER, SECTION_ORDER, Dimension, Group, Section, SummaryMeta, meta_from_dict, meta_to_dict, read_bytes,
     read_json,
 )
-from .errors import (
-    CatalogVersionMismatch,
-    MalformedScoreCard,
-    NoScoreCards,
-    UnsupportedFormat,
-)
+from .errors import Refused
 
 FORMATS = ("json", "csv", "html")
 
@@ -302,12 +297,12 @@ def scorecard_to_json(card: ScoreCard) -> str:
 
 
 def scorecard_from_json(text: str | bytes) -> ScoreCard:
-    """Parse score card JSON (text, or UTF-8 bytes); any malformed input raises MalformedScoreCard."""
-    return read_json(text, scorecard_from_dict, MalformedScoreCard)
+    """Parse score card JSON (text, or UTF-8 bytes); any malformed input is Malformed."""
+    return read_json(text, scorecard_from_dict)
 
 
 def load_scorecard(path: str | Path) -> ScoreCard:
-    return scorecard_from_json(read_bytes(path, MalformedScoreCard))
+    return scorecard_from_json(read_bytes(path))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +317,7 @@ _Row = tuple[list[str], list[str], bool]
 def _render(fmt: str, **makers: Callable[[], str]) -> bytes:
     """The text that ``makers[fmt]`` makes, as UTF-8; there is one maker per entry of FORMATS."""
     if fmt not in FORMATS:
-        raise UnsupportedFormat(f"unsupported format {fmt!r}; expected one of {', '.join(FORMATS)}")
+        raise Refused(f"unsupported format {fmt!r}; expected one of {', '.join(FORMATS)}")
     return makers[fmt]().encode("utf-8")
 
 
@@ -425,13 +420,13 @@ def scorecard_table_html(card: ScoreCard) -> str:
 
 def _comparison_check(cards: list[ScoreCard]) -> None:
     if not cards:
-        raise NoScoreCards("comparison needs at least one score card")
+        raise Refused("comparison needs at least one score card")
     refs = {card.catalog_ref for card in cards}
     if len(refs) > 1:
-        raise CatalogVersionMismatch(f"cards reference different catalogs: {sorted(refs)}")
+        raise Refused(f"cards reference different catalogs: {sorted(refs)}")
     mixed = next((card for card in cards if card.config_used != cards[0].config_used), None)
     if mixed is not None:
-        raise CatalogVersionMismatch(
+        raise Refused(
             f"cards were scored under different configurations: {cards[0].meta.model} and {mixed.meta.model}"
         )
 

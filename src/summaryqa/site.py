@@ -3,7 +3,8 @@
 Every page is markup this module writes: plain semantic HTML with inline
 styling and no scripts, readable on desktop and mobile.  No input is copied
 into a page; beside the pages, a site holds each score card's JSON bytes and
-the archived copies, which must match their pinned digests.  The
+the archived copies, which must match their pinned digests; an archived HTML
+page is published as ``.txt``, so no file but a generated page is HTML.  The
 information order is: overall grades first, section-level scores second,
 then links to the full machine-readable score card, the live source, and
 the pinned archived copy.  Builds are reproducible: identical inputs
@@ -12,7 +13,9 @@ produce byte-identical trees (no timestamps).
 A build is one pass into a fresh staging directory beside the output root.
 The staged tree replaces the published one only after every archived copy
 has matched its pinned digest and every link the build wrote resolves, so a
-refused build publishes nothing and leaves the previous site in place.
+refused build publishes nothing and leaves the previous site in place.  A
+card that cannot be read is ``Malformed``, naming its path; every other
+reason not to publish is ``Refused``.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from pathlib import Path
 from urllib.parse import urlparse
 
 from .base import Group, read_bytes, well_formed_url
-from .errors import Finding, MalformedScoreCard, PublishRefused, UnmatchedScoreCard, WriteFailed
-from .registry import Registry, RegistryEntry, media_type_suffix, read_archived, valid_slug
+from .errors import Finding, Malformed, Refused, WriteFailed
+from .registry import Registry, RegistryEntry, read_archived, valid_slug
 from .reporting import (
     ScoreCard,
     _page,
@@ -69,10 +72,17 @@ def _grades_overview_html(card: ScoreCard) -> str:
     return "<ul class=\"grades\">\n" + "\n".join(parts) + "\n</ul>\n"
 
 
+#: The suffix an archived copy is published under, by its media type, ``.bin``
+#: for any other.  HTML is published as text, so a source page's scripts never
+#: run on the site's origin.
+_ARCHIVE_SUFFIXES = {"application/pdf": ".pdf", "text/markdown": ".md", "text/plain": ".txt", "text/html": ".txt"}
+
+
 def _archive_name(entry: RegistryEntry) -> str | None:
     if entry.archived is None:
         return None
-    return f"archived-{entry.archived.content_digest[:12]}{media_type_suffix(entry.archived.media_type)}"
+    suffix = _ARCHIVE_SUFFIXES.get(entry.archived.media_type, ".bin")
+    return f"archived-{entry.archived.content_digest[:12]}{suffix}"
 
 
 def _detail_page(card: ScoreCard, entry: RegistryEntry, archive_file: str | None, hrefs: list[str]) -> str:
@@ -127,7 +137,7 @@ def _copy_archived(entry: RegistryEntry, store: Path | None, page_dir: Path) -> 
     if isinstance(data, Finding):
         if data.code == "missing-object":
             return None
-        raise PublishRefused(f"{entry.id}: {data.message}")
+        raise Refused(f"{entry.id}: {data.message}")
     name = _archive_name(entry)
     _create(page_dir / name, data)
     return name
@@ -144,24 +154,24 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
     columns: list[str] = []  # each card's detail href, in card order
 
     for path in card_files:
-        data = read_bytes(path, MalformedScoreCard)
         try:
+            data = read_bytes(path)
             card = scorecard_from_json(data)
-        except MalformedScoreCard as exc:
-            raise MalformedScoreCard(f"{path}: {exc}") from exc
+        except Malformed as exc:
+            raise Malformed(f"{path}: {exc}") from exc
         if not well_formed_url(card.meta.source_url):
-            raise PublishRefused(f"{path}: source_url {card.meta.source_url!r} is not well-formed")
+            raise Refused(f"{path}: source_url {card.meta.source_url!r} is not well-formed")
         key = (card.meta.provider, card.meta.model)
         entry = by_summary.get(key)
         if entry is None:
-            raise UnmatchedScoreCard(f"no registry entry for provider={key[0]!r} model={key[1]!r}")
+            raise Refused(f"no registry entry for provider={key[0]!r} model={key[1]!r}")
         if not valid_slug(entry.id):
-            raise PublishRefused(f"registry slug {entry.id!r} must be lowercase alphanumeric/hyphen")
+            raise Refused(f"registry slug {entry.id!r} must be lowercase alphanumeric/hyphen")
         page_dir = root / "summaries" / entry.id
         try:
             page_dir.mkdir(parents=True)
         except FileExistsError:
-            raise PublishRefused(f"more than one score card matches registry slug {entry.id!r}") from None
+            raise Refused(f"more than one score card matches registry slug {entry.id!r}") from None
         archive_file = _copy_archived(entry, store, page_dir)
         hrefs: list[str] = []
         _create(page_dir / "index.html", _detail_page(card, entry, archive_file, hrefs).encode("utf-8"))
@@ -224,7 +234,7 @@ def build_site(registry: Registry, card_files: list[Path], config: SiteConfig) -
     The pages are written into a staging directory beside the output root,
     and ``check_links`` runs on the staged plan.  Only then does the staged
     tree replace the output root, which also drops the pages of cards no
-    longer given.  A refused build (PublishRefused, or any other error)
+    longer given.  A refused build (Refused, or any other error)
     leaves the output root as it was and no staging directory behind.
     """
     root = Path(config.output_root)
@@ -237,7 +247,7 @@ def build_site(registry: Registry, card_files: list[Path], config: SiteConfig) -
         plan = _stage(registry, card_files, config, work / "site")
         broken = check_links(plan)
         if broken:
-            raise PublishRefused(f"{len(broken)} broken link(s)", broken)
+            raise Refused(f"{len(broken)} broken link(s)", broken)
         _swap(work / "site", root, work / "previous")
     except OSError as exc:
         raise WriteFailed(f"cannot build {root}: {exc}") from exc

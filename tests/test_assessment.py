@@ -1,6 +1,5 @@
 """Assessment parsing, validation, gate answers, and applicability."""
 
-import io
 import random
 from dataclasses import replace
 from datetime import date
@@ -22,7 +21,7 @@ from summaryqa.assessment import (
 from summaryqa.base import PublishedForm, SummaryMeta
 from summaryqa.base import Dimension, Section
 from summaryqa.catalog import ApplicabilityRule, Catalog, Metric
-from summaryqa.errors import MalformedAssessment, Refused, SummaryQAError
+from summaryqa.errors import Malformed, Refused, SummaryQAError
 
 from randgen import SCOREABLE, random_assessment, random_catalog
 from toys import applicable_metrics, dumps_assessment, load_reference_catalog, with_verdict
@@ -299,7 +298,7 @@ class TestValidation:
         a = make_assessment(cat, {"A": Verdict(S)}, meta=make_meta(assessed_version_date=date(2099, 1, 1)))
         assert "future-date" in [f.code for f in assessment_findings(cat, a, CHECK_TODAY)]
 
-    def test_checks_take_today_instead_of_the_clock(self):
+    def test_checks_take_today_instead_of_the_clock(self, tmp_path):
         cat = make_catalog(make_metric("A"))
         a = make_assessment(cat, {"A": Verdict(S)})  # assessed 2026-01-12
         day_before, same_day = date(2026, 1, 11), date(2026, 1, 12)
@@ -307,10 +306,11 @@ class TestValidation:
         check_assessment(cat, a, today=same_day)
         assert [f.code for f in assessment_findings(cat, a, today=day_before)] == ["future-date"]
         assert assessment_findings(cat, a, today=same_day) == []
-        text = dumps_assessment(a).encode()
+        path = tmp_path / "a.csv"
+        path.write_text(dumps_assessment(a), encoding="utf-8")
         with pytest.raises(Refused, match="first future-date at meta: .* is in the future"):
-            load_assessment(io.BytesIO(text), cat, today=day_before)
-        assert load_assessment(io.BytesIO(text), cat, today=same_day) == a
+            load_assessment(path, cat, today=day_before)
+        assert load_assessment(path, cat, today=same_day) == a
 
     def test_validity_invariant_under_verdict_permutation(self):
         cat = make_catalog(make_metric("A"), make_metric("B"), make_metric("C"))
@@ -466,8 +466,10 @@ class TestFileFormat:
     def catalog(self):
         return make_catalog(make_metric("G"), make_metric("D", gate="G"))
 
-    def test_load_valid_file(self):
-        a = load_assessment(io.BytesIO(SAMPLE_FILE.encode()), self.catalog(), CHECK_TODAY)
+    def test_load_valid_file(self, tmp_path):
+        path = tmp_path / "sample.csv"
+        path.write_bytes(SAMPLE_FILE.encode())
+        a = load_assessment(path, self.catalog(), CHECK_TODAY)
         assert a.meta.provider == "ExampleCo"
         assert a.verdicts["D"].value is P
         assert a.verdicts["D"].note == "terse, but present"
@@ -478,8 +480,7 @@ class TestFileFormat:
         path = tmp_path / "sample.csv"
         path.write_bytes(SAMPLE_FILE.replace("\n", newline).encode())
         assert "\r" not in SAMPLE_FILE
-        expected = load_assessment(io.BytesIO(SAMPLE_FILE.encode()), self.catalog(), CHECK_TODAY)
-        assert load_assessment(path, self.catalog(), CHECK_TODAY) == expected
+        assert load_assessment(path, self.catalog(), CHECK_TODAY) == parse_assessment(SAMPLE_FILE)
 
     def test_round_trip_identity(self):
         a = parse_assessment(SAMPLE_FILE)
@@ -490,29 +491,39 @@ class TestFileFormat:
         once = dumps_assessment(a)
         assert dumps_assessment(parse_assessment(once)) == once
 
+    def test_header_line_without_a_colon_reads_as_in_a_catalog(self):
+        with pytest.raises(Malformed, match="^line 2: expected 'key: value', got 'model Example-7B'$") as exc:
+            parse_assessment(SAMPLE_FILE.replace("model: Example-7B", "model Example-7B"))
+        assert (exc.value.line, exc.value.field) == (2, None)
+
+    def test_repeated_header_field_reads_as_in_a_catalog(self):
+        with pytest.raises(Malformed, match="^line 3, field 'model': duplicate field 'model'$") as exc:
+            parse_assessment(SAMPLE_FILE.replace("model: Example-7B\n", "model: Example-7B\nmodel: Other\n"))
+        assert (exc.value.line, exc.value.field) == (3, "model")
+
     def test_missing_header_field(self):
-        with pytest.raises(MalformedAssessment, match="provider"):
+        with pytest.raises(Malformed, match="provider"):
             parse_assessment(SAMPLE_FILE.replace("provider: ExampleCo\n", ""))
 
     def test_bad_verdict_token(self):
-        with pytest.raises(MalformedAssessment, match="unknown verdict"):
+        with pytest.raises(Malformed, match="unknown verdict"):
             parse_assessment(SAMPLE_FILE.replace("partially-sufficient", "meh"))
 
     def test_duplicate_row(self):
-        with pytest.raises(MalformedAssessment, match="duplicate verdict"):
+        with pytest.raises(Malformed, match="duplicate verdict"):
             parse_assessment(SAMPLE_FILE + "G,sufficient,\n")
 
     def test_bad_date(self):
-        with pytest.raises(MalformedAssessment, match="YYYY-MM-DD"):
+        with pytest.raises(Malformed, match="YYYY-MM-DD"):
             parse_assessment(SAMPLE_FILE.replace("2026-01-12", "12 Jan 2026"))
 
     def test_missing_csv_header(self):
         broken = SAMPLE_FILE.replace("metric_id,verdict,note\n", "")
-        with pytest.raises(MalformedAssessment, match="verdict table"):
+        with pytest.raises(Malformed, match="verdict table"):
             parse_assessment(broken)
 
     def test_unknown_published_form(self):
-        with pytest.raises(MalformedAssessment, match="published form"):
+        with pytest.raises(Malformed, match="published form"):
             parse_assessment(SAMPLE_FILE.replace("published_form: PDF", "published_form: Scroll"))
 
     def test_notes_with_tricky_content_round_trip(self):
@@ -547,7 +558,7 @@ class TestFileFormat:
         assert again.verdicts["G"].note == f"gate=yes; {note}"
 
     def test_note_over_the_csv_field_limit_is_a_typed_error(self):
-        with pytest.raises(MalformedAssessment, match=r"^line 14: field larger than field limit"):
+        with pytest.raises(Malformed, match=r"^line 14: field larger than field limit"):
             parse_assessment(SAMPLE_FILE + f"E,sufficient,{'x' * 200_000}\n")
 
     @pytest.mark.parametrize(
@@ -561,7 +572,7 @@ class TestFileFormat:
         ids=["no-final-newline", "final-newline", "swallows-a-row", "table-header-after-blank-lines"],
     )
     def test_unterminated_quote_is_refused_on_its_row(self, text, line):
-        with pytest.raises(MalformedAssessment, match=f"^line {line}: unexpected end of data$"):
+        with pytest.raises(Malformed, match=f"^line {line}: unexpected end of data$"):
             parse_assessment(text)
 
     def test_plain_rows_share_one_verdict_and_noted_rows_keep_their_own(self):
@@ -589,7 +600,7 @@ class TestFileFormat:
             verdicts["A1"].note = "changed"
 
     def test_bad_token_without_a_note_names_its_line(self):
-        with pytest.raises(MalformedAssessment, match="line 14: unknown verdict"):
+        with pytest.raises(Malformed, match="line 14: unknown verdict"):
             parse_assessment(SAMPLE_FILE + "A1,meh,\n")
 
     @pytest.mark.parametrize(
@@ -604,7 +615,7 @@ class TestFileFormat:
         header = fixture.read_text(encoding="utf-8").split("\n\n")[0]
         text = f'{header}\n\nmetric_id,verdict,note\nA,sufficient,"two\nline note"\n\n{bad_row}'
         assert text.splitlines()[15].startswith("B,meh,")
-        with pytest.raises(MalformedAssessment, match="^line 16: unknown verdict 'meh'$"):
+        with pytest.raises(Malformed, match="^line 16: unknown verdict 'meh'$"):
             parse_assessment(text)
 
     def test_multiline_note_round_trips_via_csv_quoting(self):
@@ -621,15 +632,15 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="line breaks"):
             dumps_assessment(broken)
 
-    def test_full_coverage_assessment_of_reference_catalog(self):
+    def test_full_coverage_assessment_of_reference_catalog(self, tmp_path):
         # All gates answered yes -> all 242 metrics applicable and scored.
-        import io
-
         from toys import S, uniform_assessment
 
         catalog = load_reference_catalog()
         full = uniform_assessment(catalog, S)
         assert len(full.verdicts) == 242
-        loaded = load_assessment(io.BytesIO(dumps_assessment(full).encode()), catalog, CHECK_TODAY)
+        path = tmp_path / "full.csv"
+        path.write_text(dumps_assessment(full), encoding="utf-8")
+        loaded = load_assessment(path, catalog, CHECK_TODAY)
         assert loaded == full
         assert applicable_metrics(catalog, loaded) == [m.id for m in catalog.metrics]

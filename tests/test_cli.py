@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, outputs, config precedence, full pipeline."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -386,7 +387,7 @@ class TestUnreadableInput:
         assert result.exit_code == 1
         source, locus, code, message = result.output.splitlines()[0].split("\t")
         assert (source, locus, code) == ("assessment:zz.csv", "zz.csv", "malformed-assessment")
-        assert message == f"cannot read {assessments / 'zz.csv'}: Is a directory"
+        assert message == "cannot read: Is a directory"
 
     def test_score_names_the_file(self, runner, tmp_path):
         assessments = tmp_path / "assessments"
@@ -397,7 +398,7 @@ class TestUnreadableInput:
         out = tmp_path / "out"
         result = run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(assessments))
         assert result.exit_code == 1
-        assert f"{assessments / 'zz.csv'}: cannot read {assessments / 'zz.csv'}: Is a directory" in result.output
+        assert f"Error: {assessments / 'zz.csv'}: cannot read: Is a directory\n" in result.output
         assert not out.exists()
 
     def test_compare_names_the_file(self, runner, tmp_path):
@@ -407,7 +408,7 @@ class TestUnreadableInput:
         card.mkdir()
         result = run(runner, "--out", str(out), "--format", "html", "compare")
         assert result.exit_code == 1
-        assert f"{card}: cannot read {card}: Is a directory" in result.output
+        assert f"Error: {card}: cannot read: Is a directory\n" in result.output
         assert not (out / "comparison.html").exists()
 
     def test_site_names_the_card_and_keeps_the_previous_site(self, runner, tmp_path):
@@ -419,7 +420,7 @@ class TestUnreadableInput:
         card.mkdir()
         result = run(runner, "--out", str(out), "site", "--registry", REGISTRY)
         assert result.exit_code == 1
-        assert f"Error: cannot read {card}: Is a directory" in result.output
+        assert f"Error: {card}: cannot read: Is a directory\n" in result.output
         assert tree_bytes(out / "site") == before
         assert not list(out.glob(".site.staging-*"))
 
@@ -531,7 +532,7 @@ class TestScoreAndCompare:
         assert not (out / "comparison.json").exists()
         result = run(runner, "--out", str(out), "site", "--registry", REGISTRY)
         assert result.exit_code == 1
-        assert "different configurations" in result.output
+        assert "Error: site not published: cards were scored under different configurations: " in result.output
         assert not (out / "site").exists()
 
     def test_compare_deeply_nested_card_fails_cleanly(self, runner, tmp_path):
@@ -770,8 +771,11 @@ class TestSite:
         card = out / "apertus.scorecard.json"
         card.write_text(card.read_text().replace("Swiss AI Initiative", "Somebody Else"))
         result = runner.invoke(cli, ["--out", str(out), "site", "--registry", REGISTRY])
-        assert result.exit_code != 0
-        assert "no registry entry" in result.output
+        assert result.exit_code == 1
+        assert (
+            "Error: site not published: no registry entry for provider='Somebody Else' model='Apertus'"
+            in result.output
+        )
 
     def test_site_malformed_registry_fails_cleanly(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -897,6 +901,31 @@ class TestSite:
         assert "site not published: 1 broken link(s)" in result.output
         assert tree_bytes(out / "site") == before
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+
+    def test_archived_html_is_published_as_text(self, runner, tmp_path):
+        out = tmp_path / "out"
+        run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
+        source = tmp_path / "phi-4.html"
+        source.write_bytes(b"<p>Phi-4 training data</p><script>alert(document.cookie)</script>\n")
+        registry, store = tmp_path / "registry.json", tmp_path / "store"
+        archived = run(
+            runner,
+            "archive", str(source), "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4",
+            "--registry", str(registry), "--store", str(store),
+        )
+        assert archived.exit_code == 0, archived.output
+        digest = archived.output.splitlines()[0]
+        assert json.loads(registry.read_text())["entries"][0]["archived"]["media_type"] == "text/html"
+        result = run(runner, "--out", str(out), "site", "--registry", str(registry), "--store", str(store))
+        assert result.exit_code == 0, result.output
+        site_root = out / "site"
+        assert sorted(
+            p.relative_to(site_root).as_posix() for p in site_root.rglob("*") if p.suffix in (".html", ".htm")
+        ) == ["index.html", "summaries/phi-4/index.html"]
+        copy = site_root / "summaries" / "phi-4" / f"archived-{digest[:12]}.txt"
+        assert hashlib.sha256(copy.read_bytes()).hexdigest() == digest
+        detail = (copy.parent / "index.html").read_text(encoding="utf-8")
+        assert f'<a href="{copy.name}">Archived copy</a>' in detail
 
     def test_methodology_is_an_unknown_option(self, runner, tmp_path):
         fragment = tmp_path / "method.html"
@@ -1051,6 +1080,14 @@ class TestConfigValues:
         assert from_file.exit_code == from_flag.exit_code == 2
         assert from_file.output == from_flag.output
         assert f"Invalid value for '--{key}'" in from_file.output
+
+    def test_repeated_key_is_refused(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"catalog: {tmp_path / 'missing.txt'}\ncatalog: {CATALOG}\n")
+        result = run(runner, "--config", str(cfg), "catalog-stats")
+        assert result.exit_code == 1
+        assert f"Error: {cfg}:2: catalog is set more than once\n" in result.output
+        assert "Total" not in result.output
 
 
 class TestCatalogStats:

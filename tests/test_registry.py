@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from summaryqa.errors import DuplicateSlug, FetchFailed, MalformedRegistry, WriteFailed
+from summaryqa.errors import FetchFailed, Malformed, Refused, WriteFailed
 from summaryqa.registry import (
     ArchivedCopy,
     DiscoveryChannel,
@@ -20,7 +20,6 @@ from summaryqa.registry import (
     archive_fetch,
     attach_archive,
     load_registry,
-    media_type_suffix,
     object_path,
     recorded_url,
     registry_from_json,
@@ -29,6 +28,7 @@ from summaryqa.registry import (
     validate_registry,
     verify_archive,
 )
+from summaryqa.site import _archive_name
 
 from toys import toy_meta
 
@@ -56,7 +56,7 @@ class TestRegistry:
     def test_duplicate_slug_rejected(self):
         registry = Registry()
         add_entry(registry, make_entry())
-        with pytest.raises(DuplicateSlug):
+        with pytest.raises(Refused, match="^registry already contains slug 'apertus-8b'$"):
             add_entry(registry, make_entry(model="Apertus-70B"))
 
     def test_add_order_preserved(self):
@@ -272,7 +272,7 @@ class TestMediaTypes:
     @pytest.mark.parametrize(
         "media_type,suffix",
         [
-            ("text/html", ".html"),
+            ("text/html", ".txt"),
             ("application/pdf", ".pdf"),
             ("text/markdown", ".md"),
             ("text/plain", ".txt"),
@@ -281,7 +281,11 @@ class TestMediaTypes:
         ],
     )
     def test_suffix_from_fixed_table(self, media_type, suffix):
-        assert media_type_suffix(media_type) == suffix
+        # The site publishes an archived copy under a suffix chosen by its media
+        # type; HTML is published as text, so its scripts never run on the site.
+        digest = "ab" * 32
+        archived = ArchivedCopy("2026-01-20T10:00:00Z", digest, media_type, 12, f"objects/ab/{digest}")
+        assert _archive_name(make_entry(archived=archived)) == f"archived-{digest[:12]}{suffix}"
 
 
 class TestVerifyArchive:
@@ -357,7 +361,7 @@ class TestShippedRegistryFixture:
         fixture = Path(__file__).resolve().parent.parent / "fixtures" / "registry.json"
         text = fixture.read_text(encoding="utf-8")
         text = text.replace('"storage_path": "objects/', '"storage_path": "objects\\u0000/', 1)
-        with pytest.raises(MalformedRegistry, match="archived.storage_path must not hold a NUL byte"):
+        with pytest.raises(Malformed, match="archived.storage_path must not hold a NUL byte"):
             registry_from_json(text)
 
     @pytest.mark.parametrize(
@@ -375,7 +379,7 @@ class TestShippedRegistryFixture:
         fixture = Path(__file__).resolve().parent.parent / "fixtures" / "registry.json"
         data = json.loads(fixture.read_text(encoding="utf-8"))
         data["entries"][0]["assessment_refs"] = refs
-        with pytest.raises(MalformedRegistry, match=re.escape(reason)):
+        with pytest.raises(Malformed, match=re.escape(reason)):
             registry_from_json(json.dumps(data))
 
     def test_absent_assessment_refs_read_as_empty(self):

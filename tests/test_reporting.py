@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from summaryqa.base import Group, Section
-from summaryqa.errors import CatalogVersionMismatch, MalformedScoreCard, NoScoreCards, UnsupportedFormat
+from summaryqa.errors import Malformed, Refused
 from summaryqa.reporting import (
     AggregationConfig,
     GradeScale,
@@ -145,16 +145,17 @@ class TestValueCodec:
             card = scorecard_from_json(card_text)
             assert Fraction(text) in [v.pct for v in card.per_cell.values()]
         else:
-            with pytest.raises(MalformedScoreCard):
+            reason = "percentage out of range" if canonical(text) else "is not n or n/d in lowest terms"
+            with pytest.raises(Malformed, match=reason):
                 scorecard_from_json(card_text)
 
     @pytest.mark.parametrize("text", ["101", "10001/100", "-1/2"])
     def test_out_of_range_is_refused(self, text):
-        with pytest.raises(MalformedScoreCard, match="percentage out of range"):
+        with pytest.raises(Malformed, match="percentage out of range"):
             scorecard_from_json(edited_card(random_card(1), lambda data: first_value(data).update(exact=text)))
 
     def test_non_string_exact_is_refused(self):
-        with pytest.raises(MalformedScoreCard, match="1 is not n or n/d"):
+        with pytest.raises(Malformed, match="1 is not n or n/d"):
             scorecard_from_json(edited_card(random_card(1), lambda data: first_value(data).update(exact=1)))
 
 
@@ -163,7 +164,7 @@ class TestSelfContradictingCard:
 
     def test_pct_must_be_the_display_of_exact(self):
         text = edited_card(random_card(2), lambda data: first_value(data).update(pct="99.99"))
-        with pytest.raises(MalformedScoreCard, match="pct '99.99' is not the display of exact"):
+        with pytest.raises(Malformed, match="pct '99.99' is not the display of exact"):
             scorecard_from_json(text)
 
     def test_overall_pct_and_grade_edited_together(self):
@@ -174,7 +175,7 @@ class TestSelfContradictingCard:
             data["overall"]["Transparency"]["pct"] = "99.99"
             data["grades"]["Transparency"] = "A+"
 
-        with pytest.raises(MalformedScoreCard, match="is not the display of exact"):
+        with pytest.raises(Malformed, match="is not the display of exact"):
             scorecard_from_json(edited_card(card, edit))
 
     @pytest.mark.parametrize("group", list(Group))
@@ -182,7 +183,7 @@ class TestSelfContradictingCard:
         card = random_card(2)
         wrong = "F" if card.grades[group] != "F" else "A+"
         text = edited_card(card, lambda data: data["grades"].update({group.value: wrong}))
-        with pytest.raises(MalformedScoreCard, match=re.escape(f"grade '{wrong}' for {group.value} is not")):
+        with pytest.raises(Malformed, match=re.escape(f"grade '{wrong}' for {group.value} is not")):
             scorecard_from_json(text)
 
     def test_na_overall_needs_na_grade(self):
@@ -190,7 +191,7 @@ class TestSelfContradictingCard:
         card = score_summary(cat, uniform_assessment(cat, NA, gate_answer="no"))
         assert card.overall[Group.USEFULNESS].is_na
         text = edited_card(card, lambda data: data["grades"].update(Usefulness="F"))
-        with pytest.raises(MalformedScoreCard, match="grade 'F' for Usefulness is not 'N/A'"):
+        with pytest.raises(Malformed, match="grade 'F' for Usefulness is not 'N/A'"):
             scorecard_from_json(text)
 
     @pytest.mark.parametrize(
@@ -206,7 +207,7 @@ class TestSelfContradictingCard:
     )
     def test_grade_scale_must_pass_its_check(self, scale, reason):
         text = edited_card(random_card(2), lambda data: data["config"].update(grade_scale=scale))
-        with pytest.raises(MalformedScoreCard, match=reason):
+        with pytest.raises(Malformed, match=reason):
             scorecard_from_json(text)
 
     def test_custom_grade_scale_round_trips(self):
@@ -247,7 +248,7 @@ class TestRenderScorecard:
 
     def test_unsupported_format(self):
         card = random_card(1)
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(Refused, match="^unsupported format 'docx'; expected one of json, csv, html$"):
             render_scorecard(card, "docx")
 
 
@@ -282,13 +283,14 @@ class TestRenderComparison:
         from dataclasses import replace
 
         b = replace(b, catalog_ref="other/2.0")
-        with pytest.raises(CatalogVersionMismatch):
+        refs = sorted([a.catalog_ref, "other/2.0"])
+        with pytest.raises(Refused, match=re.escape(f"cards reference different catalogs: {refs}")):
             render_comparison([a, b], "json")
 
     def test_mixed_configurations_rejected(self):
         a, b = self.make_cards(2)
         mean = AggregationConfig(SectionAggregation.MEAN_OF_DIMENSIONS, OverallAggregation.MEAN_OF_SECTIONS)
-        with pytest.raises(CatalogVersionMismatch, match="different configurations"):
+        with pytest.raises(Refused, match="different configurations"):
             render_comparison([a, replace(b, config_used=mean)], "json")
 
     def test_links_follow_card_order(self):
@@ -299,7 +301,7 @@ class TestRenderComparison:
         assert text.count('<a href="summaries/second/">') == 1
 
     def test_zero_cards_rejected(self):
-        with pytest.raises(NoScoreCards):
+        with pytest.raises(Refused, match="^comparison needs at least one score card$"):
             render_comparison([], "json")
 
     @pytest.mark.parametrize("fmt", ["csv", "html"])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from summaryqa.errors import CatalogVersionMismatch, PublishRefused, UnmatchedScoreCard
+from summaryqa.errors import Refused
 from summaryqa.registry import (
     DiscoveryChannel,
     DiscoveryProvenance,
@@ -116,7 +116,7 @@ class TestBuildSite:
     def test_unmatched_card_rejected(self, site_inputs, tmp_path):
         registry, cards = site_inputs
         registry.entries.pop()
-        with pytest.raises(UnmatchedScoreCard):
+        with pytest.raises(Refused, match="^no registry entry for provider="):
             build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
 
     def test_routes_unique_and_stable(self, site_inputs, tmp_path):
@@ -287,7 +287,7 @@ class TestPublishing:
         registry.entries[2] = attach_archive(registry.entries[2], copy)
         with (store / copy.storage_path).open("ab") as handle:
             handle.write(b" appended")
-        with pytest.raises(PublishRefused, match="model-2"):
+        with pytest.raises(Refused, match="model-2"):
             build_site(registry, cards, SiteConfig(output_root=tmp_path / "site", store_root=store))
         assert not (tmp_path / "site").exists()
         assert no_staging_left(tmp_path)
@@ -298,7 +298,7 @@ class TestPublishing:
         build_site(registry, cards, config)
         published = tree_bytes(tmp_path / "site")
         link_dangling_from(monkeypatch, "model-1")
-        with pytest.raises(PublishRefused) as refused:
+        with pytest.raises(Refused, match=r"^1 broken link\(s\)$") as refused:
             build_site(registry, cards[:2], config)
         assert [(f.code, f.locus) for f in refused.value.findings] == [
             ("broken-link", "summaries/model-1/index.html")
@@ -319,7 +319,7 @@ class TestPublishing:
         registry, cards = site_inputs
         registry.entries[0] = replace(registry.entries[0], id=slug)
         out = tmp_path / "out"
-        with pytest.raises(PublishRefused, match="registry slug"):
+        with pytest.raises(Refused, match="registry slug"):
             build_site(registry, cards, SiteConfig(output_root=out / "site"))
         assert [p for p in tmp_path.rglob("*") if "cards" not in p.parts] == [out]
 
@@ -330,14 +330,14 @@ class TestPublishing:
         store = tmp_path / "store"
         copy = archive_fetch(str(secret), store)
         registry.entries[1] = attach_archive(registry.entries[1], replace(copy, storage_path="../secret.pdf"))
-        with pytest.raises(PublishRefused, match="model-1: storage path '../secret.pdf' resolves outside the store"):
+        with pytest.raises(Refused, match="model-1: storage path '../secret.pdf' resolves outside the store"):
             build_site(registry, cards, SiteConfig(output_root=tmp_path / "site", store_root=store))
         assert not (tmp_path / "site").exists()
         assert no_staging_left(tmp_path)
 
     def test_two_cards_for_one_entry_refused(self, site_inputs, tmp_path):
         registry, cards = site_inputs
-        with pytest.raises(PublishRefused, match="model-0"):
+        with pytest.raises(Refused, match="model-0"):
             build_site(registry, [*cards, cards[0]], SiteConfig(output_root=tmp_path / "site"))
         assert not (tmp_path / "site").exists()
 
@@ -357,7 +357,7 @@ class TestPublishing:
         published = tree_bytes(tmp_path / "site")
         card = load_scorecard(cards[2])
         rewrite_card(cards[2], meta=replace(card.meta, source_url="javascript:alert(document.cookie)"))
-        with pytest.raises(PublishRefused, match="source_url 'javascript:alert\\(document.cookie\\)' is not well-formed"):
+        with pytest.raises(Refused, match="source_url 'javascript:alert\\(document.cookie\\)' is not well-formed"):
             build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
         assert tree_bytes(tmp_path / "site") == published
         assert no_staging_left(tmp_path)
@@ -366,7 +366,7 @@ class TestPublishing:
         registry, cards = site_inputs
         mean = AggregationConfig(SectionAggregation.MEAN_OF_DIMENSIONS, OverallAggregation.MEAN_OF_SECTIONS)
         rewrite_card(cards[3], config_used=mean)
-        with pytest.raises(CatalogVersionMismatch, match="different configurations"):
+        with pytest.raises(Refused, match="different configurations"):
             build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
         assert not (tmp_path / "site").exists()
         assert no_staging_left(tmp_path)
