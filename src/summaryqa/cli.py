@@ -93,7 +93,8 @@ def _read_config_file(path: Path) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         raise click.ClickException(f"{path}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Only "\n" ends a line, as in base.read_fields; text mode already folds "\r\n" and "\r".
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -370,14 +371,15 @@ def score(config, source):
 def compare(config, cards_dir):
     """Comparison table over all score cards in a directory."""
     from .base import write_atomic
-    from .reporting import load_scorecard, render_comparison
+    from .reporting import comparison_column, load_scorecard, render_comparison
 
     directory = Path(cards_dir) if cards_dir else _require(config.output_dir, "--out or CARDS_DIR")
     card_paths = sorted(directory.glob("*.scorecard.json"))
     if not card_paths:
         raise click.ClickException(f"no score cards found in {directory}")
-    cards = [_load(load_scorecard, p) for p in card_paths]
-    rendered = render_comparison(cards, config.report_format)
+    # Each card is dropped once its column is taken, so one decoded card is held at a time.
+    columns = [comparison_column(_load(load_scorecard, p)) for p in card_paths]
+    rendered = render_comparison(columns, config.report_format)
     if config.output_dir is not None:
         out_path = config.output_dir / f"comparison.{config.report_format}"
         write_atomic(out_path, rendered)
@@ -467,7 +469,7 @@ def archive(url, slug, provider, model, title, source_url, published_form, versi
 @cli.command()
 @click.option("--registry", "registry_path", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
 @click.option("--cards", "cards_dir", type=click.Path(exists=True, file_okay=False), default=None)
-@click.option("--store", type=click.Path(file_okay=False, path_type=Path), default=None)
+@click.option("--store", type=click.Path(exists=True, file_okay=False, path_type=Path), default=None)
 @click.option("--title", default="GPAI training-content disclosure quality")
 @click.pass_obj
 def site(config, registry_path, cards_dir, store, title):
@@ -476,7 +478,8 @@ def site(config, registry_path, cards_dir, store, title):
     The site is built in a staging directory beside ``<out>/site`` and
     replaces it only when every archived copy matches its pinned sha256 and
     every internal link resolves.  Otherwise the command exits 1, listing
-    any broken links, and the previous site stays as it was.
+    any broken links, and the previous site stays as it was.  ``--store``
+    must name an existing directory.
     """
     from .registry import load_registry
     from .site import SiteConfig, build_site

@@ -7,7 +7,9 @@ read cards without loading the assessment side.
 
 Reporting is a pure projection: every number shown comes from the score
 card's stored exact values, rendered at two decimals (round half up); nothing
-is recomputed here.  Three formats are supported:
+is recomputed here.  A comparison reads one :class:`Column` per card, made by
+:func:`comparison_column`, so ``compare`` and ``site`` hold one decoded card
+at a time.  Three formats are supported:
 
 * ``json`` -- canonical structured data with stable key order.  Percentages
   carry both the two-decimal display string and the exact rational, so files
@@ -418,64 +420,93 @@ def scorecard_table_html(card: ScoreCard) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _comparison_check(cards: list[ScoreCard]) -> None:
-    if not cards:
+@dataclass(frozen=True)
+class Column:
+    """One card as the comparison shows it, so a caller need not keep the card.
+
+    ``displays`` holds the 16 section-group displays (section by section,
+    Transparency first) and then the 2 overall displays; ``grades`` holds
+    the 2 grades, in ``Group`` order.
+    """
+
+    model: str
+    catalog_ref: str
+    config_used: AggregationConfig
+    displays: tuple[str, ...]
+    grades: tuple[str, ...]
+
+
+def comparison_column(card: ScoreCard) -> Column:
+    """The column of ``card`` in a comparison."""
+    displays = [card.per_section_group[(section, group)].display for section in SECTION_ORDER for group in Group]
+    displays += [card.overall[group].display for group in Group]
+    return Column(
+        model=card.meta.model,
+        catalog_ref=card.catalog_ref,
+        config_used=card.config_used,
+        displays=tuple(displays),
+        grades=tuple(card.grades[group] for group in Group),
+    )
+
+
+def _comparison_check(columns: list[Column]) -> None:
+    if not columns:
         raise Refused("comparison needs at least one score card")
-    refs = {card.catalog_ref for card in cards}
+    refs = {column.catalog_ref for column in columns}
     if len(refs) > 1:
         raise Refused(f"cards reference different catalogs: {sorted(refs)}")
-    mixed = next((card for card in cards if card.config_used != cards[0].config_used), None)
+    mixed = next((column for column in columns if column.config_used != columns[0].config_used), None)
     if mixed is not None:
-        raise Refused(
-            f"cards were scored under different configurations: {cards[0].meta.model} and {mixed.meta.model}"
-        )
+        raise Refused(f"cards were scored under different configurations: {columns[0].model} and {mixed.model}")
 
 
-def _comparison_rows(cards: list[ScoreCard]) -> list[_Row]:
-    """([section label, group label], per-card display, grades?) rows in table order."""
+def _comparison_rows(columns: list[Column]) -> list[_Row]:
+    """([section label, group label], per-column value, grades?) rows in table order."""
+    labels = [[section.label, group.value] for section in SECTION_ORDER for group in Group]
+    labels += [["Overall Scores", group.value] for group in Group]
     rows: list[_Row] = [
-        ([section.label, group.value], [card.per_section_group[(section, group)].display for card in cards], False)
-        for section in SECTION_ORDER
-        for group in Group
+        (label, [column.displays[i] for column in columns], False) for i, label in enumerate(labels)
     ]
-    rows += [(["Overall Scores", g.value], [card.overall[g].display for card in cards], False) for g in Group]
-    rows += [(["Overall Grades", g.value], [card.grades[g] for card in cards], True) for g in Group]
+    rows += [
+        (["Overall Grades", group.value], [column.grades[i] for column in columns], True)
+        for i, group in enumerate(Group)
+    ]
     return rows
 
 
-def render_comparison(cards: list[ScoreCard], fmt: str) -> bytes:
+def render_comparison(columns: list[Column], fmt: str) -> bytes:
     """Side-by-side section/group scores, one column per summary."""
-    _comparison_check(cards)
-    columns = [card.meta.model for card in cards]
+    _comparison_check(columns)
+    models = [column.model for column in columns]
     title = "Public summary quality comparison"
 
     def json_text() -> str:
-        rows = [{"section": s, "group": g, "values": values} for (s, g), values, _ in _comparison_rows(cards)]
-        data = {"kind": "comparison", "catalog_ref": cards[0].catalog_ref, "columns": columns, "rows": rows}
+        rows = [{"section": s, "group": g, "values": values} for (s, g), values, _ in _comparison_rows(columns)]
+        data = {"kind": "comparison", "catalog_ref": columns[0].catalog_ref, "columns": models, "rows": rows}
         return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
 
     return _render(
         fmt,
         json=json_text,
-        csv=lambda: _csv_text(["Section", "Group", *columns], _comparison_rows(cards)),
+        csv=lambda: _csv_text(["Section", "Group", *models], _comparison_rows(columns)),
         html=lambda: _page(
             title,
             "Side-by-side quality scores",
-            f"<h1>{html.escape(title)}</h1>\n" + comparison_table_html(cards),
+            f"<h1>{html.escape(title)}</h1>\n" + comparison_table_html(columns),
         ),
     )
 
 
-def comparison_table_html(cards: list[ScoreCard], links: list[str] | None = None) -> str:
-    """Comparison table fragment; ``links`` holds each card's detail href, in card order."""
-    _comparison_check(cards)
+def comparison_table_html(columns: list[Column], links: list[str] | None = None) -> str:
+    """Comparison table fragment; ``links`` holds each column's detail href, in column order."""
+    _comparison_check(columns)
     head = ["Section", "Group"]
-    for card, href in zip(cards, links or [None] * len(cards), strict=True):
-        name = html.escape(card.meta.model)
+    for column, href in zip(columns, links or [None] * len(columns), strict=True):
+        name = html.escape(column.model)
         head.append(f'<a href="{html.escape(href)}">{name}</a>' if href else name)
     rows: list[_Row] = []
     last_section = None
-    for (section, group), values, grades in _comparison_rows(cards):
+    for (section, group), values, grades in _comparison_rows(columns):
         rows.append((["" if section == last_section else section, group], values, grades))
         last_section = section
     return _table_html("comparison", head, rows)

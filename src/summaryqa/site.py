@@ -11,11 +11,13 @@ the pinned archived copy.  Builds are reproducible: identical inputs
 produce byte-identical trees (no timestamps).
 
 A build is one pass into a fresh staging directory beside the output root.
-The staged tree replaces the published one only after every archived copy
-has matched its pinned digest and every link the build wrote resolves, so a
-refused build publishes nothing and leaves the previous site in place.  A
-card that cannot be read is ``Malformed``, naming its path; every other
-reason not to publish is ``Refused``.
+It holds one decoded card at a time: each card is checked and its detail
+page written before the next is read, and the index is written from the
+cards' comparison columns.  The staged tree replaces the published one only
+after every archived copy has matched its pinned digest and every link the
+build wrote resolves, so a refused build publishes nothing and leaves the
+previous site in place.  A card that cannot be read is ``Malformed``, naming
+its path; every other reason not to publish is ``Refused``.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ from .base import Group, read_bytes, well_formed_url
 from .errors import Finding, Malformed, Refused, WriteFailed
 from .registry import Registry, RegistryEntry, read_archived, valid_slug
 from .reporting import (
+    Column,
     ScoreCard,
     _page,
     _table_html,
+    comparison_column,
     comparison_table_html,
     scorecard_from_json,
     scorecard_table_html,
@@ -143,6 +147,40 @@ def _copy_archived(entry: RegistryEntry, store: Path | None, page_dir: Path) -> 
     return name
 
 
+def _stage_card(
+    path: Path, by_summary: dict[tuple[str, str], RegistryEntry], store: Path | None, root: Path
+) -> tuple[str, list[str], Column]:
+    """Check one card file and write its detail page under ``root``.
+
+    Returns the card's registry slug, the hrefs its page holds and its
+    comparison column.  The decoded card is dropped on return, so a build
+    holds one card at a time.
+    """
+    try:
+        data = read_bytes(path)
+        card = scorecard_from_json(data)
+    except Malformed as exc:
+        raise Malformed(f"{path}: {exc}") from exc
+    if not well_formed_url(card.meta.source_url):
+        raise Refused(f"{path}: source_url {card.meta.source_url!r} is not well-formed")
+    key = (card.meta.provider, card.meta.model)
+    entry = by_summary.get(key)
+    if entry is None:
+        raise Refused(f"no registry entry for provider={key[0]!r} model={key[1]!r}")
+    if not valid_slug(entry.id):
+        raise Refused(f"registry slug {entry.id!r} must be lowercase alphanumeric/hyphen")
+    page_dir = root / "summaries" / entry.id
+    try:
+        page_dir.mkdir(parents=True)
+    except FileExistsError:
+        raise Refused(f"more than one score card matches registry slug {entry.id!r}") from None
+    archive_file = _copy_archived(entry, store, page_dir)
+    hrefs: list[str] = []
+    _create(page_dir / "index.html", _detail_page(card, entry, archive_file, hrefs).encode("utf-8"))
+    _create(page_dir / "scorecard.json", data)
+    return entry.id, hrefs, comparison_column(card)
+
+
 def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root: Path) -> SitePlan:
     """Write every page of the site into the new directory ``root``."""
     by_summary = registry.by_summary()
@@ -150,40 +188,19 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
     root.mkdir()
     details: list[str] = []
     links: list[tuple[str, str]] = []
-    cards: list[ScoreCard] = []
-    columns: list[str] = []  # each card's detail href, in card order
+    columns: list[Column] = []
+    column_links: list[str] = []  # each card's detail href, in card order
 
     for path in card_files:
-        try:
-            data = read_bytes(path)
-            card = scorecard_from_json(data)
-        except Malformed as exc:
-            raise Malformed(f"{path}: {exc}") from exc
-        if not well_formed_url(card.meta.source_url):
-            raise Refused(f"{path}: source_url {card.meta.source_url!r} is not well-formed")
-        key = (card.meta.provider, card.meta.model)
-        entry = by_summary.get(key)
-        if entry is None:
-            raise Refused(f"no registry entry for provider={key[0]!r} model={key[1]!r}")
-        if not valid_slug(entry.id):
-            raise Refused(f"registry slug {entry.id!r} must be lowercase alphanumeric/hyphen")
-        page_dir = root / "summaries" / entry.id
-        try:
-            page_dir.mkdir(parents=True)
-        except FileExistsError:
-            raise Refused(f"more than one score card matches registry slug {entry.id!r}") from None
-        archive_file = _copy_archived(entry, store, page_dir)
-        hrefs: list[str] = []
-        _create(page_dir / "index.html", _detail_page(card, entry, archive_file, hrefs).encode("utf-8"))
-        _create(page_dir / "scorecard.json", data)
-        route = f"summaries/{entry.id}/index.html"
+        slug, hrefs, column = _stage_card(path, by_summary, store, root)
+        route = f"summaries/{slug}/index.html"
         details.append(route)
         links += [(route, href) for href in hrefs]
-        cards.append(card)
-        columns.append(f"summaries/{entry.id}/")
+        columns.append(column)
+        column_links.append(f"summaries/{slug}/")
 
-    if cards:
-        table = comparison_table_html(cards, links=columns)
+    if columns:
+        table = comparison_table_html(columns, links=column_links)
     else:
         table = "<p>No assessed summaries yet.</p>\n" + _table_html("comparison", ["Section", "Group"], [])
     index_lines = [
@@ -202,7 +219,7 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
             "\n".join(index_lines) + "\n",
         ).encode("utf-8"),
     )
-    links = [("index.html", href) for href in columns] + links
+    links = [("index.html", href) for href in column_links] + links
     return SitePlan(output_root=root, pages=("index.html", *details), links=tuple(links))
 
 
@@ -229,7 +246,8 @@ def build_site(registry: Registry, card_files: list[Path], config: SiteConfig) -
     Every card must match a registry entry by (provider, model), and the
     entry's slug names its route, ``summaries/<slug>/``; details are in card
     order.  Each card file is read once: it is decoded as a check and its
-    bytes are published unchanged as the route's ``scorecard.json``.
+    bytes are published unchanged as the route's ``scorecard.json``.  Only
+    the card's comparison column is kept once its page is written.
 
     The pages are written into a staging directory beside the output root,
     and ``check_links`` runs on the staged plan.  Only then does the staged

@@ -33,6 +33,7 @@ from summaryqa.reporting import (
     ScoreValue,
     SectionAggregation,
     assign_grade,
+    comparison_column,
     render_comparison,
     render_scorecard,
     scorecard_from_json,
@@ -274,7 +275,7 @@ def test_criterion_6_render_round_trip():
                     assert grade in text
         comparable = [replace(c, catalog_ref="toy/r1") for c in cards if c.config_used == POOLED][:5]
         for fmt in ("csv", "html"):
-            text = render_comparison(comparable, fmt).decode("utf-8")
+            text = render_comparison([comparison_column(c) for c in comparable], fmt).decode("utf-8")
             for card in comparable:
                 for value in list(card.per_section_group.values()) + list(card.overall.values()):
                     assert value.display in text

@@ -201,6 +201,13 @@ class TestValidate:
         source, locus, code, message = result.output.splitlines()[0].split("\t")
         assert (source, locus, code, message) == ("registry", str(registry), "malformed-registry", reason)
 
+    def test_missing_store_is_a_finding_per_object(self, runner, tmp_path):
+        result = run(
+            runner, "--catalog", CATALOG, "validate", "--registry", REGISTRY, "--store", str(tmp_path / "no-such-store")
+        )
+        assert result.exit_code == 1
+        assert result.output.count("\tmissing-object\t") == 5
+
     def test_storage_path_outside_the_store_is_a_finding(self, runner, tmp_path):
         store = fixture_store(tmp_path)
         (tmp_path / "outside.md").write_bytes((SOURCES / "phi-4.md").read_bytes())
@@ -927,6 +934,19 @@ class TestSite:
         detail = (copy.parent / "index.html").read_text(encoding="utf-8")
         assert f'<a href="{copy.name}">Archived copy</a>' in detail
 
+    def test_missing_store_keeps_the_previous_site(self, runner, tmp_path):
+        out = tmp_path / "out"
+        self.build_cards(runner, out)
+        store = fixture_store(tmp_path)
+        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store)).exit_code == 0
+        before = tree_bytes(out / "site")
+        missing = tmp_path / "no-such-store"
+        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(missing))
+        assert result.exit_code == 2
+        assert "Invalid value for '--store'" in result.output
+        assert tree_bytes(out / "site") == before
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+
     def test_methodology_is_an_unknown_option(self, runner, tmp_path):
         fragment = tmp_path / "method.html"
         fragment.write_text("<h1>Methodology</h1>")
@@ -1067,6 +1087,7 @@ class TestConfigValues:
             ("aggregation", "median", "catalog-stats"),
             ("registry", "missing.json", "validate"),
             ("assessments", "missing", "validate"),
+            ("store", "missing", "site"),
         ],
     )
     def test_bad_option_value_gives_the_flags_message(self, runner, tmp_path, key, value, command):
@@ -1080,6 +1101,21 @@ class TestConfigValues:
         assert from_file.exit_code == from_flag.exit_code == 2
         assert from_file.output == from_flag.output
         assert f"Invalid value for '--{key}'" in from_file.output
+
+    @pytest.mark.parametrize(
+        "char",
+        ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"],
+        ids=["line-separator", "paragraph-separator", "next-line", "vertical-tab", "form-feed", "file-separator"],
+    )
+    def test_only_a_line_feed_ends_a_line(self, runner, tmp_path, char):
+        # str.splitlines() breaks at each of these; the config reader does not.
+        catalog = tmp_path / f"catalog{char}.txt"
+        catalog.write_bytes(Path(CATALOG).read_bytes())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"catalog: {catalog}\n", encoding="utf-8")
+        result = run(runner, "--config", str(cfg), "catalog-stats")
+        assert result.exit_code == 0, result.output
+        assert "Total\t242" in result.output
 
     def test_repeated_key_is_refused(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -20,6 +20,7 @@ from summaryqa.reporting import (
     _cell_html,
     _value_from_json,
     _value_to_json,
+    comparison_column,
     comparison_table_html,
     render_comparison,
     render_scorecard,
@@ -30,6 +31,11 @@ from summaryqa.scoring import score_summary
 
 from randgen import random_assessment, random_catalog
 from toys import I, NA, S, load_reference_catalog, uniform_assessment
+
+
+def columns(cards):
+    """The comparison column of each card, in order."""
+    return [comparison_column(card) for card in cards]
 
 
 def random_card(seed):
@@ -260,7 +266,7 @@ class TestRenderComparison:
 
     def test_five_cards_five_columns(self):
         cards = self.make_cards(5)
-        data = json.loads(render_comparison(cards, "json"))
+        data = json.loads(render_comparison(columns(cards), "json"))
         assert len(data["columns"]) == 5
         grade_rows = [r for r in data["rows"] if r["section"] == "Overall Grades"]
         assert len(grade_rows) == 2
@@ -268,13 +274,13 @@ class TestRenderComparison:
 
     def test_single_card_degenerate_table(self):
         cards = self.make_cards(1)
-        text = render_comparison(cards, "csv").decode()
+        text = render_comparison(columns(cards), "csv").decode()
         header = text.splitlines()[0]
         assert header.count(",") == 2  # Section, Group, one model column
 
     def test_rows_follow_table_layout(self):
         cards = self.make_cards(2)
-        data = json.loads(render_comparison(cards, "json"))
+        data = json.loads(render_comparison(columns(cards), "json"))
         # 8 sections x 2 groups + 2 overall + 2 grade rows
         assert len(data["rows"]) == 20
 
@@ -285,18 +291,18 @@ class TestRenderComparison:
         b = replace(b, catalog_ref="other/2.0")
         refs = sorted([a.catalog_ref, "other/2.0"])
         with pytest.raises(Refused, match=re.escape(f"cards reference different catalogs: {refs}")):
-            render_comparison([a, b], "json")
+            render_comparison(columns([a, b]), "json")
 
     def test_mixed_configurations_rejected(self):
         a, b = self.make_cards(2)
         mean = AggregationConfig(SectionAggregation.MEAN_OF_DIMENSIONS, OverallAggregation.MEAN_OF_SECTIONS)
         with pytest.raises(Refused, match="different configurations"):
-            render_comparison([a, replace(b, config_used=mean)], "json")
+            render_comparison(columns([a, replace(b, config_used=mean)]), "json")
 
     def test_links_follow_card_order(self):
         a, b = self.make_cards(2)
         b = replace(b, meta=replace(a.meta, provider="Another provider"))
-        text = comparison_table_html([a, b], links=["summaries/first/", "summaries/second/"])
+        text = comparison_table_html(columns([a, b]), links=["summaries/first/", "summaries/second/"])
         assert text.count('<a href="summaries/first/">') == 1
         assert text.count('<a href="summaries/second/">') == 1
 
@@ -307,7 +313,7 @@ class TestRenderComparison:
     @pytest.mark.parametrize("fmt", ["csv", "html"])
     def test_comparison_contains_every_value(self, fmt):
         cards = self.make_cards(3)
-        text = render_comparison(cards, fmt).decode()
+        text = render_comparison(columns(cards), fmt).decode()
         for card in cards:
             for (section, group), value in card.per_section_group.items():
                 assert value.display in text
@@ -319,7 +325,7 @@ class TestRenderComparison:
     def test_values_never_recomputed(self):
         # The comparison must carry exactly the displays stored in the cards.
         cards = self.make_cards(2)
-        data = json.loads(render_comparison(cards, "json"))
+        data = json.loads(render_comparison(columns(cards), "json"))
         wanted = set()
         for card in cards:
             wanted.update(v.display for v in card.per_section_group.values())

@@ -1,13 +1,18 @@
 """Static site build: page counts, link integrity, reproducibility, fail-closed publishing."""
 
+import gc
 import random
+import weakref
 from dataclasses import replace
 from datetime import date
 from html.parser import HTMLParser
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from summaryqa import reporting, site
+from summaryqa.cli import cli
 from summaryqa.errors import Refused
 from summaryqa.registry import (
     DiscoveryChannel,
@@ -260,6 +265,45 @@ class TestPlanLinks:
         assert len(plan.pages) == 51
         assert parsed_links(tmp_path / "site") == sorted(plan.links)
         assert check_links(plan) == []
+
+
+class TestOneDecodedCardAtATime:
+    """``site`` and ``compare`` keep each card's comparison column, not the card, while they read the next."""
+
+    @staticmethod
+    def track(monkeypatch, module, decoder, renderer):
+        """Count the decoded cards still alive each time ``renderer`` is called."""
+        refs, alive = [], []
+        decode, render = getattr(module, decoder), getattr(module, renderer)
+
+        def decode_and_track(*args):
+            card = decode(*args)
+            refs.append(weakref.ref(card))
+            return card
+
+        def render_after_collect(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(module, decoder, decode_and_track)
+        monkeypatch.setattr(module, renderer, render_after_collect)
+        return refs, alive
+
+    def test_site(self, tmp_path, monkeypatch):
+        registry, cards = synthetic_inputs(50, tmp_path / "cards", seed=50)
+        refs, alive = self.track(monkeypatch, site, "scorecard_from_json", "comparison_table_html")
+        build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
+        assert len(refs) == 50
+        assert len(alive) == 1 and alive[0] <= 1
+
+    def test_compare(self, tmp_path, monkeypatch):
+        synthetic_inputs(50, tmp_path / "cards", seed=50)
+        refs, alive = self.track(monkeypatch, reporting, "load_scorecard", "render_comparison")
+        result = CliRunner().invoke(cli, ["compare", str(tmp_path / "cards")], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        assert len(refs) == 50
+        assert len(alive) == 1 and alive[0] <= 1
 
 
 # ---------------------------------------------------------------------------
