@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .base import SummaryMeta, lookup, meta_from_dict, read_fields, read_text, well_formed_url
 from .errors import Finding, Malformed, Refused
@@ -72,8 +71,7 @@ _VERDICT_BY_TOKEN = {v.token: v for v in VerdictValue}
 _GATE_PREFIXES = {"gate=yes": "yes", "gate=no": "no"}
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """A verdict value plus the evaluator's note.
 
     The note may start with the structured gate-answer prefix (see module
@@ -91,13 +89,12 @@ class Verdict:
         return _GATE_PREFIXES.get(head)
 
 
-#: The one verdict of each token with an empty note.  Verdicts are frozen,
+#: The one verdict of each token with an empty note.  Verdicts are immutable,
 #: so every row without a note shares its token's instance.
 _PLAIN_VERDICTS = {value.token: Verdict(value) for value in VerdictValue}
 
 
-@dataclass(frozen=True)
-class Assessment:
+class Assessment(NamedTuple):
     """Verdicts for one summary against one catalog version."""
 
     meta: SummaryMeta
@@ -183,14 +180,19 @@ def assessment_findings(catalog: Catalog, assessment: Assessment, today: date) -
     for gate_id in unanswered:
         findings.append(Finding("gate-unanswered", gate_id, "applicable gate metric has no recorded yes/no answer"))
 
+    # Each field is read once per metric: a NamedTuple field read is a descriptor
+    # call that the interpreter does not specialise, and this loop runs per file.
+    verdicts = assessment.verdicts
     for m in catalog.metrics:
-        verdict = assessment.verdicts.get(m.id)
+        metric_id = m.id
+        verdict = verdicts.get(metric_id)
         scoreable = verdict is not None and verdict.value.is_scoreable
-        if amap[m.id] and not scoreable:
-            findings.append(Finding("missing-verdict", m.id, "applicable metric has no scoreable verdict"))
-        elif not amap[m.id] and scoreable:
+        applicable = amap[metric_id]
+        if applicable and not scoreable:
+            findings.append(Finding("missing-verdict", metric_id, "applicable metric has no scoreable verdict"))
+        elif not applicable and scoreable:
             findings.append(
-                Finding("verdict-on-inapplicable", m.id, "inapplicable metric must be not-applicable or absent")
+                Finding("verdict-on-inapplicable", metric_id, "inapplicable metric must be not-applicable or absent")
             )
     return findings
 

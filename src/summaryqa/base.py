@@ -13,11 +13,10 @@ import os
 import re
 import tempfile
 import urllib.parse
-from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
 
 from .errors import Malformed, WriteFailed
 
@@ -243,8 +242,7 @@ class PublishedForm(Enum):
 _FORM_BY_TOKEN = {f.value: f for f in PublishedForm}
 
 
-@dataclass(frozen=True)
-class SummaryMeta:
+class SummaryMeta(NamedTuple):
     """Identity of the assessed public summary and its archived version."""
 
     provider: str

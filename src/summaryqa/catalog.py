@@ -38,11 +38,11 @@ rows the applicability and scoring passes read (see :class:`CompiledCatalog`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .base import CELLS, SECTION_ORDER, Dimension, Section, exact_number, read_fields, read_text
 from .errors import Finding, Malformed
@@ -56,8 +56,7 @@ class RuleKind(Enum):
     IF_GATE_EQUALS = "if-gate-equals"
 
 
-@dataclass(frozen=True)
-class ApplicabilityRule:
+class ApplicabilityRule(NamedTuple):
     """Whether a metric counts toward scoring.
 
     ``ALWAYS`` metrics always apply.  ``IF_GATE_EQUALS`` metrics apply only
@@ -93,8 +92,7 @@ class ApplicabilityRule:
         raise ValueError(f"unparsable applicability rule {text!r}")
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(NamedTuple):
     """One independently assessable requirement about one template element."""
 
     id: str
@@ -104,16 +102,18 @@ class Metric:
     weight: Fraction
     prompt: str
     optional_field: bool = False
-    applicability: ApplicabilityRule = field(default_factory=ApplicabilityRule.always)
+    applicability: ApplicabilityRule = ApplicabilityRule()
 
 
-@dataclass(frozen=True)
-class Catalog:
-    """Named, versioned, ordered collection of metrics."""
-
+class _Catalog(NamedTuple):
     name: str
     version: str
     metrics: tuple[Metric, ...]
+
+
+class Catalog(_Catalog):
+    """Named, versioned, ordered collection of metrics; a subclass of its
+    fields' tuple, so that an instance has a ``__dict__`` to cache ``compiled`` in."""
 
     @property
     def ref(self) -> str:
@@ -126,8 +126,13 @@ class Catalog:
         return _compile(self)
 
 
-@dataclass(frozen=True)
-class CompiledCatalog:
+class _CompiledCatalog(NamedTuple):
+    order: tuple[Metric, ...]  # the metrics in row order
+    findings: tuple[Finding, ...]
+    broken: str | None
+
+
+class CompiledCatalog(_CompiledCatalog):
     """A parsed catalog after the one pass that checks it and walks its gate graph.
 
     ``findings`` holds every violated catalog invariant, as ``validate``
@@ -145,12 +150,9 @@ class CompiledCatalog:
     integers.  A catalog with a repeated id, a gate cycle or a gate naming
     an unknown metric has no rows: reading ``rows`` then raises ValueError
     with ``broken``, the first such defect in ``findings``.  Rows are built
-    only when first read, so ``validate`` never computes the unbounded LCM.
+    only when first read, so ``validate`` never computes the unbounded LCM;
+    like ``Catalog``, the class subclasses its fields' tuple to cache them.
     """
-
-    order: tuple[Metric, ...]  # the metrics in row order
-    findings: tuple[Finding, ...]
-    broken: str | None
 
     @cached_property
     def rows(self) -> tuple[tuple[str, int, str | None, int, int], ...]:

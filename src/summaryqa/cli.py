@@ -26,10 +26,9 @@ sees every call.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import click
 from click.core import ParameterSource
@@ -59,8 +58,7 @@ CHANNELS = (  # registry.DiscoveryChannel
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """The group's settings, resolved once from flags, config file and defaults."""
 
     catalog_path: Path | None

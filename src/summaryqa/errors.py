@@ -15,8 +15,7 @@ can report every problem in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class SummaryQAError(Exception):
@@ -61,8 +60,7 @@ class WriteFailed(SummaryQAError):
     """An output file or stored object could not be written."""
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One validation/integrity finding.
 
     ``code`` is a stable machine-readable slug, ``locus`` names the offending

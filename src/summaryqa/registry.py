@@ -13,10 +13,10 @@ import hashlib
 import json
 import re
 import urllib.parse
-from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .base import (
     SummaryMeta, lookup, meta_from_dict, meta_to_dict, read_bytes, read_json, require_strings, well_formed_url,
@@ -62,8 +62,7 @@ class DiscoveryChannel(Enum):
 _CHANNEL_BY_TOKEN = {c.value: c for c in DiscoveryChannel}
 
 
-@dataclass(frozen=True)
-class DiscoveryProvenance:
+class DiscoveryProvenance(NamedTuple):
     """How and when the summary was found."""
 
     channel: DiscoveryChannel
@@ -71,8 +70,7 @@ class DiscoveryProvenance:
     discovered_on: date
 
 
-@dataclass(frozen=True)
-class ArchivedCopy:
+class ArchivedCopy(NamedTuple):
     """A pinned copy of the summary bytes in the object store."""
 
     fetched_at: str  # ISO-8601 UTC timestamp
@@ -82,8 +80,7 @@ class ArchivedCopy:
     storage_path: str  # relative to the store root
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     id: str  # stable slug
     meta: SummaryMeta
     discovery: DiscoveryProvenance
@@ -91,11 +88,15 @@ class RegistryEntry:
     assessment_refs: tuple[str, ...] = ()
 
 
-@dataclass
 class Registry:
-    """Ordered collection of entries; mutations are single-writer."""
+    """Ordered collection of entries; mutations are single-writer.  A plain class,
+    not a tuple, as ``add_entry`` appends to each registry's own ``entries`` list."""
 
-    entries: list[RegistryEntry] = field(default_factory=list)
+    def __init__(self, entries: list[RegistryEntry] | None = None):
+        self.entries = [] if entries is None else entries
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Registry) and self.entries == other.entries
 
     def get(self, slug: str) -> RegistryEntry | None:
         for entry in self.entries:
@@ -103,11 +104,15 @@ class Registry:
                 return entry
         return None
 
-    def by_summary(self) -> dict[tuple[str, str], RegistryEntry]:
-        """(provider, model) -> entry; first entry wins on duplicates."""
-        index: dict[tuple[str, str], RegistryEntry] = {}
+    def by_summary(self) -> dict[tuple[str, str], list[RegistryEntry]]:
+        """(provider, model) -> every entry of that summary, in registry order.
+
+        A summary has one entry: ``validate`` reports each further one as
+        ``duplicate-summary``, and ``site`` refuses a card that matches two.
+        """
+        index: dict[tuple[str, str], list[RegistryEntry]] = {}
         for entry in self.entries:
-            index.setdefault((entry.meta.provider, entry.meta.model), entry)
+            index.setdefault((entry.meta.provider, entry.meta.model), []).append(entry)
         return index
 
 
@@ -120,7 +125,8 @@ def add_entry(registry: Registry, entry: RegistryEntry) -> Registry:
 
 
 def validate_registry(registry: Registry) -> list[Finding]:
-    """Structural findings: duplicate or malformed slugs, malformed URLs."""
+    """Structural findings: duplicate or malformed slugs, malformed URLs, and
+    then each entry after the first of one (provider, model) summary."""
     findings: list[Finding] = []
     seen: set[str] = set()
     for entry in registry.entries:
@@ -133,6 +139,10 @@ def validate_registry(registry: Registry) -> list[Finding]:
             findings.append(
                 Finding("bad-source-url", entry.id, f"source_url {entry.meta.source_url!r} is not well-formed")
             )
+    for (provider, model), entries in registry.by_summary().items():
+        for entry in entries[1:]:
+            message = f"provider {provider!r} and model {model!r} are already registered as {entries[0].id!r}"
+            findings.append(Finding("duplicate-summary", entry.id, message))
     return findings
 
 
@@ -335,5 +345,5 @@ def verify_archive(registry: Registry, store_root: str | Path) -> list[Finding]:
 
 def attach_archive(entry: RegistryEntry, archived: ArchivedCopy) -> RegistryEntry:
     """Entry with the archived copy recorded, digest mirrored into the meta."""
-    meta = replace(entry.meta, archived_copy_digest=archived.content_digest)
-    return replace(entry, meta=meta, archived=archived)
+    meta = entry.meta._replace(archived_copy_digest=archived.content_digest)
+    return entry._replace(meta=meta, archived=archived)

@@ -25,11 +25,10 @@ import io
 import json
 import re
 import csv as _csv
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .base import (
     DIMENSION_ORDER, SECTION_ORDER, Dimension, Group, Section, SummaryMeta, meta_from_dict, meta_to_dict, read_bytes,
@@ -40,8 +39,7 @@ from .errors import Refused
 FORMATS = ("json", "csv", "html")
 
 
-@dataclass(frozen=True)
-class ScoreValue:
+class ScoreValue(NamedTuple):
     """A normalized percentage in [0, 100], or N/A when nothing applies."""
 
     pct: Fraction | None
@@ -89,8 +87,7 @@ def format_percentage(pct: Fraction) -> str:
 _LABEL_RE = re.compile(r"[A-Za-z0-9+-]+")
 
 
-@dataclass(frozen=True)
-class GradeScale:
+class GradeScale(NamedTuple):
     """Ordered (letter, inclusive minimum percentage) bands, best first."""
 
     bands: tuple[tuple[str, Fraction], ...]
@@ -154,18 +151,16 @@ class OverallAggregation(Enum):
     MEAN_OF_SECTIONS = "mean-of-sections"
 
 
-@dataclass(frozen=True)
-class AggregationConfig:
+class AggregationConfig(NamedTuple):
     section_group_strategy: SectionAggregation = SectionAggregation.POOLED_WEIGHTED
     overall_strategy: OverallAggregation = OverallAggregation.POOLED_WEIGHTED
-    grade_scale: GradeScale = field(default_factory=lambda: DEFAULT_GRADE_SCALE)
+    grade_scale: GradeScale = DEFAULT_GRADE_SCALE
 
 
 DEFAULT_CONFIG = AggregationConfig()
 
 
-@dataclass(frozen=True)
-class ScoreCard:
+class ScoreCard(NamedTuple):
     """Full score matrix for one assessed summary."""
 
     meta: SummaryMeta
@@ -420,8 +415,7 @@ def scorecard_table_html(card: ScoreCard) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(NamedTuple):
     """One card as the comparison shows it, so a caller need not keep the card.
 
     ``displays`` holds the 16 section-group displays (section by section,

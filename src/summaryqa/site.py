@@ -27,8 +27,8 @@ import os
 import posixpath
 import shutil
 import tempfile
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import urlparse
 
 from .base import Group, read_bytes, well_formed_url
@@ -46,15 +46,13 @@ from .reporting import (
 )
 
 
-@dataclass(frozen=True)
-class SitePlan:
+class SitePlan(NamedTuple):
     output_root: Path
     pages: tuple[str, ...]  # routes
     links: tuple[tuple[str, str], ...]  # (route of the page, href as the page holds it)
 
 
-@dataclass(frozen=True)
-class SiteConfig:
+class SiteConfig(NamedTuple):
     output_root: Path
     store_root: Path | None = None
     site_title: str = "GPAI training-content disclosure quality"
@@ -132,15 +130,14 @@ def _copy_archived(entry: RegistryEntry, store: Path | None, page_dir: Path) -> 
     """Copy the entry's archived object into ``page_dir`` if ``read_archived`` passes it.
 
     ``store`` is the resolved store root.  Returns the published file name,
-    or None when there is no store or no stored object.  Any other finding
-    of ``read_archived`` refuses the build.
+    or None when there is no store or the entry records no archived copy.
+    Every finding of ``read_archived``, a missing object included, refuses
+    the build, as ``validate --store`` reports it.
     """
     if entry.archived is None or store is None:
         return None
     data = read_archived(entry, store)
     if isinstance(data, Finding):
-        if data.code == "missing-object":
-            return None
         raise Refused(f"{entry.id}: {data.message}")
     name = _archive_name(entry)
     _create(page_dir / name, data)
@@ -148,13 +145,14 @@ def _copy_archived(entry: RegistryEntry, store: Path | None, page_dir: Path) -> 
 
 
 def _stage_card(
-    path: Path, by_summary: dict[tuple[str, str], RegistryEntry], store: Path | None, root: Path
+    path: Path, by_summary: dict[tuple[str, str], list[RegistryEntry]], store: Path | None, root: Path
 ) -> tuple[str, list[str], Column]:
     """Check one card file and write its detail page under ``root``.
 
-    Returns the card's registry slug, the hrefs its page holds and its
-    comparison column.  The decoded card is dropped on return, so a build
-    holds one card at a time.
+    The card must match exactly one registry entry, and an archived copy
+    the card pins must be the one its entry records.  Returns the card's
+    registry slug, the hrefs its page holds and its comparison column.  The
+    decoded card is dropped on return, so a build holds one card at a time.
     """
     try:
         data = read_bytes(path)
@@ -164,11 +162,24 @@ def _stage_card(
     if not well_formed_url(card.meta.source_url):
         raise Refused(f"{path}: source_url {card.meta.source_url!r} is not well-formed")
     key = (card.meta.provider, card.meta.model)
-    entry = by_summary.get(key)
-    if entry is None:
+    entries = by_summary.get(key, [])
+    if not entries:
         raise Refused(f"no registry entry for provider={key[0]!r} model={key[1]!r}")
+    if len(entries) > 1:
+        raise Refused(
+            f"more than one registry entry for provider={key[0]!r} model={key[1]!r}: "
+            f"{entries[0].id!r} and {entries[1].id!r}"
+        )
+    entry = entries[0]
     if not valid_slug(entry.id):
         raise Refused(f"registry slug {entry.id!r} must be lowercase alphanumeric/hyphen")
+    pinned = card.meta.archived_copy_digest
+    recorded = None if entry.archived is None else entry.archived.content_digest
+    if pinned is not None and pinned != recorded:
+        held = "no archived copy" if recorded is None else f"{recorded[:12]}..."
+        raise Refused(
+            f"{path}: the card pins archived copy {pinned[:12]}..., registry entry {entry.id!r} records {held}"
+        )
     page_dir = root / "summaries" / entry.id
     try:
         page_dir.mkdir(parents=True)
@@ -271,7 +282,7 @@ def build_site(registry: Registry, card_files: list[Path], config: SiteConfig) -
         raise WriteFailed(f"cannot build {root}: {exc}") from exc
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    return replace(plan, output_root=root)
+    return plan._replace(output_root=root)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ except where a criterion states otherwise; time budgets are asserted.
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -170,7 +169,7 @@ def test_criterion_4_property_suite():
             scaled = Catalog(
                 catalog.name,
                 catalog.version,
-                tuple(replace(m, weight=m.weight * factor) for m in catalog.metrics),
+                tuple(m._replace(weight=m.weight * factor) for m in catalog.metrics),
             )
             for config, _ in STRATEGIES:
                 assert score_summary(catalog, assessment, config) == score_summary(scaled, assessment, config)
@@ -273,7 +272,7 @@ def test_criterion_6_render_round_trip():
                     assert value.display in text
                 for grade in card.grades.values():
                     assert grade in text
-        comparable = [replace(c, catalog_ref="toy/r1") for c in cards if c.config_used == POOLED][:5]
+        comparable = [c._replace(catalog_ref="toy/r1") for c in cards if c.config_used == POOLED][:5]
         for fmt in ("csv", "html"):
             text = render_comparison([comparison_column(c) for c in comparable], fmt).decode("utf-8")
             for card in comparable:

@@ -1,7 +1,6 @@
 """Assessment parsing, validation, gate answers, and applicability."""
 
 import random
-from dataclasses import replace
 from datetime import date
 from fractions import Fraction
 from pathlib import Path
@@ -165,8 +164,7 @@ class TestApplicability:
             cat,
             {"G1": Verdict(S, "gate=no"), "G2": Verdict(NA, "gate=yes")},
         )
-        after = replace(
-            before,
+        after = before._replace(
             verdicts={"G1": Verdict(S, "gate=yes"), "D1": Verdict(S), "G2": Verdict(S, "gate=yes"), "D2": Verdict(S)},
         )
         assert set(applicable_metrics(cat, before)) <= set(applicable_metrics(cat, after))
@@ -429,11 +427,11 @@ class TestCheckMatchesFindings:
                     verdicts[target] = Verdict(S, rng.choice(["gate=yes", "gate=no", ""]))
                 else:
                     a = rng.choice([
-                        replace(a, catalog_ref="toy/other"),
-                        replace(a, meta=replace(a.meta, provider="")),
-                        replace(a, meta=replace(a.meta, assessed_version_date=date(2026, 2, 1))),
+                        a._replace(catalog_ref="toy/other"),
+                        a._replace(meta=a.meta._replace(provider="")),
+                        a._replace(meta=a.meta._replace(assessed_version_date=date(2026, 2, 1))),
                     ])
-                a = replace(a, verdicts=verdicts)
+                a = a._replace(verdicts=verdicts)
             findings = assessment_findings(cat, a, today=CHECK_TODAY)
             try:
                 check_assessment(cat, a, today=CHECK_TODAY)
@@ -626,9 +624,8 @@ class TestFileFormat:
 
     def test_header_fields_reject_line_breaks(self):
         base = parse_assessment(SAMPLE_FILE)
-        from dataclasses import replace
 
-        broken = replace(base, evaluator="two\nlines")
+        broken = base._replace(evaluator="two\nlines")
         with pytest.raises(ValueError, match="line breaks"):
             dumps_assessment(broken)
 

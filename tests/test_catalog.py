@@ -3,7 +3,6 @@
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -155,7 +154,7 @@ class TestRoundTrip:
 
     def test_multiline_prompt_rejected_at_dump(self):
         cat = Catalog("toy", "0.1", (metric("A"),))
-        broken = Catalog("toy", "0.1", (replace(cat.metrics[0], prompt="two\nlines"),))
+        broken = Catalog("toy", "0.1", (cat.metrics[0]._replace(prompt="two\nlines"),))
         with pytest.raises(ValueError, match="line breaks"):
             dumps_catalog(broken)
 
@@ -256,6 +255,13 @@ class TestValidation:
         cat = Catalog("toy", "0.1", (metric("A", weight=-1), metric("B", gate="zz")))
         assert validate_catalog(cat) == validate_catalog(cat)
 
+    def test_compiled_once_per_catalog(self):
+        cat = parse_catalog(MINIMAL)
+        assert cat.compiled is cat.compiled
+        assert cat.compiled.rows is cat.compiled.rows
+        assert cat == parse_catalog(MINIMAL)  # the cached compilation is no field
+        assert cat._replace(version="0.2").compiled is not cat.compiled
+
 
 def random_gate_graph(rng):
     """A catalog of a few metrics with random gates: repeated ids, self-gates,
@@ -350,7 +356,7 @@ def random_defective_catalog(rng):
             rule = ApplicabilityRule(RuleKind.IF_GATE_EQUALS, None, "yes")
         else:
             rule = ApplicabilityRule.if_gate(rng.choice(["Z", *(f"M{i}" for i in range(6))]), rng.choice(["yes", "no"]))
-        metrics.append(replace(metric(mid, weight=weight), applicability=rule))
+        metrics.append(metric(mid, weight=weight)._replace(applicability=rule))
     return Catalog("toy", "0.1", tuple(metrics))
 
 

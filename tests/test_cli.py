@@ -92,6 +92,16 @@ def contradict(card, edit):
     card.write_text(json.dumps(data, indent=2))
 
 
+def duplicated_summary(tmp_path):
+    """The fixture registry with a second entry for phi-4's summary, slug ``phi-4-again``, written into ``tmp_path``."""
+    data = json.loads(Path(REGISTRY).read_text())
+    phi = next(entry for entry in data["entries"] if entry["id"] == "phi-4")
+    data["entries"].append({**phi, "id": "phi-4-again"})
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
 def edited_registry(tmp_path, slug, field, value):
     """The fixture registry with one field of one entry set, written into ``tmp_path``."""
     data = json.loads(Path(REGISTRY).read_text())
@@ -207,6 +217,15 @@ class TestValidate:
         )
         assert result.exit_code == 1
         assert result.output.count("\tmissing-object\t") == 5
+
+    def test_second_entry_of_one_summary_is_a_finding(self, runner, tmp_path):
+        registry = duplicated_summary(tmp_path)
+        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry))
+        assert result.exit_code == 1
+        assert [line for line in result.output.splitlines() if "\t" in line] == [
+            "registry\tphi-4-again\tduplicate-summary\t"
+            "provider 'Microsoft' and model 'Phi-4' are already registered as 'phi-4'"
+        ]
 
     def test_storage_path_outside_the_store_is_a_finding(self, runner, tmp_path):
         store = fixture_store(tmp_path)
@@ -911,7 +930,6 @@ class TestSite:
 
     def test_archived_html_is_published_as_text(self, runner, tmp_path):
         out = tmp_path / "out"
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
         source = tmp_path / "phi-4.html"
         source.write_bytes(b"<p>Phi-4 training data</p><script>alert(document.cookie)</script>\n")
         registry, store = tmp_path / "registry.json", tmp_path / "store"
@@ -922,6 +940,11 @@ class TestSite:
         )
         assert archived.exit_code == 0, archived.output
         digest = archived.output.splitlines()[0]
+        # The card pins the archived HTML, as site requires of a card's archived copy.
+        assessment = tmp_path / "phi-4.csv"
+        pinned = (Path(ASSESSMENTS) / "phi-4.csv").read_text()
+        assessment.write_text(re.sub(r"(?m)^archived_copy_digest: .*$", f"archived_copy_digest: {digest}", pinned))
+        run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(assessment))
         assert json.loads(registry.read_text())["entries"][0]["archived"]["media_type"] == "text/html"
         result = run(runner, "--out", str(out), "site", "--registry", str(registry), "--store", str(store))
         assert result.exit_code == 0, result.output
@@ -944,6 +967,69 @@ class TestSite:
         result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(missing))
         assert result.exit_code == 2
         assert "Invalid value for '--store'" in result.output
+        assert tree_bytes(out / "site") == before
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+
+    def test_empty_store_keeps_the_previous_site(self, runner, tmp_path):
+        out = tmp_path / "out"
+        self.build_cards(runner, out)
+        store = fixture_store(tmp_path)
+        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store)).exit_code == 0
+        before = tree_bytes(out / "site")
+        empty = tmp_path / "empty-store"
+        empty.mkdir()
+        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(empty))
+        assert result.exit_code == 1
+        apertus = next(e for e in json.loads(Path(REGISTRY).read_text())["entries"] if e["id"] == "apertus")
+        assert (
+            f"Error: site not published: apertus: archived object {apertus['archived']['storage_path']} is missing"
+            in result.output
+        )
+        assert tree_bytes(out / "site") == before
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+
+    def test_card_pinning_another_archived_copy_keeps_the_previous_site(self, runner, tmp_path):
+        out = tmp_path / "out"
+        self.build_cards(runner, out)
+        store = fixture_store(tmp_path)
+        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store)).exit_code == 0
+        before = tree_bytes(out / "site")
+        # phi-4's assessment pinned to Apertus's archived copy, which validate does not see.
+        apertus = "362aaffd6c198591b70f9223ac193c23ee7a0d65473866cb84148e898e461e50"
+        assessments = tmp_path / "assessments"
+        assessments.mkdir()
+        text = (Path(ASSESSMENTS) / "phi-4.csv").read_text()
+        (assessments / "phi-4.csv").write_text(
+            re.sub(r"(?m)^archived_copy_digest: .*$", f"archived_copy_digest: {apertus}", text)
+        )
+        checked = run(
+            runner, "--catalog", CATALOG, "validate",
+            "--assessments", str(assessments), "--registry", REGISTRY, "--store", str(store),
+        )
+        assert checked.exit_code == 0, checked.output
+        assert run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(assessments)).exit_code == 0
+        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store))
+        assert result.exit_code == 1
+        card = out / "phi-4.scorecard.json"
+        assert (
+            f"Error: site not published: {card}: the card pins archived copy 362aaffd6c19..., "
+            "registry entry 'phi-4' records 554cceafcdba..."
+        ) in result.output
+        assert tree_bytes(out / "site") == before
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+
+    def test_card_matching_two_entries_keeps_the_previous_site(self, runner, tmp_path):
+        out = tmp_path / "out"
+        self.build_cards(runner, out)
+        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
+        before = tree_bytes(out / "site")
+        registry = duplicated_summary(tmp_path)
+        result = run(runner, "--out", str(out), "site", "--registry", str(registry))
+        assert result.exit_code == 1
+        assert (
+            "Error: site not published: more than one registry entry for provider='Microsoft' model='Phi-4': "
+            "'phi-4' and 'phi-4-again'"
+        ) in result.output
         assert tree_bytes(out / "site") == before
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
@@ -1242,6 +1328,8 @@ class TestStartup:
         ],
     )
     def test_command_loads_only_its_layers(self, runner, tmp_path, command, unloaded):
+        """Value types are NamedTuples, so no command loads ``dataclasses`` either."""
+        unloaded = (*unloaded, "dataclasses")
         out = tmp_path / "out"
         args = {
             "--version": ["--version"],
@@ -1273,7 +1361,7 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         modules = set(json.loads(proc.stdout))
         assert {m for m in modules if m.startswith("summaryqa")} == {"summaryqa", "summaryqa.base", "summaryqa.errors"}
-        assert sorted(modules.intersection(("fractions", "csv", "json", "hashlib"))) == []
+        assert sorted(modules.intersection(("fractions", "csv", "json", "hashlib", "dataclasses"))) == []
 
     def test_package_exports_resolve_on_first_access(self):
         """Importing the package loads no submodule."""

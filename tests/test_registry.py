@@ -59,6 +59,11 @@ class TestRegistry:
         with pytest.raises(Refused, match="^registry already contains slug 'apertus-8b'$"):
             add_entry(registry, make_entry(model="Apertus-70B"))
 
+    def test_each_registry_has_its_own_entries(self):
+        first, second = Registry(), Registry()
+        add_entry(first, make_entry())
+        assert second.entries == []
+
     def test_add_order_preserved(self):
         registry = Registry()
         for slug in ("smollm3-3b", "apertus", "bielik-v3-11b", "phi-4", "bria-3-2"):
@@ -221,7 +226,8 @@ class _Handler(BaseHTTPRequestHandler):
 def http_base():
     """The base URL of a server on a free loopback port, for the test's duration."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll, so that shutdown() does not wait out the default half second.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}"

@@ -3,7 +3,6 @@
 import json
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -286,9 +285,8 @@ class TestRenderComparison:
 
     def test_mixed_catalog_versions_rejected(self):
         a, b = self.make_cards(2)
-        from dataclasses import replace
 
-        b = replace(b, catalog_ref="other/2.0")
+        b = b._replace(catalog_ref="other/2.0")
         refs = sorted([a.catalog_ref, "other/2.0"])
         with pytest.raises(Refused, match=re.escape(f"cards reference different catalogs: {refs}")):
             render_comparison(columns([a, b]), "json")
@@ -297,11 +295,11 @@ class TestRenderComparison:
         a, b = self.make_cards(2)
         mean = AggregationConfig(SectionAggregation.MEAN_OF_DIMENSIONS, OverallAggregation.MEAN_OF_SECTIONS)
         with pytest.raises(Refused, match="different configurations"):
-            render_comparison(columns([a, replace(b, config_used=mean)]), "json")
+            render_comparison(columns([a, b._replace(config_used=mean)]), "json")
 
     def test_links_follow_card_order(self):
         a, b = self.make_cards(2)
-        b = replace(b, meta=replace(a.meta, provider="Another provider"))
+        b = b._replace(meta=a.meta._replace(provider="Another provider"))
         text = comparison_table_html(columns([a, b]), links=["summaries/first/", "summaries/second/"])
         assert text.count('<a href="summaries/first/">') == 1
         assert text.count('<a href="summaries/second/">') == 1

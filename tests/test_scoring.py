@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from datetime import date
 from fractions import Fraction
 
@@ -262,7 +261,7 @@ class TestScoreSummary:
             verdicts = {mid: v for mid, v in a.verdicts.items() if mid != gate}
             if rng.random() < 0.5:
                 verdicts[gate] = Verdict(a.verdicts[gate].value)
-            unanswered = replace(a, verdicts=verdicts)
+            unanswered = a._replace(verdicts=verdicts)
             findings = assessment_findings(cat, unanswered, date(2026, 1, 31))
             assert ("gate-unanswered", gate) in [(f.code, f.locus) for f in findings]
             for config, strategies in (

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -122,7 +121,7 @@ def test_scaling_all_weights_changes_nothing(instance, factor):
     scaled = Catalog(
         catalog.name,
         catalog.version,
-        tuple(replace(m, weight=m.weight * factor) for m in catalog.metrics),
+        tuple(m._replace(weight=m.weight * factor) for m in catalog.metrics),
     )
     for config in CONFIGS:
         assert score_summary(catalog, assessment, config) == score_summary(scaled, assessment, config)
@@ -182,7 +181,7 @@ def test_verdict_map_order_is_irrelevant(instance):
     rng, catalog, assessment = instance
     items = list(assessment.verdicts.items())
     rng.shuffle(items)
-    shuffled = replace(assessment, verdicts=dict(items))
+    shuffled = assessment._replace(verdicts=dict(items))
     for config in CONFIGS:
         assert score_summary(catalog, assessment, config) == score_summary(catalog, shuffled, config)
 
@@ -229,7 +228,7 @@ def test_strategy_agreement_on_equalized_cell_weights(instance):
             totals[key] = totals.get(key, Fraction(0)) + m.weight
     # Rescale weights so every populated cell totals exactly 1.
     rescaled = tuple(
-        replace(m, weight=m.weight / totals[(m.section, m.dimension)])
+        m._replace(weight=m.weight / totals[(m.section, m.dimension)])
         if amap[m.id]
         else m
         for m in catalog.metrics

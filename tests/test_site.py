@@ -2,8 +2,6 @@
 
 import gc
 import random
-import weakref
-from dataclasses import replace
 from datetime import date
 from html.parser import HTMLParser
 from pathlib import Path
@@ -233,7 +231,7 @@ def parsed_links(root):
 
 
 def rewrite_card(path, **changes):
-    path.write_text(scorecard_to_json(replace(load_scorecard(path), **changes)), encoding="utf-8")
+    path.write_text(scorecard_to_json(load_scorecard(path)._replace(**changes)), encoding="utf-8")
 
 
 @pytest.fixture()
@@ -272,18 +270,25 @@ class TestOneDecodedCardAtATime:
 
     @staticmethod
     def track(monkeypatch, module, decoder, renderer):
-        """Count the decoded cards still alive each time ``renderer`` is called."""
+        """Count the decoded cards still alive each time ``renderer`` is called.
+
+        A card is a tuple, which takes no weak reference, so the live cards
+        are found among the objects the collector tracks; each decoded card
+        is checked to be one of them.
+        """
         refs, alive = [], []
         decode, render = getattr(module, decoder), getattr(module, renderer)
 
         def decode_and_track(*args):
             card = decode(*args)
-            refs.append(weakref.ref(card))
+            assert gc.is_tracked(card)
+            refs.append(id(card))
             return card
 
         def render_after_collect(*args, **kwargs):
             gc.collect()
-            alive.append(sum(ref() is not None for ref in refs))
+            decoded = set(refs)
+            alive.append(sum(type(o) is reporting.ScoreCard and id(o) in decoded for o in gc.get_objects()))
             return render(*args, **kwargs)
 
         monkeypatch.setattr(module, decoder, decode_and_track)
@@ -361,7 +366,7 @@ class TestPublishing:
     @pytest.mark.parametrize("slug", ["../../escaped", "abc\n", "Model-0"])
     def test_unsafe_slug_refused(self, site_inputs, tmp_path, slug):
         registry, cards = site_inputs
-        registry.entries[0] = replace(registry.entries[0], id=slug)
+        registry.entries[0] = registry.entries[0]._replace(id=slug)
         out = tmp_path / "out"
         with pytest.raises(Refused, match="registry slug"):
             build_site(registry, cards, SiteConfig(output_root=out / "site"))
@@ -373,7 +378,7 @@ class TestPublishing:
         secret.write_bytes(b"%PDF-1.4 not in the store")
         store = tmp_path / "store"
         copy = archive_fetch(str(secret), store)
-        registry.entries[1] = attach_archive(registry.entries[1], replace(copy, storage_path="../secret.pdf"))
+        registry.entries[1] = attach_archive(registry.entries[1], copy._replace(storage_path="../secret.pdf"))
         with pytest.raises(Refused, match="model-1: storage path '../secret.pdf' resolves outside the store"):
             build_site(registry, cards, SiteConfig(output_root=tmp_path / "site", store_root=store))
         assert not (tmp_path / "site").exists()
@@ -388,7 +393,7 @@ class TestPublishing:
     def test_same_model_name_links_to_each_slug(self, site_inputs, tmp_path):
         registry, cards = site_inputs
         entry = registry.entries[1]
-        registry.entries[1] = replace(entry, meta=replace(entry.meta, model="Model-0"))
+        registry.entries[1] = entry._replace(meta=entry.meta._replace(model="Model-0"))
         rewrite_card(cards[1], meta=registry.entries[1].meta)
         plan = build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
         index = [href for route, href in plan.links if route == "index.html"]
@@ -400,8 +405,20 @@ class TestPublishing:
         build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
         published = tree_bytes(tmp_path / "site")
         card = load_scorecard(cards[2])
-        rewrite_card(cards[2], meta=replace(card.meta, source_url="javascript:alert(document.cookie)"))
+        rewrite_card(cards[2], meta=card.meta._replace(source_url="javascript:alert(document.cookie)"))
         with pytest.raises(Refused, match="source_url 'javascript:alert\\(document.cookie\\)' is not well-formed"):
+            build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
+        assert tree_bytes(tmp_path / "site") == published
+        assert no_staging_left(tmp_path)
+
+    def test_card_pinning_an_unrecorded_archived_copy_keeps_the_previous_site(self, site_inputs, tmp_path):
+        registry, cards = site_inputs
+        build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
+        published = tree_bytes(tmp_path / "site")
+        card = load_scorecard(cards[1])
+        rewrite_card(cards[1], meta=card.meta._replace(archived_copy_digest="ab" * 32))
+        unrecorded = r"pins archived copy abababababab\.\.\., registry entry 'model-1' records no archived copy$"
+        with pytest.raises(Refused, match=unrecorded):
             build_site(registry, cards, SiteConfig(output_root=tmp_path / "site"))
         assert tree_bytes(tmp_path / "site") == published
         assert no_staging_left(tmp_path)

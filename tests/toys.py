@@ -5,7 +5,6 @@ dangling link."""
 
 import csv
 import io
-from dataclasses import replace
 from datetime import date
 from fractions import Fraction
 from pathlib import Path
@@ -88,7 +87,7 @@ def uniform_assessment(catalog, value, gate_answer="yes"):
 
 def with_verdict(assessment, metric_id, verdict):
     """The assessment with one verdict recorded or replaced."""
-    return replace(assessment, verdicts={**assessment.verdicts, metric_id: verdict})
+    return assessment._replace(verdicts={**assessment.verdicts, metric_id: verdict})
 
 
 def applicable_metrics(catalog, assessment):
