@@ -38,7 +38,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .base import SummaryMeta, lookup, meta_from_dict, read_fields, read_text, well_formed_url
+from .base import SummaryMeta, check_keys, lookup, meta_from_dict, read_fields, read_text, well_formed_url
 from .errors import Finding, Malformed, Refused
 
 if TYPE_CHECKING:
@@ -232,14 +232,8 @@ def parse_assessment(text: str) -> Assessment:
     if blank == len(header_lines):
         raise Malformed("missing blank line between header and verdict rows")
     body_start = blank + 1
+    check_keys(fields, "header", _HEADER_REQUIRED, _HEADER_OPTIONAL)
     header = {key: value for key, (_, value) in fields.items()}
-
-    for key in _HEADER_REQUIRED:
-        if key not in header:
-            raise Malformed(f"header missing field {key!r}")
-    unknown = set(header) - set(_HEADER_REQUIRED) - set(_HEADER_OPTIONAL)
-    if unknown:
-        raise Malformed(f"unknown header field {sorted(unknown)[0]!r}")
 
     try:
         meta = meta_from_dict(header)

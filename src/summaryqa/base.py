@@ -1,10 +1,11 @@
 """The summary's identity (:class:`SummaryMeta` and its one codec), the
 template's vocabulary (sections, dimensions, groups and their cells) and the
 file helpers every layer shares: readers of bytes, text, JSON and
-``key: value`` lines, each raising ``Malformed`` and leaving the caller to
-name the file, and one atomic writer.  It imports only ``errors`` and the
-standard library, so ``archive`` loads no catalog or assessment code, and
-the score card side (``reporting``, ``compare``, ``site``) no catalog parser.
+``key: value`` records (with their one key check), each raising ``Malformed``
+and leaving the caller to name the file, and one atomic writer.  It imports
+only ``errors`` and the standard library, so ``archive`` loads no catalog or
+assessment code, and the score card side (``reporting``, ``compare``,
+``site``) no catalog parser.
 """
 
 from __future__ import annotations
@@ -108,6 +109,22 @@ def read_fields(lines: list[str], start: int = 0) -> tuple[dict[str, tuple[int, 
     return fields, len(lines)
 
 
+def check_keys(
+    fields: dict[str, tuple[int, str]], record: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> None:
+    """Raise Malformed, located by line and key, for the first ``required`` key that ``fields``
+    (one ``record`` of :func:`read_fields`) lacks, or else for its first key, in sorted
+    order, that is neither required nor ``optional``.  A missing key is at the record's first line."""
+    for key in required:
+        if key not in fields:
+            line = next(iter(fields.values()))[0] if fields else 1
+            raise Malformed(f"{record} missing field {key!r}", line=line, field=key)
+    unknown = sorted(set(fields).difference(required, optional))
+    if unknown:
+        key = unknown[0]
+        raise Malformed(f"unknown {record} field {key!r}", line=fields[key][0], field=key)
+
+
 def write_atomic(path: Path, data: bytes) -> None:
     """Replace ``path`` with ``data`` in one rename, so readers never see a partial file."""
     try:
@@ -201,27 +218,9 @@ class Dimension(Enum):
 
 _DIMENSION_BY_CODE = {d.code: d for d in Dimension}
 
-#: Dimensions in canonical report order.
-DIMENSION_ORDER = (
-    Dimension.CLARITY,
-    Dimension.COMPLETENESS,
-    Dimension.CONSISTENCY,
-    Dimension.CORRECTNESS,
-    Dimension.ACCESSIBILITY,
-    Dimension.COMPREHENSION,
-)
-
-#: Sections in canonical report order.
-SECTION_ORDER = (
-    Section.DOCUMENT,
-    Section.GENERAL_INFORMATION,
-    Section.PUBLIC_DATA_SOURCES,
-    Section.PRIVATE_DATA_SOURCES,
-    Section.SCRAPED_CRAWLED_DATA,
-    Section.USER_DATA,
-    Section.SYNTHETIC_OTHER_DATA,
-    Section.DATA_PROCESSING,
-)
+#: Sections and dimensions in canonical report order: the order of their definitions.
+SECTION_ORDER = tuple(Section)
+DIMENSION_ORDER = tuple(Dimension)
 
 #: (section, dimension) cells in canonical report order; a metric's cell
 #: index points into this tuple.

@@ -38,43 +38,36 @@ rows the applicability and scoring passes read (see :class:`CompiledCatalog`).
 from __future__ import annotations
 
 import math
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
-from .base import CELLS, SECTION_ORDER, Dimension, Section, exact_number, read_fields, read_text
+from .base import CELLS, SECTION_ORDER, Dimension, Section, check_keys, exact_number, read_fields, read_text
 from .errors import Finding, Malformed
 
 #: A cell's index in CELLS, the cell index of a compiled row.
 _CELL_INDEX = {cell: i for i, cell in enumerate(CELLS)}
 
 
-class RuleKind(Enum):
-    ALWAYS = "always"
-    IF_GATE_EQUALS = "if-gate-equals"
-
-
 class ApplicabilityRule(NamedTuple):
     """Whether a metric counts toward scoring.
 
-    ``ALWAYS`` metrics always apply.  ``IF_GATE_EQUALS`` metrics apply only
-    when the named gate metric is itself applicable and its recorded yes/no
-    answer equals ``required_answer``.
+    A metric with no ``gate_metric_id`` always applies.  A gated metric
+    applies only when the named gate metric is itself applicable and its
+    recorded yes/no answer equals ``required_answer``.
     """
 
-    kind: RuleKind = RuleKind.ALWAYS
     gate_metric_id: str | None = None
     required_answer: str | None = None  # "yes" | "no"
 
     @classmethod
     def always(cls) -> "ApplicabilityRule":
-        return cls(RuleKind.ALWAYS)
+        return cls()
 
     @classmethod
     def if_gate(cls, gate_metric_id: str, required_answer: str = "yes") -> "ApplicabilityRule":
-        return cls(RuleKind.IF_GATE_EQUALS, gate_metric_id, required_answer)
+        return cls(gate_metric_id, required_answer)
 
     @classmethod
     def parse(cls, text: str) -> "ApplicabilityRule":
@@ -163,7 +156,7 @@ class CompiledCatalog(_CompiledCatalog):
         rows = []
         for metric in self.order:
             rule = metric.applicability
-            gate_row = row_of[rule.gate_metric_id] if rule.kind is RuleKind.IF_GATE_EQUALS else -1
+            gate_row = -1 if rule.gate_metric_id is None else row_of[rule.gate_metric_id]
             cell = _CELL_INDEX[(metric.section, metric.dimension)]
             rows.append((metric.id, gate_row, rule.required_answer, cell, (metric.weight * scale).numerator))
         return tuple(rows)
@@ -201,7 +194,7 @@ def _compile(catalog: Catalog) -> CompiledCatalog:
         if metric.weight <= 0:
             findings.append(Finding("nonpositive-weight", metric.id, f"weight must be positive, got {metric.weight}"))
         rule = metric.applicability
-        if rule.kind is RuleKind.IF_GATE_EQUALS and rule.gate_metric_id not in by_id:
+        if rule.gate_metric_id is not None and rule.gate_metric_id not in by_id:
             findings.append(Finding("unknown-gate", metric.id, f"gate metric {rule.gate_metric_id!r} does not exist"))
             broken = broken or f"metric {metric.id!r} gates on unknown metric {rule.gate_metric_id!r}"
 
@@ -220,8 +213,7 @@ def _compile(catalog: Catalog) -> CompiledCatalog:
                 broken = broken or f"applicability cycle through {node.id!r}"
                 break
             chain[node.id] = node
-            rule = node.applicability
-            node = by_id.get(rule.gate_metric_id) if rule.kind is RuleKind.IF_GATE_EQUALS else None
+            node = by_id.get(node.applicability.gate_metric_id)
         met.update(chain)
         order.extend(reversed(chain.values()))
     return CompiledCatalog(order=tuple(order), findings=tuple(findings), broken=broken)
@@ -282,30 +274,15 @@ def parse_catalog(text: str) -> Catalog:
         raise Malformed("empty catalog file")
 
     header = records[0]
-    first_line = next(iter(header.values()))[0]
-    for key in ("catalog", "version"):
-        if key not in header:
-            raise Malformed(f"header block missing {key!r}", line=first_line, field=key)
-    extras = set(header) - {"catalog", "version"}
-    if extras:
-        key = sorted(extras)[0]
-        raise Malformed(f"unknown header field {key!r}", line=header[key][0], field=key)
+    check_keys(header, "header", ("catalog", "version"))
     name = header["catalog"][1]
     version = header["version"][1]
     if not name or not version:
-        raise Malformed("catalog name and version must be non-empty", line=first_line)
+        raise Malformed("catalog name and version must be non-empty", line=header["catalog"][0])
 
     metrics: list[Metric] = []
     for fields in records[1:]:
-        first_line = next(iter(fields.values()))[0]
-        for key in _METRIC_FIELDS:
-            if key not in fields:
-                raise Malformed(f"metric record missing field {key!r}", line=first_line, field=key)
-        extras = set(fields) - set(_METRIC_FIELDS)
-        if extras:
-            key = sorted(extras)[0]
-            raise Malformed(f"unknown metric field {key!r}", line=fields[key][0], field=key)
-
+        check_keys(fields, "metric", _METRIC_FIELDS)
         metric_id = fields["id"][1]
         if not metric_id:
             raise Malformed("metric id must be non-empty", line=fields["id"][0], field="id")

@@ -268,7 +268,7 @@ def validate(config, assessments, registry_path, store):
     try:
         catalog = load_catalog(catalog_path)
     except Malformed as exc:
-        click.echo(f"catalog\t{catalog_path}\tmalformed-catalog\t{exc}")
+        _echo_findings("catalog", [Finding("malformed-catalog", str(catalog_path), str(exc))])
         sys.exit(1)
     catalog_findings = validate_catalog(catalog)
     total += _echo_findings("catalog", catalog_findings)
@@ -281,8 +281,7 @@ def validate(config, assessments, registry_path, store):
             try:
                 assessment = parse_assessment(read_text(path))
             except Malformed as exc:
-                click.echo(f"{source}\t{path.name}\tmalformed-assessment\t{exc}")
-                total += 1
+                total += _echo_findings(source, [Finding("malformed-assessment", path.name, str(exc))])
                 continue
             total += _echo_findings(source, assessment_findings(catalog, assessment, today))
 
@@ -290,8 +289,7 @@ def validate(config, assessments, registry_path, store):
         try:
             registry = load_registry(registry_path)
         except Malformed as exc:
-            click.echo(f"registry\t{registry_path}\tmalformed-registry\t{exc}")
-            total += 1
+            total += _echo_findings("registry", [Finding("malformed-registry", str(registry_path), str(exc))])
         else:
             total += _echo_findings("registry", validate_registry(registry))
             if store is not None:
@@ -431,11 +429,6 @@ def archive(url, slug, provider, model, title, source_url, published_form, versi
         raise click.BadParameter(f"{source_url!r} is not an http(s) URL with a host or a file: URL", param_hint="--source-url")
 
     registry = _load(load_registry, registry_file) if registry_file.exists() else Registry()
-    if registry.get(slug) is not None:
-        raise click.ClickException(f"registry already contains slug {slug!r}")
-
-    copy = archive_fetch(url, store_root, timeout=timeout)
-
     meta = SummaryMeta(
         provider=provider,
         model=model,
@@ -453,7 +446,10 @@ def archive(url, slug, provider, model, title, source_url, published_form, versi
             discovered_on=discovered_on or date.today(),
         ),
     )
-    add_entry(registry, attach_archive(entry, copy))
+    # Admitted before the fetch, so a refused entry fetches and stores nothing.
+    add_entry(registry, entry)
+    copy = archive_fetch(url, store_root, timeout=timeout)
+    registry.entries[-1] = attach_archive(entry, copy)
     save_registry(registry, registry_file)
     click.echo(copy.content_digest)
     click.echo(f"archived {url} ({copy.byte_length} bytes, {copy.media_type})", err=True)
@@ -468,9 +464,8 @@ def archive(url, slug, provider, model, title, source_url, published_form, versi
 @click.option("--registry", "registry_path", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
 @click.option("--cards", "cards_dir", type=click.Path(exists=True, file_okay=False), default=None)
 @click.option("--store", type=click.Path(exists=True, file_okay=False, path_type=Path), default=None)
-@click.option("--title", default="GPAI training-content disclosure quality")
 @click.pass_obj
-def site(config, registry_path, cards_dir, store, title):
+def site(config, registry_path, cards_dir, store):
     """Build the static dissemination site from the score cards and publish it.
 
     The site is built in a staging directory beside ``<out>/site`` and
@@ -488,7 +483,7 @@ def site(config, registry_path, cards_dir, store, title):
 
     registry = _load(load_registry, registry_file)
     site_root = out_dir / "site"
-    site_config = SiteConfig(output_root=site_root, store_root=store, site_title=title)
+    site_config = SiteConfig(output_root=site_root, store_root=store)
     try:
         plan = build_site(registry, sorted(directory.glob("*.scorecard.json")), site_config)
     except Refused as exc:

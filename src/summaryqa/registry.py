@@ -107,8 +107,9 @@ class Registry:
     def by_summary(self) -> dict[tuple[str, str], list[RegistryEntry]]:
         """(provider, model) -> every entry of that summary, in registry order.
 
-        A summary has one entry: ``validate`` reports each further one as
-        ``duplicate-summary``, and ``site`` refuses a card that matches two.
+        A summary has one entry: ``add_entry`` admits no second one, ``validate``
+        reports each further one in a file as ``duplicate-summary``, and
+        ``site`` refuses a card that matches two.
         """
         index: dict[tuple[str, str], list[RegistryEntry]] = {}
         for entry in self.entries:
@@ -116,10 +117,19 @@ class Registry:
         return index
 
 
+def _registered_as(meta: SummaryMeta, first: RegistryEntry) -> str:
+    """Why ``add_entry`` refuses, and ``validate`` reports, an entry of the summary ``first`` registers."""
+    return f"provider {meta.provider!r} and model {meta.model!r} are already registered as {first.id!r}"
+
+
 def add_entry(registry: Registry, entry: RegistryEntry) -> Registry:
-    """Append an entry; slugs must be unique."""
+    """Append an entry: the one admission rule.  A slug already in use, or a
+    summary (provider, model) already registered, is Refused."""
     if registry.get(entry.id) is not None:
         raise Refused(f"registry already contains slug {entry.id!r}")
+    same = registry.by_summary().get((entry.meta.provider, entry.meta.model))
+    if same:
+        raise Refused(_registered_as(entry.meta, same[0]))
     registry.entries.append(entry)
     return registry
 
@@ -139,10 +149,9 @@ def validate_registry(registry: Registry) -> list[Finding]:
             findings.append(
                 Finding("bad-source-url", entry.id, f"source_url {entry.meta.source_url!r} is not well-formed")
             )
-    for (provider, model), entries in registry.by_summary().items():
+    for entries in registry.by_summary().values():
         for entry in entries[1:]:
-            message = f"provider {provider!r} and model {model!r} are already registered as {entries[0].id!r}"
-            findings.append(Finding("duplicate-summary", entry.id, message))
+            findings.append(Finding("duplicate-summary", entry.id, _registered_as(entry.meta, entries[0])))
     return findings
 
 

@@ -55,7 +55,10 @@ class SitePlan(NamedTuple):
 class SiteConfig(NamedTuple):
     output_root: Path
     store_root: Path | None = None
-    site_title: str = "GPAI training-content disclosure quality"
+
+
+#: The heading and title of the index page.
+TITLE = "GPAI training-content disclosure quality"
 
 
 def _anchor(hrefs: list[str], href: str, text: str, attrs: str = "") -> str:
@@ -215,7 +218,7 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
     else:
         table = "<p>No assessed summaries yet.</p>\n" + _table_html("comparison", ["Section", "Group"], [])
     index_lines = [
-        f"<h1>{html.escape(config.site_title)}</h1>",
+        f"<h1>{html.escape(TITLE)}</h1>",
         "<p>Quality assessment of the public summaries of training content "
         "that general-purpose AI providers publish. Overall grades and "
         "section-level transparency and usefulness scores are shown below; "
@@ -225,7 +228,7 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
     _create(
         root / "index.html",
         _page(
-            config.site_title,
+            TITLE,
             "Comparison of training-content disclosure quality across GPAI models",
             "\n".join(index_lines) + "\n",
         ).encode("utf-8"),

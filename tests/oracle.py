@@ -17,7 +17,7 @@ def _rows(catalog, assessment):
     for m in catalog.metrics:
         rule = m.applicability
         gate = None
-        if rule.kind.value == "if-gate-equals":
+        if rule.gate_metric_id is not None:
             gate = (rule.gate_metric_id, rule.required_answer)
         rows.append(
             {

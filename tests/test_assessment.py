@@ -503,6 +503,20 @@ class TestFileFormat:
         with pytest.raises(Malformed, match="provider"):
             parse_assessment(SAMPLE_FILE.replace("provider: ExampleCo\n", ""))
 
+    @pytest.mark.parametrize(
+        "old,new,message,line,field",
+        [
+            ("provider: ExampleCo\n", "", "header missing field 'provider'", 1, "provider"),
+            ("evaluator: eva\n", "", "header missing field 'evaluator'", 1, "evaluator"),
+            ("model: Example-7B\n", "model: Example-7B\nwhimsy: 3\n", "unknown header field 'whimsy'", 3, "whimsy"),
+        ],
+        ids=["missing-first", "missing-later", "unknown"],
+    )
+    def test_header_field_errors_name_their_line_and_field(self, old, new, message, line, field):
+        with pytest.raises(Malformed, match=f"^line {line}, field '{field}': {message}$") as exc:
+            parse_assessment(SAMPLE_FILE.replace(old, new))
+        assert (exc.value.line, exc.value.field) == (line, field)
+
     def test_bad_verdict_token(self):
         with pytest.raises(Malformed, match="unknown verdict"):
             parse_assessment(SAMPLE_FILE.replace("partially-sufficient", "meh"))

@@ -13,7 +13,6 @@ from summaryqa.catalog import (
     ApplicabilityRule,
     Catalog,
     Metric,
-    RuleKind,
     parse_catalog,
     section_counts,
     validate_catalog,
@@ -139,6 +138,21 @@ class TestParsing:
         with pytest.raises(Malformed, match="^line 9, field 'weight': duplicate field 'weight'$") as exc:
             parse_catalog(MINIMAL.replace("weight: 1\n", "weight: 1\nweight: 2\n"))
         assert (exc.value.line, exc.value.field) == (9, "weight")
+
+    @pytest.mark.parametrize(
+        "old,new,message,line,field",
+        [
+            ("version: 0.1\n", "", "header missing field 'version'", 1, "version"),
+            ("version: 0.1\n", "version: 0.1\nowner: x\n", "unknown header field 'owner'", 3, "owner"),
+            ("weight: 1\n", "", "metric missing field 'weight'", 4, "weight"),
+            ("weight: 1\n", "weight: 1\nwhimsy: 3\n", "unknown metric field 'whimsy'", 9, "whimsy"),
+        ],
+        ids=["header-missing", "header-unknown", "metric-missing", "metric-unknown"],
+    )
+    def test_record_keys_name_their_line_and_field(self, old, new, message, line, field):
+        with pytest.raises(Malformed, match=f"^line {line}, field '{field}': {message}$") as exc:
+            parse_catalog(MINIMAL.replace(old, new, 1))
+        assert (exc.value.line, exc.value.field) == (line, field)
 
 
 class TestRoundTrip:
@@ -344,7 +358,7 @@ RANDOM_WEIGHTS = [1, 2, Fraction(3, 2), Fraction(1, 3), 0, -1, Fraction(1, 10**7
 def random_defective_catalog(rng):
     """A catalog built in code in which every catalog finding can occur at once:
     repeated ids, nonpositive weights, weights past the bound, self-gates,
-    cycles, gates naming no metric and gate rules with no gate id."""
+    cycles and gates naming no metric."""
     metrics = []
     for _ in range(rng.choice([0, *range(1, 9)])):
         mid = f"M{rng.randrange(6)}"
@@ -352,8 +366,6 @@ def random_defective_catalog(rng):
         roll = rng.random()
         if roll < 0.35:
             rule = ApplicabilityRule.always()
-        elif roll < 0.4:
-            rule = ApplicabilityRule(RuleKind.IF_GATE_EQUALS, None, "yes")
         else:
             rule = ApplicabilityRule.if_gate(rng.choice(["Z", *(f"M{i}" for i in range(6))]), rng.choice(["yes", "no"]))
         metrics.append(metric(mid, weight=weight)._replace(applicability=rule))
@@ -382,7 +394,7 @@ def brute_force_findings(catalog):
         if m.weight <= 0:
             findings.append(Finding("nonpositive-weight", m.id, f"weight must be positive, got {m.weight}"))
         gate = m.applicability.gate_metric_id
-        if m.applicability.kind is RuleKind.IF_GATE_EQUALS and gate not in ids:
+        if gate is not None and gate not in ids:
             findings.append(Finding("unknown-gate", m.id, f"gate metric {gate!r} does not exist"))
             defects.append(f"metric {m.id!r} gates on unknown metric {gate!r}")
 
@@ -399,7 +411,7 @@ def brute_force_findings(catalog):
             return
         stack.append(mid)
         rule = rule_of[mid]
-        if rule.kind is RuleKind.IF_GATE_EQUALS and rule.gate_metric_id in rule_of:
+        if rule.gate_metric_id is not None and rule.gate_metric_id in rule_of:
             resolve(rule.gate_metric_id)
         resolved.add(stack.pop())
 

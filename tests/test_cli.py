@@ -746,17 +746,33 @@ class TestArchive:
 
     def test_corrupt_stored_object_is_not_pinned_again(self, runner, tmp_path):
         registry, store = tmp_path / "registry.json", tmp_path / "store"
-        args = ["--provider", "Microsoft", "--model", "Phi-4", "--registry", str(registry), "--store", str(store)]
-        digest = run(runner, "archive", str(SOURCES / "phi-4.md"), "--slug", "phi-4", *args).output.split()[0]
+        args = ["--provider", "Microsoft", "--registry", str(registry), "--store", str(store)]
+        source = str(SOURCES / "phi-4.md")
+        digest = run(runner, "archive", source, "--slug", "phi-4", "--model", "Phi-4", *args).output.split()[0]
         stored = store / "objects" / digest[:2] / digest
         with stored.open("ab") as handle:
             handle.write(b"x")
         before, tampered = registry.read_bytes(), stored.read_bytes()
-        result = run(runner, "archive", str(SOURCES / "phi-4.md"), "--slug", "phi-4-again", *args)
+        # Another summary, so that the entry is admitted and the fetch reaches the stored object.
+        result = run(runner, "archive", source, "--slug", "phi-4-again", "--model", "Phi-4 again", *args)
         assert result.exit_code == 1
         assert f"stored object {stored} hashes to" in result.output
         assert registry.read_bytes() == before
         assert stored.read_bytes() == tampered
+
+    def test_second_entry_of_a_registered_summary_stops_before_the_fetch(self, runner, tmp_path):
+        registry, store = tmp_path / "registry.json", tmp_path / "store"
+        registry.write_bytes(Path(REGISTRY).read_bytes())
+        result = run(
+            runner,
+            "archive", str(SOURCES / "apertus.pdf"),
+            "--slug", "phi-4-rev2", "--provider", "Microsoft", "--model", "Phi-4",
+            "--registry", str(registry), "--store", str(store),
+        )
+        assert result.exit_code == 1
+        assert "provider 'Microsoft' and model 'Phi-4' are already registered as 'phi-4'" in result.output
+        assert registry.read_bytes() == Path(REGISTRY).read_bytes()
+        assert not store.exists()
 
     @pytest.mark.usefixtures("no_host_mime_tables")
     def test_markdown_keeps_its_type_without_host_mime_tables(self, runner, tmp_path):
@@ -956,6 +972,11 @@ class TestSite:
         assert hashlib.sha256(copy.read_bytes()).hexdigest() == digest
         detail = (copy.parent / "index.html").read_text(encoding="utf-8")
         assert f'<a href="{copy.name}">Archived copy</a>' in detail
+
+    def test_title_is_not_an_option(self, runner, tmp_path):
+        result = runner.invoke(cli, ["--out", str(tmp_path / "out"), "site", "--registry", REGISTRY, "--title", "x"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
 
     def test_missing_store_keeps_the_previous_site(self, runner, tmp_path):
         out = tmp_path / "out"

@@ -59,6 +59,18 @@ class TestRegistry:
         with pytest.raises(Refused, match="^registry already contains slug 'apertus-8b'$"):
             add_entry(registry, make_entry(model="Apertus-70B"))
 
+    def test_second_entry_of_one_summary_refused_as_validate_reports_it(self):
+        registry = Registry()
+        add_entry(registry, make_entry())
+        second = make_entry(slug="apertus-8b-again")
+        [finding] = validate_registry(Registry(entries=[*registry.entries, second]))
+        assert finding.code == "duplicate-summary"
+        with pytest.raises(Refused) as exc:
+            add_entry(registry, second)
+        assert str(exc.value) == finding.message
+        assert finding.message == "provider 'Swiss AI Initiative' and model 'Apertus-8B' are already registered as 'apertus-8b'"
+        assert [e.id for e in registry.entries] == ["apertus-8b"]
+
     def test_each_registry_has_its_own_entries(self):
         first, second = Registry(), Registry()
         add_entry(first, make_entry())

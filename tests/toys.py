@@ -12,7 +12,7 @@ from pathlib import Path
 import summaryqa
 from summaryqa.assessment import _CSV_HEADER, _HEADER_REQUIRED, Assessment, Verdict, VerdictValue, applicability_map
 from summaryqa.base import Dimension, PublishedForm, Section, SummaryMeta, meta_to_dict
-from summaryqa.catalog import ApplicabilityRule, Catalog, Metric, RuleKind, load_catalog
+from summaryqa.catalog import ApplicabilityRule, Catalog, Metric, load_catalog
 
 S = VerdictValue.SUFFICIENT
 P = VerdictValue.PARTIALLY_SUFFICIENT
@@ -151,7 +151,7 @@ def dumps_catalog(catalog):
         out.write(f"weight: {metric.weight}\n")
         out.write(f"prompt: {header_value(metric.prompt, 'prompt')}\n")
         out.write(f"optional_field: {'true' if metric.optional_field else 'false'}\n")
-        if rule.kind is RuleKind.ALWAYS:
+        if rule.gate_metric_id is None:
             out.write("applicability: always\n")
         else:
             out.write(f"applicability: if {rule.gate_metric_id} = {rule.required_answer}\n")
