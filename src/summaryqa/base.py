@@ -50,6 +50,17 @@ def exact_number(text: str) -> Fraction:
     return Fraction(text)
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def iso_date(text: str) -> date:
+    """``text`` as a ``YYYY-MM-DD`` date in ASCII digits, with ``date.fromisoformat``'s
+    errors; on Python 3.11 that alone also reads ``20260115`` and ``2026-W02-1``."""
+    if isinstance(text, str) and not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
+
+
 def read_bytes(path: str | Path) -> bytes:
     """The bytes of the file at ``path``; a file that cannot be read, such as a
     directory, is Malformed, and the caller names the path."""
@@ -275,7 +286,7 @@ def meta_from_dict(raw: dict) -> SummaryMeta:
     """
     published_form = PublishedForm.from_token(raw["published_form"])
     try:
-        assessed = date.fromisoformat(raw["assessed_version_date"])
+        assessed = iso_date(raw["assessed_version_date"])
     except (TypeError, ValueError):
         raise ValueError(
             f"assessed_version_date must be YYYY-MM-DD, got {raw['assessed_version_date']!r}"

@@ -1,37 +1,34 @@
 """Command-line pipeline: validate -> score -> compare -> site, plus archival.
 
 ``--config FILE`` names a plain ``key: value`` file.  A key that names an
-option is that option's default: ``catalog``, ``format``, ``aggregation`` and
-``out`` for the group, ``assessments`` for ``validate``, and ``registry`` and
-``store`` for ``validate``, ``archive`` and ``site``.  So flags win over the
-file and the file over the built-in defaults, and click parses and checks a
-value the same way wherever it comes from.  Three keys exist only in the file
-and are checked under every command: ``section_group_strategy``,
-``overall_strategy`` and ``grade_scale`` (a ``LABEL:MIN,...`` list, best band
-first, checked by ``reporting.GradeScale.check``).  Any other key, a key set
-twice, and a value that holds a NUL byte are refused with the file and line.
+option (``catalog``, ``format``, ``aggregation``, ``out``, ``assessments``,
+``registry``, ``store``) is that option's default, so flags win over the file
+and the file over the built-in defaults, and the option's one type function
+reads its value from either.  ``section_group_strategy``, ``overall_strategy``
+and ``grade_scale`` exist only in the file.  Any other key, a key set twice,
+and a value that holds a NUL byte are refused with the file and line.
 
-Diagnostics go to stderr; findings and requested data go to stdout or files.
-Exit status is 0 only when there are no findings and no errors.  Validation
-findings are emitted one per line as tab-separated
-``source<TAB>locus<TAB>code<TAB>message`` records.
+Findings (``source<TAB>locus<TAB>code<TAB>message`` lines) and requested data
+go to stdout or files, diagnostics to stderr.  Exit status is 0 only when there
+are no findings and no errors, 1 after ``Error: ...`` and 2 after the usage.
 
-Each command imports the layers it runs when it runs, so start-up costs only
-click and this module (``--version`` and ``--help`` load no layer).  Layer
-names are looked up on their module at call time, never kept in this module,
-so a wrapper patched onto a layer's function (as ``bench/tracing.py`` does)
-sees every call.
+The standard library's ``argparse`` reads the command line, with no
+abbreviations and no ``-h``.  Each command imports the layers it runs when it
+runs, so start-up costs only ``argparse`` and this module (``--version`` and
+``--help`` load no layer).  Layer names are looked up on their module at call
+time, never kept in this module, so a wrapper patched onto a layer's function
+(as ``bench/tracing.py`` does) sees every call.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 from datetime import date
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
-
-import click
-from click.core import ParameterSource
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__
 from .errors import Finding, Malformed, Refused, SummaryQAError
@@ -39,34 +36,72 @@ from .errors import Finding, Malformed, Refused, SummaryQAError
 if TYPE_CHECKING:
     from .reporting import AggregationConfig, GradeScale
 
-# A config key that names an option sets that option's default; the
-# aggregation keys exist only in the file.
 _AGGREGATION_KEYS = ("section_group_strategy", "overall_strategy", "grade_scale")
 _CONFIG_KEYS = ("catalog", "assessments", "registry", "store", "out", "format", "aggregation", *_AGGREGATION_KEYS)
 
-# Choice lists, spelled out so that building the command line imports no layer.
-# tests/test_cli.py pins each to the layer's own list.
-FORMATS = ("json", "csv", "html")  # reporting.FORMATS
-PUBLISHED_FORMS = ("WebPage", "PDF", "MarkdownFile", "Other")  # base.PublishedForm
-CHANNELS = (  # registry.DiscoveryChannel
-    "SearchEngine",
-    "ModelRepoPage",
-    "LegalCompliancePage",
-    "TechnicalReport",
-    "Index",
-    "Referral",
-)
+# reporting.FORMATS, base.PublishedForm and registry.DiscoveryChannel, spelled out so that
+# building the command line imports no layer; tests/test_cli.py pins each to the layer's own list.
+FORMATS = ("json", "csv", "html")
+PUBLISHED_FORMS = ("WebPage", "PDF", "MarkdownFile", "Other")
+CHANNELS = ("SearchEngine", "ModelRepoPage", "LegalCompliancePage", "TechnicalReport", "Index", "Referral")
 
 
-class RunConfig(NamedTuple):
-    """The group's settings, resolved once from flags, config file and defaults."""
+class _Usage(Exception):
+    """A usage error: the run ends with the usage of the command being read, and status 2."""
 
-    catalog_path: Path | None
-    output_dir: Path | None
-    report_format: str
-    # None: neither flags nor config file set it, and the command uses
-    # reporting.DEFAULT_CONFIG.
-    aggregation: AggregationConfig | None
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Usage(message)
+
+
+class _Option(NamedTuple):
+    """An option (``--name``) or the positional argument (``NAME``) of a command, read by ``convert``."""
+
+    name: str
+    convert: Callable[[str], object] = str
+    default: object = None
+    help: str | None = None
+    required: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_").lower()
+
+
+def _path(kind: str, exists: bool = True) -> Callable[[str], Path]:
+    """The type of a path option: a ``File`` is no directory, a ``Directory`` no file, a ``Path`` either."""
+
+    def convert(text: str) -> Path:
+        if not os.path.exists(text):
+            if exists:
+                raise ValueError(f"{kind} {text!r} does not exist.")
+        elif kind == "File" and os.path.isdir(text):
+            raise ValueError(f"File {text!r} is a directory.")
+        elif kind == "Directory" and os.path.isfile(text):
+            raise ValueError(f"Directory {text!r} is a file.")
+        return Path(text)
+
+    return convert
+
+
+def _choice(choices: tuple[str, ...]) -> Callable[[str], str]:
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"{text!r} is not one of {', '.join(map(repr, choices))}.")
+        return text
+
+    return convert
+
+
+def _iso_date(text: str) -> date | None:
+    """A YYYY-MM-DD option; an empty one is not given."""
+    from .base import iso_date
+
+    try:
+        return iso_date(text) if text else None
+    except ValueError:
+        raise ValueError(f"{text!r} is not a YYYY-MM-DD date") from None
 
 
 def _parse_scale(text: str) -> GradeScale:
@@ -85,96 +120,92 @@ def _parse_scale(text: str) -> GradeScale:
     return scale
 
 
-def _read_config_file(path: Path) -> dict[str, str]:
+def _value(hint: str, convert: Callable[[str], object], text: str):
+    """``convert(text)``; a text that does not convert is a usage error under ``hint``."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise click.ClickException(f"{path}: {exc}") from exc
+        return convert(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _Usage(f"Invalid value for {hint}: {exc}") from None
+
+
+def _read_config_file(path: Path) -> dict[str, str]:
+    from .base import read_text
+
     values: dict[str, str] = {}
-    # Only "\n" ends a line, as in base.read_fields; text mode already folds "\r\n" and "\r".
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    # Only "\n" ends a line, as in base.read_fields; read_text already folds "\r\n" and "\r".
+    for lineno, raw in enumerate(_load(read_text, path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition(":")
-        key = key.strip()
+        key, sep, value = (part.strip() for part in line.partition(":"))
         if not sep or key not in _CONFIG_KEYS:
-            raise click.ClickException(f"{path}:{lineno}: unknown config line {raw!r}")
+            raise SummaryQAError(f"{path}:{lineno}: unknown config line {raw!r}")
         if "\0" in value:
-            raise click.ClickException(f"{path}:{lineno}: the value of {key} holds a NUL byte")
+            raise SummaryQAError(f"{path}:{lineno}: the value of {key} holds a NUL byte")
         if key in values:
-            raise click.ClickException(f"{path}:{lineno}: {key} is set more than once")
-        values[key] = value.strip()
+            raise SummaryQAError(f"{path}:{lineno}: {key} is set more than once")
+        values[key] = value
     return values
 
 
-def _option_defaults(command: click.Command, values: dict[str, str]) -> dict[str, str]:
-    """The ``values`` whose key names one of ``command``'s options, by parameter name."""
-    return {
-        param.name: values[key]
-        for param in command.params
-        if isinstance(param, click.Option) and (key := param.opts[0].lstrip("-")) in values
-    }
+def _parser(prog: str, options: tuple[_Option, ...], description: str, usage: str = "") -> _Parser:
+    """A parser that keeps each option's text, for ``_resolve`` to convert."""
+    usage = usage or "%(prog)s [OPTIONS]" + "".join(f" {o.name}" for o in options if not o.name.startswith("-"))
+    parser = _Parser(prog=prog, usage=usage, description=description, add_help=False, allow_abbrev=False)
+    parser.add_argument("--help", action="store_true", help="Show this message and exit.")
+    for option in options:
+        if option.name.startswith("-"):
+            parser.add_argument(option.name, help=option.help)
+        else:
+            parser.add_argument(option.dest, nargs="?", metavar=option.name, help=option.help)
+    return parser
 
 
-def _config_defaults(ctx: click.Context, param: click.Parameter, path: Path | None) -> dict[str, str]:
-    """Make the config file's values the defaults of the options they name.
+def _parse(parser: _Parser, argv: list[str], namespace: argparse.Namespace | None = None) -> argparse.Namespace:
+    """``argv`` read by ``parser``; an unknown option, else an extra argument, is a usage error."""
+    args, extras = parser.parse_known_args(argv, namespace)
+    if extras:
+        unknown = [extra.partition("=")[0] for extra in extras if extra.startswith("-")]
+        raise _Usage(f"No such option {unknown[0]!r}." if unknown else f"Got unexpected extra argument ({' '.join(extras)})")
+    return args
 
-    ``--config`` is eager, so click converts and checks those defaults, with
-    each option's own type, when it processes the options after it.  Returns
-    every value in the file; the group reads the file-only keys from it.
-    """
-    if path is None:
-        return {}
-    values = _read_config_file(path)
-    group = ctx.command
-    ctx.default_map = {
-        **_option_defaults(group, values),
-        **{name: _option_defaults(command, values) for name, command in group.commands.items()},
-    }
-    return values
+
+def _resolve(options: tuple[_Option, ...], args: argparse.Namespace, file_values: dict[str, str]) -> None:
+    """Set each option to its flag's value, else its config file value, else its default."""
+    for option in options:
+        text = getattr(args, option.dest)
+        if text is None:
+            text = file_values.get(option.name.lstrip("-"))
+        if text is None and option.required:
+            raise _Usage(f"Missing {'option' if option.name.startswith('-') else 'argument'} '{option.name}'.")
+        setattr(args, option.dest, option.default if text is None else _value(repr(option.name), option.convert, text))
 
 
 def _file_value(file_values: dict[str, str], key: str, parse, default):
-    """Parse a config file value, or ``default`` when the file lacks the key.
-
-    A value that does not parse is reported under its key.
-    """
-    if key not in file_values:
-        return default
-    try:
-        return parse(file_values[key])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.BadParameter(str(exc), param_hint=key) from exc
+    """Parse a config file value, or ``default`` when the file lacks the key."""
+    return _value(key, parse, file_values[key]) if key in file_values else default
 
 
-def _aggregation(ctx: click.Context, name: str | None, file_values: dict[str, str]) -> AggregationConfig | None:
-    """The aggregation that --aggregation and the config file ask for; None if they name none.
-
-    ``aggregation`` sets both strategies.  The file's ``section_group_strategy``
-    and ``overall_strategy`` replace them, unless --aggregation is given on the
-    command line.  Either may come with a grade scale from the file.
-    """
+def _aggregation(name: str | None, from_flag: bool, file_values: dict[str, str]) -> AggregationConfig | None:
+    """The aggregation that --aggregation and the config file ask for, or None.  ``aggregation`` sets
+    both strategies; the file's strategy keys replace them unless --aggregation is a flag (``from_flag``)."""
     if name is None and not any(key in file_values for key in _AGGREGATION_KEYS):
         return None
     from .reporting import DEFAULT_GRADE_SCALE, AggregationConfig, OverallAggregation, SectionAggregation
 
+    mean = name == "mean"
     section = _file_value(file_values, "section_group_strategy", SectionAggregation, None)
     overall = _file_value(file_values, "overall_strategy", OverallAggregation, None)
-    if ctx.get_parameter_source("aggregation") is ParameterSource.COMMANDLINE:
-        section = overall = None
-    mean = name == "mean"
-    return AggregationConfig(
-        section_group_strategy=section
-        or (SectionAggregation.MEAN_OF_DIMENSIONS if mean else SectionAggregation.POOLED_WEIGHTED),
-        overall_strategy=overall or (OverallAggregation.MEAN_OF_SECTIONS if mean else OverallAggregation.POOLED_WEIGHTED),
-        grade_scale=_file_value(file_values, "grade_scale", _parse_scale, DEFAULT_GRADE_SCALE),
-    )
+    if from_flag or section is None:
+        section = SectionAggregation.MEAN_OF_DIMENSIONS if mean else SectionAggregation.POOLED_WEIGHTED
+    if from_flag or overall is None:
+        overall = OverallAggregation.MEAN_OF_SECTIONS if mean else OverallAggregation.POOLED_WEIGHTED
+    return AggregationConfig(section, overall, _file_value(file_values, "grade_scale", _parse_scale, DEFAULT_GRADE_SCALE))
 
 
 def _require(value, name: str):
     if value is None:
-        raise click.ClickException(f"{name} is required (flag or config file)")
+        raise SummaryQAError(f"{name} is required (flag or config file)")
     return value
 
 
@@ -183,74 +214,105 @@ def _load(loader, path):
     try:
         return loader(path)
     except SummaryQAError as exc:
-        raise click.ClickException(f"{path}: {exc}") from exc
+        raise SummaryQAError(f"{path}: {exc}") from exc
+
+
+def _echo(text: str, nl: bool = True) -> None:
+    """Write ``text`` to stdout at once.  After a failed write stdout is the null device, so the
+    interpreter's last flush cannot fail again; a closed pipe ends the run quietly with status 1."""
+    if sys.stdout is None:  # started with fd 1 closed: nothing can read the text
+        return
+    try:
+        sys.stdout.write(text + "\n" if nl else text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            raise SystemExit(1) from None
+        raise SummaryQAError(f"cannot write standard output: {exc}") from exc
+
+
+def _note(text: str) -> None:
+    print(text, file=sys.stderr, flush=True)
 
 
 def _echo_findings(source: str, findings: list[Finding]) -> int:
     for finding in findings:
-        click.echo(f"{source}\t{finding.locus}\t{finding.code}\t{finding.message}")
+        _echo(f"{source}\t{finding.locus}\t{finding.code}\t{finding.message}")
     return len(findings)
 
 
-def _iso_date(ctx: click.Context, param: click.Parameter, value: str | None) -> date | None:
-    """A YYYY-MM-DD option, checked while the command line is parsed."""
-    if not value:
-        return None
-    try:
-        return date.fromisoformat(value)
-    except ValueError as exc:
-        raise click.BadParameter(f"{value!r} is not a YYYY-MM-DD date") from exc
-
-
-class _Group(click.Group):
-    """The command group: a command that raises a SummaryQAError ends with its message and status 1."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except SummaryQAError as exc:
-            raise click.ClickException(str(exc)) from exc
-
-
-@click.group(cls=_Group)
-@click.version_option(version=__version__, prog_name="summaryqa")
-@click.option(
-    "--config",
-    type=click.Path(exists=True, dir_okay=False, path_type=Path),
-    is_eager=True,
-    callback=_config_defaults,
-    help="Config file (key: value lines) that sets option defaults.",
+_CONFIG = _Option("--config", _path("File"), help="Config file (key: value lines) that sets option defaults.")
+_GROUP = (
+    _Option("--catalog", _path("File"), help="Catalog file."),
+    _Option("--format", _choice(FORMATS), "json", "Report format: json, csv or html."),
+    _Option("--aggregation", _choice(("pooled", "mean")), help="Aggregation strategy: pooled or mean."),
+    _Option("--out", _path("Directory", exists=False), help="Output directory."),
 )
-@click.option("--catalog", type=click.Path(exists=True, dir_okay=False, path_type=Path), help="Catalog file.")
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="json", help="Report format.")
-@click.option("--aggregation", type=click.Choice(["pooled", "mean"]), default=None, help="Aggregation strategy.")
-@click.option("--out", type=click.Path(file_okay=False, path_type=Path), default=None, help="Output directory.")
-@click.pass_context
-def cli(ctx, config, catalog, fmt, aggregation, out):
-    """Quality assessment of GPAI training-content public summaries."""
-    ctx.obj = RunConfig(
-        catalog_path=catalog,
-        output_dir=out,
-        report_format=fmt,
-        aggregation=_aggregation(ctx, aggregation, config),
-    )
+_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int | None], tuple[_Option, ...]]] = {}
 
 
-def main():
-    cli()
+def _command(name: str, *options: _Option):  # registers the decorated function as command ``name``
+    return lambda func: _COMMANDS.setdefault(name, (func, options))[0]
 
 
-# ---------------------------------------------------------------------------
-# validate
-# ---------------------------------------------------------------------------
+def _run(argv: list[str], prog: str) -> int:
+    """Run one command line; a usage error prints the usage of the parser that met it."""
+    description = "Quality assessment of GPAI training-content public summaries."
+    parser = _parser(prog, (_CONFIG, *_GROUP), description, "%(prog)s [OPTIONS] COMMAND [ARGS]...")
+    parser.add_argument("--version", action="store_true", help="Show the version and exit.")
+    parser.add_argument("command", nargs="?", metavar="COMMAND", help=", ".join(sorted(_COMMANDS)))
+    parser.add_argument("rest", nargs=argparse.REMAINDER, metavar="ARGS", help="The command's options.")
+    try:
+        args = _parse(parser, argv)
+        if args.version or args.help:
+            _echo(f"summaryqa, version {__version__}" if args.version else parser.format_help(), nl=args.version)
+            return 0
+        file_values = {} if args.config is None else _read_config_file(_value("'--config'", _CONFIG.convert, args.config))
+        from_flag = args.aggregation is not None
+        _resolve(_GROUP, args, file_values)
+        if args.command not in _COMMANDS:
+            raise _Usage("Missing command." if args.command is None else f"No such command {args.command!r}.")
+        args.aggregation = _aggregation(args.aggregation, from_flag, file_values)
+        func, options = _COMMANDS[args.command]
+        parser = _parser(f"{prog} {args.command}", options, func.__doc__)
+        _parse(parser, args.rest, args)
+        if args.help:
+            _echo(parser.format_help(), nl=False)
+            return 0
+        _resolve(options, args, file_values)
+        return func(args) or 0
+    except _Usage as exc:
+        _note(f"{parser.format_usage()}Try '{parser.prog} --help' for help.\n\nError: {exc}")
+        return 2
 
 
-@cli.command()
-@click.option("--assessments", type=click.Path(exists=True, file_okay=False, path_type=Path), default=None)
-@click.option("--registry", "registry_path", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
-@click.option("--store", type=click.Path(file_okay=False, path_type=Path), default=None)
-@click.pass_obj
-def validate(config, assessments, registry_path, store):
+def main(args: list[str] | None = None, prog_name: str | None = None, standalone_mode: bool = True) -> int:
+    """Run ``args`` (``sys.argv[1:]`` by default) and return the exit status, or in standalone
+    mode raise SystemExit with it.  An error from a layer ends the run with status 1."""
+    try:
+        status = _run(sys.argv[1:] if args is None else list(args), prog_name or "summaryqa")
+    except SummaryQAError as exc:
+        _note(f"Error: {exc}")
+        status = 1
+    if standalone_mode:
+        sys.exit(status)
+    return status
+
+
+# The entry point as in-process runners call a command group.
+cli = SimpleNamespace(name="summaryqa", main=main)
+
+
+@_command(
+    "validate",
+    _Option("--assessments", _path("Directory"), help="Directory of assessment files."),
+    _Option("--registry", _path("File"), help="Registry file."),
+    _Option("--store", _path("Directory", exists=False), help="Object store of archived copies."),
+)
+def validate(args):
     """Validate catalog, assessments, registry, and archive integrity.
 
     Assessments are checked only against a catalog without findings, and
@@ -262,21 +324,18 @@ def validate(config, assessments, registry_path, store):
     from .catalog import load_catalog, validate_catalog
     from .registry import load_registry, validate_registry, verify_archive
 
-    catalog_path = _require(config.catalog_path, "--catalog")
-
-    total = 0
+    catalog_path = _require(args.catalog, "--catalog")
     try:
         catalog = load_catalog(catalog_path)
     except Malformed as exc:
         _echo_findings("catalog", [Finding("malformed-catalog", str(catalog_path), str(exc))])
-        sys.exit(1)
+        return 1
     catalog_findings = validate_catalog(catalog)
-    total += _echo_findings("catalog", catalog_findings)
-
-    if assessments is not None and catalog_findings:
-        click.echo("assessments not checked: the catalog has findings", err=True)
-    elif assessments is not None:
-        for path in sorted(assessments.glob("*.csv")):
+    total = _echo_findings("catalog", catalog_findings)
+    if args.assessments is not None and catalog_findings:
+        _note("assessments not checked: the catalog has findings")
+    elif args.assessments is not None:
+        for path in sorted(args.assessments.glob("*.csv")):
             source = f"assessment:{path.name}"
             try:
                 assessment = parse_assessment(read_text(path))
@@ -284,30 +343,21 @@ def validate(config, assessments, registry_path, store):
                 total += _echo_findings(source, [Finding("malformed-assessment", path.name, str(exc))])
                 continue
             total += _echo_findings(source, assessment_findings(catalog, assessment, today))
-
-    if registry_path is not None:
+    if args.registry is not None:
         try:
-            registry = load_registry(registry_path)
+            registry = load_registry(args.registry)
         except Malformed as exc:
-            total += _echo_findings("registry", [Finding("malformed-registry", str(registry_path), str(exc))])
+            total += _echo_findings("registry", [Finding("malformed-registry", str(args.registry), str(exc))])
         else:
             total += _echo_findings("registry", validate_registry(registry))
-            if store is not None:
-                total += _echo_findings("archive", verify_archive(registry, store))
-
-    click.echo(f"{total} finding(s)", err=True)
-    sys.exit(0 if total == 0 else 1)
-
-
-# ---------------------------------------------------------------------------
-# score
-# ---------------------------------------------------------------------------
+            if args.store is not None:
+                total += _echo_findings("archive", verify_archive(registry, args.store))
+    _note(f"{total} finding(s)")
+    return 0 if total == 0 else 1
 
 
-@cli.command()
-@click.argument("source", type=click.Path(exists=True))
-@click.pass_obj
-def score(config, source):
+@_command("score", _Option("SOURCE", _path("Path"), required=True, help="Assessment file or directory."))
+def score(args):
     """Score one assessment file, or every *.csv in a directory.
 
     A catalog or an assessment that ``validate`` would report on is refused,
@@ -322,19 +372,16 @@ def score(config, source):
     from .reporting import DEFAULT_CONFIG, render_scorecard, scorecard_to_json
     from .scoring import score_summary
 
-    catalog_path = _require(config.catalog_path, "--catalog")
-    out_dir = _require(config.output_dir, "--out")
+    catalog_path = _require(args.catalog, "--catalog")
+    out_dir = _require(args.out, "--out")
     catalog = _load(load_catalog, catalog_path)
     findings = validate_catalog(catalog)
     if findings:
-        raise click.ClickException(f"{catalog_path}: {Refused.with_findings('catalog', findings)}")
-    aggregation = config.aggregation or DEFAULT_CONFIG
-
-    source = Path(source)
-    paths = sorted(source.glob("*.csv")) if source.is_dir() else [source]
+        raise SummaryQAError(f"{catalog_path}: {Refused.with_findings('catalog', findings)}")
+    aggregation = args.aggregation or DEFAULT_CONFIG
+    paths = sorted(args.source.glob("*.csv")) if args.source.is_dir() else [args.source]
     if not paths:
-        raise click.ClickException(f"no assessment files found in {source}")
-
+        raise SummaryQAError(f"no assessment files found in {args.source}")
     outputs: list[tuple[Path, bytes]] = []
     notes: list[str] = []
     for path in paths:
@@ -342,174 +389,127 @@ def score(config, source):
             assessment = load_assessment(path, catalog, today)
             card = score_summary(catalog, assessment, aggregation)
             written = [(out_dir / f"{path.stem}.scorecard.json", scorecard_to_json(card).encode("utf-8"))]
-            if config.report_format != "json":
-                report = render_scorecard(card, config.report_format)
-                written.append((out_dir / f"{path.stem}.report.{config.report_format}", report))
+            if args.format != "json":
+                report = render_scorecard(card, args.format)
+                written.append((out_dir / f"{path.stem}.report.{args.format}", report))
         except SummaryQAError as exc:
-            raise click.ClickException(f"{path}: {exc}") from exc
+            raise SummaryQAError(f"{path}: {exc}") from exc
         outputs += written
         grades = " ".join(f"{g.value}={card.grades[g]}" for g in Group)
         notes.append(f"{path.name}: {grades} -> {', '.join(str(target) for target, _ in written)}")
     for target, data in outputs:
         write_atomic(target, data)
     for note in notes:
-        click.echo(note, err=True)
+        _note(note)
 
 
-# ---------------------------------------------------------------------------
-# compare
-# ---------------------------------------------------------------------------
-
-
-@cli.command()
-@click.argument("cards_dir", type=click.Path(exists=True, file_okay=False), required=False)
-@click.pass_obj
-def compare(config, cards_dir):
+@_command("compare", _Option("CARDS_DIR", _path("Directory"), help="Directory of score cards (default: --out)."))
+def compare(args):
     """Comparison table over all score cards in a directory."""
     from .base import write_atomic
     from .reporting import comparison_column, load_scorecard, render_comparison
 
-    directory = Path(cards_dir) if cards_dir else _require(config.output_dir, "--out or CARDS_DIR")
+    directory = args.cards_dir or _require(args.out, "--out or CARDS_DIR")
     card_paths = sorted(directory.glob("*.scorecard.json"))
     if not card_paths:
-        raise click.ClickException(f"no score cards found in {directory}")
+        raise SummaryQAError(f"no score cards found in {directory}")
     # Each card is dropped once its column is taken, so one decoded card is held at a time.
     columns = [comparison_column(_load(load_scorecard, p)) for p in card_paths]
-    rendered = render_comparison(columns, config.report_format)
-    if config.output_dir is not None:
-        out_path = config.output_dir / f"comparison.{config.report_format}"
+    rendered = render_comparison(columns, args.format)
+    if args.out is not None:
+        out_path = args.out / f"comparison.{args.format}"
         write_atomic(out_path, rendered)
-        click.echo(f"wrote {out_path}", err=True)
+        _note(f"wrote {out_path}")
     else:
-        click.echo(rendered.decode("utf-8"), nl=False)
+        _echo(rendered.decode("utf-8"), nl=False)
 
 
-# ---------------------------------------------------------------------------
-# archive
-# ---------------------------------------------------------------------------
-
-
-@cli.command()
-@click.argument("url")
-@click.option("--slug", required=True, help="Stable registry slug.")
-@click.option("--provider", required=True)
-@click.option("--model", required=True)
-@click.option("--title", default=None, help="Summary title (defaults from model).")
-@click.option("--source-url", default=None, help="Recorded source URL (defaults to URL; a local path as its file: URI).")
-@click.option("--published-form", type=click.Choice(PUBLISHED_FORMS), default="Other")
-@click.option("--date", "version_date", callback=_iso_date, help="Assessed version date (YYYY-MM-DD).")
-@click.option("--channel", type=click.Choice(CHANNELS), default="ModelRepoPage")
-@click.option("--query", default="", help="Discovery query or path.")
-@click.option("--discovered-on", callback=_iso_date, help="Discovery date (YYYY-MM-DD).")
-@click.option("--registry", "registry_path", type=click.Path(dir_okay=False, path_type=Path), default=None)
-@click.option("--store", type=click.Path(file_okay=False, path_type=Path), default=None)
-@click.option("--timeout", type=float, default=30.0, show_default=True)
-def archive(url, slug, provider, model, title, source_url, published_form, version_date, channel, query, discovered_on, registry_path, store, timeout):
+@_command(
+    "archive",
+    _Option("URL", required=True, help="http(s) URL or local path of the summary."),
+    _Option("--slug", required=True, help="Stable registry slug."),
+    _Option("--provider", required=True),
+    _Option("--model", required=True),
+    _Option("--title", help="Summary title (defaults from model)."),
+    _Option("--source-url", help="Recorded source URL (defaults to URL; a local path as its file: URI)."),
+    _Option("--published-form", _choice(PUBLISHED_FORMS), "Other", f"One of {', '.join(PUBLISHED_FORMS)} (default Other)."),
+    _Option("--date", _iso_date, help="Assessed version date (YYYY-MM-DD)."),
+    _Option("--channel", _choice(CHANNELS), "ModelRepoPage", f"One of {', '.join(CHANNELS)} (default ModelRepoPage)."),
+    _Option("--query", default="", help="Discovery query or path."),
+    _Option("--discovered-on", _iso_date, help="Discovery date (YYYY-MM-DD)."),
+    _Option("--registry", _path("File", exists=False), help="Registry file."),
+    _Option("--store", _path("Directory", exists=False), help="Object store of archived copies."),
+    _Option("--timeout", float, 30.0, "Fetch timeout in seconds (default 30)."),
+)
+def archive(args):
     """Fetch a summary, pin it in the object store, and register it."""
     from .base import PublishedForm, SummaryMeta, well_formed_url
     from .registry import (
-        DiscoveryChannel,
-        DiscoveryProvenance,
-        Registry,
-        RegistryEntry,
-        add_entry,
-        archive_fetch,
-        attach_archive,
-        load_registry,
-        recorded_url,
-        save_registry,
-        valid_slug,
+        DiscoveryChannel, DiscoveryProvenance, Registry, RegistryEntry, add_entry, archive_fetch, attach_archive,
+        load_registry, recorded_url, save_registry, valid_slug,
     )
 
-    registry_file = _require(registry_path, "--registry")
-    store_root = _require(store, "--store")
-    if not valid_slug(slug):
-        raise click.BadParameter(f"{slug!r} must be lowercase alphanumeric/hyphen", param_hint="--slug")
-    if source_url and not well_formed_url(source_url):
-        raise click.BadParameter(f"{source_url!r} is not an http(s) URL with a host or a file: URL", param_hint="--source-url")
-
+    registry_file = _require(args.registry, "--registry")
+    store_root = _require(args.store, "--store")
+    if not valid_slug(args.slug):
+        raise _Usage(f"Invalid value for --slug: {args.slug!r} must be lowercase alphanumeric/hyphen")
+    if args.source_url and not well_formed_url(args.source_url):
+        raise _Usage(f"Invalid value for --source-url: {args.source_url!r} is not an http(s) URL with a host or a file: URL")
     registry = _load(load_registry, registry_file) if registry_file.exists() else Registry()
-    meta = SummaryMeta(
-        provider=provider,
-        model=model,
-        summary_title=title or f"{model} public summary of training content",
-        source_url=source_url or recorded_url(url),
-        published_form=PublishedForm.from_token(published_form),
-        assessed_version_date=version_date or date.today(),
-    )
-    entry = RegistryEntry(
-        id=slug,
-        meta=meta,
-        discovery=DiscoveryProvenance(
-            channel=DiscoveryChannel.from_token(channel),
-            query_or_path=query,
-            discovered_on=discovered_on or date.today(),
-        ),
-    )
+    title = args.title or f"{args.model} public summary of training content"
+    source_url = args.source_url or recorded_url(args.url)
+    form = PublishedForm.from_token(args.published_form)
+    meta = SummaryMeta(args.provider, args.model, title, source_url, form, args.date or date.today())
+    channel = DiscoveryChannel.from_token(args.channel)
+    discovery = DiscoveryProvenance(channel, args.query, args.discovered_on or date.today())
+    entry = RegistryEntry(id=args.slug, meta=meta, discovery=discovery)
     # Admitted before the fetch, so a refused entry fetches and stores nothing.
     add_entry(registry, entry)
-    copy = archive_fetch(url, store_root, timeout=timeout)
+    copy = archive_fetch(args.url, store_root, timeout=args.timeout)
     registry.entries[-1] = attach_archive(entry, copy)
     save_registry(registry, registry_file)
-    click.echo(copy.content_digest)
-    click.echo(f"archived {url} ({copy.byte_length} bytes, {copy.media_type})", err=True)
+    _echo(copy.content_digest)
+    _note(f"archived {args.url} ({copy.byte_length} bytes, {copy.media_type})")
 
 
-# ---------------------------------------------------------------------------
-# site
-# ---------------------------------------------------------------------------
-
-
-@cli.command()
-@click.option("--registry", "registry_path", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
-@click.option("--cards", "cards_dir", type=click.Path(exists=True, file_okay=False), default=None)
-@click.option("--store", type=click.Path(exists=True, file_okay=False, path_type=Path), default=None)
-@click.pass_obj
-def site(config, registry_path, cards_dir, store):
+@_command(
+    "site",
+    _Option("--registry", _path("File"), help="Registry file."),
+    _Option("--cards", _path("Directory"), help="Directory of score cards (default: --out)."),
+    _Option("--store", _path("Directory"), help="Object store of archived copies."),
+)
+def site(args):
     """Build the static dissemination site from the score cards and publish it.
 
-    The site is built in a staging directory beside ``<out>/site`` and
-    replaces it only when every archived copy matches its pinned sha256 and
-    every internal link resolves.  Otherwise the command exits 1, listing
-    any broken links, and the previous site stays as it was.  ``--store``
-    must name an existing directory.
+    The site is built beside ``<out>/site`` and replaces it only when every
+    archived copy matches its pinned sha256 and every internal link resolves.
+    Otherwise the command exits 1, listing any broken links, and the previous
+    site stays as it was.
     """
     from .registry import load_registry
     from .site import SiteConfig, build_site
 
-    registry_file = _require(registry_path, "--registry")
-    out_dir = _require(config.output_dir, "--out")
-    directory = Path(cards_dir) if cards_dir else out_dir
-
-    registry = _load(load_registry, registry_file)
+    registry = _load(load_registry, _require(args.registry, "--registry"))
+    out_dir = _require(args.out, "--out")
     site_root = out_dir / "site"
-    site_config = SiteConfig(output_root=site_root, store_root=store)
+    cards = sorted((args.cards or out_dir).glob("*.scorecard.json"))
     try:
-        plan = build_site(registry, sorted(directory.glob("*.scorecard.json")), site_config)
+        plan = build_site(registry, cards, SiteConfig(output_root=site_root, store_root=args.store))
     except Refused as exc:
         _echo_findings("site", exc.findings)
-        raise click.ClickException(f"site not published: {exc}") from exc
-    click.echo(f"built {len(plan.pages)} page(s) under {site_root}", err=True)
+        raise SummaryQAError(f"site not published: {exc}") from exc
+    _note(f"built {len(plan.pages)} page(s) under {site_root}")
 
 
-# ---------------------------------------------------------------------------
-# catalog-stats
-# ---------------------------------------------------------------------------
-
-
-@cli.command(name="catalog-stats")
-@click.pass_obj
-def catalog_stats(config):
+@_command("catalog-stats")
+def catalog_stats(args):
     """Per-section metric counts of the catalog."""
     from .base import SECTION_ORDER
     from .catalog import load_catalog, section_counts
 
-    catalog = _load(load_catalog, _require(config.catalog_path, "--catalog"))
+    catalog = _load(load_catalog, _require(args.catalog, "--catalog"))
     counts = section_counts(catalog)
     for section in SECTION_ORDER:
-        click.echo(f"{section.code}\t{counts[section]}")
-    click.echo(f"Total\t{len(catalog.metrics)}")
+        _echo(f"{section.code}\t{counts[section]}")
+    _echo(f"Total\t{len(catalog.metrics)}")
 
-
-if __name__ == "__main__":
-    main()

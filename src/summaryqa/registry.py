@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .base import (
-    SummaryMeta, lookup, meta_from_dict, meta_to_dict, read_bytes, read_json, require_strings, well_formed_url,
+    SummaryMeta, iso_date, lookup, meta_from_dict, meta_to_dict, read_bytes, read_json, require_strings, well_formed_url,
     write_atomic,
 )
 from .errors import FetchFailed, Finding, Refused, WriteFailed
@@ -214,7 +214,7 @@ def _registry_from_dict(data: dict) -> Registry:
             discovery=DiscoveryProvenance(
                 channel=DiscoveryChannel.from_token(raw["discovery"]["channel"]),
                 query_or_path=raw["discovery"]["query_or_path"],
-                discovered_on=date.fromisoformat(raw["discovery"]["discovered_on"]),
+                discovered_on=iso_date(raw["discovery"]["discovered_on"]),
             ),
             archived=archived,
             assessment_refs=_assessment_refs(raw.get("assessment_refs", [])),

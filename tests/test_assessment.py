@@ -529,6 +529,12 @@ class TestFileFormat:
         with pytest.raises(Malformed, match="YYYY-MM-DD"):
             parse_assessment(SAMPLE_FILE.replace("2026-01-12", "12 Jan 2026"))
 
+    @pytest.mark.parametrize("text", ["20260112", "2026-W02-1", "2026W021"])
+    def test_date_in_another_iso_form_is_refused(self, text):
+        # Python 3.11's date.fromisoformat reads these as dates; 3.10's does not.
+        with pytest.raises(Malformed, match=f"^assessed_version_date must be YYYY-MM-DD, got '{text}'$"):
+            parse_assessment(SAMPLE_FILE.replace("2026-01-12", text))
+
     def test_missing_csv_header(self):
         broken = SAMPLE_FILE.replace("metric_id,verdict,note\n", "")
         with pytest.raises(Malformed, match="verdict table"):

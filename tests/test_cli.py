@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -265,6 +266,23 @@ class TestCheckDate:
                 future = "assessment has 1 finding(s), first future-date at meta: assessed_version_date 2026-01-15"
             assert (future in result.output) == bool(status)
             assert out.exists() == (command == "score" and not status)
+
+
+    @pytest.mark.parametrize("text", ["20260115", "2026-W03-4", "2026W034"])
+    def test_date_in_another_iso_form_is_malformed(self, runner, tmp_path, text):
+        """Python 3.11's ``date.fromisoformat`` reads these as dates; 3.10's does not, nor does the CLI."""
+        assessments = tmp_path / "assessments"
+        assessments.mkdir()
+        fixture = (Path(ASSESSMENTS) / "phi-4.csv").read_text()
+        (assessments / "phi-4.csv").write_text(fixture.replace("assessed_version_date: 2026-01-15", f"assessed_version_date: {text}"))
+        result = run(runner, "--catalog", CATALOG, "validate", "--assessments", str(assessments))
+        assert result.exit_code == 1
+        assert f"malformed-assessment\tassessed_version_date must be YYYY-MM-DD, got '{text}'" in result.output
+        out = tmp_path / "out"
+        result = run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(assessments))
+        assert result.exit_code == 1
+        assert f"assessed_version_date must be YYYY-MM-DD, got '{text}'" in result.output
+        assert not out.exists()
 
 
 # Catalog edits that validate_catalog reports, with the finding each one gives.
@@ -727,6 +745,22 @@ class TestArchive:
         )
         assert result.exit_code == 2
         assert f"Invalid value for '{option}': 'notadate' is not a YYYY-MM-DD date" in result.output
+        assert not store.exists()
+        assert not registry.exists()
+
+    @pytest.mark.parametrize("text", ["20260112", "2026W021", "2026-W02-1"])
+    @pytest.mark.parametrize("option", ["--date", "--discovered-on"])
+    def test_date_in_another_iso_form_stops_before_the_fetch(self, runner, tmp_path, option, text):
+        """Python 3.11's ``date.fromisoformat`` reads these as dates; 3.10's does not, nor does the CLI."""
+        registry, store = tmp_path / "registry.json", tmp_path / "store"
+        result = run(
+            runner,
+            "archive", str(SOURCES / "phi-4.md"),
+            "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4",
+            option, text, "--registry", str(registry), "--store", str(store),
+        )
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}': '{text}' is not a YYYY-MM-DD date" in result.output
         assert not store.exists()
         assert not registry.exists()
 
@@ -1310,6 +1344,77 @@ class TestConsoleEntryPoint:
         assert "0 finding(s)" in proc.stderr
 
 
+class TestEntryPoint:
+    """``cli.main`` as in-process runners call it, and the words and statuses the command line keeps."""
+
+    def test_abbreviated_option_is_not_an_option(self, runner):
+        result = run(runner, "--catalog", CATALOG, "--agg", "mean", "catalog-stats")
+        assert result.exit_code == 2
+        assert "No such option '--agg'" in result.output
+        assert "Total" not in result.output
+
+    @pytest.mark.parametrize("args", [["-h"], ["--catalog", CATALOG, "catalog-stats", "-h"]], ids=["group", "command"])
+    def test_h_is_not_an_option(self, runner, args):
+        result = run(runner, *args)
+        assert result.exit_code == 2
+        assert "No such option '-h'" in result.output
+
+    def test_no_command_exits_2_with_the_usage(self, runner):
+        result = run(runner)
+        assert result.exit_code == 2
+        assert result.output.startswith("usage: summaryqa [OPTIONS] COMMAND [ARGS]...\n")
+        assert "Error: Missing command." in result.output
+
+    def test_help_lists_every_command(self, runner):
+        result = run(runner, "--help")
+        assert result.exit_code == 0
+        for command in ("archive", "catalog-stats", "compare", "score", "site", "validate"):
+            assert command in result.output
+
+    def test_main_returns_the_status_in_process(self, capsys):
+        def status(*args):
+            return cli.main(args=list(args), prog_name="summaryqa", standalone_mode=False)
+
+        assert status("--catalog", CATALOG, "catalog-stats") == 0
+        assert "Total\t242" in capsys.readouterr().out
+        assert status("catalog-stats") == 1
+        assert capsys.readouterr().err == "Error: --catalog is required (flag or config file)\n"
+        assert status("--catalog", CATALOG, "--agg", "mean", "catalog-stats") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: summaryqa [OPTIONS] COMMAND [ARGS]...\n")
+        assert err.endswith("Error: No such option '--agg'.\n")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("command", ["version", "catalog-stats", "compare"])
+    def test_write_error_on_stdout_is_one_error_line(self, runner, tmp_path, command):
+        if command == "compare":
+            run(runner, "--catalog", CATALOG, "--out", str(tmp_path), "score", ASSESSMENTS)
+        args = {
+            "version": ["--version"],
+            "catalog-stats": ["--catalog", CATALOG, "catalog-stats"],
+            "compare": ["--format", "csv", "compare", str(tmp_path)],
+        }[command]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "summaryqa", *args], stdout=full, stderr=subprocess.PIPE, text=True, timeout=60
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == "Error: cannot write standard output: [Errno 28] No space left on device\n"
+
+    def test_closed_pipe_ends_quietly_with_status_1(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "summaryqa", "--catalog", CATALOG, "catalog-stats"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
+
 LAYERS = tuple(f"summaryqa.{layer}" for layer in ("catalog", "assessment", "scoring", "reporting", "registry", "site"))
 # The layers that make score cards; the commands that only read cards load none of them.
 ASSESSMENT_SIDE = ("summaryqa.catalog", "summaryqa.assessment", "summaryqa.scoring")
@@ -1349,8 +1454,9 @@ class TestStartup:
         ],
     )
     def test_command_loads_only_its_layers(self, runner, tmp_path, command, unloaded):
-        """Value types are NamedTuples, so no command loads ``dataclasses`` either."""
-        unloaded = (*unloaded, "dataclasses")
+        """Value types are NamedTuples, and argparse reads the command line, so no command
+        loads ``dataclasses`` or ``click`` either."""
+        unloaded = (*unloaded, "dataclasses", "click")
         out = tmp_path / "out"
         args = {
             "--version": ["--version"],

@@ -110,6 +110,14 @@ class TestRegistry:
         emptied = text.replace('"archived_copy_digest": null', '"archived_copy_digest": ""')
         assert registry_from_json(emptied) == registry
 
+    @pytest.mark.parametrize("text", ["20260120", "2026-W04-2", "2026W042"])
+    def test_discovery_date_in_another_iso_form_is_malformed(self, text):
+        # Python 3.11's date.fromisoformat reads these as dates; 3.10's does not.
+        data = json.loads(registry_to_json(Registry(entries=[make_entry()])))
+        data["entries"][0]["discovery"]["discovered_on"] = text
+        with pytest.raises(Malformed, match=f"^Invalid isoformat string: '{text}'$"):
+            registry_from_json(json.dumps(data))
+
     def test_serialization_byte_stable(self, tmp_path):
         registry = Registry()
         add_entry(registry, make_entry())

@@ -103,6 +103,14 @@ class TestScoreCardRoundTrip:
         emptied = text.replace('"archived_copy_digest": null', '"archived_copy_digest": ""')
         assert scorecard_from_json(emptied) == card
 
+    @pytest.mark.parametrize("text", ["20260112", "2026-W02-1", "2026W021"])
+    def test_meta_date_in_another_iso_form_is_malformed(self, text):
+        # Python 3.11's date.fromisoformat reads these as dates; 3.10's does not.
+        data = json.loads(scorecard_to_json(random_card(5)))
+        data["meta"]["assessed_version_date"] = text
+        with pytest.raises(Malformed, match=f"assessed_version_date must be YYYY-MM-DD, got '{text}'"):
+            scorecard_from_json(json.dumps(data))
+
     def test_json_is_stable(self):
         card = random_card(3)
         assert scorecard_to_json(card) == scorecard_to_json(card)
