@@ -9,7 +9,7 @@ blank line, then CSV rows with header ``metric_id,verdict,note``::
     source_url: https://example.org/summary
     published_form: PDF
     assessed_version_date: 2026-01-12
-    archived_copy_digest: 9f86d081884c7d65...
+    archived_copy_digest: 9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08
     catalog_ref: aia-training-disclosure/1.0.0
     evaluator: A. Assessor
     verifier: B. Checker

@@ -152,6 +152,15 @@ def write_atomic(path: Path, data: bytes) -> None:
         raise WriteFailed(f"cannot write {path}: {exc}") from exc
 
 
+_SHA256 = re.compile(r"[0-9a-f]{64}")
+
+
+def check_digest(digest: str, field: str) -> None:
+    """Raise ValueError naming ``field`` unless ``digest`` is a sha256 digest: 64 lowercase hex digits."""
+    if _SHA256.fullmatch(digest) is None:
+        raise ValueError(f"{field} must be a sha256 digest of 64 lowercase hex digits, got {digest!r}")
+
+
 def well_formed_url(url: str) -> bool:
     """Whether ``url`` is an http(s) URL with a host, or a file: URL: the only source
     URLs a registry entry, an assessment or a published page may hold."""
@@ -279,7 +288,8 @@ def meta_to_dict(meta: SummaryMeta) -> dict[str, str | None]:
 
 
 def meta_from_dict(raw: dict) -> SummaryMeta:
-    """Inverse of :func:`meta_to_dict`; an empty or absent digest reads as absent.
+    """Inverse of :func:`meta_to_dict`; an empty or absent digest reads as absent, and any other
+    must pass :func:`check_digest`.
 
     Raises KeyError for a missing field and ValueError for a bad value,
     including a field that is not a string.
@@ -294,6 +304,8 @@ def meta_from_dict(raw: dict) -> SummaryMeta:
     text = {key: raw[key] for key in ("provider", "model", "summary_title", "source_url")}
     digest = raw.get("archived_copy_digest")
     require_strings({**text, "archived_copy_digest": "" if digest is None else digest})
+    if digest:
+        check_digest(digest, "archived_copy_digest")
     return SummaryMeta(
         **text,
         published_form=published_form,

@@ -161,9 +161,16 @@ def _parser(prog: str, options: tuple[_Option, ...], description: str, usage: st
     return parser
 
 
-def _parse(parser: _Parser, argv: list[str], namespace: argparse.Namespace | None = None) -> argparse.Namespace:
-    """``argv`` read by ``parser``; an unknown option, else an extra argument, is a usage error."""
-    args, extras = parser.parse_known_args(argv, namespace)
+def _parse(parser: _Parser, argv: list[str], options: tuple[_Option, ...], namespace=None) -> argparse.Namespace:
+    """``argv`` read by ``parser``, with each of ``options`` that takes a value joined to the next word so that a value
+    may start with "-" (before a command, only up to it); an unknown option, else an extra word, is a usage error."""
+    words, i = list(argv), 0
+    valued = {option.name for option in options if option.name.startswith("-")}
+    while i < len(words) - 1 and (namespace is not None or words[i].startswith("-")):
+        if words[i] in valued:
+            words[i] += "=" + words.pop(i + 1)
+        i += 1
+    args, extras = parser.parse_known_args(words, namespace)
     if extras:
         unknown = [extra.partition("=")[0] for extra in extras if extra.startswith("-")]
         raise _Usage(f"No such option {unknown[0]!r}." if unknown else f"Got unexpected extra argument ({' '.join(extras)})")
@@ -181,11 +188,6 @@ def _resolve(options: tuple[_Option, ...], args: argparse.Namespace, file_values
         setattr(args, option.dest, option.default if text is None else _value(repr(option.name), option.convert, text))
 
 
-def _file_value(file_values: dict[str, str], key: str, parse, default):
-    """Parse a config file value, or ``default`` when the file lacks the key."""
-    return _value(key, parse, file_values[key]) if key in file_values else default
-
-
 def _aggregation(name: str | None, from_flag: bool, file_values: dict[str, str]) -> AggregationConfig | None:
     """The aggregation that --aggregation and the config file ask for, or None.  ``aggregation`` sets
     both strategies; the file's strategy keys replace them unless --aggregation is a flag (``from_flag``)."""
@@ -193,14 +195,15 @@ def _aggregation(name: str | None, from_flag: bool, file_values: dict[str, str])
         return None
     from .reporting import DEFAULT_GRADE_SCALE, AggregationConfig, OverallAggregation, SectionAggregation
 
-    mean = name == "mean"
-    section = _file_value(file_values, "section_group_strategy", SectionAggregation, None)
-    overall = _file_value(file_values, "overall_strategy", OverallAggregation, None)
+    section, overall, scale = (
+        _value(key, parse, file_values[key]) if key in file_values else None
+        for key, parse in zip(_AGGREGATION_KEYS, (SectionAggregation, OverallAggregation, _parse_scale))
+    )
     if from_flag or section is None:
-        section = SectionAggregation.MEAN_OF_DIMENSIONS if mean else SectionAggregation.POOLED_WEIGHTED
+        section = SectionAggregation.MEAN_OF_DIMENSIONS if name == "mean" else SectionAggregation.POOLED_WEIGHTED
     if from_flag or overall is None:
-        overall = OverallAggregation.MEAN_OF_SECTIONS if mean else OverallAggregation.POOLED_WEIGHTED
-    return AggregationConfig(section, overall, _file_value(file_values, "grade_scale", _parse_scale, DEFAULT_GRADE_SCALE))
+        overall = OverallAggregation.MEAN_OF_SECTIONS if name == "mean" else OverallAggregation.POOLED_WEIGHTED
+    return AggregationConfig(section, overall, scale or DEFAULT_GRADE_SCALE)
 
 
 def _require(value, name: str):
@@ -240,7 +243,7 @@ def _note(text: str) -> None:
 
 def _echo_findings(source: str, findings: list[Finding]) -> int:
     for finding in findings:
-        _echo(f"{source}\t{finding.locus}\t{finding.code}\t{finding.message}")
+        _echo(finding.line(source))
     return len(findings)
 
 
@@ -266,7 +269,7 @@ def _run(argv: list[str], prog: str) -> int:
     parser.add_argument("command", nargs="?", metavar="COMMAND", help=", ".join(sorted(_COMMANDS)))
     parser.add_argument("rest", nargs=argparse.REMAINDER, metavar="ARGS", help="The command's options.")
     try:
-        args = _parse(parser, argv)
+        args = _parse(parser, argv, (_CONFIG, *_GROUP))
         if args.version or args.help:
             _echo(f"summaryqa, version {__version__}" if args.version else parser.format_help(), nl=args.version)
             return 0
@@ -278,7 +281,7 @@ def _run(argv: list[str], prog: str) -> int:
         args.aggregation = _aggregation(args.aggregation, from_flag, file_values)
         func, options = _COMMANDS[args.command]
         parser = _parser(f"{prog} {args.command}", options, func.__doc__)
-        _parse(parser, args.rest, args)
+        _parse(parser, args.rest, options, args)
         if args.help:
             _echo(parser.format_help(), nl=False)
             return 0
@@ -491,25 +494,22 @@ def site(args):
 
     registry = _load(load_registry, _require(args.registry, "--registry"))
     out_dir = _require(args.out, "--out")
-    site_root = out_dir / "site"
     cards = sorted((args.cards or out_dir).glob("*.scorecard.json"))
     try:
-        plan = build_site(registry, cards, SiteConfig(output_root=site_root, store_root=args.store))
+        plan = build_site(registry, cards, SiteConfig(output_root=out_dir / "site", store_root=args.store))
     except Refused as exc:
         _echo_findings("site", exc.findings)
         raise SummaryQAError(f"site not published: {exc}") from exc
-    _note(f"built {len(plan.pages)} page(s) under {site_root}")
+    _note(f"built {len(plan.pages)} page(s) under {plan.output_root}")
 
 
 @_command("catalog-stats")
 def catalog_stats(args):
     """Per-section metric counts of the catalog."""
-    from .base import SECTION_ORDER
     from .catalog import load_catalog, section_counts
 
     catalog = _load(load_catalog, _require(args.catalog, "--catalog"))
-    counts = section_counts(catalog)
-    for section in SECTION_ORDER:
-        _echo(f"{section.code}\t{counts[section]}")
+    for section, count in section_counts(catalog).items():  # in SECTION_ORDER
+        _echo(f"{section.code}\t{count}")
     _echo(f"Total\t{len(catalog.metrics)}")
 

@@ -10,7 +10,7 @@ Errors are typed by what a caller does with them, not by which input failed:
   write failed.
 
 Soft validation outcomes are returned as lists of :class:`Finding` so callers
-can report every problem in one pass.
+can report every problem in one pass, each printed as one :meth:`Finding.line`.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ class Refused(SummaryQAError):
     def with_findings(cls, kind: str, findings: Sequence[Finding]) -> Refused:
         """A refusal of a ``kind`` input naming the count and the first finding, so
         ``score`` refuses a catalog and an assessment in the same words."""
-        first = findings[0]
-        message = f"{kind} has {len(findings)} finding(s), first {first.code} at {first.locus}: {first.message}"
-        return cls(message, findings)
+        code, locus, message = (field.translate(_ESCAPES) for field in findings[0])
+        return cls(f"{kind} has {len(findings)} finding(s), first {code} at {locus}: {message}", findings)
 
 
 class FetchFailed(SummaryQAError):
@@ -70,3 +69,12 @@ class Finding(NamedTuple):
     code: str
     locus: str
     message: str
+
+    def line(self, source: str) -> str:
+        """``source<TAB>locus<TAB>code<TAB>message``.  In each field a tab, and each character at which
+        ``str.splitlines`` breaks, is its backslash escape (``\\t``, ``\\u2028``), so a finding is one line."""
+        return "\t".join(field.translate(_ESCAPES) for field in (source, self.locus, self.code, self.message))
+
+
+#: A tab, and each character at which ``str.splitlines`` breaks a line, to its backslash escape.
+_ESCAPES = {ord(c): repr(c)[1:-1] for c in "\t\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"}

@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .base import (
-    SummaryMeta, iso_date, lookup, meta_from_dict, meta_to_dict, read_bytes, read_json, require_strings, well_formed_url,
-    write_atomic,
+    SummaryMeta, check_digest, iso_date, lookup, meta_from_dict, meta_to_dict, read_bytes, read_json, require_strings,
+    well_formed_url, write_atomic,
 )
 from .errors import FetchFailed, Finding, Refused, WriteFailed
 
@@ -109,7 +109,7 @@ class Registry:
 
         A summary has one entry: ``add_entry`` admits no second one, ``validate``
         reports each further one in a file as ``duplicate-summary``, and
-        ``site`` refuses a card that matches two.
+        ``site`` refuses a registry with any finding of ``validate_registry``.
         """
         index: dict[tuple[str, str], list[RegistryEntry]] = {}
         for entry in self.entries:
@@ -203,6 +203,7 @@ def _registry_from_dict(data: dict) -> Registry:
         if raw.get("archived"):
             a = raw["archived"]
             require_strings({f"archived.{key}": a[key] for key in _ARCHIVED_TEXT})
+            check_digest(a["content_digest"], "archived.content_digest")
             if "\0" in a["storage_path"]:
                 raise ValueError(f"archived.storage_path must not hold a NUL byte, got {a['storage_path']!r}")
             if not isinstance(a["byte_length"], int) or isinstance(a["byte_length"], bool):

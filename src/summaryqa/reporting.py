@@ -39,38 +39,10 @@ from .errors import Refused
 FORMATS = ("json", "csv", "html")
 
 
-class ScoreValue(NamedTuple):
-    """A normalized percentage in [0, 100], or N/A when nothing applies."""
-
-    pct: Fraction | None
-
-    @classmethod
-    def percentage(cls, pct: Fraction | int) -> "ScoreValue":
-        if not isinstance(pct, Fraction):
-            pct = Fraction(pct)
-        # A Fraction's denominator is positive, so the range check is on integers.
-        if not 0 <= pct.numerator <= 100 * pct.denominator:
-            raise ValueError(f"percentage out of range: {pct}")
-        return cls(pct)
-
-    @classmethod
-    def na(cls) -> "ScoreValue":
-        return cls(None)
-
-    @property
-    def is_na(self) -> bool:
-        return self.pct is None
-
-    @property
-    def display(self) -> str:
-        """Two-decimal rendering, ``N/A`` for not-applicable."""
-        if self.pct is None:
-            return "N/A"
-        return format_percentage(self.pct)
-
-
-def format_percentage(pct: Fraction) -> str:
-    """Render an exact percentage at two decimals, rounding half up."""
+def format_percentage(pct: Fraction | None) -> str:
+    """Render an exact percentage at two decimals, rounding half up; None, for N/A, is ``N/A``."""
+    if pct is None:
+        return "N/A"
     n, d = pct.numerator, pct.denominator
     hundredths = (200 * n + d) // (2 * d)  # floor(pct * 100 + 1/2)
     return f"{hundredths // 100}.{hundredths % 100:02d}"
@@ -122,12 +94,12 @@ DEFAULT_GRADE_SCALE = GradeScale(
 )
 
 
-def assign_grade(score: ScoreValue, scale: GradeScale = DEFAULT_GRADE_SCALE) -> str:
-    """Letter of the first band whose minimum is at or below the score."""
-    if score.is_na:
+def assign_grade(score: Fraction | None, scale: GradeScale = DEFAULT_GRADE_SCALE) -> str:
+    """Letter of the first band whose minimum is at or below the score; None, for N/A, is ``N/A``."""
+    if score is None:
         return "N/A"
     for letter, min_pct in scale.bands:
-        if score.pct >= min_pct:
+        if score >= min_pct:
             return letter
     return scale.bands[-1][0]
 
@@ -161,15 +133,16 @@ DEFAULT_CONFIG = AggregationConfig()
 
 
 class ScoreCard(NamedTuple):
-    """Full score matrix for one assessed summary."""
+    """Full score matrix for one assessed summary: each score is an exact
+    percentage in [0, 100], or None when no metric applies (N/A)."""
 
     meta: SummaryMeta
     catalog_ref: str
     config_used: AggregationConfig
-    per_cell: dict[tuple[Section, Dimension], ScoreValue]
-    per_section_group: dict[tuple[Section, Group], ScoreValue]
-    per_dimension_overall: dict[Dimension, ScoreValue]
-    overall: dict[Group, ScoreValue]
+    per_cell: dict[tuple[Section, Dimension], Fraction | None]
+    per_section_group: dict[tuple[Section, Group], Fraction | None]
+    per_dimension_overall: dict[Dimension, Fraction | None]
+    overall: dict[Group, Fraction | None]
     grades: dict[Group, str]
 
 
@@ -178,10 +151,10 @@ class ScoreCard(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _value_to_json(value: ScoreValue):
-    if value.is_na:
+def _value_to_json(value: Fraction | None):
+    if value is None:
         return "N/A"
-    return {"pct": value.display, "exact": str(value.pct)}
+    return {"pct": format_percentage(value), "exact": str(value)}
 
 
 def _fraction_from_text(text: str) -> Fraction:
@@ -201,12 +174,16 @@ def _fraction_from_text(text: str) -> Fraction:
     return value
 
 
-def _value_from_json(raw) -> ScoreValue:
-    """Inverse of :func:`_value_to_json`; ``pct`` must be the display of ``exact``."""
+def _value_from_json(raw) -> Fraction | None:
+    """Inverse of :func:`_value_to_json`; ``pct`` must be the display of ``exact``, and
+    ``exact`` in [0, 100]: the one range check of a score, as a card comes from outside."""
     if raw == "N/A":
-        return ScoreValue.na()
-    value = ScoreValue.percentage(_fraction_from_text(raw["exact"]))
-    if raw["pct"] != value.display:
+        return None
+    value = _fraction_from_text(raw["exact"])
+    # A Fraction's denominator is positive, so the range check is on integers.
+    if not 0 <= value.numerator <= 100 * value.denominator:
+        raise ValueError(f"percentage out of range: {value}")
+    if raw["pct"] != format_percentage(value):
         raise ValueError(f"pct {raw['pct']!r} is not the display of exact {raw['exact']!r}")
     return value
 
@@ -370,7 +347,7 @@ def _detail_rows(card: ScoreCard) -> list[_Row]:
     scores.append(
         ("Overall", [card.per_dimension_overall[d] for d in DIMENSION_ORDER] + [card.overall[g] for g in Group])
     )
-    rows: list[_Row] = [([label], [value.display for value in values], False) for label, values in scores]
+    rows: list[_Row] = [([label], [format_percentage(value) for value in values], False) for label, values in scores]
     rows.append((["Grade"], [""] * len(DIMENSION_ORDER) + [card.grades[g] for g in Group], True))
     return rows
 
@@ -432,13 +409,13 @@ class Column(NamedTuple):
 
 def comparison_column(card: ScoreCard) -> Column:
     """The column of ``card`` in a comparison."""
-    displays = [card.per_section_group[(section, group)].display for section in SECTION_ORDER for group in Group]
-    displays += [card.overall[group].display for group in Group]
+    scores = [card.per_section_group[(section, group)] for section in SECTION_ORDER for group in Group]
+    scores += [card.overall[group] for group in Group]
     return Column(
         model=card.meta.model,
         catalog_ref=card.catalog_ref,
         config_used=card.config_used,
-        displays=tuple(displays),
+        displays=tuple(map(format_percentage, scores)),
         grades=tuple(card.grades[group] for group in Group),
     )
 

@@ -2,10 +2,12 @@
 
 All arithmetic is exact: weights and verdict values are summed as integers
 over the catalog's weight LCM, and one ``fractions.Fraction`` is built for
-each reported ratio.  Percentages are only rounded to two decimals at render
-time, never internally.  Scoring is a pure function of (catalog, assessment,
-config), so identical inputs always yield identical score cards regardless
-of execution order.
+each reported ratio, or None for N/A.  Percentages are only rounded to two
+decimals at render time, never internally.  Each is in [0, 100] by this
+arithmetic, as every weight is positive (``score`` refuses a catalog with a
+``nonpositive-weight`` finding), so only the card decoder checks the range.
+Scoring is a pure function of (catalog, assessment, config), so identical
+inputs always yield identical score cards regardless of execution order.
 
 A metric *contributes* to scoring when it is applicable under the recorded
 gate answers and carries a scoreable verdict.  An applicable gate without a
@@ -33,7 +35,6 @@ from .reporting import (
     AggregationConfig,
     OverallAggregation,
     ScoreCard,
-    ScoreValue,
     SectionAggregation,
     assign_grade,
 )
@@ -62,10 +63,8 @@ _DIMENSION_CELLS = {dimension: _cells_of(SECTION_ORDER, [dimension]) for dimensi
 _Pools = list[tuple[int, int]]
 
 
-def _pool_score(achieved: int, weight: int) -> ScoreValue:
-    if weight == 0:
-        return ScoreValue.na()
-    return ScoreValue.percentage(Fraction(100 * achieved, _VERDICT_SCALE * weight))
+def _pool_score(achieved: int, weight: int) -> Fraction | None:
+    return Fraction(100 * achieved, _VERDICT_SCALE * weight) if weight else None
 
 
 def _cell_pools(catalog: Catalog, assessment: Assessment) -> _Pools:
@@ -86,17 +85,17 @@ def _cell_pools(catalog: Catalog, assessment: Assessment) -> _Pools:
     return list(zip(achieved, weight))
 
 
-def _mean(parts: list[ScoreValue]) -> ScoreValue:
+def _mean(parts: list[Fraction | None]) -> Fraction | None:
     """Mean of the applicable parts: integer numerators summed over the LCM of the denominators."""
-    values = [part.pct for part in parts if part.pct is not None]
+    values = [part for part in parts if part is not None]
     if not values:
-        return ScoreValue.na()
+        return None
     common = math.lcm(*(value.denominator for value in values))
     total = sum(value.numerator * (common // value.denominator) for value in values)
-    return ScoreValue.percentage(Fraction(total, common * len(values)))
+    return Fraction(total, common * len(values))
 
 
-def _aggregate(index: dict, pooled: bool, pools: _Pools, parts: Callable[..., list[ScoreValue]] | None = None) -> dict:
+def _aggregate(index: dict, pooled: bool, pools: _Pools, parts: Callable[..., list] | None = None) -> dict:
     """Score each key of ``index``, which lists the cells it covers: the pooled
     sums of those cells, or, unless ``pooled``, the mean of ``parts(key, cells)``."""
     if pooled:

@@ -33,7 +33,7 @@ from urllib.parse import urlparse
 
 from .base import Group, read_bytes, well_formed_url
 from .errors import Finding, Malformed, Refused, WriteFailed
-from .registry import Registry, RegistryEntry, read_archived, valid_slug
+from .registry import Registry, RegistryEntry, read_archived, validate_registry
 from .reporting import (
     Column,
     ScoreCard,
@@ -41,6 +41,7 @@ from .reporting import (
     _table_html,
     comparison_column,
     comparison_table_html,
+    format_percentage,
     scorecard_from_json,
     scorecard_table_html,
 )
@@ -70,9 +71,8 @@ def _anchor(hrefs: list[str], href: str, text: str, attrs: str = "") -> str:
 def _grades_overview_html(card: ScoreCard) -> str:
     parts = []
     for group in Group:
-        grade = card.grades[group]
-        pct = card.overall[group].display
-        shown = f"{grade} ({pct}%)" if pct != "N/A" else grade
+        grade, pct = card.grades[group], card.overall[group]
+        shown = grade if pct is None else f"{grade} ({format_percentage(pct)}%)"
         parts.append(f"<li>{html.escape(group.value)}: <strong>{html.escape(shown)}</strong></li>")
     return "<ul class=\"grades\">\n" + "\n".join(parts) + "\n</ul>\n"
 
@@ -152,7 +152,7 @@ def _stage_card(
 ) -> tuple[str, list[str], Column]:
     """Check one card file and write its detail page under ``root``.
 
-    The card must match exactly one registry entry, and an archived copy
+    The card must match a registry entry, and an archived copy
     the card pins must be the one its entry records.  Returns the card's
     registry slug, the hrefs its page holds and its comparison column.  The
     decoded card is dropped on return, so a build holds one card at a time.
@@ -168,14 +168,7 @@ def _stage_card(
     entries = by_summary.get(key, [])
     if not entries:
         raise Refused(f"no registry entry for provider={key[0]!r} model={key[1]!r}")
-    if len(entries) > 1:
-        raise Refused(
-            f"more than one registry entry for provider={key[0]!r} model={key[1]!r}: "
-            f"{entries[0].id!r} and {entries[1].id!r}"
-        )
-    entry = entries[0]
-    if not valid_slug(entry.id):
-        raise Refused(f"registry slug {entry.id!r} must be lowercase alphanumeric/hyphen")
+    entry = entries[0]  # the only one, as _stage admits no duplicate-summary finding
     pinned = card.meta.archived_copy_digest
     recorded = None if entry.archived is None else entry.archived.content_digest
     if pinned is not None and pinned != recorded:
@@ -196,7 +189,11 @@ def _stage_card(
 
 
 def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root: Path) -> SitePlan:
-    """Write every page of the site into the new directory ``root``."""
+    """Write every page of the site into the new directory ``root``, from a registry
+    that ``validate_registry`` has no finding on."""
+    findings = validate_registry(registry)
+    if findings:
+        raise Refused.with_findings("registry", findings)
     by_summary = registry.by_summary()
     store = None if config.store_root is None else Path(config.store_root).resolve()
     root.mkdir()

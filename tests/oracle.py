@@ -168,17 +168,17 @@ def oracle_scorecard(catalog, assessment, section_strategy="pooled-weighted", ov
 
 
 def assert_card_matches_oracle(card, expected):
-    """Exact rational comparison of a ScoreCard against an oracle result."""
-    for (section, dimension), value in card.per_cell.items():
+    """Exact rational comparison of a ScoreCard against an oracle result: a Fraction
+    equals the oracle's Fraction, and N/A (None) the oracle's None."""
+    for (section, dimension), got in card.per_cell.items():
         want = expected["cells"][(section.code, dimension.code)]
-        got = value.pct
-        assert got == want, f"cell {section.code}/{dimension.code}: {got} != {want}"
-    for (section, group), value in card.per_section_group.items():
+        assert got == want and type(got) is type(want), f"cell {section.code}/{dimension.code}: {got} != {want}"
+    for (section, group), got in card.per_section_group.items():
         want = expected["section_groups"][(section.code, group.value)]
-        assert value.pct == want, f"section-group {section.code}/{group.value}: {value.pct} != {want}"
-    for dimension, value in card.per_dimension_overall.items():
+        assert got == want and type(got) is type(want), f"section-group {section.code}/{group.value}: {got} != {want}"
+    for dimension, got in card.per_dimension_overall.items():
         want = expected["dimension_overall"][dimension.code]
-        assert value.pct == want, f"dimension-overall {dimension.code}: {value.pct} != {want}"
-    for group, value in card.overall.items():
+        assert got == want and type(got) is type(want), f"dimension-overall {dimension.code}: {got} != {want}"
+    for group, got in card.overall.items():
         want = expected["overall"][group.value]
-        assert value.pct == want, f"overall {group.value}: {value.pct} != {want}"
+        assert got == want and type(got) is type(want), f"overall {group.value}: {got} != {want}"

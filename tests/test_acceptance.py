@@ -29,10 +29,10 @@ from summaryqa.reporting import (
     DEFAULT_GRADE_SCALE,
     AggregationConfig,
     OverallAggregation,
-    ScoreValue,
     SectionAggregation,
     assign_grade,
     comparison_column,
+    format_percentage,
     render_comparison,
     render_scorecard,
     scorecard_from_json,
@@ -91,7 +91,7 @@ def test_criterion_1_grade_scale_fidelity():
     ]
     with criterion(1, "default grade scale classifies all ten published pairs", 1.0):
         for pct, letter in pairs:
-            got = assign_grade(ScoreValue.percentage(Fraction(pct)), DEFAULT_GRADE_SCALE)
+            got = assign_grade(Fraction(pct), DEFAULT_GRADE_SCALE)
             assert got == letter, f"{pct} -> {got}, expected {letter}"
 
 
@@ -157,8 +157,8 @@ def test_criterion_4_property_suite():
                 before = score_summary(catalog, assessment, config)
                 after = score_summary(catalog, upgraded, config)
                 for b, a in _paired(before, after):
-                    assert b.is_na == a.is_na
-                    assert b.is_na or a.pct >= b.pct
+                    assert (b is None) == (a is None)
+                    assert b is None or a >= b
 
         # Weight-scaling invariance.
         rng = random.Random(42)
@@ -184,13 +184,13 @@ def test_criterion_4_property_suite():
             for config, _ in STRATEGIES:
                 card = score_summary(catalog, assessment, config)
                 for (section, dimension), value in card.per_cell.items():
-                    assert value.is_na == ((section, dimension) not in populated)
+                    assert (value is None) == ((section, dimension) not in populated)
                 for (section, group), value in card.per_section_group.items():
                     cells = [card.per_cell[(section, d)] for d in Dimension if d.group is group]
-                    assert value.is_na == all(c.is_na for c in cells)
+                    assert (value is None) == all(c is None for c in cells)
                 for group, value in card.overall.items():
                     sections = [card.per_section_group[(s, group)] for s in Section]
-                    assert value.is_na == all(s.is_na for s in sections)
+                    assert (value is None) == all(s is None for s in sections)
 
         # Gated subtree answered "no" adds no penalty (and changes nothing).
         rng = random.Random(44)
@@ -227,8 +227,8 @@ def test_criterion_4_property_suite():
             lo = Fraction(rng.randint(0, 10000), 100)
             if hi < lo:
                 hi, lo = lo, hi
-            rank_hi = letter_rank(DEFAULT_GRADE_SCALE, assign_grade(ScoreValue.percentage(hi)))
-            rank_lo = letter_rank(DEFAULT_GRADE_SCALE, assign_grade(ScoreValue.percentage(lo)))
+            rank_hi = letter_rank(DEFAULT_GRADE_SCALE, assign_grade(Fraction(hi)))
+            rank_lo = letter_rank(DEFAULT_GRADE_SCALE, assign_grade(Fraction(lo)))
             assert rank_hi <= rank_lo
 
 
@@ -238,17 +238,17 @@ def test_criterion_5_boundary_fixed_points():
 
         card = score_summary(catalog, uniform_assessment(catalog, S))
         for value in _card_values(card):
-            assert not value.is_na and value.display == "100.00"
+            assert value is not None and format_percentage(value) == "100.00"
         assert card.grades == {Group.TRANSPARENCY: "A+", Group.USEFULNESS: "A+"}
 
         card = score_summary(catalog, uniform_assessment(catalog, I))
         for value in _card_values(card):
-            assert not value.is_na and value.display == "0.00"
+            assert value is not None and format_percentage(value) == "0.00"
         assert card.grades == {Group.TRANSPARENCY: "F", Group.USEFULNESS: "F"}
 
         card = score_summary(catalog, uniform_assessment(catalog, NA, gate_answer="no"))
         for value in _card_values(card):
-            assert value.is_na
+            assert value is None
         assert card.grades == {Group.TRANSPARENCY: "N/A", Group.USEFULNESS: "N/A"}
 
 
@@ -269,7 +269,7 @@ def test_criterion_6_render_round_trip():
             for fmt in ("csv", "html"):
                 text = render_scorecard(card, fmt).decode("utf-8")
                 for value in _card_values(card):
-                    assert value.display in text
+                    assert format_percentage(value) in text
                 for grade in card.grades.values():
                     assert grade in text
         comparable = [c._replace(catalog_ref="toy/r1") for c in cards if c.config_used == POOLED][:5]
@@ -277,7 +277,7 @@ def test_criterion_6_render_round_trip():
             text = render_comparison([comparison_column(c) for c in comparable], fmt).decode("utf-8")
             for card in comparable:
                 for value in list(card.per_section_group.values()) + list(card.overall.values()):
-                    assert value.display in text
+                    assert format_percentage(value) in text
                 for grade in card.grades.values():
                     assert grade in text
 

@@ -164,6 +164,58 @@ class TestValidate:
         assert first.count("\t") == 3
 
     @pytest.mark.parametrize(
+        "metric_id,escaped",
+        [("X\tY", "X\\tY"), ("X\u2028Y", "X\\u2028Y")],
+        ids=["tab", "line-separator"],
+    )
+    def test_metric_id_that_breaks_a_line_is_one_finding_line(self, runner, tmp_path, metric_id, escaped):
+        assessments = tmp_path / "assessments"
+        assessments.mkdir()
+        text = (Path(ASSESSMENTS) / "phi-4.csv").read_text(encoding="utf-8")
+        (assessments / "phi-4.csv").write_text(text + f'"{metric_id}",sufficient,\n', encoding="utf-8")
+        result = run(runner, "--catalog", CATALOG, "validate", "--assessments", str(assessments))
+        assert result.exit_code == 1
+        [line] = result.stdout.splitlines()
+        source, locus, code, _ = line.split("\t")
+        assert (source, locus, code) == ("assessment:phi-4.csv", escaped, "unknown-metric-id")
+
+    @pytest.mark.parametrize("digest", ["hello", "AB" * 32, "ab" * 31], ids=["word", "uppercase", "short"])
+    def test_assessment_digest_that_is_not_a_sha256_is_malformed(self, runner, tmp_path, digest):
+        assessments = tmp_path / "assessments"
+        assessments.mkdir()
+        text = (Path(ASSESSMENTS) / "phi-4.csv").read_text(encoding="utf-8")
+        pinned = re.sub(r"(?m)^archived_copy_digest: .*$", f"archived_copy_digest: {digest}", text)
+        (assessments / "phi-4.csv").write_text(pinned, encoding="utf-8")
+        result = run(runner, "--catalog", CATALOG, "validate", "--assessments", str(assessments))
+        assert result.exit_code == 1
+        [line] = result.stdout.splitlines()
+        assert line.split("\t")[:3] == ["assessment:phi-4.csv", "phi-4.csv", "malformed-assessment"]
+        assert "archived_copy_digest must be a sha256 digest of 64 lowercase hex digits" in line
+
+    @pytest.mark.parametrize("field", ["archived.content_digest", "meta.archived_copy_digest"])
+    def test_registry_digest_that_is_not_a_sha256_is_malformed(self, runner, tmp_path, field):
+        registry = edited_registry(tmp_path, "phi-4", field, "hello")
+        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry))
+        assert result.exit_code == 1
+        reason = f"{field.split('.')[-1]} must be a sha256 digest of 64 lowercase hex digits, got 'hello'"
+        [line] = result.stdout.splitlines()
+        assert line.split("\t")[:3] == ["registry", str(registry), "malformed-registry"] and reason in line
+        out = tmp_path / "out"
+        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        result = run(runner, "--out", str(out), "site", "--registry", str(registry))
+        assert result.exit_code == 1
+        assert f"Error: {registry}: " in result.output and reason in result.output
+        assert not (out / "site").exists()
+
+    def test_registry_slug_that_breaks_a_line_is_one_finding_line(self, runner, tmp_path):
+        registry = edited_registry(tmp_path, "phi-4", "id", "abc\n\tx")
+        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry))
+        assert result.exit_code == 1
+        assert result.stdout.splitlines() == [
+            "registry\tabc\\n\\tx\tbad-slug\tslug must be lowercase alphanumeric/hyphen"
+        ]
+
+    @pytest.mark.parametrize(
         "text,reason",
         [
             ('{"kind":"registry","entries":[{"id":"x"}]}', "missing field 'meta'"),
@@ -686,6 +738,35 @@ class TestArchive:
         assert result.exit_code != 0
         assert "already contains slug" in result.output
 
+    @pytest.mark.parametrize("title", ["-draft", "--out"])
+    def test_title_that_starts_with_a_dash_is_recorded(self, runner, tmp_path, title):
+        registry, store = tmp_path / "registry.json", tmp_path / "store"
+        result = run(
+            runner,
+            "archive", str(SOURCES / "phi-4.md"),
+            "--slug", "p", "--provider", "M", "--model", "P", "--title", title,
+            "--registry", str(registry), "--store", str(store),
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(registry.read_text())["entries"][0]["meta"]["summary_title"] == title
+
+    def test_option_with_no_value_is_a_usage_error(self, runner, tmp_path):
+        registry, store = tmp_path / "registry.json", tmp_path / "store"
+        result = run(
+            runner,
+            "archive", str(SOURCES / "phi-4.md"), "--provider", "M", "--model", "P",
+            "--registry", str(registry), "--store", str(store), "--slug",
+        )
+        assert result.exit_code == 2
+        assert "argument --slug: expected one argument" in result.output
+        assert not registry.exists() and not store.exists()
+
+    def test_global_value_that_starts_with_a_dash_is_read(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = run(runner, "--catalog", CATALOG, "--out", "-out", "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "-out" / "phi-4.scorecard.json").exists()
+
     @pytest.mark.parametrize("slug", ["../../escaped", "phi-4\n", "Phi-4", ""])
     def test_bad_slug_stops_before_the_fetch(self, runner, tmp_path, slug):
         registry, store = tmp_path / "registry.json", tmp_path / "store"
@@ -921,7 +1002,8 @@ class TestSite:
         registry.write_text(json.dumps(data))
         result = run(runner, "--out", str(out), "site", "--registry", str(registry))
         assert result.exit_code == 1
-        assert "'../../escaped'" in result.output
+        assert "site\t../../escaped\tbad-slug\tslug must be lowercase alphanumeric/hyphen\n" in result.output
+        assert "site not published: registry has 1 finding(s), first bad-slug at ../../escaped: " in result.output
         assert list(tmp_path.rglob("*escaped*")) == []
         assert not (out / "site").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "registry.json"]
@@ -1082,9 +1164,34 @@ class TestSite:
         result = run(runner, "--out", str(out), "site", "--registry", str(registry))
         assert result.exit_code == 1
         assert (
-            "Error: site not published: more than one registry entry for provider='Microsoft' model='Phi-4': "
-            "'phi-4' and 'phi-4-again'"
+            "Error: site not published: registry has 1 finding(s), first duplicate-summary at phi-4-again: "
+            "provider 'Microsoft' and model 'Phi-4' are already registered as 'phi-4'"
         ) in result.output
+        assert tree_bytes(out / "site") == before
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+
+    def test_registry_with_a_finding_keeps_the_previous_site(self, runner, tmp_path):
+        out = tmp_path / "out"
+        self.build_cards(runner, out)
+        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
+        before = tree_bytes(out / "site")
+        data = json.loads(Path(REGISTRY).read_text())
+        phi = next(entry for entry in data["entries"] if entry["id"] == "phi-4")
+        script = {**phi["meta"], "model": "Script", "source_url": "javascript:alert(1)"}
+        data["entries"] += [
+            {**phi, "id": "script", "meta": script},
+            {**phi, "id": "Bad Slug", "meta": {**phi["meta"], "model": "Other"}},
+        ]
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(data))
+        checked = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry))
+        assert checked.exit_code == 1
+        findings = [line.split("\t")[1:3] for line in checked.stdout.splitlines()]
+        assert findings == [["script", "bad-source-url"], ["Bad Slug", "bad-slug"]]
+        result = run(runner, "--out", str(out), "site", "--registry", str(registry))
+        assert result.exit_code == 1
+        assert [line.split("\t")[1:3] for line in result.stdout.splitlines()] == findings
+        assert "site not published: registry has 2 finding(s), first bad-source-url at script: " in result.output
         assert tree_bytes(out / "site") == before
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 

@@ -14,13 +14,13 @@ from summaryqa.reporting import (
     AggregationConfig,
     GradeScale,
     OverallAggregation,
-    ScoreValue,
     SectionAggregation,
     _cell_html,
     _value_from_json,
     _value_to_json,
     comparison_column,
     comparison_table_html,
+    format_percentage,
     render_comparison,
     render_scorecard,
     scorecard_from_json,
@@ -50,7 +50,7 @@ def card_displays(card):
         *card.per_dimension_overall.values(),
         *card.overall.values(),
     ]
-    return [v.display for v in values]
+    return [format_percentage(v) for v in values]
 
 
 class TestSeverity:
@@ -72,8 +72,8 @@ class TestSeverity:
             last_rank = rank
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            ScoreValue.percentage(Fraction(101))
+        with pytest.raises(ValueError, match="percentage out of range"):
+            _value_from_json({"pct": "101.00", "exact": "101"})
 
     # The scale the README documents, as (minimum percentage, class), best first.
     @pytest.mark.parametrize("bands", [((80, "high"), (50, "moderate"), (0, "low"))])
@@ -94,7 +94,7 @@ class TestScoreCardRoundTrip:
         card = random_card(99)
         again = scorecard_from_json(scorecard_to_json(card))
         for key, value in card.per_cell.items():
-            assert again.per_cell[key].pct == value.pct
+            assert again.per_cell[key] == value
 
     def test_empty_archived_digest_reads_as_absent(self):
         card = random_card(5)
@@ -110,6 +110,15 @@ class TestScoreCardRoundTrip:
         data["meta"]["assessed_version_date"] = text
         with pytest.raises(Malformed, match=f"assessed_version_date must be YYYY-MM-DD, got '{text}'"):
             scorecard_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("digest", ["hello", "AB" * 32, "ab" * 33], ids=["word", "uppercase", "long"])
+    def test_meta_digest_that_is_not_a_sha256_is_malformed(self, digest):
+        data = json.loads(scorecard_to_json(random_card(5)))
+        data["meta"]["archived_copy_digest"] = digest
+        with pytest.raises(Malformed, match=f"archived_copy_digest must be a sha256 digest .*, got '{digest}'"):
+            scorecard_from_json(json.dumps(data))
+        data["meta"]["archived_copy_digest"] = "ab" * 32
+        assert scorecard_from_json(json.dumps(data)).meta.archived_copy_digest == "ab" * 32
 
     def test_json_is_stable(self):
         card = random_card(3)
@@ -140,8 +149,8 @@ class TestValueCodec:
     @settings(max_examples=200)
     @given(st.fractions(min_value=0, max_value=100))
     def test_any_percentage_round_trips(self, pct):
-        value = _value_from_json(_value_to_json(ScoreValue.percentage(pct)))
-        assert value.pct == pct and type(value.pct) is Fraction
+        value = _value_from_json(_value_to_json(pct))
+        assert value == pct and type(value) is Fraction
 
     @pytest.mark.parametrize("text", ["2/4", "0.5", " 1/2", "+1", "1/1", "-0", "1/0", "1/-2", "1_0", "01", "1/", ""])
     def test_non_canonical_text_is_refused(self, text):
@@ -152,11 +161,11 @@ class TestValueCodec:
     @given(st.text(alphabet="0123456789/-+. _", max_size=8))
     def test_decodes_exactly_the_canonical_texts(self, text):
         in_range = canonical(text) and 0 <= Fraction(text) <= 100
-        pct = ScoreValue.percentage(Fraction(text)).display if in_range else "0.00"
+        pct = format_percentage(Fraction(text)) if in_range else "0.00"
         card_text = edited_card(random_card(1), lambda data: first_value(data).update(exact=text, pct=pct))
         if in_range:
             card = scorecard_from_json(card_text)
-            assert Fraction(text) in [v.pct for v in card.per_cell.values()]
+            assert Fraction(text) in card.per_cell.values()
         else:
             reason = "percentage out of range" if canonical(text) else "is not n or n/d in lowest terms"
             with pytest.raises(Malformed, match=reason):
@@ -182,7 +191,7 @@ class TestSelfContradictingCard:
 
     def test_overall_pct_and_grade_edited_together(self):
         card = random_card(2)
-        assert card.grades[Group.TRANSPARENCY] != "A+" and not card.overall[Group.TRANSPARENCY].is_na
+        assert card.grades[Group.TRANSPARENCY] != "A+" and card.overall[Group.TRANSPARENCY] is not None
 
         def edit(data):
             data["overall"]["Transparency"]["pct"] = "99.99"
@@ -202,7 +211,7 @@ class TestSelfContradictingCard:
     def test_na_overall_needs_na_grade(self):
         cat = load_reference_catalog()
         card = score_summary(cat, uniform_assessment(cat, NA, gate_answer="no"))
-        assert card.overall[Group.USEFULNESS].is_na
+        assert card.overall[Group.USEFULNESS] is None
         text = edited_card(card, lambda data: data["grades"].update(Usefulness="F"))
         with pytest.raises(Malformed, match="grade 'F' for Usefulness is not 'N/A'"):
             scorecard_from_json(text)
@@ -246,7 +255,7 @@ class TestRenderScorecard:
         cat = load_reference_catalog()
         # All gates no: usefulness cells in gated sections become N/A.
         card = score_summary(cat, uniform_assessment(cat, S, gate_answer="no"))
-        assert card.per_section_group[(Section.USER_DATA, Group.USEFULNESS)].is_na
+        assert card.per_section_group[(Section.USER_DATA, Group.USEFULNESS)] is None
         for fmt in ("csv", "html", "json"):
             assert b"N/A" in render_scorecard(card, fmt)
 
@@ -322,9 +331,9 @@ class TestRenderComparison:
         text = render_comparison(columns(cards), fmt).decode()
         for card in cards:
             for (section, group), value in card.per_section_group.items():
-                assert value.display in text
+                assert format_percentage(value) in text
             for value in card.overall.values():
-                assert value.display in text
+                assert format_percentage(value) in text
             for grade in card.grades.values():
                 assert grade in text
 
@@ -334,8 +343,8 @@ class TestRenderComparison:
         data = json.loads(render_comparison(columns(cards), "json"))
         wanted = set()
         for card in cards:
-            wanted.update(v.display for v in card.per_section_group.values())
-            wanted.update(v.display for v in card.overall.values())
+            wanted.update(map(format_percentage, card.per_section_group.values()))
+            wanted.update(map(format_percentage, card.overall.values()))
             wanted.update(card.grades.values())
         shown = {v for row in data["rows"] for v in row["values"]}
         assert shown <= wanted

@@ -1,5 +1,6 @@
 """Scoring engine: worked examples, fixed points, grades, and strategies."""
 
+import json
 import math
 import random
 from datetime import date
@@ -9,16 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from summaryqa.base import Dimension, Group, Section
+from summaryqa.errors import Malformed
 from summaryqa.catalog import validate_catalog
 from summaryqa.reporting import (
     DEFAULT_GRADE_SCALE,
     AggregationConfig,
     GradeScale,
     OverallAggregation,
-    ScoreValue,
     SectionAggregation,
     assign_grade,
     format_percentage,
+    scorecard_from_json,
+    scorecard_to_dict,
 )
 from summaryqa.scoring import _mean, score_summary
 from summaryqa.assessment import Verdict, applicability_map, assessment_findings
@@ -43,17 +46,17 @@ class TestCellScore:
         )
         a = toy_assessment(cat, {"A": Verdict(S), "B": Verdict(P), "C": Verdict(I)})
         got = score_summary(cat, a).per_cell[(Section.DOCUMENT, Dimension.CLARITY)]
-        assert got == ScoreValue.percentage(Fraction(125, 2))
+        assert got == Fraction(125, 2)
 
     def test_all_sufficient_hits_upper_bound(self):
         cat = toy_catalog(toy_metric("A", weight=3), toy_metric("B", weight=5))
         a = toy_assessment(cat, {"A": Verdict(S), "B": Verdict(S)})
-        assert score_summary(cat, a).per_cell[(Section.DOCUMENT, Dimension.CLARITY)] == ScoreValue.percentage(100)
+        assert score_summary(cat, a).per_cell[(Section.DOCUMENT, Dimension.CLARITY)] == Fraction(100)
 
     def test_empty_cell_is_na(self):
         cat = toy_catalog(toy_metric("A"))
         a = toy_assessment(cat, {"A": Verdict(S)})
-        assert score_summary(cat, a).per_cell[(Section.USER_DATA, Dimension.CLARITY)].is_na
+        assert score_summary(cat, a).per_cell[(Section.USER_DATA, Dimension.CLARITY)] is None
 
     def test_gated_out_cell_is_na(self):
         cat = toy_catalog(
@@ -61,7 +64,7 @@ class TestCellScore:
             toy_metric("D", gate="G", dimension=Dimension.CLARITY),
         )
         a = toy_assessment(cat, {"G": Verdict(S, "gate=no"), "D": Verdict(NA)})
-        assert score_summary(cat, a).per_cell[(Section.DOCUMENT, Dimension.CLARITY)].is_na
+        assert score_summary(cat, a).per_cell[(Section.DOCUMENT, Dimension.CLARITY)] is None
 
 
 class TestSectionGroupScore:
@@ -75,7 +78,7 @@ class TestSectionGroupScore:
         a = uniform_assessment(cat, S)
         for config in (AggregationConfig(), MEAN_CONFIG):
             got = score_summary(cat, a, config).per_section_group[(Section.DOCUMENT, Group.TRANSPARENCY)]
-            assert got == ScoreValue.percentage(100)
+            assert got == Fraction(100)
 
     def test_na_cell_skipped(self):
         # Comprehension cell scores 80: weights [4,1], verdicts [S, I].
@@ -92,7 +95,7 @@ class TestSectionGroupScore:
         )
         for config in (AggregationConfig(), MEAN_CONFIG):
             got = score_summary(cat, a, config).per_section_group[(Section.DOCUMENT, Group.USEFULNESS)]
-            assert got == ScoreValue.percentage(80), config
+            assert got == Fraction(80), config
 
     def test_strategies_diverge_on_unequal_cell_weights(self):
         # Clarity: one metric, weight 1, sufficient (100%).
@@ -106,8 +109,8 @@ class TestSectionGroupScore:
         key = (Section.DOCUMENT, Group.TRANSPARENCY)
         pooled = score_summary(cat, a, AggregationConfig()).per_section_group[key]
         mean = score_summary(cat, a, MEAN_CONFIG).per_section_group[key]
-        assert pooled == ScoreValue.percentage(25)
-        assert mean == ScoreValue.percentage(50)
+        assert pooled == Fraction(25)
+        assert mean == Fraction(50)
 
     def test_strategies_agree_when_cell_weights_equal(self):
         # Every cell in the group has total weight 4.
@@ -141,15 +144,15 @@ class TestOverallScores:
         cat = load_reference_catalog()
         a = uniform_assessment(cat, S)
         got = score_summary(cat, a).overall
-        assert got[Group.TRANSPARENCY] == ScoreValue.percentage(100)
-        assert got[Group.USEFULNESS] == ScoreValue.percentage(100)
+        assert got[Group.TRANSPARENCY] == Fraction(100)
+        assert got[Group.USEFULNESS] == Fraction(100)
 
     def test_all_insufficient(self):
         cat = load_reference_catalog()
         a = uniform_assessment(cat, I)
         got = score_summary(cat, a).overall
-        assert got[Group.TRANSPARENCY] == ScoreValue.percentage(0)
-        assert got[Group.USEFULNESS] == ScoreValue.percentage(0)
+        assert got[Group.TRANSPARENCY] == Fraction(0)
+        assert got[Group.USEFULNESS] == Fraction(0)
 
     def test_single_section_overall_equals_section_score(self):
         cat = toy_catalog(
@@ -181,17 +184,17 @@ class TestGrades:
         ],
     )
     def test_published_score_grade_pairs(self, pct, letter):
-        score = ScoreValue.percentage(Fraction(pct))
+        score = Fraction(pct)
         assert assign_grade(score, DEFAULT_GRADE_SCALE) == letter
 
     def test_band_minimum_is_inclusive(self):
-        assert assign_grade(ScoreValue.percentage(95)) == "A+"
-        assert assign_grade(ScoreValue.percentage(80)) == "B+"
-        assert assign_grade(ScoreValue.percentage(30)) == "D"
-        assert assign_grade(ScoreValue.percentage(0)) == "F"
+        assert assign_grade(Fraction(95)) == "A+"
+        assert assign_grade(Fraction(80)) == "B+"
+        assert assign_grade(Fraction(30)) == "D"
+        assert assign_grade(Fraction(0)) == "F"
 
     def test_na_grade(self):
-        assert assign_grade(ScoreValue.na()) == "N/A"
+        assert assign_grade(None) == "N/A"
 
     def test_scale_validation(self):
         with pytest.raises(ValueError, match="strictly decreasing"):
@@ -208,23 +211,23 @@ class TestScoreSummary:
         cat = load_reference_catalog()
         card = score_summary(cat, uniform_assessment(cat, S))
         for value in card.per_cell.values():
-            assert value.is_na or value == ScoreValue.percentage(100)
+            assert value is None or value == Fraction(100)
         for value in card.per_section_group.values():
-            assert value.is_na or value == ScoreValue.percentage(100)
+            assert value is None or value == Fraction(100)
         assert card.grades == {Group.TRANSPARENCY: "A+", Group.USEFULNESS: "A+"}
 
     def test_all_insufficient_card(self):
         cat = load_reference_catalog()
         card = score_summary(cat, uniform_assessment(cat, I))
-        assert card.overall[Group.TRANSPARENCY] == ScoreValue.percentage(0)
+        assert card.overall[Group.TRANSPARENCY] == Fraction(0)
         assert card.grades == {Group.TRANSPARENCY: "F", Group.USEFULNESS: "F"}
 
     def test_all_not_applicable_yields_all_na_card(self):
         cat = load_reference_catalog()
         card = score_summary(cat, uniform_assessment(cat, NA, gate_answer="no"))
-        assert all(v.is_na for v in card.per_cell.values())
-        assert all(v.is_na for v in card.per_section_group.values())
-        assert all(v.is_na for v in card.overall.values())
+        assert all(v is None for v in card.per_cell.values())
+        assert all(v is None for v in card.per_section_group.values())
+        assert all(v is None for v in card.overall.values())
         assert card.grades == {Group.TRANSPARENCY: "N/A", Group.USEFULNESS: "N/A"}
 
     def test_deterministic(self):
@@ -304,9 +307,9 @@ class TestScoreSummary:
         ):
             card = score_summary(cat, a, config)
             assert_card_matches_oracle(card, oracle_scorecard(cat, a, *strategies))
-            assert card.per_cell[(doc, Dimension.CLARITY)].pct == Fraction(125, 2)
-            assert card.per_section_group[(doc, Group.TRANSPARENCY)].pct == section_doc
-            assert card.overall[Group.TRANSPARENCY].pct == transparency
+            assert card.per_cell[(doc, Dimension.CLARITY)] == Fraction(125, 2)
+            assert card.per_section_group[(doc, Group.TRANSPARENCY)] == section_doc
+            assert card.overall[Group.TRANSPARENCY] == transparency
 
     def test_repeated_id_counts_each_occurrence(self):
         # A repeated id is a duplicate-id finding, and no occurrence is
@@ -351,30 +354,43 @@ class TestFormatting:
 percentages = st.fractions(min_value=0, max_value=100)
 
 
+def card_with_exact(pct):
+    """The JSON of a toy card whose Document/Clarity cell holds ``pct`` and its display."""
+    cat = toy_catalog(toy_metric("A"))
+    data = scorecard_to_dict(score_summary(cat, toy_assessment(cat, {"A": Verdict(S)})))
+    data["cells"]["Document"]["Clarity"] = {"pct": format_percentage(Fraction(pct)), "exact": str(pct)}
+    return json.dumps(data)
+
+
+def decoded_cell(text):
+    return scorecard_from_json(text).per_cell[(Section.DOCUMENT, Dimension.CLARITY)]
+
+
 class TestExactArithmetic:
     @settings(max_examples=100)
     @given(st.lists(st.none() | percentages, max_size=6))
     def test_mean_equals_fraction_mean(self, pcts):
-        parts = [ScoreValue.na() if pct is None else ScoreValue.percentage(pct) for pct in pcts]
         values = [pct for pct in pcts if pct is not None]
-        mean = _mean(parts)
+        mean = _mean(pcts)
         if values:
-            assert mean.pct == sum(values, Fraction(0)) / len(values)
-            assert type(mean.pct) is Fraction
+            assert mean == sum(values, Fraction(0)) / len(values)
+            assert type(mean) is Fraction
         else:
-            assert mean.is_na
+            assert mean is None
 
+    # A score comes from outside the program only in a card file, so the
+    # card decoder holds the one range check of a percentage.
     def test_percentage_keeps_a_fraction_as_given(self):
         pct = Fraction(175, 2)
-        assert ScoreValue.percentage(pct).pct is pct
-        assert ScoreValue.percentage(100).pct == Fraction(100)
-        assert type(ScoreValue.percentage(100).pct) is Fraction
+        assert decoded_cell(card_with_exact(pct)) == pct
+        assert decoded_cell(card_with_exact(100)) == Fraction(100)
+        assert type(decoded_cell(card_with_exact(100))) is Fraction
 
     @pytest.mark.parametrize("pct", [Fraction(0), Fraction(100), Fraction(1, 10**30), Fraction(10**32 - 1, 10**30)])
     def test_percentage_accepts_the_closed_range(self, pct):
-        assert ScoreValue.percentage(pct).pct == pct
+        assert decoded_cell(card_with_exact(pct)) == pct
 
     @pytest.mark.parametrize("pct", [Fraction(-1, 10**30), Fraction(10**32 + 1, 10**30), 101, -1])
     def test_percentage_refuses_outside_the_range(self, pct):
-        with pytest.raises(ValueError, match="percentage out of range"):
-            ScoreValue.percentage(pct)
+        with pytest.raises(Malformed, match="percentage out of range"):
+            scorecard_from_json(card_with_exact(pct))

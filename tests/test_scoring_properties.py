@@ -16,7 +16,6 @@ from summaryqa.reporting import (
     DEFAULT_GRADE_SCALE,
     AggregationConfig,
     OverallAggregation,
-    ScoreValue,
     SectionAggregation,
     assign_grade,
 )
@@ -92,7 +91,7 @@ def test_scores_stay_in_range(instance):
     _, catalog, assessment = instance
     for config in CONFIGS:
         for value in all_values(score_summary(catalog, assessment, config)):
-            assert value.is_na or 0 <= value.pct <= 100
+            assert value is None or 0 <= value <= 100
 
 
 @given(instances())
@@ -110,9 +109,9 @@ def test_upgrading_one_verdict_never_lowers_any_score(instance):
         before = score_summary(catalog, assessment, config)
         after = score_summary(catalog, upgraded, config)
         for b, a in paired_values(before, after):
-            assert b.is_na == a.is_na
-            if not b.is_na:
-                assert a.pct >= b.pct
+            assert (b is None) == (a is None)
+            if b is not None:
+                assert a >= b
 
 
 @given(instances(), st.sampled_from([Fraction(2), Fraction(1, 2), Fraction(3), Fraction(7, 5)]))
@@ -137,13 +136,13 @@ def test_na_propagation(instance):
     for config in CONFIGS:
         card = score_summary(catalog, assessment, config)
         for (section, dimension), value in card.per_cell.items():
-            assert value.is_na == ((section, dimension) not in applicable_cells)
+            assert (value is None) == ((section, dimension) not in applicable_cells)
         for (section, group), value in card.per_section_group.items():
             cells = [card.per_cell[(section, d)] for d in Dimension if d.group is group]
-            assert value.is_na == all(c.is_na for c in cells)
+            assert (value is None) == all(c is None for c in cells)
         for group, value in card.overall.items():
             sections = [card.per_section_group[(s, group)] for s in Section]
-            assert value.is_na == all(s.is_na for s in sections)
+            assert (value is None) == all(s is None for s in sections)
 
 
 @given(instances())
@@ -209,8 +208,8 @@ def test_flipping_gate_no_to_yes_only_adds_applicable_metrics(instance):
 def test_grade_is_monotone_in_score(pct_a, pct_b):
     if pct_a < pct_b:
         pct_a, pct_b = pct_b, pct_a
-    grade_a = assign_grade(ScoreValue.percentage(pct_a), DEFAULT_GRADE_SCALE)
-    grade_b = assign_grade(ScoreValue.percentage(pct_b), DEFAULT_GRADE_SCALE)
+    grade_a = assign_grade(pct_a, DEFAULT_GRADE_SCALE)
+    grade_b = assign_grade(pct_b, DEFAULT_GRADE_SCALE)
     assert letter_rank(DEFAULT_GRADE_SCALE, grade_a) <= letter_rank(DEFAULT_GRADE_SCALE, grade_b)
 
 

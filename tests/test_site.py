@@ -27,6 +27,7 @@ from summaryqa.reporting import (
     AggregationConfig,
     OverallAggregation,
     SectionAggregation,
+    format_percentage,
     load_scorecard,
     scorecard_to_json,
 )
@@ -142,7 +143,7 @@ class TestBuildSite:
         detail = (tmp_path / "site" / "summaries" / "model-0" / "index.html").read_text()
         card = load_scorecard(cards[0])
         for value in card.per_section_group.values():
-            assert value.display in detail
+            assert format_percentage(value) in detail
         assert card.meta.source_url in detail
         assert "scorecard.json" in detail
 
@@ -368,8 +369,9 @@ class TestPublishing:
         registry, cards = site_inputs
         registry.entries[0] = registry.entries[0]._replace(id=slug)
         out = tmp_path / "out"
-        with pytest.raises(Refused, match="registry slug"):
+        with pytest.raises(Refused, match=r"^registry has 1 finding\(s\), first bad-slug at ") as refused:
             build_site(registry, cards, SiteConfig(output_root=out / "site"))
+        assert [(f.code, f.locus) for f in refused.value.findings] == [("bad-slug", slug)]
         assert [p for p in tmp_path.rglob("*") if "cards" not in p.parts] == [out]
 
     def test_storage_path_outside_the_store_refused(self, site_inputs, tmp_path):
