@@ -81,14 +81,19 @@ def read_text(path: str | Path) -> str:
 
 
 def read_json(text: str | bytes, decode: Callable[[object], _Decoded]) -> _Decoded:
-    """``decode`` of the JSON in ``text`` (or its UTF-8 bytes); input that is not UTF-8
-    or JSON, or that ``decode`` refuses, is Malformed, naming a missing key as such."""
+    """``decode`` of the JSON in ``text`` (or its UTF-8 bytes); input that is not UTF-8 or JSON, that spells
+    a lone surrogate, or that ``decode`` refuses, is Malformed, naming a missing key as such."""
     import json  # on first use, so importing this module loads no json
 
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
-        return decode(json.loads(text))
+        data = json.loads(text)
+        if "\\u" in text:  # in UTF-8 input only an escape can spell a lone surrogate
+            lone = re.search("[\ud800-\udfff]", json.dumps(data, ensure_ascii=False))
+            if lone:
+                raise ValueError(f"text holds the lone surrogate {lone.group()!r}, which has no UTF-8 form")
+        return decode(data)
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError, RecursionError) as exc:
         raise Malformed(f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)) from exc
 

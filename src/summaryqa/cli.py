@@ -56,10 +56,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Option(NamedTuple):
-    """An option (``--name``) or the positional argument (``NAME``) of a command, read by ``convert``."""
+    """An option (``--name``) or argument (``NAME``) of a command, read by ``convert``, by default as UTF-8 text."""
 
     name: str
-    convert: Callable[[str], object] = str
+    convert: Callable[[str], object] = lambda text: text.encode("utf-8").decode("utf-8")
     default: object = None
     help: str | None = None
     required: bool = False
@@ -429,7 +429,7 @@ def compare(args):
 
 @_command(
     "archive",
-    _Option("URL", required=True, help="http(s) URL or local path of the summary."),
+    _Option("URL", str, required=True, help="http(s) URL or local path of the summary."),  # a file name need not be UTF-8
     _Option("--slug", required=True, help="Stable registry slug."),
     _Option("--provider", required=True),
     _Option("--model", required=True),

@@ -77,7 +77,11 @@ class ArchivedCopy(NamedTuple):
     content_digest: str  # sha256 hex
     media_type: str
     byte_length: int
-    storage_path: str  # relative to the store root
+
+    @property
+    def storage_path(self) -> str:
+        """The copy's path relative to the store root, as ``object_path`` lays it out."""
+        return object_path("", self.content_digest).as_posix()
 
 
 class RegistryEntry(NamedTuple):
@@ -163,15 +167,7 @@ def validate_registry(registry: Registry) -> list[Finding]:
 def registry_to_json(registry: Registry) -> str:
     entries = []
     for entry in registry.entries:
-        archived = None
-        if entry.archived is not None:
-            archived = {
-                "fetched_at": entry.archived.fetched_at,
-                "content_digest": entry.archived.content_digest,
-                "media_type": entry.archived.media_type,
-                "byte_length": entry.archived.byte_length,
-                "storage_path": entry.archived.storage_path,
-            }
+        copy = entry.archived
         entries.append(
             {
                 "id": entry.id,
@@ -181,14 +177,14 @@ def registry_to_json(registry: Registry) -> str:
                     "query_or_path": entry.discovery.query_or_path,
                     "discovered_on": entry.discovery.discovered_on.isoformat(),
                 },
-                "archived": archived,
+                "archived": None if copy is None else {**copy._asdict(), "storage_path": copy.storage_path},
                 "assessment_refs": list(entry.assessment_refs),
             }
         )
     return json.dumps({"kind": "registry", "entries": entries}, indent=2, ensure_ascii=False) + "\n"
 
 
-_ARCHIVED_TEXT = ("fetched_at", "content_digest", "media_type", "storage_path")
+_ARCHIVED_TEXT = ("fetched_at", "content_digest", "media_type")
 
 
 def registry_from_json(text: str | bytes) -> Registry:
@@ -202,10 +198,8 @@ def _registry_from_dict(data: dict) -> Registry:
         archived = None
         if raw.get("archived"):
             a = raw["archived"]
-            require_strings({f"archived.{key}": a[key] for key in _ARCHIVED_TEXT})
+            require_strings({f"archived.{key}": a[key] for key in (*_ARCHIVED_TEXT, "storage_path")})
             check_digest(a["content_digest"], "archived.content_digest")
-            if "\0" in a["storage_path"]:
-                raise ValueError(f"archived.storage_path must not hold a NUL byte, got {a['storage_path']!r}")
             if not isinstance(a["byte_length"], int) or isinstance(a["byte_length"], bool):
                 raise ValueError(f"archived.byte_length must be an integer, got {a['byte_length']!r}")
             archived = ArchivedCopy(byte_length=a["byte_length"], **{key: a[key] for key in _ARCHIVED_TEXT})
@@ -222,6 +216,13 @@ def _registry_from_dict(data: dict) -> Registry:
         )
         require_strings({"id": entry.id, "discovery.query_or_path": entry.discovery.query_or_path})
         entries.append(entry)
+    for raw, entry in zip(data["entries"], entries):  # the digest's copies, after every other check
+        archived, digest = entry.archived, entry.meta.archived_copy_digest
+        path = archived and raw["archived"]["storage_path"]
+        if path != (archived and archived.storage_path):
+            raise ValueError(f"archived.storage_path must be {archived.storage_path!r}, got {path!r}")
+        if digest is not None and digest != (archived and archived.content_digest):
+            raise ValueError(f"meta.archived_copy_digest must be archived.content_digest or absent, got {digest!r}")
     return Registry(entries=entries)
 
 
@@ -311,26 +312,20 @@ def archive_fetch(url: str, store_root: str | Path, timeout: float = 30.0) -> Ar
         content_digest=digest,
         media_type=media_type or "application/octet-stream",
         byte_length=len(data),
-        storage_path=str(target.relative_to(store_root)),
     )
 
 
-def read_archived(entry: RegistryEntry, store: Path) -> bytes | Finding:
+def read_archived(entry: RegistryEntry, store: str | Path) -> bytes | Finding:
     """The entry's archived bytes from the store, or the Finding that stops them.
 
-    ``store`` is the store root as ``Path.resolve()`` returns it; callers
-    resolve it once for all their entries.  The storage path must resolve
-    inside the store, the file must exist, and its bytes must hash to the
+    The object is read at ``object_path`` of the pinned digest, so it lies
+    under the store root; it must exist, and its bytes must hash to the
     pinned digest and have the pinned length.  This is the only check of
     stored bytes: ``validate`` reports its findings and ``site`` publishes
     only what it returns as bytes.
     """
     archived = entry.archived
-    stored = (store / archived.storage_path).resolve()
-    if not stored.is_relative_to(store):
-        return Finding(
-            "outside-store", entry.id, f"storage path {archived.storage_path!r} resolves outside the store"
-        )
+    stored = object_path(store, archived.content_digest)
     if not stored.is_file():
         return Finding("missing-object", entry.id, f"archived object {archived.storage_path} is missing")
     data = stored.read_bytes()
@@ -347,9 +342,8 @@ def read_archived(entry: RegistryEntry, store: Path) -> bytes | Finding:
 
 
 def verify_archive(registry: Registry, store_root: str | Path) -> list[Finding]:
-    """Integrity findings for every archived entry: escaped, missing or altered bytes."""
-    store = Path(store_root).resolve()
-    checked = (read_archived(entry, store) for entry in registry.entries if entry.archived is not None)
+    """Integrity findings for every archived entry: missing or altered bytes."""
+    checked = (read_archived(entry, store_root) for entry in registry.entries if entry.archived is not None)
     return [result for result in checked if isinstance(result, Finding)]
 
 

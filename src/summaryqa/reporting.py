@@ -6,8 +6,8 @@ imports no catalog, assessment or scoring code, so ``compare`` and ``site``
 read cards without loading the assessment side.
 
 Reporting is a pure projection: every number shown comes from the score
-card's stored exact values, rendered at two decimals (round half up); nothing
-is recomputed here.  A comparison reads one :class:`Column` per card, made by
+card's stored exact values, rendered at two decimals by ``format_percentage``;
+nothing is recomputed here.  A comparison reads one :class:`Column` per card, made by
 :func:`comparison_column`, so ``compare`` and ``site`` hold one decoded card
 at a time.  Three formats are supported:
 
@@ -27,25 +27,17 @@ import re
 import csv as _csv
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .base import (
     DIMENSION_ORDER, SECTION_ORDER, Dimension, Group, Section, SummaryMeta, meta_from_dict, meta_to_dict, read_bytes,
-    read_json,
+    read_json, require_strings,
 )
 from .errors import Refused
 
 FORMATS = ("json", "csv", "html")
-
-
-def format_percentage(pct: Fraction | None) -> str:
-    """Render an exact percentage at two decimals, rounding half up; None, for N/A, is ``N/A``."""
-    if pct is None:
-        return "N/A"
-    n, d = pct.numerator, pct.denominator
-    hundredths = (200 * n + d) // (2 * d)  # floor(pct * 100 + 1/2)
-    return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
 # ---------------------------------------------------------------------------
@@ -53,16 +45,34 @@ def format_percentage(pct: Fraction | None) -> str:
 # ---------------------------------------------------------------------------
 
 
+# The class of a percentage cell: the first entry whose minimum (in hundredths,
+# so 8000 is 80.00) the two-decimal display reaches.  Each class is styled in _CSS.
+_SEVERITY_CLASSES = ((8000, "high"), (5000, "moderate"), (0, "low"))
+
 # A band label comes from a config file or a score card and is printed as a
 # grade in every report and in score's "Group=grade" lines, so it is limited
 # to one plain token: no markup, space, comma or "=" for a reader to unpick.
 _LABEL_RE = re.compile(r"[A-Za-z0-9+-]+")
 
 
-class GradeScale(NamedTuple):
-    """Ordered (letter, inclusive minimum percentage) bands, best first."""
-
+class _GradeScale(NamedTuple):
     bands: tuple[tuple[str, Fraction], ...]
+
+
+class GradeScale(_GradeScale):
+    """Ordered (letter, inclusive minimum percentage) bands, best first; a subclass of
+    its fields' tuple, so that an instance has a ``__dict__`` to cache ``limits`` in."""
+
+    @cached_property
+    def limits(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Each band and severity minimum as (numerator, denominator), under the hundredths that a
+        display rounds to when rounding may cross it: the minimum's two-decimal floor and ceiling."""
+        limits: dict[int, tuple[tuple[int, int], ...]] = {}
+        for low in {*(low for _, low in self.bands), *(low // 100 for low, _ in _SEVERITY_CLASSES)}:
+            n, d = low.numerator, low.denominator
+            for hundredths in {100 * n // d, -(-100 * n // d)}:
+                limits[hundredths] = (*limits.get(hundredths, ()), (n, d))
+        return limits
 
     def check(self) -> None:
         if not self.bands:
@@ -78,6 +88,9 @@ class GradeScale(NamedTuple):
             raise ValueError("band minimums must be strictly decreasing")
         if mins[-1] != 0:
             raise ValueError("last band minimum must be 0 so the scale covers [0, 100]")
+        for lows in self.limits.values():  # two minimums less than 0.01 apart share a key of ``limits``
+            if any(0 < 100 * abs(n * e - m * d) < d * e for n, d in lows for m, e in lows):
+                raise ValueError("band minimums must be 0.01 or more apart, and apart from the severity minimums 50 and 80")
 
 
 DEFAULT_GRADE_SCALE = GradeScale(
@@ -92,6 +105,19 @@ DEFAULT_GRADE_SCALE = GradeScale(
         ("F", Fraction(0)),
     )
 )
+
+
+def format_percentage(pct: Fraction | None, scale: GradeScale = DEFAULT_GRADE_SCALE) -> str:
+    """Render an exact percentage at two decimals, rounding half up, but never across a minimum of
+    ``scale``'s bands or of a severity class: a value below such a minimum shows its two-decimal
+    floor, and one at or above it its two-decimal ceiling.  None, for N/A, is ``N/A``."""
+    if pct is None:
+        return "N/A"
+    n, d = pct.numerator, pct.denominator
+    hundredths = (200 * n + d) // (2 * d)  # floor(pct * 100 + 1/2)
+    for a, b in scale.limits.get(hundredths, ()):  # +1 or -1 where rounding crossed the minimum a/b
+        hundredths += (a * d <= n * b) - (100 * a <= hundredths * b)
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
 def assign_grade(score: Fraction | None, scale: GradeScale = DEFAULT_GRADE_SCALE) -> str:
@@ -151,10 +177,10 @@ class ScoreCard(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _value_to_json(value: Fraction | None):
+def _value_to_json(value: Fraction | None, scale: GradeScale = DEFAULT_GRADE_SCALE):
     if value is None:
         return "N/A"
-    return {"pct": format_percentage(value), "exact": str(value)}
+    return {"pct": format_percentage(value, scale), "exact": str(value)}
 
 
 def _fraction_from_text(text: str) -> Fraction:
@@ -174,7 +200,7 @@ def _fraction_from_text(text: str) -> Fraction:
     return value
 
 
-def _value_from_json(raw) -> Fraction | None:
+def _value_from_json(raw, scale: GradeScale = DEFAULT_GRADE_SCALE) -> Fraction | None:
     """Inverse of :func:`_value_to_json`; ``pct`` must be the display of ``exact``, and
     ``exact`` in [0, 100]: the one range check of a score, as a card comes from outside."""
     if raw == "N/A":
@@ -183,12 +209,13 @@ def _value_from_json(raw) -> Fraction | None:
     # A Fraction's denominator is positive, so the range check is on integers.
     if not 0 <= value.numerator <= 100 * value.denominator:
         raise ValueError(f"percentage out of range: {value}")
-    if raw["pct"] != format_percentage(value):
+    if raw["pct"] != format_percentage(value, scale):
         raise ValueError(f"pct {raw['pct']!r} is not the display of exact {raw['exact']!r}")
     return value
 
 
 def scorecard_to_dict(card: ScoreCard) -> dict:
+    scale = card.config_used.grade_scale
     return {
         "kind": "scorecard",
         "catalog_ref": card.catalog_ref,
@@ -200,21 +227,21 @@ def scorecard_to_dict(card: ScoreCard) -> dict:
         },
         "cells": {
             section.code: {
-                dimension.code: _value_to_json(card.per_cell[(section, dimension)])
+                dimension.code: _value_to_json(card.per_cell[(section, dimension)], scale)
                 for dimension in DIMENSION_ORDER
             }
             for section in SECTION_ORDER
         },
         "section_groups": {
             section.code: {
-                group.value: _value_to_json(card.per_section_group[(section, group)]) for group in Group
+                group.value: _value_to_json(card.per_section_group[(section, group)], scale) for group in Group
             }
             for section in SECTION_ORDER
         },
         "dimension_overall": {
-            dimension.code: _value_to_json(card.per_dimension_overall[dimension]) for dimension in DIMENSION_ORDER
+            dimension.code: _value_to_json(card.per_dimension_overall[dimension], scale) for dimension in DIMENSION_ORDER
         },
-        "overall": {group.value: _value_to_json(card.overall[group]) for group in Group},
+        "overall": {group.value: _value_to_json(card.overall[group], scale) for group in Group},
         "grades": {group.value: card.grades[group] for group in Group},
     }
 
@@ -229,36 +256,37 @@ def scorecard_from_dict(data: dict) -> ScoreCard:
     """
     meta = meta_from_dict(data["meta"])
     config_raw = data["config"]
+    scale = GradeScale(tuple((letter, _fraction_from_text(min_pct)) for letter, min_pct in config_raw["grade_scale"]))
+    scale = DEFAULT_GRADE_SCALE if scale == DEFAULT_GRADE_SCALE else scale  # so its ``limits`` are built once
     config = AggregationConfig(
         section_group_strategy=SectionAggregation(config_raw["section_group_strategy"]),
         overall_strategy=OverallAggregation(config_raw["overall_strategy"]),
-        grade_scale=GradeScale(
-            bands=tuple((letter, _fraction_from_text(min_pct)) for letter, min_pct in config_raw["grade_scale"])
-        ),
+        grade_scale=scale,
     )
-    config.grade_scale.check()
-    overall = {group: _value_from_json(data["overall"][group.value]) for group in Group}
+    scale.check()
+    overall = {group: _value_from_json(data["overall"][group.value], scale) for group in Group}
     grades = {group: data["grades"][group.value] for group in Group}
     for group in Group:
-        expected = assign_grade(overall[group], config.grade_scale)
+        expected = assign_grade(overall[group], scale)
         if grades[group] != expected:
             raise ValueError(f"grade {grades[group]!r} for {group.value} is not {expected!r}, the grade of its score")
+    require_strings({"catalog_ref": data["catalog_ref"]})
     return ScoreCard(
         meta=meta,
         catalog_ref=data["catalog_ref"],
         config_used=config,
         per_cell={
-            (section, dimension): _value_from_json(data["cells"][section.code][dimension.code])
+            (section, dimension): _value_from_json(data["cells"][section.code][dimension.code], scale)
             for section in SECTION_ORDER
             for dimension in DIMENSION_ORDER
         },
         per_section_group={
-            (section, group): _value_from_json(data["section_groups"][section.code][group.value])
+            (section, group): _value_from_json(data["section_groups"][section.code][group.value], scale)
             for section in SECTION_ORDER
             for group in Group
         },
         per_dimension_overall={
-            dimension: _value_from_json(data["dimension_overall"][dimension.code])
+            dimension: _value_from_json(data["dimension_overall"][dimension.code], scale)
             for dimension in DIMENSION_ORDER
         },
         overall=overall,
@@ -347,7 +375,8 @@ def _detail_rows(card: ScoreCard) -> list[_Row]:
     scores.append(
         ("Overall", [card.per_dimension_overall[d] for d in DIMENSION_ORDER] + [card.overall[g] for g in Group])
     )
-    rows: list[_Row] = [([label], [format_percentage(value) for value in values], False) for label, values in scores]
+    scale = card.config_used.grade_scale
+    rows: list[_Row] = [([label], [format_percentage(v, scale) for v in values], False) for label, values in scores]
     rows.append((["Grade"], [""] * len(DIMENSION_ORDER) + [card.grades[g] for g in Group], True))
     return rows
 
@@ -415,7 +444,7 @@ def comparison_column(card: ScoreCard) -> Column:
         model=card.meta.model,
         catalog_ref=card.catalog_ref,
         config_used=card.config_used,
-        displays=tuple(map(format_percentage, scores)),
+        displays=tuple(format_percentage(score, card.config_used.grade_scale) for score in scores),
         grades=tuple(card.grades[group] for group in Group),
     )
 
@@ -486,10 +515,6 @@ def comparison_table_html(columns: list[Column], links: list[str] | None = None)
 # ---------------------------------------------------------------------------
 # Shared page shell
 # ---------------------------------------------------------------------------
-
-# The class of a percentage cell: the first entry whose minimum (in hundredths,
-# so 8000 is 80.00) the two-decimal display reaches.  Each class is styled in _CSS.
-_SEVERITY_CLASSES = ((8000, "high"), (5000, "moderate"), (0, "low"))
 
 _CSS = """\
 body { font-family: system-ui, sans-serif; margin: 2rem auto; max-width: 72rem; padding: 0 1rem; }

@@ -72,7 +72,7 @@ def _grades_overview_html(card: ScoreCard) -> str:
     parts = []
     for group in Group:
         grade, pct = card.grades[group], card.overall[group]
-        shown = grade if pct is None else f"{grade} ({format_percentage(pct)}%)"
+        shown = grade if pct is None else f"{grade} ({format_percentage(pct, card.config_used.grade_scale)}%)"
         parts.append(f"<li>{html.escape(group.value)}: <strong>{html.escape(shown)}</strong></li>")
     return "<ul class=\"grades\">\n" + "\n".join(parts) + "\n</ul>\n"
 
@@ -83,9 +83,7 @@ def _grades_overview_html(card: ScoreCard) -> str:
 _ARCHIVE_SUFFIXES = {"application/pdf": ".pdf", "text/markdown": ".md", "text/plain": ".txt", "text/html": ".txt"}
 
 
-def _archive_name(entry: RegistryEntry) -> str | None:
-    if entry.archived is None:
-        return None
+def _archive_name(entry: RegistryEntry) -> str:
     suffix = _ARCHIVE_SUFFIXES.get(entry.archived.media_type, ".bin")
     return f"archived-{entry.archived.content_digest[:12]}{suffix}"
 
@@ -132,8 +130,8 @@ def _create(path: Path, data: bytes) -> None:
 def _copy_archived(entry: RegistryEntry, store: Path | None, page_dir: Path) -> str | None:
     """Copy the entry's archived object into ``page_dir`` if ``read_archived`` passes it.
 
-    ``store`` is the resolved store root.  Returns the published file name,
-    or None when there is no store or the entry records no archived copy.
+    Returns the published file name, or None when there is no store or
+    the entry records no archived copy.
     Every finding of ``read_archived``, a missing object included, refuses
     the build, as ``validate --store`` reports it.
     """
@@ -195,7 +193,6 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
     if findings:
         raise Refused.with_findings("registry", findings)
     by_summary = registry.by_summary()
-    store = None if config.store_root is None else Path(config.store_root).resolve()
     root.mkdir()
     details: list[str] = []
     links: list[tuple[str, str]] = []
@@ -203,7 +200,7 @@ def _stage(registry: Registry, card_files: list[Path], config: SiteConfig, root:
     column_links: list[str] = []  # each card's detail href, in card order
 
     for path in card_files:
-        slug, hrefs, column = _stage_card(path, by_summary, store, root)
+        slug, hrefs, column = _stage_card(path, by_summary, config.store_root, root)
         route = f"summaries/{slug}/index.html"
         details.append(route)
         links += [(route, href) for href in hrefs]

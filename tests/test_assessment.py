@@ -517,6 +517,15 @@ class TestFileFormat:
             parse_assessment(SAMPLE_FILE.replace(old, new))
         assert (exc.value.line, exc.value.field) == (line, field)
 
+    @pytest.mark.parametrize(
+        "row,columns", [("D,sufficient", 2), ("D", 1), ("D,sufficient,note,extra", 4)], ids=["two", "one", "four"]
+    )
+    def test_row_without_three_columns_is_malformed(self, row, columns):
+        text = SAMPLE_FILE.replace('D,partially-sufficient,"terse, but present"', row)
+        with pytest.raises(Malformed, match=f"^line 13: expected 3 columns, got {columns}$") as exc:
+            parse_assessment(text)
+        assert exc.value.line == 13
+
     def test_bad_verdict_token(self):
         with pytest.raises(Malformed, match="unknown verdict"):
             parse_assessment(SAMPLE_FILE.replace("partially-sufficient", "meh"))

@@ -120,6 +120,26 @@ class TestParsing:
         with pytest.raises(Malformed, match="unparsable applicability"):
             parse_catalog(text)
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n\n# and another\n"], ids=["empty", "blank", "comments"])
+    def test_file_without_a_record_is_malformed(self, text):
+        with pytest.raises(Malformed, match="^empty catalog file$"):
+            parse_catalog(text)
+
+    @pytest.mark.parametrize("old,new", [("catalog: toy", "catalog:"), ("version: 0.1", "version:  ")], ids=["name", "version"])
+    def test_empty_catalog_name_or_version_is_malformed(self, old, new):
+        with pytest.raises(Malformed, match="^line 1: catalog name and version must be non-empty$"):
+            parse_catalog(MINIMAL.replace(old, new, 1))
+
+    def test_empty_metric_id_is_malformed(self):
+        with pytest.raises(Malformed, match="^line 4, field 'id': metric id must be non-empty$") as exc:
+            parse_catalog(MINIMAL.replace("id: A\n", "id:\n", 1))
+        assert (exc.value.line, exc.value.field) == (4, "id")
+
+    @pytest.mark.parametrize("flag", ["maybe", "True", "1", ""])
+    def test_optional_field_is_true_or_false(self, flag):
+        with pytest.raises(Malformed, match=f"^line 10, field 'optional_field': optional_field must be 'true' or 'false', got '{flag}'$"):
+            parse_catalog(MINIMAL.replace("optional_field: false", f"optional_field: {flag}", 1))
+
     def test_comments_ignored(self):
         cat = parse_catalog("# preamble\n" + MINIMAL)
         assert cat.name == "toy"

@@ -22,6 +22,8 @@ CATALOG = str(reference_catalog_path())
 ASSESSMENTS = str(REPO / "fixtures" / "assessments")
 REGISTRY = str(REPO / "fixtures" / "registry.json")
 SOURCES = REPO / "fixtures" / "sources"
+PHI_DIGEST = "554cceafcdbaed5824447c6121ac62a147df1b52f908a6a2dc3df32a361b5369"
+APERTUS_DIGEST = "362aaffd6c198591b70f9223ac193c23ee7a0d65473866cb84148e898e461e50"
 
 
 @pytest.fixture()
@@ -155,6 +157,14 @@ class TestValidate:
         assert "missing-verdict" in result.output
         assert "F1.1.a.1" in result.output
 
+    @pytest.mark.parametrize("text", ["", "# no records\n"], ids=["empty", "comments-only"])
+    def test_catalog_without_a_record_is_a_finding(self, runner, tmp_path, text):
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text(text)
+        result = run(runner, "--catalog", str(catalog), "validate")
+        assert result.exit_code == 1
+        assert result.stdout == f"catalog\t{catalog}\tmalformed-catalog\tempty catalog file\n"
+
     def test_findings_are_tab_separated(self, runner, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text(Path(CATALOG).read_text().replace("weight: 2\n", "weight: 0\n", 1))
@@ -287,8 +297,37 @@ class TestValidate:
         result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry), "--store", str(store))
         assert result.exit_code == 1
         assert [line for line in result.output.splitlines() if "\t" in line] == [
-            "archive\tphi-4\toutside-store\tstorage path '../outside.md' resolves outside the store"
+            f"registry\t{registry}\tmalformed-registry\tarchived.storage_path must be "
+            f"'objects/55/{PHI_DIGEST}', got '../outside.md'"
         ]
+
+    @pytest.mark.parametrize(
+        "field,value,reason",
+        [
+            ("archived.storage_path", "../outside.md", f"archived.storage_path must be 'objects/55/{PHI_DIGEST}'"),
+            ("archived.storage_path", f"objects/36/{APERTUS_DIGEST}", "archived.storage_path must be"),
+            ("meta.archived_copy_digest", "ab" * 32, "meta.archived_copy_digest must be archived.content_digest"),
+        ],
+        ids=["outside-the-store", "another-object", "another-meta-digest"],
+    )
+    def test_registry_contradicting_its_archived_digest_keeps_the_previous_site(
+        self, runner, tmp_path, field, value, reason
+    ):
+        store = fixture_store(tmp_path)
+        out = tmp_path / "out"
+        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store)).exit_code == 0
+        before = tree_bytes(out / "site")
+        registry = edited_registry(tmp_path, "phi-4", field, value)
+        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry), "--store", str(store))
+        assert result.exit_code == 1
+        [line] = result.stdout.splitlines()
+        assert line.split("\t")[:3] == ["registry", str(registry), "malformed-registry"] and reason in line
+        result = run(runner, "--out", str(out), "site", "--registry", str(registry), "--store", str(store))
+        assert result.exit_code == 1
+        assert f"Error: {registry}: {reason}" in result.output
+        assert tree_bytes(out / "site") == before
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
 
 class TestCheckDate:
@@ -569,6 +608,66 @@ class TestScoreAndCompare:
         assert result.exit_code == 0
         assert result.output.startswith("Section,Group,")
 
+    @pytest.mark.parametrize(
+        "field,value,reason",
+        [
+            ("model", "Phi\ud800", "text holds the lone surrogate '\\ud800', which has no UTF-8 form"),
+            ("catalog_ref", 5, "catalog_ref must be a string, got 5"),
+        ],
+        ids=["lone-surrogate-model", "numeric-catalog-ref"],
+    )
+    def test_compare_refuses_a_card_field_no_text_can_hold(self, runner, tmp_path, field, value, reason):
+        out = tmp_path / "out"
+        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        card = out / "phi-4.scorecard.json"
+        data = json.loads(card.read_text())
+        (data["meta"] if field == "model" else data)[field] = value
+        card.write_text(json.dumps(data))  # ASCII JSON: the surrogate is a \ud800 escape
+        result = run(runner, "--format", "csv", "compare", str(out))
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"Error: {card}: {reason}\n"
+
+    def test_score_finds_no_assessment_in_a_directory_without_csv(self, runner, tmp_path):
+        empty = tmp_path / "assessments"
+        empty.mkdir()
+        (empty / "phi-4.txt").write_bytes((Path(ASSESSMENTS) / "phi-4.csv").read_bytes())
+        out = tmp_path / "out"
+        result = run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(empty))
+        assert result.exit_code == 1
+        assert f"Error: no assessment files found in {empty}" in result.output
+        assert not out.exists()
+
+    def test_display_at_a_grade_edge_shows_below_it(self, runner, tmp_path):
+        """Overall Transparency 17999/200 (89.995) is a B+ and shows as 89.99%, never as 90.00%."""
+        from summaryqa.assessment import Verdict, VerdictValue
+        from summaryqa.base import Dimension
+        from toys import dumps_assessment, dumps_catalog, toy_assessment, toy_catalog, toy_meta, toy_metric
+
+        catalog = toy_catalog(
+            toy_metric("A", weight=17999), toy_metric("B", weight=2001), toy_metric("U", dimension=Dimension.ACCESSIBILITY)
+        )
+        meta = toy_meta(provider="Microsoft", model="Phi-4", archived_copy_digest=PHI_DIGEST)
+        verdicts = {"A": Verdict(VerdictValue.SUFFICIENT), "B": Verdict(VerdictValue.INSUFFICIENT), "U": Verdict(VerdictValue.SUFFICIENT)}
+        (tmp_path / "catalog.txt").write_text(dumps_catalog(catalog))
+        (tmp_path / "phi-4.csv").write_text(dumps_assessment(toy_assessment(catalog, verdicts, meta=meta)))
+        out = tmp_path / "out"
+        result = run(runner, "--catalog", str(tmp_path / "catalog.txt"), "--out", str(out), "--format", "html", "score", str(tmp_path / "phi-4.csv"))
+        assert result.exit_code == 0, result.output
+        assert "phi-4.csv: Transparency=B+ Usefulness=A+" in result.output
+        card = json.loads((out / "phi-4.scorecard.json").read_text())
+        assert card["overall"]["Transparency"] == {"pct": "89.99", "exact": "17999/200"}
+        report = (out / "phi-4.report.html").read_text()
+        assert '<td class="pct high">89.99%</td><td class="pct high">100.00%</td></tr>' in report
+        assert "90.00%" not in report
+        registry = tmp_path / "registry.json"
+        data = json.loads(Path(REGISTRY).read_text())
+        data["entries"] = [entry for entry in data["entries"] if entry["id"] == "phi-4"]
+        registry.write_text(json.dumps(data))
+        assert run(runner, "--out", str(out), "site", "--registry", str(registry)).exit_code == 0
+        detail = (out / "site" / "summaries" / "phi-4" / "index.html").read_text()
+        assert "Transparency: <strong>B+ (89.99%)</strong>" in detail
+
     def test_compare_without_cards_fails(self, runner, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -724,6 +823,53 @@ class TestArchive:
         data = json.loads(registry.read_text())
         assert data["entries"][0]["id"] == "apertus"
         assert data["entries"][0]["meta"]["archived_copy_digest"] == digest
+
+    @pytest.mark.parametrize("option", ["--title", "--provider", "--model", "--source-url", "--query", "--slug"])
+    def test_text_option_that_is_not_utf8_stops_before_the_fetch(self, runner, tmp_path, option):
+        # The interpreter reads the bytes b"bad\xed\xa0\x80" of a command line as these lone surrogates.
+        text = "bad\udced\udca0\udc80"
+        values = {"--slug": "phi-4", "--provider": "Microsoft", "--model": "Phi-4", option: text}
+        options = [word for pair in values.items() for word in pair]
+        registry, store = tmp_path / "registry.json", tmp_path / "store"
+        result = run(runner, "archive", str(SOURCES / "phi-4.md"), *options, "--registry", str(registry), "--store", str(store))
+        assert result.exit_code == 2
+        assert result.stderr.endswith(
+            f"Error: Invalid value for '{option}': 'utf-8' codec can't encode characters in position 3-5: surrogates not allowed\n"
+        )
+        assert "Traceback" not in result.output
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_non_utf8_file_name_is_archived(self, runner, tmp_path):
+        source = tmp_path / "phi-4-\udcff.md"  # the file name b"phi-4-\xff.md"
+        source.write_bytes((SOURCES / "phi-4.md").read_bytes())
+        registry, store = tmp_path / "registry.json", tmp_path / "store"
+        result = run(runner, "archive", str(source), "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4", "--registry", str(registry), "--store", str(store))
+        assert result.exit_code == 0, result.output
+        assert json.loads(registry.read_text())["entries"][0]["meta"]["source_url"].endswith("/phi-4-%FF.md")
+
+    def test_missing_slug_is_a_usage_error(self, runner, tmp_path):
+        registry, store = tmp_path / "registry.json", tmp_path / "store"
+        result = run(runner, "archive", str(SOURCES / "phi-4.md"), "--provider", "Microsoft", "--model", "Phi-4", "--registry", str(registry), "--store", str(store))
+        assert result.exit_code == 2
+        assert result.stderr.endswith("Error: Missing option '--slug'.\n")
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_archive_into_a_registry_with_a_lone_surrogate_changes_nothing(self, runner, tmp_path):
+        registry = edited_registry(tmp_path, "phi-4", "meta.summary_title", "T\ud800")
+        before = registry.read_bytes()
+        reason = "text holds the lone surrogate '\\ud800', which has no UTF-8 form"
+        checked = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry))
+        assert checked.exit_code == 1
+        assert checked.stdout == f"registry\t{registry}\tmalformed-registry\t{reason}\n"
+        store = tmp_path / "store"
+        result = run(
+            runner,
+            "archive", str(SOURCES / "bria-3-2.md"), "--slug", "bria-again", "--provider", "Bria", "--model", "Other",
+            "--registry", str(registry), "--store", str(store),
+        )
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: {registry}: {reason}\n"
+        assert registry.read_bytes() == before and not store.exists()
 
     def test_duplicate_slug_rejected(self, runner, tmp_path):
         registry = tmp_path / "registry.json"

@@ -95,7 +95,6 @@ class TestRegistry:
                     content_digest="ab" * 32,
                     media_type="application/pdf",
                     byte_length=12,
-                    storage_path="objects/ab/" + "ab" * 32,
                 ),
                 assessment_refs=("assessments/bria-3-2.csv",),
             ),
@@ -126,6 +125,12 @@ class TestRegistry:
         first = path.read_bytes()
         save_registry(load_registry(path), path)
         assert path.read_bytes() == first
+
+    def test_validate_reports_a_slug_shared_by_two_summaries(self):
+        registry = Registry(entries=[make_entry(), make_entry(model="Apertus-70B")])
+        assert [(f.code, f.locus, f.message) for f in validate_registry(registry)] == [
+            ("duplicate-slug", "apertus-8b", "slug occurs more than once")
+        ]
 
     def test_validate_clean(self):
         registry = Registry()
@@ -310,7 +315,7 @@ class TestMediaTypes:
         # The site publishes an archived copy under a suffix chosen by its media
         # type; HTML is published as text, so its scripts never run on the site.
         digest = "ab" * 32
-        archived = ArchivedCopy("2026-01-20T10:00:00Z", digest, media_type, 12, f"objects/ab/{digest}")
+        archived = ArchivedCopy("2026-01-20T10:00:00Z", digest, media_type, 12)
         assert _archive_name(make_entry(archived=archived)) == f"archived-{digest[:12]}{suffix}"
 
 
@@ -387,8 +392,56 @@ class TestShippedRegistryFixture:
         fixture = Path(__file__).resolve().parent.parent / "fixtures" / "registry.json"
         text = fixture.read_text(encoding="utf-8")
         text = text.replace('"storage_path": "objects/', '"storage_path": "objects\\u0000/', 1)
-        with pytest.raises(Malformed, match="archived.storage_path must not hold a NUL byte"):
+        digest = "54d53e45dad3af909707fd73824b978de5f0687c32a4a17192bb1afa08270f43"
+        reason = f"archived.storage_path must be 'objects/54/{digest}', got 'objects\\x00/54/{digest}'"
+        with pytest.raises(Malformed, match=f"^{re.escape(reason)}$"):
             registry_from_json(text)
+
+    @pytest.mark.parametrize(
+        "field,value,reason",
+        [
+            (
+                "archived.storage_path",
+                "objects/00/" + "00" * 32,
+                "archived.storage_path must be 'objects/54/54d53e45dad3af909707fd73824b978de5f0687c32a4a17192bb1afa08270f43', "
+                f"got 'objects/00/{'00' * 32}'",
+            ),
+            (
+                "meta.archived_copy_digest",
+                "ab" * 32,
+                f"meta.archived_copy_digest must be archived.content_digest or absent, got '{'ab' * 32}'",
+            ),
+            (
+                "archived",
+                None,
+                "meta.archived_copy_digest must be archived.content_digest or absent, "
+                "got '54d53e45dad3af909707fd73824b978de5f0687c32a4a17192bb1afa08270f43'",
+            ),
+        ],
+        ids=["another-object", "another-meta-digest", "meta-digest-without-a-copy"],
+    )
+    def test_copies_of_the_archived_digest_must_agree(self, field, value, reason):
+        from pathlib import Path
+
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "registry.json"
+        data = json.loads(fixture.read_text(encoding="utf-8"))
+        node = data["entries"][0]
+        *parents, key = field.split(".")
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+        with pytest.raises(Malformed, match=f"^{re.escape(reason)}$"):
+            registry_from_json(json.dumps(data))
+
+    def test_pins_run_after_every_other_check(self):
+        from pathlib import Path
+
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "registry.json"
+        data = json.loads(fixture.read_text(encoding="utf-8"))
+        data["entries"][0]["archived"]["storage_path"] = "../outside.md"
+        data["entries"][1]["id"] = 5
+        with pytest.raises(Malformed, match="^id must be a string, got 5$"):
+            registry_from_json(json.dumps(data))
 
     @pytest.mark.parametrize(
         "refs,reason",

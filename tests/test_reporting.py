@@ -8,9 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from summaryqa.base import Group, Section
+from summaryqa.assessment import Verdict
+from summaryqa.base import Dimension, Group, Section
 from summaryqa.errors import Malformed, Refused
 from summaryqa.reporting import (
+    DEFAULT_GRADE_SCALE,
     AggregationConfig,
     GradeScale,
     OverallAggregation,
@@ -18,6 +20,7 @@ from summaryqa.reporting import (
     _cell_html,
     _value_from_json,
     _value_to_json,
+    assign_grade,
     comparison_column,
     comparison_table_html,
     format_percentage,
@@ -29,7 +32,7 @@ from summaryqa.reporting import (
 from summaryqa.scoring import score_summary
 
 from randgen import random_assessment, random_catalog
-from toys import I, NA, S, load_reference_catalog, uniform_assessment
+from toys import I, NA, S, load_reference_catalog, toy_assessment, toy_catalog, toy_metric, uniform_assessment
 
 
 def columns(cards):
@@ -123,6 +126,25 @@ class TestScoreCardRoundTrip:
     def test_json_is_stable(self):
         card = random_card(3)
         assert scorecard_to_json(card) == scorecard_to_json(card)
+
+    @pytest.mark.parametrize("value", [5, None, ["toy/1"]], ids=["number", "null", "list"])
+    def test_catalog_ref_that_is_not_a_string_is_malformed(self, value):
+        data = json.loads(scorecard_to_json(random_card(5)))
+        data["catalog_ref"] = value
+        with pytest.raises(Malformed, match=re.escape(f"catalog_ref must be a string, got {value!r}")):
+            scorecard_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\udfff", "\\ud83d x"], ids=["high", "low", "unpaired-high"])
+    def test_lone_surrogate_escape_is_malformed(self, escape):
+        text = scorecard_to_json(random_card(5)).replace('"model": "', f'"model": "Phi{escape}', 1)
+        with pytest.raises(Malformed, match="^text holds the lone surrogate '\\\\ud[8f]..', which has no UTF-8 form$"):
+            scorecard_from_json(text)
+        with pytest.raises(Malformed, match="^text holds the lone surrogate '\\\\ud[8f]..', which has no UTF-8 form$"):
+            scorecard_from_json(text.encode("utf-8"))
+
+    def test_escaped_surrogate_pair_is_one_character(self):
+        text = scorecard_to_json(random_card(5)).replace('"model": "', '"model": "Phi\\ud83d\\ude00', 1)
+        assert scorecard_from_json(text).meta.model.startswith("Phi\U0001f600")
 
 
 def edited_card(card, edit):
@@ -238,6 +260,98 @@ class TestSelfContradictingCard:
         scale = GradeScale((("Top", Fraction(200, 3)), ("Mid", Fraction("12.345")), ("Bottom", Fraction(0))))
         card = score_summary(cat, random_assessment(rng, cat), AggregationConfig(grade_scale=scale))
         assert scorecard_from_json(scorecard_to_json(card)) == card
+
+
+def severity(value):
+    """The severity class of an exact percentage, by the README's minimums."""
+    return next(label for low, label in ((80, "high"), (50, "moderate"), (0, "low")) if value >= low)
+
+
+def display_agrees(value, scale=DEFAULT_GRADE_SCALE):
+    """Whether the display of ``value`` has the grade and the severity class of ``value`` itself."""
+    shown = Fraction(format_percentage(value, scale))
+    return (assign_grade(shown, scale), severity(shown)) == (assign_grade(value, scale), severity(value))
+
+
+# Minimums that are not integers, as a config file may write them: 92.5 and 200/3 lie on or above the middle
+# of their hundredth, so rounding can only carry a value up across them; 12.3441 lies below it, so rounding
+# can also drop a value that reaches it below it.
+ODD_SCALE = GradeScale(
+    (("A", Fraction("92.5")), ("B", Fraction(200, 3)), ("C", Fraction("12.3441")), ("D", Fraction(1, 3)), ("F", Fraction(0)))
+)
+
+
+class TestDisplayNeverContradictsItsGrade:
+    def test_value_just_below_a_grade_minimum_shows_below_it(self):
+        assert format_percentage(Fraction(17999, 200)) == "89.99"  # round half up alone gives 90.00, an A
+        assert format_percentage(Fraction(15999, 200)) == "79.99"  # and 80.00, a B+ and a "high" cell
+        assert format_percentage(Fraction(17999, 200) - Fraction(1, 10**9)) == "89.99"
+        assert format_percentage(Fraction(89)) == "89.00" and format_percentage(Fraction(8999, 100)) == "89.99"
+        assert format_percentage(Fraction(17799, 200)) == "89.00"  # 88.995: 89 is no minimum
+        assert format_percentage(Fraction(9999, 200)) == "49.99"  # 49.995, below the "moderate" minimum
+
+    def test_rounding_keeps_to_the_side_of_each_minimum_of_the_scale(self):
+        assert format_percentage(Fraction("92.499"), ODD_SCALE) == "92.49"
+        assert format_percentage(Fraction("92.5"), ODD_SCALE) == "92.50"
+        assert format_percentage(Fraction("66.666"), ODD_SCALE) == "66.66"
+        assert format_percentage(Fraction(200, 3), ODD_SCALE) == "66.67"
+        assert format_percentage(Fraction("12.3442"), ODD_SCALE) == "12.35"  # reaches C: 12.34 would be a D
+        assert format_percentage(Fraction("12.344"), ODD_SCALE) == "12.34"
+        assert format_percentage(Fraction("12.3442")) == "12.34"  # under the default scale
+
+    def test_probe_card_report_and_grade_agree(self):
+        cat = toy_catalog(
+            toy_metric("A", weight=17999),
+            toy_metric("B", weight=2001),
+            toy_metric("U", section=Section.DOCUMENT, dimension=Dimension.ACCESSIBILITY),
+        )
+        card = score_summary(cat, toy_assessment(cat, {"A": Verdict(S), "B": Verdict(I), "U": Verdict(S)}))
+        assert card.overall[Group.TRANSPARENCY] == Fraction(17999, 200)
+        assert card.grades[Group.TRANSPARENCY] == "B+"
+        assert json.loads(scorecard_to_json(card))["overall"]["Transparency"]["pct"] == "89.99"
+        report = render_scorecard(card, "html").decode()
+        assert "89.99%" in report and "90.00%" not in report
+        assert scorecard_from_json(scorecard_to_json(card)) == card
+
+    def test_over_the_oracle_instances(self):
+        rng = random.Random(20260809)  # the 1,000 oracle instances of tests/test_acceptance.py
+        for i in range(1000):
+            catalog = random_catalog(rng)
+            assessment = random_assessment(rng, catalog)
+            scale = ODD_SCALE if i % 2 else DEFAULT_GRADE_SCALE
+            card = score_summary(catalog, assessment, AggregationConfig(grade_scale=scale))
+            for group, value in card.overall.items():
+                if value is not None:
+                    assert assign_grade(Fraction(format_percentage(value, scale)), scale) == card.grades[group]
+            for value in (*card.per_cell.values(), *card.per_section_group.values(), *card.overall.values()):
+                assert value is None or severity(Fraction(format_percentage(value, scale))) == severity(value)
+
+    @pytest.mark.parametrize("scale", [DEFAULT_GRADE_SCALE, ODD_SCALE], ids=["default", "odd"])
+    def test_near_every_integer_and_every_minimum(self, scale):
+        centres = [Fraction(n) for n in range(101)] + [low for _, low in scale.bands]
+        offsets = [Fraction(k, 10**4) for k in range(-60, 61)] + [Fraction(-1, 200), Fraction(-1, 201), Fraction(1, 10**9)]
+        for centre in centres:
+            for value in (centre + offset for offset in offsets):
+                if 0 <= value <= 100:
+                    assert display_agrees(value, scale), value
+
+    @given(st.fractions(min_value=0, max_value=100))
+    def test_any_value(self, value):
+        assert display_agrees(value) and display_agrees(value, ODD_SCALE)
+
+    @pytest.mark.parametrize(
+        "bands,reason",
+        [
+            ([["A", "16001/200"], ["F", "0"]], "apart from the severity minimums 50 and 80"),  # 80.005
+            ([["A", "49999/1000"], ["F", "0"]], "apart from the severity minimums 50 and 80"),  # 49.999
+            ([["A", "12001/200"], ["B", "60"], ["F", "0"]], "band minimums must be 0.01 or more apart"),  # 60.005
+        ],
+        ids=["near-80", "near-50", "near-each-other"],
+    )
+    def test_minimums_closer_than_a_display_can_tell_are_refused(self, bands, reason):
+        text = edited_card(random_card(2), lambda data: data["config"].update(grade_scale=bands))
+        with pytest.raises(Malformed, match=reason):
+            scorecard_from_json(text)
 
 
 class TestRenderScorecard:

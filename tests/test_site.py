@@ -21,6 +21,7 @@ from summaryqa.registry import (
     archive_fetch,
     attach_archive,
     load_registry,
+    save_registry,
 )
 from summaryqa.assessment import load_assessment
 from summaryqa.reporting import (
@@ -380,11 +381,20 @@ class TestPublishing:
         secret.write_bytes(b"%PDF-1.4 not in the store")
         store = tmp_path / "store"
         copy = archive_fetch(str(secret), store)
-        registry.entries[1] = attach_archive(registry.entries[1], copy._replace(storage_path="../secret.pdf"))
-        with pytest.raises(Refused, match="model-1: storage path '../secret.pdf' resolves outside the store"):
-            build_site(registry, cards, SiteConfig(output_root=tmp_path / "site", store_root=store))
-        assert not (tmp_path / "site").exists()
-        assert no_staging_left(tmp_path)
+        registry.entries[1] = attach_archive(registry.entries[1], copy)
+        path = tmp_path / "registry.json"
+        save_registry(registry, path)
+        out = tmp_path / "out"
+        args = ["--out", str(out), "site", "--registry", str(path), "--cards", str(cards[0].parent), "--store", str(store)]
+        assert CliRunner().invoke(cli, args, catch_exceptions=False).exit_code == 0
+        published = tree_bytes(out / "site")
+        path.write_text(path.read_text().replace(f'"{copy.storage_path}"', '"../secret.pdf"'))
+        result = CliRunner().invoke(cli, args, catch_exceptions=False)
+        assert result.exit_code == 1
+        reason = f"archived.storage_path must be {copy.storage_path!r}, got '../secret.pdf'"
+        assert f"Error: {path}: {reason}\n" in result.output
+        assert tree_bytes(out / "site") == published
+        assert no_staging_left(out)
 
     def test_two_cards_for_one_entry_refused(self, site_inputs, tmp_path):
         registry, cards = site_inputs
