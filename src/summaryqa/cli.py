@@ -12,20 +12,14 @@ Findings (``source<TAB>locus<TAB>code<TAB>message`` lines) and requested data
 go to stdout or files, diagnostics to stderr.  Exit status is 0 only when there
 are no findings and no errors, 1 after ``Error: ...`` and 2 after the usage.
 
-The standard library's ``argparse`` reads the command line, with no
-abbreviations and no ``-h``.  Each command imports the layers it runs when it
-runs, so start-up costs only ``argparse`` and this module (``--version`` and
-``--help`` load no layer).  Layer names are looked up on their module at call
-time, never kept in this module, so a wrapper patched onto a layer's function
-(as ``bench/tracing.py`` does) sees every call.
+``_read`` reads the command line from the commands' option tables.  A command
+imports the layers it runs when it runs, so start-up loads only ``errors``.
+Layer names are looked up on their module at call time, so a wrapper patched
+onto a layer's function (as ``bench/tracing.py`` does) sees every call.
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import sys
-from datetime import date
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -36,6 +30,7 @@ from .errors import Finding, Malformed, Refused, SummaryQAError
 if TYPE_CHECKING:
     from .reporting import AggregationConfig, GradeScale
 
+date = None  # datetime.date, which _run imports for a command: --version and --help load no datetime
 _AGGREGATION_KEYS = ("section_group_strategy", "overall_strategy", "grade_scale")
 _CONFIG_KEYS = ("catalog", "assessments", "registry", "store", "out", "format", "aggregation", *_AGGREGATION_KEYS)
 
@@ -48,11 +43,6 @@ CHANNELS = ("SearchEngine", "ModelRepoPage", "LegalCompliancePage", "TechnicalRe
 
 class _Usage(Exception):
     """A usage error: the run ends with the usage of the command being read, and status 2."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _Usage(message)
 
 
 class _Option(NamedTuple):
@@ -94,7 +84,7 @@ def _choice(choices: tuple[str, ...]) -> Callable[[str], str]:
     return convert
 
 
-def _iso_date(text: str) -> date | None:
+def _iso_date(text: str) -> "date | None":
     """A YYYY-MM-DD option; an empty one is not given."""
     from .base import iso_date
 
@@ -104,7 +94,7 @@ def _iso_date(text: str) -> date | None:
         raise ValueError(f"{text!r} is not a YYYY-MM-DD date") from None
 
 
-def _parse_scale(text: str) -> GradeScale:
+def _parse_scale(text: str) -> "GradeScale":
     """A ``LABEL:MIN,...`` grade scale, best band first."""
     from .base import exact_number
     from .reporting import GradeScale
@@ -148,36 +138,44 @@ def _read_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _parser(prog: str, options: tuple[_Option, ...], description: str, usage: str = "") -> _Parser:
-    """A parser that keeps each option's text, for ``_resolve`` to convert."""
-    usage = usage or "%(prog)s [OPTIONS]" + "".join(f" {o.name}" for o in options if not o.name.startswith("-"))
-    parser = _Parser(prog=prog, usage=usage, description=description, add_help=False, allow_abbrev=False)
-    parser.add_argument("--help", action="store_true", help="Show this message and exit.")
-    for option in options:
-        if option.name.startswith("-"):
-            parser.add_argument(option.name, help=option.help)
+def _read(argv: list[str], options: tuple[_Option, ...], group: bool = False) -> tuple[dict[str, object], list[str]]:
+    """Each option's text, or None, from ``--name value`` or ``--name=value`` (a value may start with "-"), the flags
+    ``--help`` and, for the group, ``--version``, and each argument from the other words in turn.  "--" ends the
+    options, and so does the group's command word, which is returned with the words after it."""
+    flags = ("--help", "--version") if group else ("--help",)
+    valued = {option.name: option.dest for option in options if option.name.startswith("-")}
+    arguments = [option.dest for option in options if option.name not in valued]
+    values = dict.fromkeys([*(option.dest for option in options), *(flag[2:] for flag in flags)])
+    words, unknown, rest = [], [], iter(argv)
+    for word in rest:
+        name, eq, value = word.partition("=")
+        if word == "--":
+            words += rest
+        elif word == "-" or not word.startswith("-"):
+            words += [word, *rest] if group else [word]
+        elif name in valued:
+            if not eq and (value := next(rest, None)) is None:
+                raise _Usage(f"argument {name}: expected one argument")
+            values[valued[name]] = value
+        elif word in flags:
+            values[word[2:]] = True
         else:
-            parser.add_argument(option.dest, nargs="?", metavar=option.name, help=option.help)
-    return parser
-
-
-def _parse(parser: _Parser, argv: list[str], options: tuple[_Option, ...], namespace=None) -> argparse.Namespace:
-    """``argv`` read by ``parser``, with each of ``options`` that takes a value joined to the next word so that a value
-    may start with "-" (before a command, only up to it); an unknown option, else an extra word, is a usage error."""
-    words, i = list(argv), 0
-    valued = {option.name for option in options if option.name.startswith("-")}
-    while i < len(words) - 1 and (namespace is not None or words[i].startswith("-")):
-        if words[i] in valued:
-            words[i] += "=" + words.pop(i + 1)
-        i += 1
-    args, extras = parser.parse_known_args(words, namespace)
-    if extras:
-        unknown = [extra.partition("=")[0] for extra in extras if extra.startswith("-")]
+            unknown.append(word)
+    extras = [] if group else words[len(arguments):]
+    if unknown or extras:
         raise _Usage(f"No such option {unknown[0]!r}." if unknown else f"Got unexpected extra argument ({' '.join(extras)})")
-    return args
+    return values | dict(zip(arguments, words)), words
 
 
-def _resolve(options: tuple[_Option, ...], args: argparse.Namespace, file_values: dict[str, str]) -> None:
+def _help(usage: str, doc: str, options: tuple[_Option, ...], *flags: tuple[str, str]) -> str:
+    """The ``--help`` text: the usage, ``doc``, and a line for each argument, option and flag."""
+    rows = [(f"{o.name} {o.dest.upper()}" if o.name.startswith("-") else o.name, o.help or "") for o in options]
+    rows += [*flags, ("--help", "Show this message and exit.")]
+    text = "\n".join(line.strip() for line in doc.strip().splitlines())
+    return f"usage: {usage}\n\n{text}\n\n" + "\n".join(f"  {label:<32} {help}".rstrip() for label, help in rows)
+
+
+def _resolve(options: tuple[_Option, ...], args: SimpleNamespace, file_values: dict[str, str]) -> None:
     """Set each option to its flag's value, else its config file value, else its default."""
     for option in options:
         text = getattr(args, option.dest)
@@ -188,7 +186,7 @@ def _resolve(options: tuple[_Option, ...], args: argparse.Namespace, file_values
         setattr(args, option.dest, option.default if text is None else _value(repr(option.name), option.convert, text))
 
 
-def _aggregation(name: str | None, from_flag: bool, file_values: dict[str, str]) -> AggregationConfig | None:
+def _aggregation(name: str | None, from_flag: bool, file_values: dict[str, str]) -> "AggregationConfig | None":
     """The aggregation that --aggregation and the config file ask for, or None.  ``aggregation`` sets
     both strategies; the file's strategy keys replace them unless --aggregation is a flag (``from_flag``)."""
     if name is None and not any(key in file_values for key in _AGGREGATION_KEYS):
@@ -254,7 +252,7 @@ _GROUP = (
     _Option("--aggregation", _choice(("pooled", "mean")), help="Aggregation strategy: pooled or mean."),
     _Option("--out", _path("Directory", exists=False), help="Output directory."),
 )
-_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int | None], tuple[_Option, ...]]] = {}
+_COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], int | None], tuple[_Option, ...]]] = {}
 
 
 def _command(name: str, *options: _Option):  # registers the decorated function as command ``name``
@@ -262,33 +260,35 @@ def _command(name: str, *options: _Option):  # registers the decorated function 
 
 
 def _run(argv: list[str], prog: str) -> int:
-    """Run one command line; a usage error prints the usage of the parser that met it."""
-    description = "Quality assessment of GPAI training-content public summaries."
-    parser = _parser(prog, (_CONFIG, *_GROUP), description, "%(prog)s [OPTIONS] COMMAND [ARGS]...")
-    parser.add_argument("--version", action="store_true", help="Show the version and exit.")
-    parser.add_argument("command", nargs="?", metavar="COMMAND", help=", ".join(sorted(_COMMANDS)))
-    parser.add_argument("rest", nargs=argparse.REMAINDER, metavar="ARGS", help="The command's options.")
+    """Run one command line; a usage error prints the usage of the command being read."""
+    global date
+    usage, group = f"{prog} [OPTIONS] COMMAND [ARGS]...", (_CONFIG, *_GROUP)
     try:
-        args = _parse(parser, argv, (_CONFIG, *_GROUP))
-        if args.version or args.help:
-            _echo(f"summaryqa, version {__version__}" if args.version else parser.format_help(), nl=args.version)
+        values, words = _read(argv, group, group=True)
+        if values["version"] or values["help"]:
+            rows = ("COMMAND", ", ".join(sorted(_COMMANDS))), ("--version", "Show the version and exit.")
+            doc = "Quality assessment of GPAI training-content public summaries."
+            _echo(f"summaryqa, version {__version__}" if values["version"] else _help(usage, doc, group, *rows))
             return 0
+        args = SimpleNamespace(**values)
         file_values = {} if args.config is None else _read_config_file(_value("'--config'", _CONFIG.convert, args.config))
-        from_flag = args.aggregation is not None
         _resolve(_GROUP, args, file_values)
-        if args.command not in _COMMANDS:
-            raise _Usage("Missing command." if args.command is None else f"No such command {args.command!r}.")
-        args.aggregation = _aggregation(args.aggregation, from_flag, file_values)
-        func, options = _COMMANDS[args.command]
-        parser = _parser(f"{prog} {args.command}", options, func.__doc__)
-        _parse(parser, args.rest, options, args)
-        if args.help:
-            _echo(parser.format_help(), nl=False)
+        if not words or words[0] not in _COMMANDS:
+            raise _Usage(f"No such command {words[0]!r}." if words else "Missing command.")
+        args.aggregation = _aggregation(args.aggregation, values["aggregation"] is not None, file_values)
+        func, options = _COMMANDS[words[0]]
+        if date is None:  # every command's layers load datetime anyway
+            from datetime import date
+        usage = f"{prog} {words[0]} [OPTIONS]" + "".join(f" {o.name}" for o in options if not o.name.startswith("-"))
+        values, _ = _read(words[1:], options)
+        if values["help"]:
+            _echo(_help(usage, func.__doc__, options))
             return 0
+        vars(args).update(values)
         _resolve(options, args, file_values)
         return func(args) or 0
     except _Usage as exc:
-        _note(f"{parser.format_usage()}Try '{parser.prog} --help' for help.\n\nError: {exc}")
+        _note(f"usage: {usage}\nTry '{usage.partition(' [')[0]} --help' for help.\n\nError: {exc}")
         return 2
 
 

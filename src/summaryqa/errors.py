@@ -13,8 +13,6 @@ Soft validation outcomes are returned as lists of :class:`Finding` so callers
 can report every problem in one pass, each printed as one :meth:`Finding.line`.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple, Sequence
 
 
@@ -39,12 +37,12 @@ class Malformed(SummaryQAError):
 class Refused(SummaryQAError):
     """Input that parses but is not accepted; ``findings`` lists why, when a check found them."""
 
-    def __init__(self, message: str, findings: Sequence[Finding] = ()):
+    def __init__(self, message: str, findings: Sequence["Finding"] = ()):
         self.findings = list(findings)
         super().__init__(message)
 
     @classmethod
-    def with_findings(cls, kind: str, findings: Sequence[Finding]) -> Refused:
+    def with_findings(cls, kind: str, findings: Sequence["Finding"]) -> "Refused":
         """A refusal of a ``kind`` input naming the count and the first finding, so
         ``score`` refuses a catalog and an assessment in the same words."""
         code, locus, message = (field.translate(_ESCAPES) for field in findings[0])

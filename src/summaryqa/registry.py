@@ -80,8 +80,8 @@ class ArchivedCopy(NamedTuple):
 
     @property
     def storage_path(self) -> str:
-        """The copy's path relative to the store root, as ``object_path`` lays it out."""
-        return object_path("", self.content_digest).as_posix()
+        """The copy's path relative to the store root."""
+        return _OBJECT.format(self.content_digest)
 
 
 class RegistryEntry(NamedTuple):
@@ -247,21 +247,34 @@ def save_registry(registry: Registry, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _parsed(url: str) -> urllib.parse.ParseResult:
+    """``url`` split into its parts; one that does not split (an unclosed "[" in the host) cannot be fetched."""
+    try:
+        return urllib.parse.urlparse(url)
+    except ValueError as exc:
+        raise FetchFailed(f"{url!r}: {exc}") from exc
+
+
 def recorded_url(url: str) -> str:
     """``url`` as a registry records it: a local path becomes its absolute ``file:`` URI."""
-    return url if urllib.parse.urlparse(url).scheme else Path(url).resolve().as_uri()
+    return url if _parsed(url).scheme else Path(url).resolve().as_uri()
+
+
+#: The store layout: the object of a digest is ``objects/<its first 2 hex digits>/<digest>`` under the store root.
+_OBJECT = "objects/{0:.2}/{0}"
 
 
 def object_path(store_root: str | Path, digest: str) -> Path:
-    return Path(store_root) / "objects" / digest[:2] / digest
+    return Path(store_root, _OBJECT.format(digest))
 
 
 def _fetch_bytes(url: str, timeout: float) -> tuple[bytes, str | None]:
     """Return (bytes, media type or None).  Accepts http(s), file URLs, paths."""
     # urllib.request pulls in http.client, email and ssl (about 30 ms), so
     # it is imported only by the branches that need it.
-    parsed = urllib.parse.urlparse(url)
+    parsed = _parsed(url)
     if parsed.scheme in ("http", "https"):
+        from http.client import InvalidURL
         from urllib.error import URLError
         from urllib.request import Request, urlopen
 
@@ -272,8 +285,10 @@ def _fetch_bytes(url: str, timeout: float) -> tuple[bytes, str | None]:
                 return resp.read(), resp.headers.get_content_type()
         except URLError as exc:
             raise FetchFailed(f"{url}: {exc.reason}") from exc
-        except OSError as exc:
+        except (OSError, InvalidURL) as exc:
             raise FetchFailed(f"{url}: {exc}") from exc
+        except UnicodeError as exc:  # a character outside ASCII in the request line or the host name
+            raise FetchFailed(f"{url!r}: {exc}") from exc
     if parsed.scheme == "file":
         from urllib.request import url2pathname
 

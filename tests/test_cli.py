@@ -907,6 +907,28 @@ class TestArchive:
         assert "argument --slug: expected one argument" in result.output
         assert not registry.exists() and not store.exists()
 
+    @pytest.mark.parametrize(
+        "url,reason",
+        [
+            ("http://127.0.0.1:9/r\u00e9sum\u00e9", "'ascii' codec can't encode character '\\xe9'"),
+            ("http://127.0.0.1:9/bad\udcff", "'ascii' codec can't encode character '\\udcff'"),
+            ("http://[unclosed", "Invalid IPv6 URL"),
+        ],
+        ids=["non-ascii", "not-utf8", "unclosed-bracket"],
+    )
+    def test_url_that_cannot_be_requested_is_one_error_line(self, runner, tmp_path, url, reason):
+        """``\udcff`` is how the interpreter reads the byte ``\xff`` of a command line; the request is refused before
+        any connection, so the closed port is never reached."""
+        registry, store = tmp_path / "r" / "reg.json", tmp_path / "s"
+        result = run(
+            runner,
+            "archive", url, "--slug", "p", "--provider", "M", "--model", "P", "--registry", str(registry), "--store", str(store),
+        )
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"Error: {url!r}: {reason}")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.output
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_global_value_that_starts_with_a_dash_is_read(self, runner, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         result = run(runner, "--catalog", CATALOG, "--out", "-out", "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
@@ -1624,6 +1646,54 @@ class TestEntryPoint:
         for command in ("archive", "catalog-stats", "compare", "score", "site", "validate"):
             assert command in result.output
 
+    def test_option_value_after_an_equals_sign_is_the_value(self, runner):
+        joined = run(runner, f"--catalog={CATALOG}", "catalog-stats")
+        assert joined.exit_code == 0 and "Total\t242" in joined.output
+        assert joined.output == run(runner, "--catalog", CATALOG, "catalog-stats").output
+
+    def test_repeated_option_takes_its_last_value(self, runner, tmp_path):
+        registry, store = tmp_path / "registry.json", tmp_path / "store"
+        result = run(
+            runner,
+            "--catalog", str(tmp_path / "absent.txt"), "--catalog", CATALOG,
+            "archive", str(SOURCES / "phi-4.md"), "--slug", "first", "--slug", "phi-4", "--provider", "Microsoft",
+            "--model", "Phi-4", "--registry", str(registry), "--store", str(store),
+        )
+        assert result.exit_code == 0, result.output
+        assert [entry["id"] for entry in json.loads(registry.read_text())["entries"]] == ["phi-4"]
+
+    def test_double_dash_before_the_command_ends_the_options(self, runner):
+        result = run(runner, "--catalog", CATALOG, "--", "catalog-stats")
+        assert result.exit_code == 0, result.output
+        assert "Total\t242" in result.output
+
+    def test_extra_word_is_a_usage_error(self, runner):
+        result = run(runner, "--catalog", CATALOG, "catalog-stats", "extra")
+        assert result.exit_code == 2
+        assert result.stderr.endswith("Error: Got unexpected extra argument (extra)\n")
+        assert "Total" not in result.output
+
+    def test_unknown_command_is_a_usage_error(self, runner):
+        result = run(runner, "--catalog", CATALOG, "catalog-statistics")
+        assert result.exit_code == 2
+        assert result.stderr.endswith("Error: No such command 'catalog-statistics'.\n")
+
+    @pytest.mark.parametrize(
+        "args,usage",
+        [
+            (["--help"], "usage: summaryqa [OPTIONS] COMMAND [ARGS]...\n"),
+            (["--bogus"], "usage: summaryqa [OPTIONS] COMMAND [ARGS]...\nTry 'summaryqa --help' for help.\n"),
+            (["archive", "--help"], "usage: summaryqa archive [OPTIONS] URL\n"),
+            (["score", "--bogus"], "usage: summaryqa score [OPTIONS] SOURCE\nTry 'summaryqa score --help' for help.\n"),
+            (["compare", "--help"], "usage: summaryqa compare [OPTIONS] CARDS_DIR\n"),
+            (["validate", "--help"], "usage: summaryqa validate [OPTIONS]\n"),
+        ],
+        ids=["group-help", "group-error", "archive-help", "score-error", "compare-help", "validate-help"],
+    )
+    def test_usage_line_comes_first(self, runner, args, usage):
+        result = run(runner, *args)
+        assert (result.stdout if "--help" in args else result.stderr).startswith(usage)
+
     def test_main_returns_the_status_in_process(self, capsys):
         def status(*args):
             return cli.main(args=list(args), prog_name="summaryqa", standalone_mode=False)
@@ -1671,6 +1741,8 @@ class TestEntryPoint:
 LAYERS = tuple(f"summaryqa.{layer}" for layer in ("catalog", "assessment", "scoring", "reporting", "registry", "site"))
 # The layers that make score cards; the commands that only read cards load none of them.
 ASSESSMENT_SIDE = ("summaryqa.catalog", "summaryqa.assessment", "summaryqa.scoring")
+# --version and --help load no argument parser, no locale and no date types.
+SHELL_UNLOADED = ("argparse", "gettext", "locale", "datetime")
 
 
 def loaded_modules(*args):
@@ -1696,8 +1768,8 @@ class TestStartup:
     @pytest.mark.parametrize(
         "command,unloaded",
         [
-            ("--version", (*LAYERS, "summaryqa.base")),
-            ("--help", (*LAYERS, "summaryqa.base")),
+            ("--version", (*LAYERS, "summaryqa.base", *SHELL_UNLOADED)),
+            ("--help", (*LAYERS, "summaryqa.base", *SHELL_UNLOADED)),
             ("catalog-stats", tuple(m for m in LAYERS if m != "summaryqa.catalog")),
             ("archive", (*(m for m in LAYERS if m != "summaryqa.registry"), "fractions", "csv")),
             ("validate", ("summaryqa.scoring", "summaryqa.reporting", "summaryqa.site")),
@@ -1707,9 +1779,9 @@ class TestStartup:
         ],
     )
     def test_command_loads_only_its_layers(self, runner, tmp_path, command, unloaded):
-        """Value types are NamedTuples, and argparse reads the command line, so no command
-        loads ``dataclasses`` or ``click`` either."""
-        unloaded = (*unloaded, "dataclasses", "click")
+        """Value types are NamedTuples, and the shell reads the command line itself, so no command
+        loads ``dataclasses``, ``click`` or ``argparse`` either."""
+        unloaded = (*unloaded, "dataclasses", "click", "argparse")
         out = tmp_path / "out"
         args = {
             "--version": ["--version"],

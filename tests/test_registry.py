@@ -5,6 +5,7 @@ import json
 import re
 import threading
 from datetime import date
+from pathlib import Path
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -216,6 +217,23 @@ class TestArchiveFetch:
         with pytest.raises(FetchFailed):
             archive_fetch("http://127.0.0.1:9/none", tmp_path / "store", timeout=0.3)
 
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "http://127.0.0.1:9/r\u00e9sum\u00e9", "http://127.0.0.1:9/bad\udcff", "http://127.0.0.1:9/a b",
+            "http://127.0.0.1:x/", "http://[unclosed",
+        ],
+        ids=["non-ascii", "not-utf8", "space", "port", "unclosed-bracket"],
+    )
+    def test_url_that_cannot_be_requested_fails(self, tmp_path, url):
+        """Refused while the request is built, before any connection: no network is needed."""
+        with pytest.raises(FetchFailed):
+            archive_fetch(url, tmp_path / "store", timeout=0.3)
+        assert not (tmp_path / "store").exists()
+        if "[" in url:
+            with pytest.raises(FetchFailed, match="Invalid IPv6 URL"):
+                recorded_url(url)
+
     def test_unsupported_scheme_fails(self, tmp_path):
         with pytest.raises(FetchFailed):
             archive_fetch("ftp://example.org/x", tmp_path / "store")
@@ -369,6 +387,9 @@ class TestVerifyArchive:
         digest = "deadbeef" * 8
         path = object_path("/store", digest)
         assert str(path).endswith(f"objects/de/{digest}")
+        copy = ArchivedCopy("2026-01-20T00:00:00Z", digest, "text/plain", 1)
+        assert copy.storage_path == f"objects/de/{digest}"
+        assert path == Path("/store") / copy.storage_path
 
 
 class TestShippedRegistryFixture:
