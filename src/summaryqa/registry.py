@@ -309,8 +309,14 @@ def archive_fetch(url: str, store_root: str | Path, timeout: float = 30.0) -> Ar
 
     Fetching the same bytes twice yields the same digest and leaves a single
     stored object; existing objects are never rewritten.  An existing object
-    that is unreadable or hashes to another digest raises WriteFailed.
+    that is unreadable or hashes to another digest raises WriteFailed.  A
+    ``timeout`` that is not above 0, or that a socket cannot hold (above
+    ``threading.TIMEOUT_MAX`` seconds), is Refused before any source is read.
     """
+    from threading import TIMEOUT_MAX
+
+    if not 0 < timeout <= TIMEOUT_MAX:  # NaN too
+        raise Refused(f"timeout must be above 0 and at most {TIMEOUT_MAX:.0f} seconds, got {timeout!r}")
     data, media_type = _fetch_bytes(url, timeout)
     digest = hashlib.sha256(data).hexdigest()
     target = object_path(store_root, digest)
@@ -334,16 +340,19 @@ def read_archived(entry: RegistryEntry, store: str | Path) -> bytes | Finding:
     """The entry's archived bytes from the store, or the Finding that stops them.
 
     The object is read at ``object_path`` of the pinned digest, so it lies
-    under the store root; it must exist, and its bytes must hash to the
-    pinned digest and have the pinned length.  This is the only check of
-    stored bytes: ``validate`` reports its findings and ``site`` publishes
-    only what it returns as bytes.
+    under the store root; it must exist and be readable, and its bytes must
+    hash to the pinned digest and have the pinned length.  This is the only
+    check of stored bytes: ``validate`` reports its findings and ``site``
+    publishes only what it returns as bytes.
     """
     archived = entry.archived
     stored = object_path(store, archived.content_digest)
     if not stored.is_file():
         return Finding("missing-object", entry.id, f"archived object {archived.storage_path} is missing")
-    data = stored.read_bytes()
+    try:
+        data = stored.read_bytes()
+    except OSError as exc:
+        return Finding("unreadable-object", entry.id, f"archived object {archived.storage_path} cannot be read: {exc}")
     digest = hashlib.sha256(data).hexdigest()
     if digest != archived.content_digest:
         return Finding(

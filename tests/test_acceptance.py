@@ -12,7 +12,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from summaryqa.assessment import Verdict, applicability_map
 from summaryqa.base import Dimension, Group, Section
@@ -23,7 +22,6 @@ from summaryqa.catalog import (
     section_counts,
     validate_catalog,
 )
-from summaryqa.cli import cli
 from summaryqa.registry import archive_fetch, load_registry
 from summaryqa.reporting import (
     DEFAULT_GRADE_SCALE,
@@ -43,7 +41,7 @@ from summaryqa.site import SiteConfig, build_site, check_links
 
 from oracle import assert_card_matches_oracle, oracle_scorecard
 from randgen import random_assessment, random_catalog
-from toys import I, NA, P, S, letter_rank, load_reference_catalog, uniform_assessment, with_verdict
+from toys import I, NA, P, S, letter_rank, load_reference_catalog, run_cli, uniform_assessment, with_verdict
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -284,44 +282,31 @@ def test_criterion_6_render_round_trip():
 
 def _pipeline_run(base: Path) -> dict[str, bytes]:
     """validate -> score five fixtures -> compare -> site, all via the CLI."""
-    runner = CliRunner()
     out = base / "out"
     store = base / "store"
     for source in sorted((FIXTURES / "sources").iterdir()):
         archive_fetch(str(source), store)
 
-    result = runner.invoke(
-        cli,
-        [
-            "--catalog", str(CATALOG_PATH),
-            "validate",
-            "--assessments", str(FIXTURES / "assessments"),
-            "--registry", str(FIXTURES / "registry.json"),
-            "--store", str(store),
-        ],
-        catch_exceptions=False,
+    result = run_cli(
+        "--catalog", str(CATALOG_PATH),
+        "validate",
+        "--assessments", str(FIXTURES / "assessments"),
+        "--registry", str(FIXTURES / "registry.json"),
+        "--store", str(store),
     )
     assert result.exit_code == 0, result.output
 
-    result = runner.invoke(
-        cli,
-        ["--catalog", str(CATALOG_PATH), "--out", str(out), "score", str(FIXTURES / "assessments")],
-        catch_exceptions=False,
-    )
+    result = run_cli("--catalog", str(CATALOG_PATH), "--out", str(out), "score", str(FIXTURES / "assessments"))
     assert result.exit_code == 0, result.output
 
-    result = runner.invoke(cli, ["--out", str(out), "compare"], catch_exceptions=False)
+    result = run_cli("--out", str(out), "compare")
     assert result.exit_code == 0, result.output
 
-    result = runner.invoke(
-        cli,
-        [
-            "--out", str(out),
-            "site",
-            "--registry", str(FIXTURES / "registry.json"),
-            "--store", str(store),
-        ],
-        catch_exceptions=False,
+    result = run_cli(
+        "--out", str(out),
+        "site",
+        "--registry", str(FIXTURES / "registry.json"),
+        "--store", str(store),
     )
     assert result.exit_code == 0, result.output
     published = {
@@ -354,16 +339,11 @@ def test_criterion_7_pipeline_reproducibility(tmp_path):
         data[0] ^= 0xFF
         victim.write_bytes(bytes(data))
 
-        runner = CliRunner()
-        result = runner.invoke(
-            cli,
-            [
-                "--catalog", str(CATALOG_PATH),
-                "validate",
-                "--registry", str(FIXTURES / "registry.json"),
-                "--store", str(store),
-            ],
-            catch_exceptions=False,
+        result = run_cli(
+            "--catalog", str(CATALOG_PATH),
+            "validate",
+            "--registry", str(FIXTURES / "registry.json"),
+            "--store", str(store),
         )
         assert result.exit_code == 1
         assert "digest-mismatch" in result.output

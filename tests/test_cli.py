@@ -1,21 +1,22 @@
 """CLI behavior: exit codes, outputs, config precedence, full pipeline."""
 
+import errno
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 from datetime import date
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from summaryqa.cli import cli
 from summaryqa.registry import archive_fetch
 
-from toys import link_dangling_from, reference_catalog_path
+from toys import link_dangling_from, reference_catalog_path, run_cli
 
 REPO = Path(__file__).resolve().parent.parent
 CATALOG = str(reference_catalog_path())
@@ -24,16 +25,6 @@ REGISTRY = str(REPO / "fixtures" / "registry.json")
 SOURCES = REPO / "fixtures" / "sources"
 PHI_DIGEST = "554cceafcdbaed5824447c6121ac62a147df1b52f908a6a2dc3df32a361b5369"
 APERTUS_DIGEST = "362aaffd6c198591b70f9223ac193c23ee7a0d65473866cb84148e898e461e50"
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def run(runner, *args, **kwargs):
-    result = runner.invoke(cli, list(args), catch_exceptions=False, **kwargs)
-    return result
 
 
 NOT_UTF8 = b"\xff\xfe{\x00}\x00"  # UTF-16 with a byte-order mark
@@ -62,6 +53,18 @@ def fixture_store(tmp_path):
     for source in sorted(SOURCES.iterdir()):
         archive_fetch(str(source), store)
     return store
+
+
+def fail_reading(monkeypatch, target):
+    """Make ``Path.read_bytes`` of ``target`` fail as a disk error does (EIO); every other path reads as before."""
+    read_bytes = Path.read_bytes
+
+    def read(path):
+        if path == target:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", read)
 
 
 def tree_bytes(root):
@@ -119,9 +122,8 @@ def edited_registry(tmp_path, slug, field, value):
 
 
 class TestValidate:
-    def test_clean_fixtures_exit_zero(self, runner):
-        result = run(
-            runner,
+    def test_clean_fixtures_exit_zero(self):
+        result = run_cli(
             "--catalog", CATALOG,
             "validate", "--assessments", ASSESSMENTS, "--registry", REGISTRY,
         )
@@ -129,21 +131,21 @@ class TestValidate:
         finding_lines = [l for l in result.output.splitlines() if "\t" in l]
         assert finding_lines == []
 
-    def test_duplicate_id_exit_nonzero(self, runner, tmp_path):
+    def test_duplicate_id_exit_nonzero(self, tmp_path):
         text = Path(CATALOG).read_text()
         # Two metrics with the same id: parsed, then refused by the catalog check.
         bad = tmp_path / "bad.txt"
         bad.write_text(text.replace("id: F0.1.2", "id: F0.1.1", 1))
-        result = run(runner, "--catalog", str(bad), "validate")
+        result = run_cli("--catalog", str(bad), "validate")
         assert result.exit_code == 1
         assert "catalog\tF0.1.1\tduplicate-id\tmetric id occurs more than once\n" in result.output
         out = tmp_path / "out"
-        result = run(runner, "--catalog", str(bad), "--out", str(out), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
+        result = run_cli("--catalog", str(bad), "--out", str(out), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
         assert result.exit_code == 1
         assert "catalog has 1 finding(s), first duplicate-id at F0.1.1" in result.output
         assert not out.exists()
 
-    def test_missing_verdict_lists_metric_ids(self, runner, tmp_path):
+    def test_missing_verdict_lists_metric_ids(self, tmp_path):
         assessments = tmp_path / "assessments"
         assessments.mkdir()
         source = Path(ASSESSMENTS) / "apertus.csv"
@@ -152,23 +154,23 @@ class TestValidate:
         dropped = next(i for i, l in enumerate(lines) if l.startswith("F1.1.a.1,"))
         del lines[dropped]
         (assessments / "apertus.csv").write_text("\n".join(lines) + "\n")
-        result = run(runner, "--catalog", CATALOG, "validate", "--assessments", str(assessments))
+        result = run_cli("--catalog", CATALOG, "validate", "--assessments", str(assessments))
         assert result.exit_code == 1
         assert "missing-verdict" in result.output
         assert "F1.1.a.1" in result.output
 
     @pytest.mark.parametrize("text", ["", "# no records\n"], ids=["empty", "comments-only"])
-    def test_catalog_without_a_record_is_a_finding(self, runner, tmp_path, text):
+    def test_catalog_without_a_record_is_a_finding(self, tmp_path, text):
         catalog = tmp_path / "catalog.txt"
         catalog.write_text(text)
-        result = run(runner, "--catalog", str(catalog), "validate")
+        result = run_cli("--catalog", str(catalog), "validate")
         assert result.exit_code == 1
         assert result.stdout == f"catalog\t{catalog}\tmalformed-catalog\tempty catalog file\n"
 
-    def test_findings_are_tab_separated(self, runner, tmp_path):
+    def test_findings_are_tab_separated(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text(Path(CATALOG).read_text().replace("weight: 2\n", "weight: 0\n", 1))
-        result = run(runner, "--catalog", str(bad), "validate")
+        result = run_cli("--catalog", str(bad), "validate")
         assert result.exit_code == 1
         first = result.output.splitlines()[0]
         assert first.count("\t") == 3
@@ -178,48 +180,48 @@ class TestValidate:
         [("X\tY", "X\\tY"), ("X\u2028Y", "X\\u2028Y")],
         ids=["tab", "line-separator"],
     )
-    def test_metric_id_that_breaks_a_line_is_one_finding_line(self, runner, tmp_path, metric_id, escaped):
+    def test_metric_id_that_breaks_a_line_is_one_finding_line(self, tmp_path, metric_id, escaped):
         assessments = tmp_path / "assessments"
         assessments.mkdir()
         text = (Path(ASSESSMENTS) / "phi-4.csv").read_text(encoding="utf-8")
         (assessments / "phi-4.csv").write_text(text + f'"{metric_id}",sufficient,\n', encoding="utf-8")
-        result = run(runner, "--catalog", CATALOG, "validate", "--assessments", str(assessments))
+        result = run_cli("--catalog", CATALOG, "validate", "--assessments", str(assessments))
         assert result.exit_code == 1
         [line] = result.stdout.splitlines()
         source, locus, code, _ = line.split("\t")
         assert (source, locus, code) == ("assessment:phi-4.csv", escaped, "unknown-metric-id")
 
     @pytest.mark.parametrize("digest", ["hello", "AB" * 32, "ab" * 31], ids=["word", "uppercase", "short"])
-    def test_assessment_digest_that_is_not_a_sha256_is_malformed(self, runner, tmp_path, digest):
+    def test_assessment_digest_that_is_not_a_sha256_is_malformed(self, tmp_path, digest):
         assessments = tmp_path / "assessments"
         assessments.mkdir()
         text = (Path(ASSESSMENTS) / "phi-4.csv").read_text(encoding="utf-8")
         pinned = re.sub(r"(?m)^archived_copy_digest: .*$", f"archived_copy_digest: {digest}", text)
         (assessments / "phi-4.csv").write_text(pinned, encoding="utf-8")
-        result = run(runner, "--catalog", CATALOG, "validate", "--assessments", str(assessments))
+        result = run_cli("--catalog", CATALOG, "validate", "--assessments", str(assessments))
         assert result.exit_code == 1
         [line] = result.stdout.splitlines()
         assert line.split("\t")[:3] == ["assessment:phi-4.csv", "phi-4.csv", "malformed-assessment"]
         assert "archived_copy_digest must be a sha256 digest of 64 lowercase hex digits" in line
 
     @pytest.mark.parametrize("field", ["archived.content_digest", "meta.archived_copy_digest"])
-    def test_registry_digest_that_is_not_a_sha256_is_malformed(self, runner, tmp_path, field):
+    def test_registry_digest_that_is_not_a_sha256_is_malformed(self, tmp_path, field):
         registry = edited_registry(tmp_path, "phi-4", field, "hello")
-        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry))
+        result = run_cli("--catalog", CATALOG, "validate", "--registry", str(registry))
         assert result.exit_code == 1
         reason = f"{field.split('.')[-1]} must be a sha256 digest of 64 lowercase hex digits, got 'hello'"
         [line] = result.stdout.splitlines()
         assert line.split("\t")[:3] == ["registry", str(registry), "malformed-registry"] and reason in line
         out = tmp_path / "out"
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
-        result = run(runner, "--out", str(out), "site", "--registry", str(registry))
+        run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        result = run_cli("--out", str(out), "site", "--registry", str(registry))
         assert result.exit_code == 1
         assert f"Error: {registry}: " in result.output and reason in result.output
         assert not (out / "site").exists()
 
-    def test_registry_slug_that_breaks_a_line_is_one_finding_line(self, runner, tmp_path):
+    def test_registry_slug_that_breaks_a_line_is_one_finding_line(self, tmp_path):
         registry = edited_registry(tmp_path, "phi-4", "id", "abc\n\tx")
-        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry))
+        result = run_cli("--catalog", CATALOG, "validate", "--registry", str(registry))
         assert result.exit_code == 1
         assert result.stdout.splitlines() == [
             "registry\tabc\\n\\tx\tbad-slug\tslug must be lowercase alphanumeric/hyphen"
@@ -234,67 +236,85 @@ class TestValidate:
         ],
         ids=["entry-without-meta", "not-json", "deeply-nested"],
     )
-    def test_malformed_registry_is_a_finding(self, runner, tmp_path, text, reason):
+    def test_malformed_registry_is_a_finding(self, tmp_path, text, reason):
         registry = tmp_path / "registry.json"
         registry.write_text(text)
-        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry))
+        result = run_cli("--catalog", CATALOG, "validate", "--registry", str(registry))
         assert result.exit_code == 1
         source, locus, code, message = result.output.splitlines()[0].split("\t")
         assert (source, locus, code) == ("registry", str(registry), "malformed-registry")
         assert reason in message
         assert "1 finding(s)" in result.output
 
-    def test_note_over_the_csv_field_limit_is_a_finding(self, runner, tmp_path):
+    def test_note_over_the_csv_field_limit_is_a_finding(self, tmp_path):
         assessments = tmp_path / "assessments"
         assessments.mkdir()
         text = (Path(ASSESSMENTS) / "phi-4.csv").read_text(encoding="utf-8")
         (assessments / "phi-4.csv").write_text(text + f"F9.9.z.9,sufficient,{'x' * 200_000}\n", encoding="utf-8")
-        result = run(runner, "--catalog", CATALOG, "validate", "--assessments", str(assessments))
+        result = run_cli("--catalog", CATALOG, "validate", "--assessments", str(assessments))
         assert result.exit_code == 1
         assert [line.split("\t")[:3] for line in result.output.splitlines() if "\t" in line] == [
             ["assessment:phi-4.csv", "phi-4.csv", "malformed-assessment"]
         ]
         assert "field larger than field limit" in result.output
 
-    def test_non_utf8_registry_is_a_finding(self, runner, tmp_path):
+    def test_non_utf8_registry_is_a_finding(self, tmp_path):
         registry = tmp_path / "registry.json"
         registry.write_bytes(NOT_UTF8)
-        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry))
+        result = run_cli("--catalog", CATALOG, "validate", "--registry", str(registry))
         assert result.exit_code == 1
         source, locus, code, message = result.output.splitlines()[0].split("\t")
         assert (source, locus, code) == ("registry", str(registry), "malformed-registry")
         assert "can't decode byte 0xff" in message
 
     @pytest.mark.parametrize("field,value,reason", MISTYPED_FIELDS)
-    def test_mistyped_registry_field_is_a_finding(self, runner, tmp_path, field, value, reason):
+    def test_mistyped_registry_field_is_a_finding(self, tmp_path, field, value, reason):
         registry = edited_registry(tmp_path, "phi-4", field, value)
         store = fixture_store(tmp_path)
-        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry), "--store", str(store))
+        result = run_cli("--catalog", CATALOG, "validate", "--registry", str(registry), "--store", str(store))
         assert result.exit_code == 1
         source, locus, code, message = result.output.splitlines()[0].split("\t")
         assert (source, locus, code, message) == ("registry", str(registry), "malformed-registry", reason)
 
-    def test_missing_store_is_a_finding_per_object(self, runner, tmp_path):
-        result = run(
-            runner, "--catalog", CATALOG, "validate", "--registry", REGISTRY, "--store", str(tmp_path / "no-such-store")
+    def test_missing_store_is_a_finding_per_object(self, tmp_path):
+        result = run_cli(
+            "--catalog", CATALOG, "validate", "--registry", REGISTRY, "--store", str(tmp_path / "no-such-store")
         )
         assert result.exit_code == 1
         assert result.output.count("\tmissing-object\t") == 5
 
-    def test_second_entry_of_one_summary_is_a_finding(self, runner, tmp_path):
+    def test_unreadable_object_is_one_finding(self, tmp_path, monkeypatch):
+        store = fixture_store(tmp_path)
+        fail_reading(monkeypatch, store / "objects" / PHI_DIGEST[:2] / PHI_DIGEST)
+        result = run_cli("--catalog", CATALOG, "validate", "--registry", REGISTRY, "--store", str(store))
+        assert result.exit_code == 1
+        assert result.stdout == (
+            f"archive\tphi-4\tunreadable-object\tarchived object objects/55/{PHI_DIGEST} cannot be read: "
+            "[Errno 5] Input/output error\n"
+        )
+        assert result.stderr == "1 finding(s)\n"
+
+    def test_assessments_naming_a_file_is_a_usage_error(self):
+        assessment = str(Path(ASSESSMENTS) / "phi-4.csv")
+        result = run_cli("--catalog", CATALOG, "validate", "--assessments", assessment)
+        assert result.exit_code == 2
+        assert f"Error: Invalid value for '--assessments': Directory {assessment!r} is a file.\n" in result.stderr
+        assert "finding(s)" not in result.output
+
+    def test_second_entry_of_one_summary_is_a_finding(self, tmp_path):
         registry = duplicated_summary(tmp_path)
-        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry))
+        result = run_cli("--catalog", CATALOG, "validate", "--registry", str(registry))
         assert result.exit_code == 1
         assert [line for line in result.output.splitlines() if "\t" in line] == [
             "registry\tphi-4-again\tduplicate-summary\t"
             "provider 'Microsoft' and model 'Phi-4' are already registered as 'phi-4'"
         ]
 
-    def test_storage_path_outside_the_store_is_a_finding(self, runner, tmp_path):
+    def test_storage_path_outside_the_store_is_a_finding(self, tmp_path):
         store = fixture_store(tmp_path)
         (tmp_path / "outside.md").write_bytes((SOURCES / "phi-4.md").read_bytes())
         registry = edited_registry(tmp_path, "phi-4", "archived.storage_path", "../outside.md")
-        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry), "--store", str(store))
+        result = run_cli("--catalog", CATALOG, "validate", "--registry", str(registry), "--store", str(store))
         assert result.exit_code == 1
         assert [line for line in result.output.splitlines() if "\t" in line] == [
             f"registry\t{registry}\tmalformed-registry\tarchived.storage_path must be "
@@ -311,19 +331,19 @@ class TestValidate:
         ids=["outside-the-store", "another-object", "another-meta-digest"],
     )
     def test_registry_contradicting_its_archived_digest_keeps_the_previous_site(
-        self, runner, tmp_path, field, value, reason
+        self, tmp_path, field, value, reason
     ):
         store = fixture_store(tmp_path)
         out = tmp_path / "out"
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
-        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store)).exit_code == 0
+        run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        assert run_cli("--out", str(out), "site", "--registry", REGISTRY, "--store", str(store)).exit_code == 0
         before = tree_bytes(out / "site")
         registry = edited_registry(tmp_path, "phi-4", field, value)
-        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry), "--store", str(store))
+        result = run_cli("--catalog", CATALOG, "validate", "--registry", str(registry), "--store", str(store))
         assert result.exit_code == 1
         [line] = result.stdout.splitlines()
         assert line.split("\t")[:3] == ["registry", str(registry), "malformed-registry"] and reason in line
-        result = run(runner, "--out", str(out), "site", "--registry", str(registry), "--store", str(store))
+        result = run_cli("--out", str(out), "site", "--registry", str(registry), "--store", str(store))
         assert result.exit_code == 1
         assert f"Error: {registry}: {reason}" in result.output
         assert tree_bytes(out / "site") == before
@@ -334,7 +354,7 @@ class TestCheckDate:
     """``validate`` and ``score`` read today's date once, at entry, and check against it."""
 
     @pytest.mark.parametrize("command", ["validate", "score"])
-    def test_future_date_follows_the_one_read(self, runner, tmp_path, monkeypatch, command):
+    def test_future_date_follows_the_one_read(self, tmp_path, monkeypatch, command):
         import summaryqa.cli as cli_module
 
         assessments = tmp_path / "assessments"
@@ -350,7 +370,7 @@ class TestCheckDate:
             monkeypatch.setattr(cli_module, "date", Today)
             out = tmp_path / f"out-{day}"
             args = ["validate", "--assessments"] if command == "validate" else ["--out", str(out), "score"]
-            result = run(runner, "--catalog", CATALOG, *args, str(assessments))
+            result = run_cli("--catalog", CATALOG, *args, str(assessments))
             assert result.exit_code == status, result.output
             future = "future-date\tassessed_version_date 2026-01-15 is in the future"
             if command == "score":
@@ -360,17 +380,17 @@ class TestCheckDate:
 
 
     @pytest.mark.parametrize("text", ["20260115", "2026-W03-4", "2026W034"])
-    def test_date_in_another_iso_form_is_malformed(self, runner, tmp_path, text):
+    def test_date_in_another_iso_form_is_malformed(self, tmp_path, text):
         """Python 3.11's ``date.fromisoformat`` reads these as dates; 3.10's does not, nor does the CLI."""
         assessments = tmp_path / "assessments"
         assessments.mkdir()
         fixture = (Path(ASSESSMENTS) / "phi-4.csv").read_text()
         (assessments / "phi-4.csv").write_text(fixture.replace("assessed_version_date: 2026-01-15", f"assessed_version_date: {text}"))
-        result = run(runner, "--catalog", CATALOG, "validate", "--assessments", str(assessments))
+        result = run_cli("--catalog", CATALOG, "validate", "--assessments", str(assessments))
         assert result.exit_code == 1
         assert f"malformed-assessment\tassessed_version_date must be YYYY-MM-DD, got '{text}'" in result.output
         out = tmp_path / "out"
-        result = run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(assessments))
+        result = run_cli("--catalog", CATALOG, "--out", str(out), "score", str(assessments))
         assert result.exit_code == 1
         assert f"assessed_version_date must be YYYY-MM-DD, got '{text}'" in result.output
         assert not out.exists()
@@ -394,34 +414,34 @@ class TestCatalogFindings:
         path.write_text(Path(CATALOG).read_text().replace(old, new, 1))
         return path, code
 
-    def test_score_refuses_the_catalog(self, runner, tmp_path, defective):
+    def test_score_refuses_the_catalog(self, tmp_path, defective):
         catalog, code = defective
         out = tmp_path / "out"
-        result = run(runner, "--catalog", str(catalog), "--out", str(out), "score", ASSESSMENTS)
+        result = run_cli("--catalog", str(catalog), "--out", str(out), "score", ASSESSMENTS)
         assert result.exit_code == 1
         assert f"{catalog}: catalog has 1 finding(s), first {code} at " in result.output
         assert not out.exists()
 
-    def test_validate_skips_the_assessments(self, runner, defective):
+    def test_validate_skips_the_assessments(self, defective):
         catalog, code = defective
-        result = run(runner, "--catalog", str(catalog), "validate", "--assessments", ASSESSMENTS, "--registry", REGISTRY)
+        result = run_cli("--catalog", str(catalog), "validate", "--assessments", ASSESSMENTS, "--registry", REGISTRY)
         assert result.exit_code == 1
         assert [line.split("\t")[2] for line in result.output.splitlines() if "\t" in line] == [code]
         assert "assessments not checked: the catalog has findings" in result.output
 
 
-    def test_huge_weight_denominators_are_refused_without_a_traceback(self, runner, tmp_path):
+    def test_huge_weight_denominators_are_refused_without_a_traceback(self, tmp_path):
         """Four weights of 1/<1500-digit number>: one weight-scale finding, and score refuses the catalog."""
         lines = Path(CATALOG).read_text().splitlines(keepends=True)
         for n, i in enumerate([i for i, line in enumerate(lines) if line.startswith("weight: ")][:4]):
             lines[i] = f"weight: 1/{n + 1}{'3' * 1499}\n"
         catalog = tmp_path / "catalog.txt"
         catalog.write_text("".join(lines))
-        result = run(runner, "--catalog", str(catalog), "validate")
+        result = run_cli("--catalog", str(catalog), "validate")
         assert result.exit_code == 1
         assert [line.split("\t")[2] for line in result.output.splitlines() if "\t" in line] == ["weight-scale"]
         out = tmp_path / "out"
-        result = run(runner, "--catalog", str(catalog), "--out", str(out), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
+        result = run_cli("--catalog", str(catalog), "--out", str(out), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
         assert result.exit_code == 1
         assert f"{catalog}: catalog has 1 finding(s), first weight-scale at " in result.output
         assert not out.exists()
@@ -443,30 +463,30 @@ class TestScriptSourceUrl:
             (directory / path.name).write_text(text, encoding="utf-8")
         return directory
 
-    def test_validate_reports_it(self, runner, tmp_path):
-        result = run(runner, "--catalog", CATALOG, "validate", "--assessments", str(self.assessments(tmp_path)))
+    def test_validate_reports_it(self, tmp_path):
+        result = run_cli("--catalog", CATALOG, "validate", "--assessments", str(self.assessments(tmp_path)))
         assert result.exit_code == 1
         assert result.output.splitlines()[0] == (
             f"assessment:phi-4.csv\tmeta\tbad-source-url\tsource_url '{self.URL}' is not well-formed"
         )
 
-    def test_score_refuses_it(self, runner, tmp_path):
+    def test_score_refuses_it(self, tmp_path):
         out = tmp_path / "out"
-        result = run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(self.assessments(tmp_path)))
+        result = run_cli("--catalog", CATALOG, "--out", str(out), "score", str(self.assessments(tmp_path)))
         assert result.exit_code == 1
         assert "phi-4.csv: assessment has 1 finding(s), first bad-source-url at meta" in result.output
         assert not out.exists()
 
-    def test_site_keeps_the_previous_site(self, runner, tmp_path):
+    def test_site_keeps_the_previous_site(self, tmp_path):
         out = tmp_path / "out"
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
-        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
+        run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        assert run_cli("--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
         before = tree_bytes(out / "site")
         card = out / "phi-4.scorecard.json"
         data = json.loads(card.read_text(encoding="utf-8"))
         data["meta"]["source_url"] = self.URL
         card.write_text(json.dumps(data, indent=2), encoding="utf-8")
-        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY)
+        result = run_cli("--out", str(out), "site", "--registry", REGISTRY)
         assert result.exit_code == 1
         assert f"site not published: {card}: source_url '{self.URL}' is not well-formed" in result.output
         assert tree_bytes(out / "site") == before
@@ -474,13 +494,13 @@ class TestScriptSourceUrl:
 
 class TestNonUtf8Input:
     @pytest.mark.parametrize("broken", ["assessment", "catalog"])
-    def test_validate_reports_a_finding(self, runner, tmp_path, broken):
+    def test_validate_reports_a_finding(self, tmp_path, broken):
         catalog, assessments = tmp_path / "catalog.txt", tmp_path / "assessments"
         assessments.mkdir()
         catalog.write_bytes(Path(CATALOG).read_bytes())
         path = catalog if broken == "catalog" else assessments / "broken.csv"
         path.write_bytes(NOT_UTF8)
-        result = run(runner, "--catalog", str(catalog), "validate", "--assessments", str(assessments))
+        result = run_cli("--catalog", str(catalog), "validate", "--assessments", str(assessments))
         assert result.exit_code == 1
         source, locus, code, message = result.output.splitlines()[0].split("\t")
         expected = {
@@ -491,22 +511,22 @@ class TestNonUtf8Input:
         assert "can't decode byte 0xff" in message
 
     @pytest.mark.parametrize("broken", ["assessment", "catalog"])
-    def test_score_names_the_file(self, runner, tmp_path, broken):
+    def test_score_names_the_file(self, tmp_path, broken):
         catalog, assessment = tmp_path / "catalog.txt", tmp_path / "phi-4.csv"
         catalog.write_bytes(Path(CATALOG).read_bytes())
         assessment.write_bytes((Path(ASSESSMENTS) / "phi-4.csv").read_bytes())
         path = catalog if broken == "catalog" else assessment
         path.write_bytes(NOT_UTF8)
         out = tmp_path / "out"
-        result = run(runner, "--catalog", str(catalog), "--out", str(out), "score", str(assessment))
+        result = run_cli("--catalog", str(catalog), "--out", str(out), "score", str(assessment))
         assert result.exit_code == 1
         assert f"{path}: 'utf-8' codec can't decode byte 0xff" in result.output
         assert not out.exists()
 
-    def test_config_file_is_named(self, runner, tmp_path):
+    def test_config_file_is_named(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(NOT_UTF8)
-        result = run(runner, "--config", str(cfg), "catalog-stats")
+        result = run_cli("--config", str(cfg), "catalog-stats")
         assert result.exit_code == 1
         assert f"{cfg}: 'utf-8' codec can't decode byte 0xff" in result.output
 
@@ -514,46 +534,46 @@ class TestNonUtf8Input:
 class TestUnreadableInput:
     """A directory where a file is expected is a typed error that names it, never a traceback."""
 
-    def test_validate_reports_a_finding(self, runner, tmp_path):
+    def test_validate_reports_a_finding(self, tmp_path):
         assessments = tmp_path / "assessments"
         assessments.mkdir()
         (assessments / "zz.csv").mkdir()
-        result = run(runner, "--catalog", CATALOG, "validate", "--assessments", str(assessments))
+        result = run_cli("--catalog", CATALOG, "validate", "--assessments", str(assessments))
         assert result.exit_code == 1
         source, locus, code, message = result.output.splitlines()[0].split("\t")
         assert (source, locus, code) == ("assessment:zz.csv", "zz.csv", "malformed-assessment")
         assert message == "cannot read: Is a directory"
 
-    def test_score_names_the_file(self, runner, tmp_path):
+    def test_score_names_the_file(self, tmp_path):
         assessments = tmp_path / "assessments"
         assessments.mkdir()
         for path in Path(ASSESSMENTS).glob("*.csv"):
             (assessments / path.name).write_bytes(path.read_bytes())
         (assessments / "zz.csv").mkdir()
         out = tmp_path / "out"
-        result = run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(assessments))
+        result = run_cli("--catalog", CATALOG, "--out", str(out), "score", str(assessments))
         assert result.exit_code == 1
         assert f"Error: {assessments / 'zz.csv'}: cannot read: Is a directory\n" in result.output
         assert not out.exists()
 
-    def test_compare_names_the_file(self, runner, tmp_path):
+    def test_compare_names_the_file(self, tmp_path):
         out = tmp_path / "out"
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
         card = out / "x.scorecard.json"
         card.mkdir()
-        result = run(runner, "--out", str(out), "--format", "html", "compare")
+        result = run_cli("--out", str(out), "--format", "html", "compare")
         assert result.exit_code == 1
         assert f"Error: {card}: cannot read: Is a directory\n" in result.output
         assert not (out / "comparison.html").exists()
 
-    def test_site_names_the_card_and_keeps_the_previous_site(self, runner, tmp_path):
+    def test_site_names_the_card_and_keeps_the_previous_site(self, tmp_path):
         out = tmp_path / "out"
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
-        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
+        run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        assert run_cli("--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
         before = tree_bytes(out / "site")
         card = out / "x.scorecard.json"
         card.mkdir()
-        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY)
+        result = run_cli("--out", str(out), "site", "--registry", REGISTRY)
         assert result.exit_code == 1
         assert f"Error: {card}: cannot read: Is a directory\n" in result.output
         assert tree_bytes(out / "site") == before
@@ -561,9 +581,9 @@ class TestUnreadableInput:
 
 
 class TestScoreAndCompare:
-    def test_score_directory_writes_cards(self, runner, tmp_path):
+    def test_score_directory_writes_cards(self, tmp_path):
         out = tmp_path / "out"
-        result = run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        result = run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
         assert result.exit_code == 0, result.output
         cards = sorted(p.name for p in out.glob("*.scorecard.json"))
         assert cards == [
@@ -574,18 +594,17 @@ class TestScoreAndCompare:
             "smollm3-3b.scorecard.json",
         ]
 
-    def test_score_is_deterministic(self, runner, tmp_path):
+    def test_score_is_deterministic(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run(runner, "--catalog", CATALOG, "--out", str(out_a), "score", ASSESSMENTS)
-        run(runner, "--catalog", CATALOG, "--out", str(out_b), "score", ASSESSMENTS)
+        run_cli("--catalog", CATALOG, "--out", str(out_a), "score", ASSESSMENTS)
+        run_cli("--catalog", CATALOG, "--out", str(out_b), "score", ASSESSMENTS)
         for path_a in sorted(out_a.glob("*")):
             path_b = out_b / path_a.name
             assert path_a.read_bytes() == path_b.read_bytes()
 
-    def test_score_single_file_html_report(self, runner, tmp_path):
+    def test_score_single_file_html_report(self, tmp_path):
         out = tmp_path / "out"
-        result = run(
-            runner,
+        result = run_cli(
             "--catalog", CATALOG, "--out", str(out), "--format", "html",
             "score", str(Path(ASSESSMENTS) / "apertus.csv"),
         )
@@ -593,18 +612,18 @@ class TestScoreAndCompare:
         assert (out / "apertus.scorecard.json").exists()
         assert (out / "apertus.report.html").exists()
 
-    def test_compare_five_columns(self, runner, tmp_path):
+    def test_compare_five_columns(self, tmp_path):
         out = tmp_path / "out"
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
-        result = run(runner, "--out", str(out), "compare")
+        run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        result = run_cli("--out", str(out), "compare")
         assert result.exit_code == 0
         data = json.loads((out / "comparison.json").read_text())
         assert len(data["columns"]) == 5
 
-    def test_compare_to_stdout_without_out(self, runner, tmp_path):
+    def test_compare_to_stdout_without_out(self, tmp_path):
         out = tmp_path / "out"
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
-        result = run(runner, "--format", "csv", "compare", str(out))
+        run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        result = run_cli("--format", "csv", "compare", str(out))
         assert result.exit_code == 0
         assert result.output.startswith("Section,Group,")
 
@@ -616,29 +635,29 @@ class TestScoreAndCompare:
         ],
         ids=["lone-surrogate-model", "numeric-catalog-ref"],
     )
-    def test_compare_refuses_a_card_field_no_text_can_hold(self, runner, tmp_path, field, value, reason):
+    def test_compare_refuses_a_card_field_no_text_can_hold(self, tmp_path, field, value, reason):
         out = tmp_path / "out"
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
         card = out / "phi-4.scorecard.json"
         data = json.loads(card.read_text())
         (data["meta"] if field == "model" else data)[field] = value
         card.write_text(json.dumps(data))  # ASCII JSON: the surrogate is a \ud800 escape
-        result = run(runner, "--format", "csv", "compare", str(out))
+        result = run_cli("--format", "csv", "compare", str(out))
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == f"Error: {card}: {reason}\n"
 
-    def test_score_finds_no_assessment_in_a_directory_without_csv(self, runner, tmp_path):
+    def test_score_finds_no_assessment_in_a_directory_without_csv(self, tmp_path):
         empty = tmp_path / "assessments"
         empty.mkdir()
         (empty / "phi-4.txt").write_bytes((Path(ASSESSMENTS) / "phi-4.csv").read_bytes())
         out = tmp_path / "out"
-        result = run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(empty))
+        result = run_cli("--catalog", CATALOG, "--out", str(out), "score", str(empty))
         assert result.exit_code == 1
         assert f"Error: no assessment files found in {empty}" in result.output
         assert not out.exists()
 
-    def test_display_at_a_grade_edge_shows_below_it(self, runner, tmp_path):
+    def test_display_at_a_grade_edge_shows_below_it(self, tmp_path):
         """Overall Transparency 17999/200 (89.995) is a B+ and shows as 89.99%, never as 90.00%."""
         from summaryqa.assessment import Verdict, VerdictValue
         from summaryqa.base import Dimension
@@ -652,7 +671,7 @@ class TestScoreAndCompare:
         (tmp_path / "catalog.txt").write_text(dumps_catalog(catalog))
         (tmp_path / "phi-4.csv").write_text(dumps_assessment(toy_assessment(catalog, verdicts, meta=meta)))
         out = tmp_path / "out"
-        result = run(runner, "--catalog", str(tmp_path / "catalog.txt"), "--out", str(out), "--format", "html", "score", str(tmp_path / "phi-4.csv"))
+        result = run_cli("--catalog", str(tmp_path / "catalog.txt"), "--out", str(out), "--format", "html", "score", str(tmp_path / "phi-4.csv"))
         assert result.exit_code == 0, result.output
         assert "phi-4.csv: Transparency=B+ Usefulness=A+" in result.output
         card = json.loads((out / "phi-4.scorecard.json").read_text())
@@ -664,48 +683,48 @@ class TestScoreAndCompare:
         data = json.loads(Path(REGISTRY).read_text())
         data["entries"] = [entry for entry in data["entries"] if entry["id"] == "phi-4"]
         registry.write_text(json.dumps(data))
-        assert run(runner, "--out", str(out), "site", "--registry", str(registry)).exit_code == 0
+        assert run_cli("--out", str(out), "site", "--registry", str(registry)).exit_code == 0
         detail = (out / "site" / "summaries" / "phi-4" / "index.html").read_text()
         assert "Transparency: <strong>B+ (89.99%)</strong>" in detail
 
-    def test_compare_without_cards_fails(self, runner, tmp_path):
+    def test_compare_without_cards_fails(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
-        result = runner.invoke(cli, ["compare", str(empty)])
+        result = run_cli("compare", str(empty))
         assert result.exit_code != 0
 
-    def test_compare_mixed_catalog_versions_fails(self, runner, tmp_path):
+    def test_compare_mixed_catalog_versions_fails(self, tmp_path):
         out = tmp_path / "out"
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
         card = out / "apertus.scorecard.json"
         card.write_text(card.read_text().replace("aia-training-disclosure/1.0.0", "other/9"))
-        result = runner.invoke(cli, ["--out", str(out), "compare"])
+        result = run_cli("--out", str(out), "compare")
         assert result.exit_code != 0
         assert "different catalogs" in result.output
 
-    def test_score_writes_nothing_when_one_file_is_bad(self, runner, tmp_path):
+    def test_score_writes_nothing_when_one_file_is_bad(self, tmp_path):
         assessments, out = tmp_path / "assessments", tmp_path / "out"
         assessments.mkdir()
         for path in sorted(Path(ASSESSMENTS).glob("*.csv")):
             (assessments / path.name).write_bytes(path.read_bytes())
         (assessments / "zz-broken.csv").write_text("not an assessment\n")
-        result = run(runner, "--catalog", CATALOG, "--out", str(out), "--format", "html", "score", str(assessments))
+        result = run_cli("--catalog", CATALOG, "--out", str(out), "--format", "html", "score", str(assessments))
         assert result.exit_code == 1
         assert "zz-broken.csv" in result.output
         assert not out.exists() or list(out.iterdir()) == []
 
-    def test_score_refuses_an_assessment_with_validates_findings(self, runner, tmp_path):
+    def test_score_refuses_an_assessment_with_validates_findings(self, tmp_path):
         assessments, out = tmp_path / "assessments", tmp_path / "out"
         assessments.mkdir()
         lines = (Path(ASSESSMENTS) / "apertus.csv").read_text().splitlines()
         kept = [line for line in lines if not line.startswith(("F1.1.a.1,", "F1.1.b.1,"))]
         (assessments / "apertus.csv").write_text("\n".join(kept) + "\n")
-        validated = run(runner, "--catalog", CATALOG, "validate", "--assessments", str(assessments))
+        validated = run_cli("--catalog", CATALOG, "validate", "--assessments", str(assessments))
         found = [line.split("\t") for line in validated.output.splitlines() if "\t" in line]
         assert [(locus, code) for _, locus, code, _ in found] == [
             ("F1.1.a.1", "missing-verdict"), ("F1.1.b.1", "missing-verdict")
         ]
-        result = run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(assessments))
+        result = run_cli("--catalog", CATALOG, "--out", str(out), "score", str(assessments))
         assert result.exit_code == 1
         assert (
             f"{assessments / 'apertus.csv'}: assessment has 2 finding(s), "
@@ -713,58 +732,57 @@ class TestScoreAndCompare:
         ) in result.output
         assert not out.exists()
 
-    def test_compare_mixed_configurations_fails(self, runner, tmp_path):
+    def test_compare_mixed_configurations_fails(self, tmp_path):
         out = tmp_path / "out"
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
-        run(
-            runner,
+        run_cli("--catalog", CATALOG, "--out", str(out), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
+        run_cli(
             "--catalog", CATALOG, "--out", str(out), "--aggregation", "mean",
             "score", str(Path(ASSESSMENTS) / "apertus.csv"),
         )
-        result = run(runner, "--out", str(out), "compare")
+        result = run_cli("--out", str(out), "compare")
         assert result.exit_code == 1
         assert "different configurations" in result.output
         assert not (out / "comparison.json").exists()
-        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY)
+        result = run_cli("--out", str(out), "site", "--registry", REGISTRY)
         assert result.exit_code == 1
         assert "Error: site not published: cards were scored under different configurations: " in result.output
         assert not (out / "site").exists()
 
-    def test_compare_deeply_nested_card_fails_cleanly(self, runner, tmp_path):
+    def test_compare_deeply_nested_card_fails_cleanly(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
         card = out / "deep.scorecard.json"
         card.write_text(DEEP_JSON)
-        result = run(runner, "--out", str(out), "compare")
+        result = run_cli("--out", str(out), "compare")
         assert result.exit_code == 1
         assert f"{card}: maximum recursion depth exceeded" in result.output
 
-    def test_compare_malformed_card_fails_cleanly(self, runner, tmp_path):
+    def test_compare_malformed_card_fails_cleanly(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
         card = out / "broken.scorecard.json"
         card.write_text('{"kind":"scorecard"}')
-        result = run(runner, "--out", str(out), "compare")
+        result = run_cli("--out", str(out), "compare")
         assert result.exit_code == 1
         assert f"{card}: missing field 'meta'" in result.output
 
     @pytest.mark.parametrize("edit,reason", CONTRADICTIONS)
-    def test_compare_self_contradicting_card_fails(self, runner, tmp_path, edit, reason):
+    def test_compare_self_contradicting_card_fails(self, tmp_path, edit, reason):
         out = tmp_path / "out"
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
         card = out / "phi-4.scorecard.json"
         contradict(card, edit)
-        result = run(runner, "--out", str(out), "--format", "html", "compare")
+        result = run_cli("--out", str(out), "--format", "html", "compare")
         assert result.exit_code == 1
         assert f"{card}: {reason}" in result.output
         assert not (out / "comparison.html").exists()
 
-    def test_compare_non_utf8_card_fails_cleanly(self, runner, tmp_path):
+    def test_compare_non_utf8_card_fails_cleanly(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
         card = out / "broken.scorecard.json"
         card.write_bytes(NOT_UTF8)
-        result = run(runner, "--out", str(out), "compare")
+        result = run_cli("--out", str(out), "compare")
         assert result.exit_code == 1
         assert f"{card}: 'utf-8' codec can't decode byte 0xff" in result.output
 
@@ -778,20 +796,20 @@ class TestScoreAndCompare:
             ("archived_copy_digest", 7),
         ],
     )
-    def test_compare_non_string_meta_fails_cleanly(self, runner, tmp_path, field, value):
+    def test_compare_non_string_meta_fails_cleanly(self, tmp_path, field, value):
         out = tmp_path / "out"
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
         card = out / "phi-4.scorecard.json"
         data = json.loads(card.read_text())
         data["meta"][field] = value
         card.write_text(json.dumps(data))
-        result = run(runner, "--out", str(out), "--format", "html", "compare")
+        result = run_cli("--out", str(out), "--format", "html", "compare")
         assert result.exit_code == 1
         assert f"{card}: {field} must be a string, got {value!r}" in result.output
 
-    def test_grade_fixed_points_in_cards(self, runner, tmp_path):
+    def test_grade_fixed_points_in_cards(self, tmp_path):
         out = tmp_path / "out"
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+        run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
         apertus = json.loads((out / "apertus.scorecard.json").read_text())
         assert apertus["grades"]["Usefulness"] == "A+"
         phi = json.loads((out / "phi-4.scorecard.json").read_text())
@@ -799,12 +817,11 @@ class TestScoreAndCompare:
 
 
 class TestArchive:
-    def test_archive_local_file_records_digest(self, runner, tmp_path):
+    def test_archive_local_file_records_digest(self, tmp_path):
         registry = tmp_path / "registry.json"
         store = tmp_path / "store"
         source = SOURCES / "apertus.pdf"
-        result = run(
-            runner,
+        result = run_cli(
             "archive", str(source),
             "--slug", "apertus",
             "--provider", "Swiss AI Initiative",
@@ -825,13 +842,13 @@ class TestArchive:
         assert data["entries"][0]["meta"]["archived_copy_digest"] == digest
 
     @pytest.mark.parametrize("option", ["--title", "--provider", "--model", "--source-url", "--query", "--slug"])
-    def test_text_option_that_is_not_utf8_stops_before_the_fetch(self, runner, tmp_path, option):
+    def test_text_option_that_is_not_utf8_stops_before_the_fetch(self, tmp_path, option):
         # The interpreter reads the bytes b"bad\xed\xa0\x80" of a command line as these lone surrogates.
         text = "bad\udced\udca0\udc80"
         values = {"--slug": "phi-4", "--provider": "Microsoft", "--model": "Phi-4", option: text}
         options = [word for pair in values.items() for word in pair]
         registry, store = tmp_path / "registry.json", tmp_path / "store"
-        result = run(runner, "archive", str(SOURCES / "phi-4.md"), *options, "--registry", str(registry), "--store", str(store))
+        result = run_cli("archive", str(SOURCES / "phi-4.md"), *options, "--registry", str(registry), "--store", str(store))
         assert result.exit_code == 2
         assert result.stderr.endswith(
             f"Error: Invalid value for '{option}': 'utf-8' codec can't encode characters in position 3-5: surrogates not allowed\n"
@@ -839,31 +856,30 @@ class TestArchive:
         assert "Traceback" not in result.output
         assert sorted(tmp_path.iterdir()) == []
 
-    def test_non_utf8_file_name_is_archived(self, runner, tmp_path):
+    def test_non_utf8_file_name_is_archived(self, tmp_path):
         source = tmp_path / "phi-4-\udcff.md"  # the file name b"phi-4-\xff.md"
         source.write_bytes((SOURCES / "phi-4.md").read_bytes())
         registry, store = tmp_path / "registry.json", tmp_path / "store"
-        result = run(runner, "archive", str(source), "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4", "--registry", str(registry), "--store", str(store))
+        result = run_cli("archive", str(source), "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4", "--registry", str(registry), "--store", str(store))
         assert result.exit_code == 0, result.output
         assert json.loads(registry.read_text())["entries"][0]["meta"]["source_url"].endswith("/phi-4-%FF.md")
 
-    def test_missing_slug_is_a_usage_error(self, runner, tmp_path):
+    def test_missing_slug_is_a_usage_error(self, tmp_path):
         registry, store = tmp_path / "registry.json", tmp_path / "store"
-        result = run(runner, "archive", str(SOURCES / "phi-4.md"), "--provider", "Microsoft", "--model", "Phi-4", "--registry", str(registry), "--store", str(store))
+        result = run_cli("archive", str(SOURCES / "phi-4.md"), "--provider", "Microsoft", "--model", "Phi-4", "--registry", str(registry), "--store", str(store))
         assert result.exit_code == 2
         assert result.stderr.endswith("Error: Missing option '--slug'.\n")
         assert sorted(tmp_path.iterdir()) == []
 
-    def test_archive_into_a_registry_with_a_lone_surrogate_changes_nothing(self, runner, tmp_path):
+    def test_archive_into_a_registry_with_a_lone_surrogate_changes_nothing(self, tmp_path):
         registry = edited_registry(tmp_path, "phi-4", "meta.summary_title", "T\ud800")
         before = registry.read_bytes()
         reason = "text holds the lone surrogate '\\ud800', which has no UTF-8 form"
-        checked = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry))
+        checked = run_cli("--catalog", CATALOG, "validate", "--registry", str(registry))
         assert checked.exit_code == 1
         assert checked.stdout == f"registry\t{registry}\tmalformed-registry\t{reason}\n"
         store = tmp_path / "store"
-        result = run(
-            runner,
+        result = run_cli(
             "archive", str(SOURCES / "bria-3-2.md"), "--slug", "bria-again", "--provider", "Bria", "--model", "Other",
             "--registry", str(registry), "--store", str(store),
         )
@@ -871,7 +887,7 @@ class TestArchive:
         assert result.stderr == f"Error: {registry}: {reason}\n"
         assert registry.read_bytes() == before and not store.exists()
 
-    def test_duplicate_slug_rejected(self, runner, tmp_path):
+    def test_duplicate_slug_rejected(self, tmp_path):
         registry = tmp_path / "registry.json"
         store = tmp_path / "store"
         args = [
@@ -879,16 +895,15 @@ class TestArchive:
             "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4",
             "--registry", str(registry), "--store", str(store),
         ]
-        assert runner.invoke(cli, args).exit_code == 0
-        result = runner.invoke(cli, args)
+        assert run_cli(*args).exit_code == 0
+        result = run_cli(*args)
         assert result.exit_code != 0
         assert "already contains slug" in result.output
 
     @pytest.mark.parametrize("title", ["-draft", "--out"])
-    def test_title_that_starts_with_a_dash_is_recorded(self, runner, tmp_path, title):
+    def test_title_that_starts_with_a_dash_is_recorded(self, tmp_path, title):
         registry, store = tmp_path / "registry.json", tmp_path / "store"
-        result = run(
-            runner,
+        result = run_cli(
             "archive", str(SOURCES / "phi-4.md"),
             "--slug", "p", "--provider", "M", "--model", "P", "--title", title,
             "--registry", str(registry), "--store", str(store),
@@ -896,10 +911,9 @@ class TestArchive:
         assert result.exit_code == 0, result.output
         assert json.loads(registry.read_text())["entries"][0]["meta"]["summary_title"] == title
 
-    def test_option_with_no_value_is_a_usage_error(self, runner, tmp_path):
+    def test_option_with_no_value_is_a_usage_error(self, tmp_path):
         registry, store = tmp_path / "registry.json", tmp_path / "store"
-        result = run(
-            runner,
+        result = run_cli(
             "archive", str(SOURCES / "phi-4.md"), "--provider", "M", "--model", "P",
             "--registry", str(registry), "--store", str(store), "--slug",
         )
@@ -916,12 +930,11 @@ class TestArchive:
         ],
         ids=["non-ascii", "not-utf8", "unclosed-bracket"],
     )
-    def test_url_that_cannot_be_requested_is_one_error_line(self, runner, tmp_path, url, reason):
+    def test_url_that_cannot_be_requested_is_one_error_line(self, tmp_path, url, reason):
         """``\udcff`` is how the interpreter reads the byte ``\xff`` of a command line; the request is refused before
         any connection, so the closed port is never reached."""
         registry, store = tmp_path / "r" / "reg.json", tmp_path / "s"
-        result = run(
-            runner,
+        result = run_cli(
             "archive", url, "--slug", "p", "--provider", "M", "--model", "P", "--registry", str(registry), "--store", str(store),
         )
         assert result.exit_code == 1
@@ -929,17 +942,31 @@ class TestArchive:
         assert result.stderr.count("\n") == 1 and "Traceback" not in result.output
         assert sorted(tmp_path.iterdir()) == []
 
-    def test_global_value_that_starts_with_a_dash_is_read(self, runner, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf", "1e400", "1e10", "9.3e9"])
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:9/x", str(SOURCES / "phi-4.md")], ids=["closed-port", "local-path"])
+    def test_timeout_a_socket_cannot_hold_is_one_error_line(self, tmp_path, url, timeout):
+        """Refused before any source is read, so the closed port is never reached, and nothing is written."""
+        registry, store = tmp_path / "r" / "reg.json", tmp_path / "s"
+        result = run_cli(
+            "archive", url, "--slug", "p", "--provider", "M", "--model", "P",
+            "--registry", str(registry), "--store", str(store), "--timeout", timeout,
+        )
+        assert result.exit_code == 1
+        limit = f"{threading.TIMEOUT_MAX:.0f}"
+        assert result.stderr == f"Error: timeout must be above 0 and at most {limit} seconds, got {float(timeout)!r}\n"
+        assert result.stdout == ""
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_global_value_that_starts_with_a_dash_is_read(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        result = run(runner, "--catalog", CATALOG, "--out", "-out", "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
+        result = run_cli("--catalog", CATALOG, "--out", "-out", "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
         assert result.exit_code == 0, result.output
         assert (tmp_path / "-out" / "phi-4.scorecard.json").exists()
 
     @pytest.mark.parametrize("slug", ["../../escaped", "phi-4\n", "Phi-4", ""])
-    def test_bad_slug_stops_before_the_fetch(self, runner, tmp_path, slug):
+    def test_bad_slug_stops_before_the_fetch(self, tmp_path, slug):
         registry, store = tmp_path / "registry.json", tmp_path / "store"
-        result = run(
-            runner,
+        result = run_cli(
             "archive", str(SOURCES / "phi-4.md"),
             "--slug", slug, "--provider", "Microsoft", "--model", "Phi-4",
             "--registry", str(registry), "--store", str(store),
@@ -950,10 +977,9 @@ class TestArchive:
         assert not registry.exists()
 
     @pytest.mark.parametrize("url", ["javascript:alert(document.cookie)", "http://[unclosed", "ftp://example.org/s"])
-    def test_bad_source_url_stops_before_the_fetch(self, runner, tmp_path, url):
+    def test_bad_source_url_stops_before_the_fetch(self, tmp_path, url):
         registry, store = tmp_path / "registry.json", tmp_path / "store"
-        result = run(
-            runner,
+        result = run_cli(
             "archive", str(SOURCES / "phi-4.md"),
             "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4", "--source-url", url,
             "--registry", str(registry), "--store", str(store),
@@ -964,12 +990,11 @@ class TestArchive:
         assert not registry.exists()
 
     @pytest.mark.parametrize("field,value,reason", MISTYPED_FIELDS)
-    def test_mistyped_registry_field_fails_cleanly(self, runner, tmp_path, field, value, reason):
+    def test_mistyped_registry_field_fails_cleanly(self, tmp_path, field, value, reason):
         registry = edited_registry(tmp_path, "phi-4", field, value)
         before = registry.read_bytes()
         store = tmp_path / "store"
-        result = run(
-            runner,
+        result = run_cli(
             "archive", str(SOURCES / "apertus.pdf"),
             "--slug", "apertus-2", "--provider", "Swiss AI Initiative", "--model", "Apertus 2",
             "--registry", str(registry), "--store", str(store),
@@ -980,17 +1005,14 @@ class TestArchive:
         assert not store.exists()
 
     @pytest.mark.parametrize("option", ["--date", "--discovered-on"])
-    def test_bad_date_stops_before_the_fetch(self, runner, tmp_path, option):
+    def test_bad_date_stops_before_the_fetch(self, tmp_path, option):
         registry = tmp_path / "registry.json"
         store = tmp_path / "store"
-        result = runner.invoke(
-            cli,
-            [
-                "archive", str(SOURCES / "phi-4.md"),
-                "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4",
-                option, "notadate",
-                "--registry", str(registry), "--store", str(store),
-            ],
+        result = run_cli(
+            "archive", str(SOURCES / "phi-4.md"),
+            "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4",
+            option, "notadate",
+            "--registry", str(registry), "--store", str(store),
         )
         assert result.exit_code == 2
         assert f"Invalid value for '{option}': 'notadate' is not a YYYY-MM-DD date" in result.output
@@ -999,11 +1021,10 @@ class TestArchive:
 
     @pytest.mark.parametrize("text", ["20260112", "2026W021", "2026-W02-1"])
     @pytest.mark.parametrize("option", ["--date", "--discovered-on"])
-    def test_date_in_another_iso_form_stops_before_the_fetch(self, runner, tmp_path, option, text):
+    def test_date_in_another_iso_form_stops_before_the_fetch(self, tmp_path, option, text):
         """Python 3.11's ``date.fromisoformat`` reads these as dates; 3.10's does not, nor does the CLI."""
         registry, store = tmp_path / "registry.json", tmp_path / "store"
-        result = run(
-            runner,
+        result = run_cli(
             "archive", str(SOURCES / "phi-4.md"),
             "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4",
             option, text, "--registry", str(registry), "--store", str(store),
@@ -1013,41 +1034,39 @@ class TestArchive:
         assert not store.exists()
         assert not registry.exists()
 
-    def test_local_path_is_recorded_as_its_file_uri_and_validates(self, runner, tmp_path):
+    def test_local_path_is_recorded_as_its_file_uri_and_validates(self, tmp_path):
         registry, store = tmp_path / "registry.json", tmp_path / "store"
         source = SOURCES / "phi-4.md"
-        result = run(
-            runner,
+        result = run_cli(
             "archive", str(source),
             "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4",
             "--registry", str(registry), "--store", str(store),
         )
         assert result.exit_code == 0, result.output
         assert json.loads(registry.read_text())["entries"][0]["meta"]["source_url"] == source.resolve().as_uri()
-        result = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry), "--store", str(store))
+        result = run_cli("--catalog", CATALOG, "validate", "--registry", str(registry), "--store", str(store))
         assert result.exit_code == 0, result.output
 
-    def test_corrupt_stored_object_is_not_pinned_again(self, runner, tmp_path):
+    def test_corrupt_stored_object_is_not_pinned_again(self, tmp_path):
         registry, store = tmp_path / "registry.json", tmp_path / "store"
         args = ["--provider", "Microsoft", "--registry", str(registry), "--store", str(store)]
         source = str(SOURCES / "phi-4.md")
-        digest = run(runner, "archive", source, "--slug", "phi-4", "--model", "Phi-4", *args).output.split()[0]
+        digest = run_cli("archive", source, "--slug", "phi-4", "--model", "Phi-4", *args).output.split()[0]
         stored = store / "objects" / digest[:2] / digest
         with stored.open("ab") as handle:
             handle.write(b"x")
         before, tampered = registry.read_bytes(), stored.read_bytes()
         # Another summary, so that the entry is admitted and the fetch reaches the stored object.
-        result = run(runner, "archive", source, "--slug", "phi-4-again", "--model", "Phi-4 again", *args)
+        result = run_cli("archive", source, "--slug", "phi-4-again", "--model", "Phi-4 again", *args)
         assert result.exit_code == 1
         assert f"stored object {stored} hashes to" in result.output
         assert registry.read_bytes() == before
         assert stored.read_bytes() == tampered
 
-    def test_second_entry_of_a_registered_summary_stops_before_the_fetch(self, runner, tmp_path):
+    def test_second_entry_of_a_registered_summary_stops_before_the_fetch(self, tmp_path):
         registry, store = tmp_path / "registry.json", tmp_path / "store"
         registry.write_bytes(Path(REGISTRY).read_bytes())
-        result = run(
-            runner,
+        result = run_cli(
             "archive", str(SOURCES / "apertus.pdf"),
             "--slug", "phi-4-rev2", "--provider", "Microsoft", "--model", "Phi-4",
             "--registry", str(registry), "--store", str(store),
@@ -1058,10 +1077,9 @@ class TestArchive:
         assert not store.exists()
 
     @pytest.mark.usefixtures("no_host_mime_tables")
-    def test_markdown_keeps_its_type_without_host_mime_tables(self, runner, tmp_path):
+    def test_markdown_keeps_its_type_without_host_mime_tables(self, tmp_path):
         registry, store, out = tmp_path / "registry.json", tmp_path / "store", tmp_path / "out"
-        result = run(
-            runner,
+        result = run_cli(
             "archive", str(SOURCES / "phi-4.md"),
             "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4",
             "--registry", str(registry), "--store", str(store),
@@ -1070,105 +1088,105 @@ class TestArchive:
         digest = result.output.splitlines()[0]
         assert json.loads(registry.read_text())["entries"][0]["archived"]["media_type"] == "text/markdown"
 
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
-        result = run(runner, "--out", str(out), "site", "--registry", str(registry), "--store", str(store))
+        run_cli("--catalog", CATALOG, "--out", str(out), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
+        result = run_cli("--out", str(out), "site", "--registry", str(registry), "--store", str(store))
         assert result.exit_code == 0, result.output
         published = [p.name for p in (out / "site" / "summaries" / "phi-4").glob("archived-*")]
         assert published == [f"archived-{digest[:12]}.md"]
 
 
 class TestSite:
-    def build_cards(self, runner, out):
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+    def build_cards(self, out):
+        run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
 
-    def test_site_build_and_link_check(self, runner, tmp_path):
+    def test_site_build_and_link_check(self, tmp_path):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
-        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY)
+        self.build_cards(out)
+        result = run_cli("--out", str(out), "site", "--registry", REGISTRY)
         assert result.exit_code == 0, result.output
         assert (out / "site" / "index.html").exists()
         details = list((out / "site" / "summaries").glob("*/index.html"))
         assert len(details) == 5
 
-    def test_site_detects_unmatched_card(self, runner, tmp_path):
+    def test_site_detects_unmatched_card(self, tmp_path):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
+        self.build_cards(out)
         card = out / "apertus.scorecard.json"
         card.write_text(card.read_text().replace("Swiss AI Initiative", "Somebody Else"))
-        result = runner.invoke(cli, ["--out", str(out), "site", "--registry", REGISTRY])
+        result = run_cli("--out", str(out), "site", "--registry", REGISTRY)
         assert result.exit_code == 1
         assert (
             "Error: site not published: no registry entry for provider='Somebody Else' model='Apertus'"
             in result.output
         )
 
-    def test_site_malformed_registry_fails_cleanly(self, runner, tmp_path):
+    def test_site_malformed_registry_fails_cleanly(self, tmp_path):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
+        self.build_cards(out)
         registry = tmp_path / "registry.json"
         registry.write_text("{not json")
-        result = run(runner, "--out", str(out), "site", "--registry", str(registry))
+        result = run_cli("--out", str(out), "site", "--registry", str(registry))
         assert result.exit_code == 1
         assert f"{registry}: Expecting property name" in result.output
 
     @pytest.mark.parametrize("broken", ["registry", "card"])
-    def test_site_non_utf8_input_fails_cleanly(self, runner, tmp_path, broken):
+    def test_site_non_utf8_input_fails_cleanly(self, tmp_path, broken):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
+        self.build_cards(out)
         registry = tmp_path / "registry.json"
         registry.write_bytes(Path(REGISTRY).read_bytes())
         path = registry if broken == "registry" else out / "apertus.scorecard.json"
         path.write_bytes(NOT_UTF8)
-        result = run(runner, "--out", str(out), "site", "--registry", str(registry))
+        result = run_cli("--out", str(out), "site", "--registry", str(registry))
         assert result.exit_code == 1
         assert f"{path}: 'utf-8' codec can't decode byte 0xff" in result.output
 
     @pytest.mark.parametrize("field,value,reason", MISTYPED_FIELDS)
-    def test_mistyped_registry_field_fails_cleanly(self, runner, tmp_path, field, value, reason):
+    def test_mistyped_registry_field_fails_cleanly(self, tmp_path, field, value, reason):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
+        self.build_cards(out)
         registry = edited_registry(tmp_path, "phi-4", field, value)
         store = fixture_store(tmp_path)
-        result = run(runner, "--out", str(out), "site", "--registry", str(registry), "--store", str(store))
+        result = run_cli("--out", str(out), "site", "--registry", str(registry), "--store", str(store))
         assert result.exit_code == 1
         assert f"{registry}: {reason}" in result.output
         assert not (out / "site").exists()
 
     @pytest.mark.parametrize("edit,reason", CONTRADICTIONS)
-    def test_self_contradicting_card_keeps_the_previous_site(self, runner, tmp_path, edit, reason):
+    def test_self_contradicting_card_keeps_the_previous_site(self, tmp_path, edit, reason):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
-        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
+        self.build_cards(out)
+        assert run_cli("--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
         before = tree_bytes(out / "site")
         card = out / "phi-4.scorecard.json"
         contradict(card, edit)
-        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY)
+        result = run_cli("--out", str(out), "site", "--registry", REGISTRY)
         assert result.exit_code == 1
         assert f"{card}: {reason}" in result.output
         assert tree_bytes(out / "site") == before
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
-    def test_deeply_nested_card_keeps_the_previous_site(self, runner, tmp_path):
+    def test_deeply_nested_card_keeps_the_previous_site(self, tmp_path):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
-        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
+        self.build_cards(out)
+        assert run_cli("--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
         before = tree_bytes(out / "site")
         card = out / "phi-4.scorecard.json"
         card.write_text(DEEP_JSON)
-        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY)
+        result = run_cli("--out", str(out), "site", "--registry", REGISTRY)
         assert result.exit_code == 1
         assert f"{card}: maximum recursion depth exceeded" in result.output
         assert tree_bytes(out / "site") == before
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
-    def test_escaping_slug_writes_nothing(self, runner, tmp_path):
+    def test_escaping_slug_writes_nothing(self, tmp_path):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
+        self.build_cards(out)
         data = json.loads(Path(REGISTRY).read_text())
         data["entries"][0]["id"] = "../../escaped"
         registry = tmp_path / "registry.json"
         registry.write_text(json.dumps(data))
-        result = run(runner, "--out", str(out), "site", "--registry", str(registry))
+        result = run_cli("--out", str(out), "site", "--registry", str(registry))
         assert result.exit_code == 1
         assert "site\t../../escaped\tbad-slug\tslug must be lowercase alphanumeric/hyphen\n" in result.output
         assert "site not published: registry has 1 finding(s), first bad-slug at ../../escaped: " in result.output
@@ -1176,51 +1194,51 @@ class TestSite:
         assert not (out / "site").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "registry.json"]
 
-    def test_tampered_object_is_not_published(self, runner, tmp_path):
+    def test_tampered_object_is_not_published(self, tmp_path):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
+        self.build_cards(out)
         store = fixture_store(tmp_path)
         phi = json.loads(Path(REGISTRY).read_text())["entries"]
         stored = store / next(e for e in phi if e["id"] == "phi-4")["archived"]["storage_path"]
         stored.write_bytes(stored.read_bytes() + b"appended")
-        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store))
+        result = run_cli("--out", str(out), "site", "--registry", REGISTRY, "--store", str(store))
         assert result.exit_code == 1
         assert "phi-4: stored bytes hash to" in result.output
         assert not (out / "site").exists()
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
-    def test_length_mismatch_is_not_published(self, runner, tmp_path):
+    def test_length_mismatch_is_not_published(self, tmp_path):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
+        self.build_cards(out)
         store = fixture_store(tmp_path)
         size = (SOURCES / "phi-4.md").stat().st_size
         registry = edited_registry(tmp_path, "phi-4", "archived.byte_length", size + 1)
-        result = run(runner, "--out", str(out), "site", "--registry", str(registry), "--store", str(store))
+        result = run_cli("--out", str(out), "site", "--registry", str(registry), "--store", str(store))
         assert result.exit_code == 1
         assert f"phi-4: stored {size} bytes, recorded {size + 1}" in result.output
         assert not (out / "site").exists()
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
-    def test_rebuild_prunes_a_removed_card(self, runner, tmp_path):
+    def test_rebuild_prunes_a_removed_card(self, tmp_path):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
+        self.build_cards(out)
         store = fixture_store(tmp_path)
-        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store)).exit_code == 0
+        assert run_cli("--out", str(out), "site", "--registry", REGISTRY, "--store", str(store)).exit_code == 0
         (out / "bria-3-2.scorecard.json").unlink()
-        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store))
+        result = run_cli("--out", str(out), "site", "--registry", REGISTRY, "--store", str(store))
         assert result.exit_code == 0, result.output
         assert sorted(p.name for p in (out / "site" / "summaries").iterdir()) == [
             "apertus", "bielik-v3-11b", "phi-4", "smollm3-3b",
         ]
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
-    def test_broken_link_exits_one_and_lists_it(self, runner, tmp_path, monkeypatch):
+    def test_broken_link_exits_one_and_lists_it(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
-        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
+        self.build_cards(out)
+        assert run_cli("--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
         before = tree_bytes(out / "site")
         link_dangling_from(monkeypatch, "phi-4")
-        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY)
+        result = run_cli("--out", str(out), "site", "--registry", REGISTRY)
         assert result.exit_code == 1
         assert "site\tsummaries/phi-4/index.html\tbroken-link\t" in result.output
         assert result.output.count("\tbroken-link\t") == 1
@@ -1228,13 +1246,12 @@ class TestSite:
         assert tree_bytes(out / "site") == before
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
-    def test_archived_html_is_published_as_text(self, runner, tmp_path):
+    def test_archived_html_is_published_as_text(self, tmp_path):
         out = tmp_path / "out"
         source = tmp_path / "phi-4.html"
         source.write_bytes(b"<p>Phi-4 training data</p><script>alert(document.cookie)</script>\n")
         registry, store = tmp_path / "registry.json", tmp_path / "store"
-        archived = run(
-            runner,
+        archived = run_cli(
             "archive", str(source), "--slug", "phi-4", "--provider", "Microsoft", "--model", "Phi-4",
             "--registry", str(registry), "--store", str(store),
         )
@@ -1244,9 +1261,9 @@ class TestSite:
         assessment = tmp_path / "phi-4.csv"
         pinned = (Path(ASSESSMENTS) / "phi-4.csv").read_text()
         assessment.write_text(re.sub(r"(?m)^archived_copy_digest: .*$", f"archived_copy_digest: {digest}", pinned))
-        run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(assessment))
+        run_cli("--catalog", CATALOG, "--out", str(out), "score", str(assessment))
         assert json.loads(registry.read_text())["entries"][0]["archived"]["media_type"] == "text/html"
-        result = run(runner, "--out", str(out), "site", "--registry", str(registry), "--store", str(store))
+        result = run_cli("--out", str(out), "site", "--registry", str(registry), "--store", str(store))
         assert result.exit_code == 0, result.output
         site_root = out / "site"
         assert sorted(
@@ -1257,33 +1274,60 @@ class TestSite:
         detail = (copy.parent / "index.html").read_text(encoding="utf-8")
         assert f'<a href="{copy.name}">Archived copy</a>' in detail
 
-    def test_title_is_not_an_option(self, runner, tmp_path):
-        result = runner.invoke(cli, ["--out", str(tmp_path / "out"), "site", "--registry", REGISTRY, "--title", "x"])
+    def test_title_is_not_an_option(self, tmp_path):
+        result = run_cli("--out", str(tmp_path / "out"), "site", "--registry", REGISTRY, "--title", "x")
         assert result.exit_code == 2
         assert "No such option" in result.output
 
-    def test_missing_store_keeps_the_previous_site(self, runner, tmp_path):
+    def test_missing_store_keeps_the_previous_site(self, tmp_path):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
+        self.build_cards(out)
         store = fixture_store(tmp_path)
-        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store)).exit_code == 0
+        assert run_cli("--out", str(out), "site", "--registry", REGISTRY, "--store", str(store)).exit_code == 0
         before = tree_bytes(out / "site")
         missing = tmp_path / "no-such-store"
-        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(missing))
+        result = run_cli("--out", str(out), "site", "--registry", REGISTRY, "--store", str(missing))
         assert result.exit_code == 2
         assert "Invalid value for '--store'" in result.output
         assert tree_bytes(out / "site") == before
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
-    def test_empty_store_keeps_the_previous_site(self, runner, tmp_path):
+    def test_unreadable_object_keeps_the_previous_site(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
+        self.build_cards(out)
         store = fixture_store(tmp_path)
-        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store)).exit_code == 0
+        args = ("--out", str(out), "site", "--registry", REGISTRY, "--store", str(store))
+        assert run_cli(*args).exit_code == 0
+        before = tree_bytes(out / "site")
+        fail_reading(monkeypatch, store / "objects" / PHI_DIGEST[:2] / PHI_DIGEST)
+        result = run_cli(*args)
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"Error: site not published: phi-4: archived object objects/55/{PHI_DIGEST} cannot be read: "
+            "[Errno 5] Input/output error\n"
+        )
+        assert tree_bytes(out / "site") == before
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+
+    def test_cards_naming_a_file_keeps_the_previous_site(self, tmp_path):
+        out = tmp_path / "out"
+        self.build_cards(out)
+        assert run_cli("--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
+        before = tree_bytes(out / "site")
+        result = run_cli("--out", str(out), "site", "--registry", REGISTRY, "--cards", REGISTRY)
+        assert result.exit_code == 2
+        assert f"Error: Invalid value for '--cards': Directory {REGISTRY!r} is a file.\n" in result.stderr
+        assert tree_bytes(out / "site") == before
+
+    def test_empty_store_keeps_the_previous_site(self, tmp_path):
+        out = tmp_path / "out"
+        self.build_cards(out)
+        store = fixture_store(tmp_path)
+        assert run_cli("--out", str(out), "site", "--registry", REGISTRY, "--store", str(store)).exit_code == 0
         before = tree_bytes(out / "site")
         empty = tmp_path / "empty-store"
         empty.mkdir()
-        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(empty))
+        result = run_cli("--out", str(out), "site", "--registry", REGISTRY, "--store", str(empty))
         assert result.exit_code == 1
         apertus = next(e for e in json.loads(Path(REGISTRY).read_text())["entries"] if e["id"] == "apertus")
         assert (
@@ -1293,11 +1337,11 @@ class TestSite:
         assert tree_bytes(out / "site") == before
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
-    def test_card_pinning_another_archived_copy_keeps_the_previous_site(self, runner, tmp_path):
+    def test_card_pinning_another_archived_copy_keeps_the_previous_site(self, tmp_path):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
+        self.build_cards(out)
         store = fixture_store(tmp_path)
-        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store)).exit_code == 0
+        assert run_cli("--out", str(out), "site", "--registry", REGISTRY, "--store", str(store)).exit_code == 0
         before = tree_bytes(out / "site")
         # phi-4's assessment pinned to Apertus's archived copy, which validate does not see.
         apertus = "362aaffd6c198591b70f9223ac193c23ee7a0d65473866cb84148e898e461e50"
@@ -1307,13 +1351,13 @@ class TestSite:
         (assessments / "phi-4.csv").write_text(
             re.sub(r"(?m)^archived_copy_digest: .*$", f"archived_copy_digest: {apertus}", text)
         )
-        checked = run(
-            runner, "--catalog", CATALOG, "validate",
+        checked = run_cli(
+            "--catalog", CATALOG, "validate",
             "--assessments", str(assessments), "--registry", REGISTRY, "--store", str(store),
         )
         assert checked.exit_code == 0, checked.output
-        assert run(runner, "--catalog", CATALOG, "--out", str(out), "score", str(assessments)).exit_code == 0
-        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--store", str(store))
+        assert run_cli("--catalog", CATALOG, "--out", str(out), "score", str(assessments)).exit_code == 0
+        result = run_cli("--out", str(out), "site", "--registry", REGISTRY, "--store", str(store))
         assert result.exit_code == 1
         card = out / "phi-4.scorecard.json"
         assert (
@@ -1323,13 +1367,13 @@ class TestSite:
         assert tree_bytes(out / "site") == before
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
-    def test_card_matching_two_entries_keeps_the_previous_site(self, runner, tmp_path):
+    def test_card_matching_two_entries_keeps_the_previous_site(self, tmp_path):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
-        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
+        self.build_cards(out)
+        assert run_cli("--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
         before = tree_bytes(out / "site")
         registry = duplicated_summary(tmp_path)
-        result = run(runner, "--out", str(out), "site", "--registry", str(registry))
+        result = run_cli("--out", str(out), "site", "--registry", str(registry))
         assert result.exit_code == 1
         assert (
             "Error: site not published: registry has 1 finding(s), first duplicate-summary at phi-4-again: "
@@ -1338,10 +1382,10 @@ class TestSite:
         assert tree_bytes(out / "site") == before
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
-    def test_registry_with_a_finding_keeps_the_previous_site(self, runner, tmp_path):
+    def test_registry_with_a_finding_keeps_the_previous_site(self, tmp_path):
         out = tmp_path / "out"
-        self.build_cards(runner, out)
-        assert run(runner, "--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
+        self.build_cards(out)
+        assert run_cli("--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
         before = tree_bytes(out / "site")
         data = json.loads(Path(REGISTRY).read_text())
         phi = next(entry for entry in data["entries"] if entry["id"] == "phi-4")
@@ -1352,53 +1396,53 @@ class TestSite:
         ]
         registry = tmp_path / "registry.json"
         registry.write_text(json.dumps(data))
-        checked = run(runner, "--catalog", CATALOG, "validate", "--registry", str(registry))
+        checked = run_cli("--catalog", CATALOG, "validate", "--registry", str(registry))
         assert checked.exit_code == 1
         findings = [line.split("\t")[1:3] for line in checked.stdout.splitlines()]
         assert findings == [["script", "bad-source-url"], ["Bad Slug", "bad-slug"]]
-        result = run(runner, "--out", str(out), "site", "--registry", str(registry))
+        result = run_cli("--out", str(out), "site", "--registry", str(registry))
         assert result.exit_code == 1
         assert [line.split("\t")[1:3] for line in result.stdout.splitlines()] == findings
         assert "site not published: registry has 2 finding(s), first bad-source-url at script: " in result.output
         assert tree_bytes(out / "site") == before
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
-    def test_methodology_is_an_unknown_option(self, runner, tmp_path):
+    def test_methodology_is_an_unknown_option(self, tmp_path):
         fragment = tmp_path / "method.html"
         fragment.write_text("<h1>Methodology</h1>")
         out = tmp_path / "out"
-        result = run(runner, "--out", str(out), "site", "--registry", REGISTRY, "--methodology", str(fragment))
+        result = run_cli("--out", str(out), "site", "--registry", REGISTRY, "--methodology", str(fragment))
         assert result.exit_code == 2
         assert "No such option" in result.output and "--methodology" in result.output
         assert not out.exists()
 
 
 class TestConfigPrecedence:
-    def test_config_file_supplies_paths(self, runner, tmp_path):
+    def test_config_file_supplies_paths(self, tmp_path):
         out = tmp_path / "out"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"catalog: {CATALOG}\nout: {out}\nformat: csv\n")
-        result = run(runner, "--config", str(cfg), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
+        result = run_cli("--config", str(cfg), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
         assert result.exit_code == 0, result.output
         assert (out / "phi-4.report.csv").exists()
 
-    def test_flag_overrides_config_file(self, runner, tmp_path):
+    def test_flag_overrides_config_file(self, tmp_path):
         out_cfg, out_flag = tmp_path / "cfg", tmp_path / "flag"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"catalog: {CATALOG}\nout: {out_cfg}\n")
-        result = run(
-            runner, "--config", str(cfg), "--out", str(out_flag),
+        result = run_cli(
+            "--config", str(cfg), "--out", str(out_flag),
             "score", str(Path(ASSESSMENTS) / "phi-4.csv"),
         )
         assert result.exit_code == 0
         assert (out_flag / "phi-4.scorecard.json").exists()
         assert not out_cfg.exists()
 
-    def test_aggregation_flag_changes_scores(self, runner, tmp_path):
+    def test_aggregation_flag_changes_scores(self, tmp_path):
         out_pooled, out_mean = tmp_path / "pooled", tmp_path / "mean"
-        run(runner, "--catalog", CATALOG, "--out", str(out_pooled), "score", ASSESSMENTS)
-        run(
-            runner, "--catalog", CATALOG, "--aggregation", "mean", "--out", str(out_mean),
+        run_cli("--catalog", CATALOG, "--out", str(out_pooled), "score", ASSESSMENTS)
+        run_cli(
+            "--catalog", CATALOG, "--aggregation", "mean", "--out", str(out_mean),
             "score", ASSESSMENTS,
         )
         pooled = json.loads((out_pooled / "smollm3-3b.scorecard.json").read_text())
@@ -1415,16 +1459,16 @@ class TestConfigPrecedence:
         ],
         ids=["file-only", "flag"],
     )
-    def test_aggregation_flag_beats_the_strategy_keys(self, runner, tmp_path, flag, expected):
+    def test_aggregation_flag_beats_the_strategy_keys(self, tmp_path, flag, expected):
         out = tmp_path / "out"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"catalog: {CATALOG}\nout: {out}\naggregation: mean\nsection_group_strategy: pooled-weighted\n")
-        result = run(runner, "--config", str(cfg), *flag, "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
+        result = run_cli("--config", str(cfg), *flag, "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
         assert result.exit_code == 0, result.output
         config = json.loads((out / "phi-4.scorecard.json").read_text())["config"]
         assert (config["section_group_strategy"], config["overall_strategy"]) == expected
 
-    def test_config_file_supplies_validate_inputs(self, runner, tmp_path):
+    def test_config_file_supplies_validate_inputs(self, tmp_path):
         assessments = tmp_path / "assessments"
         assessments.mkdir()
         (assessments / "broken.csv").write_text("not an assessment\n")
@@ -1432,23 +1476,23 @@ class TestConfigPrecedence:
         registry.write_text("{not json")
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"catalog: {CATALOG}\nassessments: {assessments}\nregistry: {registry}\n")
-        result = run(runner, "--config", str(cfg), "validate")
+        result = run_cli("--config", str(cfg), "validate")
         assert result.exit_code == 1
         codes = [line.split("\t")[2] for line in result.output.splitlines() if "\t" in line]
         assert codes == ["malformed-assessment", "malformed-registry"]
 
-    def test_unknown_config_key_rejected(self, runner, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mystery: value\n")
-        result = runner.invoke(cli, ["--config", str(cfg), "catalog-stats"])
+        result = run_cli("--config", str(cfg), "catalog-stats")
         assert result.exit_code != 0
         assert "unknown config line" in result.output
 
-    def test_severity_bands_key_is_unknown(self, runner, tmp_path):
+    def test_severity_bands_key_is_unknown(self, tmp_path):
         # The severity classes are fixed; the key that once set them is refused like any other.
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"catalog: {CATALOG}\nseverity_bands: High:80,Moderate:50,Low:0\n")
-        result = run(runner, "--config", str(cfg), "catalog-stats")
+        result = run_cli("--config", str(cfg), "catalog-stats")
         assert result.exit_code == 1
         assert f"{cfg}:2: unknown config line 'severity_bands: High:80,Moderate:50,Low:0'" in result.output
 
@@ -1470,10 +1514,10 @@ class TestConfigValues:
             "grade_scale: A:5E1,F:0",
         ],
     )
-    def test_bad_value_names_its_key(self, runner, tmp_path, line):
+    def test_bad_value_names_its_key(self, tmp_path, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"catalog: {CATALOG}\n{line}\n")
-        result = run(runner, "--config", str(cfg), "catalog-stats")
+        result = run_cli("--config", str(cfg), "catalog-stats")
         assert result.exit_code == 2
         assert f"Invalid value for {line.split(':')[0]}:" in result.output
 
@@ -1487,11 +1531,11 @@ class TestConfigValues:
             ("store", "validate"),
         ],
     )
-    def test_nul_byte_in_a_value_is_refused(self, runner, tmp_path, key, command):
+    def test_nul_byte_in_a_value_is_refused(self, tmp_path, key, command):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"# a path with a NUL byte\n" + f"{key}: a\0b\n".encode())
         group = [] if key == "catalog" else ["--catalog", CATALOG]
-        result = run(runner, *group, "--config", str(cfg), command)
+        result = run_cli(*group, "--config", str(cfg), command)
         assert result.exit_code == 1
         assert f"{cfg}:2: the value of {key} holds a NUL byte" in result.output
 
@@ -1506,14 +1550,14 @@ class TestConfigValues:
             ("store", "missing", "site"),
         ],
     )
-    def test_bad_option_value_gives_the_flags_message(self, runner, tmp_path, key, value, command):
+    def test_bad_option_value_gives_the_flags_message(self, tmp_path, key, value, command):
         value = str(tmp_path / value) if "missing" in value else value
         group = [] if key == "catalog" else ["--catalog", CATALOG]
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key}: {value}\n")
-        from_file = run(runner, *group, "--config", str(cfg), command)
+        from_file = run_cli(*group, "--config", str(cfg), command)
         flag = [f"--{key}", value]
-        from_flag = run(runner, *group, *(flag + [command] if command == "catalog-stats" else [command] + flag))
+        from_flag = run_cli(*group, *(flag + [command] if command == "catalog-stats" else [command] + flag))
         assert from_file.exit_code == from_flag.exit_code == 2
         assert from_file.output == from_flag.output
         assert f"Invalid value for '--{key}'" in from_file.output
@@ -1523,52 +1567,58 @@ class TestConfigValues:
         ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"],
         ids=["line-separator", "paragraph-separator", "next-line", "vertical-tab", "form-feed", "file-separator"],
     )
-    def test_only_a_line_feed_ends_a_line(self, runner, tmp_path, char):
+    def test_only_a_line_feed_ends_a_line(self, tmp_path, char):
         # str.splitlines() breaks at each of these; the config reader does not.
         catalog = tmp_path / f"catalog{char}.txt"
         catalog.write_bytes(Path(CATALOG).read_bytes())
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"catalog: {catalog}\n", encoding="utf-8")
-        result = run(runner, "--config", str(cfg), "catalog-stats")
+        result = run_cli("--config", str(cfg), "catalog-stats")
         assert result.exit_code == 0, result.output
         assert "Total\t242" in result.output
 
-    def test_repeated_key_is_refused(self, runner, tmp_path):
+    def test_repeated_key_is_refused(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"catalog: {tmp_path / 'missing.txt'}\ncatalog: {CATALOG}\n")
-        result = run(runner, "--config", str(cfg), "catalog-stats")
+        result = run_cli("--config", str(cfg), "catalog-stats")
         assert result.exit_code == 1
         assert f"Error: {cfg}:2: catalog is set more than once\n" in result.output
         assert "Total" not in result.output
 
 
 class TestCatalogStats:
-    def test_counts_output(self, runner):
-        result = run(runner, "--catalog", CATALOG, "catalog-stats")
+    def test_counts_output(self):
+        result = run_cli("--catalog", CATALOG, "catalog-stats")
         assert result.exit_code == 0
         lines = result.output.strip().splitlines()
         assert "Document\t30" in lines
         assert "Total\t242" in lines
 
+    def test_catalog_naming_a_directory_is_a_usage_error(self):
+        result = run_cli("--catalog", ASSESSMENTS, "catalog-stats")
+        assert result.exit_code == 2
+        assert f"Error: Invalid value for '--catalog': File {ASSESSMENTS!r} is a directory.\n" in result.stderr
+        assert result.stdout == ""
+
 
 class TestGradeScaleConfig:
-    def test_custom_grade_scale_from_config_file(self, runner, tmp_path):
+    def test_custom_grade_scale_from_config_file(self, tmp_path):
         out = tmp_path / "out"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             f"catalog: {CATALOG}\nout: {out}\n"
             "grade_scale: Pass:50,Fail:0\n"
         )
-        result = run(runner, "--config", str(cfg), "score", str(Path(ASSESSMENTS) / "apertus.csv"))
+        result = run_cli("--config", str(cfg), "score", str(Path(ASSESSMENTS) / "apertus.csv"))
         assert result.exit_code == 0, result.output
         card = json.loads((out / "apertus.scorecard.json").read_text())
         assert card["grades"] == {"Transparency": "Pass", "Usefulness": "Pass"}
         assert card["config"]["grade_scale"][0] == ["Pass", "50"]
 
-    def test_bad_grade_scale_rejected(self, runner, tmp_path):
+    def test_bad_grade_scale_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"catalog: {CATALOG}\ngrade_scale: A:10,B:90\n")
-        result = runner.invoke(cli, ["--config", str(cfg), "catalog-stats"])
+        result = run_cli("--config", str(cfg), "catalog-stats")
         assert result.exit_code != 0
 
 
@@ -1622,39 +1672,38 @@ class TestConsoleEntryPoint:
 class TestEntryPoint:
     """``cli.main`` as in-process runners call it, and the words and statuses the command line keeps."""
 
-    def test_abbreviated_option_is_not_an_option(self, runner):
-        result = run(runner, "--catalog", CATALOG, "--agg", "mean", "catalog-stats")
+    def test_abbreviated_option_is_not_an_option(self):
+        result = run_cli("--catalog", CATALOG, "--agg", "mean", "catalog-stats")
         assert result.exit_code == 2
         assert "No such option '--agg'" in result.output
         assert "Total" not in result.output
 
     @pytest.mark.parametrize("args", [["-h"], ["--catalog", CATALOG, "catalog-stats", "-h"]], ids=["group", "command"])
-    def test_h_is_not_an_option(self, runner, args):
-        result = run(runner, *args)
+    def test_h_is_not_an_option(self, args):
+        result = run_cli(*args)
         assert result.exit_code == 2
         assert "No such option '-h'" in result.output
 
-    def test_no_command_exits_2_with_the_usage(self, runner):
-        result = run(runner)
+    def test_no_command_exits_2_with_the_usage(self):
+        result = run_cli()
         assert result.exit_code == 2
         assert result.output.startswith("usage: summaryqa [OPTIONS] COMMAND [ARGS]...\n")
         assert "Error: Missing command." in result.output
 
-    def test_help_lists_every_command(self, runner):
-        result = run(runner, "--help")
+    def test_help_lists_every_command(self):
+        result = run_cli("--help")
         assert result.exit_code == 0
         for command in ("archive", "catalog-stats", "compare", "score", "site", "validate"):
             assert command in result.output
 
-    def test_option_value_after_an_equals_sign_is_the_value(self, runner):
-        joined = run(runner, f"--catalog={CATALOG}", "catalog-stats")
+    def test_option_value_after_an_equals_sign_is_the_value(self):
+        joined = run_cli(f"--catalog={CATALOG}", "catalog-stats")
         assert joined.exit_code == 0 and "Total\t242" in joined.output
-        assert joined.output == run(runner, "--catalog", CATALOG, "catalog-stats").output
+        assert joined.output == run_cli("--catalog", CATALOG, "catalog-stats").output
 
-    def test_repeated_option_takes_its_last_value(self, runner, tmp_path):
+    def test_repeated_option_takes_its_last_value(self, tmp_path):
         registry, store = tmp_path / "registry.json", tmp_path / "store"
-        result = run(
-            runner,
+        result = run_cli(
             "--catalog", str(tmp_path / "absent.txt"), "--catalog", CATALOG,
             "archive", str(SOURCES / "phi-4.md"), "--slug", "first", "--slug", "phi-4", "--provider", "Microsoft",
             "--model", "Phi-4", "--registry", str(registry), "--store", str(store),
@@ -1662,19 +1711,19 @@ class TestEntryPoint:
         assert result.exit_code == 0, result.output
         assert [entry["id"] for entry in json.loads(registry.read_text())["entries"]] == ["phi-4"]
 
-    def test_double_dash_before_the_command_ends_the_options(self, runner):
-        result = run(runner, "--catalog", CATALOG, "--", "catalog-stats")
+    def test_double_dash_before_the_command_ends_the_options(self):
+        result = run_cli("--catalog", CATALOG, "--", "catalog-stats")
         assert result.exit_code == 0, result.output
         assert "Total\t242" in result.output
 
-    def test_extra_word_is_a_usage_error(self, runner):
-        result = run(runner, "--catalog", CATALOG, "catalog-stats", "extra")
+    def test_extra_word_is_a_usage_error(self):
+        result = run_cli("--catalog", CATALOG, "catalog-stats", "extra")
         assert result.exit_code == 2
         assert result.stderr.endswith("Error: Got unexpected extra argument (extra)\n")
         assert "Total" not in result.output
 
-    def test_unknown_command_is_a_usage_error(self, runner):
-        result = run(runner, "--catalog", CATALOG, "catalog-statistics")
+    def test_unknown_command_is_a_usage_error(self):
+        result = run_cli("--catalog", CATALOG, "catalog-statistics")
         assert result.exit_code == 2
         assert result.stderr.endswith("Error: No such command 'catalog-statistics'.\n")
 
@@ -1690,8 +1739,8 @@ class TestEntryPoint:
         ],
         ids=["group-help", "group-error", "archive-help", "score-error", "compare-help", "validate-help"],
     )
-    def test_usage_line_comes_first(self, runner, args, usage):
-        result = run(runner, *args)
+    def test_usage_line_comes_first(self, args, usage):
+        result = run_cli(*args)
         assert (result.stdout if "--help" in args else result.stderr).startswith(usage)
 
     def test_main_returns_the_status_in_process(self, capsys):
@@ -1709,9 +1758,9 @@ class TestEntryPoint:
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this system")
     @pytest.mark.parametrize("command", ["version", "catalog-stats", "compare"])
-    def test_write_error_on_stdout_is_one_error_line(self, runner, tmp_path, command):
+    def test_write_error_on_stdout_is_one_error_line(self, tmp_path, command):
         if command == "compare":
-            run(runner, "--catalog", CATALOG, "--out", str(tmp_path), "score", ASSESSMENTS)
+            run_cli("--catalog", CATALOG, "--out", str(tmp_path), "score", ASSESSMENTS)
         args = {
             "version": ["--version"],
             "catalog-stats": ["--catalog", CATALOG, "catalog-stats"],
@@ -1778,9 +1827,9 @@ class TestStartup:
             ("site", (*ASSESSMENT_SIDE, "html.parser")),
         ],
     )
-    def test_command_loads_only_its_layers(self, runner, tmp_path, command, unloaded):
+    def test_command_loads_only_its_layers(self, tmp_path, command, unloaded):
         """Value types are NamedTuples, and the shell reads the command line itself, so no command
-        loads ``dataclasses``, ``click`` or ``argparse`` either."""
+        loads ``dataclasses`` or an option-parsing library either."""
         unloaded = (*unloaded, "dataclasses", "click", "argparse")
         out = tmp_path / "out"
         args = {
@@ -1801,7 +1850,7 @@ class TestStartup:
             "site": ["--out", str(out), "site", "--registry", REGISTRY],
         }[command]
         if command in ("compare", "site"):
-            run(runner, "--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+            run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
         status, modules = loaded_modules(*args)
         assert status in (0, 1)  # validate finds the objects missing from the empty store
         assert sorted(modules.intersection(unloaded)) == []

@@ -14,12 +14,9 @@ import json
 import sys
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from summaryqa.cli import cli
 from summaryqa.registry import archive_fetch
 
-from toys import reference_catalog_path
+from toys import reference_catalog_path, run_cli
 
 REPO = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).with_name("output_manifest.json")
@@ -29,12 +26,10 @@ AGGREGATIONS = ("pooled", "mean")
 
 def pipeline_outputs(work: Path) -> dict[str, str]:
     """Run the fixture pipeline under ``work``; sha256 of each output by its name."""
-    runner = CliRunner()
-
     def run(*args: str) -> bytes:
-        result = runner.invoke(cli, list(args), catch_exceptions=False)
+        result = run_cli(*args)
         assert result.exit_code == 0, result.output
-        return result.stdout_bytes
+        return result.stdout.encode("utf-8")
 
     catalog = str(reference_catalog_path())
     fixtures = REPO / "fixtures"

@@ -234,6 +234,15 @@ class TestArchiveFetch:
             with pytest.raises(FetchFailed, match="Invalid IPv6 URL"):
                 recorded_url(url)
 
+    def test_timeout_is_taken_up_to_what_a_socket_holds(self, tmp_path):
+        """``archive`` refuses every other timeout (tests/test_cli.py); the largest one a socket holds is taken."""
+        source = tmp_path / "summary.txt"
+        source.write_bytes(b"original contents")
+        copy = archive_fetch(str(source), tmp_path / "store", timeout=threading.TIMEOUT_MAX)
+        assert (tmp_path / "store" / copy.storage_path).read_bytes() == b"original contents"
+        with pytest.raises(Refused, match=f"^timeout must be above 0 and at most {threading.TIMEOUT_MAX:.0f} seconds"):
+            archive_fetch(str(source), tmp_path / "store", timeout=threading.TIMEOUT_MAX * 1.01)
+
     def test_unsupported_scheme_fails(self, tmp_path):
         with pytest.raises(FetchFailed):
             archive_fetch("ftp://example.org/x", tmp_path / "store")
@@ -365,6 +374,16 @@ class TestVerifyArchive:
         registry, store, copy = self.build(tmp_path)
         (store / copy.storage_path).unlink()
         assert [f.code for f in verify_archive(registry, store)] == ["missing-object"]
+
+    @pytest.mark.skipif(not Path("/proc/self/mem").exists(), reason="no /proc/self/mem on this system")
+    def test_object_whose_read_fails_in_the_os_is_a_finding(self, tmp_path):
+        """``/proc/self/mem`` is a file whose read from its start fails with EIO."""
+        registry, store, copy = self.build(tmp_path)
+        (store / copy.storage_path).unlink()
+        (store / copy.storage_path).symlink_to("/proc/self/mem")
+        [finding] = verify_archive(registry, store)
+        assert finding.code == "unreadable-object"
+        assert finding.message.startswith(f"archived object {copy.storage_path} cannot be read: [Errno ")
 
     def test_store_named_through_a_symlink_or_relative_path_is_clean(self, tmp_path, monkeypatch):
         registry, store, _ = self.build(tmp_path)

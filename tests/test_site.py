@@ -7,10 +7,8 @@ from html.parser import HTMLParser
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from summaryqa import reporting, site
-from summaryqa.cli import cli
 from summaryqa.errors import Refused
 from summaryqa.registry import (
     DiscoveryChannel,
@@ -36,7 +34,7 @@ from summaryqa.scoring import score_summary
 from summaryqa.site import SiteConfig, SitePlan, build_site, check_links
 
 from randgen import random_assessment, random_catalog
-from toys import link_dangling_from, load_reference_catalog, toy_meta
+from toys import link_dangling_from, load_reference_catalog, run_cli, toy_meta
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -307,7 +305,7 @@ class TestOneDecodedCardAtATime:
     def test_compare(self, tmp_path, monkeypatch):
         synthetic_inputs(50, tmp_path / "cards", seed=50)
         refs, alive = self.track(monkeypatch, reporting, "load_scorecard", "render_comparison")
-        result = CliRunner().invoke(cli, ["compare", str(tmp_path / "cards")], catch_exceptions=False)
+        result = run_cli("compare", str(tmp_path / "cards"))
         assert result.exit_code == 0, result.output
         assert len(refs) == 50
         assert len(alive) == 1 and alive[0] <= 1
@@ -386,10 +384,10 @@ class TestPublishing:
         save_registry(registry, path)
         out = tmp_path / "out"
         args = ["--out", str(out), "site", "--registry", str(path), "--cards", str(cards[0].parent), "--store", str(store)]
-        assert CliRunner().invoke(cli, args, catch_exceptions=False).exit_code == 0
+        assert run_cli(*args).exit_code == 0
         published = tree_bytes(out / "site")
         path.write_text(path.read_text().replace(f'"{copy.storage_path}"', '"../secret.pdf"'))
-        result = CliRunner().invoke(cli, args, catch_exceptions=False)
+        result = run_cli(*args)
         assert result.exit_code == 1
         reason = f"archived.storage_path must be {copy.storage_path!r}, got '../secret.pdf'"
         assert f"Error: {path}: {reason}\n" in result.output

@@ -1,15 +1,18 @@
 """Small hand-built catalogs/assessments shared across test modules, the
 reference catalog, the canonical writers of the catalog and assessment
-file formats, which only the tests need, and a detail page with one
-dangling link."""
+file formats, which only the tests need, a detail page with one
+dangling link, and the in-process command-line runner."""
 
 import csv
 import io
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import date
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import summaryqa
+from summaryqa import cli
 from summaryqa.assessment import _CSV_HEADER, _HEADER_REQUIRED, Assessment, Verdict, VerdictValue, applicability_map
 from summaryqa.base import Dimension, PublishedForm, Section, SummaryMeta, meta_to_dict
 from summaryqa.catalog import ApplicabilityRule, Catalog, Metric, load_catalog
@@ -108,6 +111,29 @@ def reference_catalog_path():
 
 def load_reference_catalog():
     return load_catalog(reference_catalog_path())
+
+
+class CliResult(NamedTuple):
+    """What one in-process command line gave: its exit status and the text of each stream."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        """stdout, then stderr."""
+        return self.stdout + self.stderr
+
+
+def run_cli(*args: str) -> CliResult:
+    """Run ``summaryqa ARGS`` in-process as the benchmark's replay does, through ``cli.main`` outside standalone
+    mode, with stdout and stderr read into text buffers.  An exception the command line does not turn into a
+    status propagates, so it fails the test that met it."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        status = cli.main(list(args), standalone_mode=False)
+    return CliResult(status, stdout.getvalue(), stderr.getvalue())
 
 
 def link_dangling_from(monkeypatch, slug):
