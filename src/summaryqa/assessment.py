@@ -229,8 +229,6 @@ def parse_assessment(text: str) -> Assessment:
     lines = text.split("\n")
     header_lines = lines if lines[-1] else lines[:-1]  # the "" after a final "\n" is no line
     fields, blank = read_fields(header_lines)
-    if blank == len(header_lines):
-        raise Malformed("missing blank line between header and verdict rows")
     body_start = blank + 1
     check_keys(fields, "header", _HEADER_REQUIRED, _HEADER_OPTIONAL)
     header = {key: value for key, (_, value) in fields.items()}

@@ -195,9 +195,10 @@ def registry_from_json(text: str | bytes) -> Registry:
 def _registry_from_dict(data: dict) -> Registry:
     entries = []
     for raw in data["entries"]:
-        archived = None
-        if raw.get("archived"):
-            a = raw["archived"]
+        archived, a = None, raw.get("archived")  # only null or an absent key is no archived copy
+        if a is not None:
+            if not isinstance(a, dict):
+                raise ValueError(f"archived must be an object or null, got {a!r}")
             require_strings({f"archived.{key}": a[key] for key in (*_ARCHIVED_TEXT, "storage_path")})
             check_digest(a["content_digest"], "archived.content_digest")
             if not isinstance(a["byte_length"], int) or isinstance(a["byte_length"], bool):

@@ -526,6 +526,19 @@ class TestFileFormat:
             parse_assessment(text)
         assert exc.value.line == 13
 
+    def test_empty_metric_id_is_malformed_at_its_line(self):
+        with pytest.raises(Malformed, match="^line 13: empty metric_id$") as exc:
+            parse_assessment(SAMPLE_FILE.replace('D,partially-sufficient,"terse, but present"', ",sufficient,"))
+        assert exc.value.line == 13
+
+    def test_header_without_a_blank_line_is_malformed(self):
+        """A verdict table straight after the header is a header line without a colon; a file with no
+        verdict table has no table header."""
+        with pytest.raises(Malformed, match="^line 10: expected 'key: value', got 'metric_id,verdict,note'$"):
+            parse_assessment(SAMPLE_FILE.replace("verifier: ver\n\n", "verifier: ver\n"))
+        with pytest.raises(Malformed, match="^verdict table must start with header 'metric_id,verdict,note'$"):
+            parse_assessment(SAMPLE_FILE.partition("\n\n")[0] + "\n")
+
     def test_bad_verdict_token(self):
         with pytest.raises(Malformed, match="unknown verdict"):
             parse_assessment(SAMPLE_FILE.replace("partially-sufficient", "meh"))

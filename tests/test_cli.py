@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -355,7 +356,9 @@ class TestCheckDate:
 
     @pytest.mark.parametrize("command", ["validate", "score"])
     def test_future_date_follows_the_one_read(self, tmp_path, monkeypatch, command):
-        import summaryqa.cli as cli_module
+        from importlib import import_module
+
+        command_module = import_module(f"summaryqa.commands.{command}")
 
         assessments = tmp_path / "assessments"
         assessments.mkdir()
@@ -367,7 +370,7 @@ class TestCheckDate:
                 def today(cls):
                     return day
 
-            monkeypatch.setattr(cli_module, "date", Today)
+            monkeypatch.setattr(command_module, "date", Today)
             out = tmp_path / f"out-{day}"
             args = ["validate", "--assessments"] if command == "validate" else ["--out", str(out), "score"]
             result = run_cli("--catalog", CATALOG, *args, str(assessments))
@@ -593,6 +596,13 @@ class TestScoreAndCompare:
             "phi-4.scorecard.json",
             "smollm3-3b.scorecard.json",
         ]
+
+    @pytest.mark.parametrize("given", ["CARDS_DIR", "--out"])
+    def test_compare_names_the_directory_without_cards(self, tmp_path, given):
+        args = ["compare", str(tmp_path)] if given == "CARDS_DIR" else ["--out", str(tmp_path), "compare"]
+        result = run_cli(*args)
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: no score cards found in {tmp_path}\n"
 
     def test_score_is_deterministic(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -1417,6 +1427,65 @@ class TestSite:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def published(tmp_path_factory):
+    """An ``--out`` directory with the fixture cards and the site built from them."""
+    out = tmp_path_factory.mktemp("published") / "out"
+    run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
+    assert run_cli("--out", str(out), "site", "--registry", REGISTRY).exit_code == 0
+    return out
+
+
+class TestArchivedNotAnObject:
+    """Only null or an absent key means an entry has no archived copy: every other ``archived`` value that
+    is not an object is malformed, in ``validate``, ``archive`` and ``site`` alike."""
+
+    VALUES = pytest.mark.parametrize("value", [False, 0, "", [], {}], ids=["false", "0", "empty-string", "list", "object"])
+
+    def registry(self, tmp_path, value):
+        data = json.loads(Path(REGISTRY).read_text())
+        entry = next(entry for entry in data["entries"] if entry["id"] == "smollm3-3b")
+        entry["archived"], entry["meta"]["archived_copy_digest"] = value, None
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps(data, indent=2))
+        return path
+
+    @VALUES
+    def test_validate_reports_one_malformed_registry(self, tmp_path, value):
+        registry = self.registry(tmp_path, value)
+        result = run_cli("--catalog", CATALOG, "validate", "--registry", str(registry))
+        assert result.exit_code == 1
+        assert [line.split("\t")[2] for line in result.stdout.splitlines()] == ["malformed-registry"]
+        reason = "missing field 'fetched_at'" if value == {} else f"archived must be an object or null, got {value!r}"
+        assert result.stdout.rstrip("\n").endswith(f"\t{reason}")
+        assert "1 finding(s)" in result.stderr
+
+    @VALUES
+    def test_archive_refuses_and_changes_nothing(self, tmp_path, value):
+        registry, store = self.registry(tmp_path, value), tmp_path / "store"
+        before = registry.read_bytes()
+        source = tmp_path / "new.md"
+        source.write_text("# New model: public summary of training content\n")
+        result = run_cli(
+            "archive", str(source), "--slug", "new-model", "--provider", "New", "--model", "New",
+            "--registry", str(registry), "--store", str(store),
+        )
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"Error: {registry}: ")
+        assert registry.read_bytes() == before
+        assert not store.exists()
+
+    @VALUES
+    def test_site_refuses_and_keeps_the_site(self, tmp_path, published, value):
+        registry, out = self.registry(tmp_path, value), tmp_path / "out"
+        shutil.copytree(published, out)
+        before = tree_bytes(out)
+        result = run_cli("--out", str(out), "site", "--registry", str(registry))
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"Error: {registry}: ")
+        assert tree_bytes(out) == before
+
+
 class TestConfigPrecedence:
     def test_config_file_supplies_paths(self, tmp_path):
         out = tmp_path / "out"
@@ -1614,6 +1683,15 @@ class TestGradeScaleConfig:
         card = json.loads((out / "apertus.scorecard.json").read_text())
         assert card["grades"] == {"Transparency": "Pass", "Usefulness": "Pass"}
         assert card["config"]["grade_scale"][0] == ["Pass", "50"]
+
+    @pytest.mark.parametrize("scale,entry", [("A,F:0", "A"), ("A:50,F", "F"), ("A:50,,F:0", "")])
+    def test_grade_scale_entry_without_a_colon_is_named(self, tmp_path, scale, entry):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"catalog: {CATALOG}\ngrade_scale: {scale}\n")
+        result = run_cli("--config", str(cfg), "catalog-stats")
+        assert result.exit_code == 2
+        assert result.stderr.endswith(f"Error: Invalid value for grade_scale: entry {entry!r} must be LABEL:MIN\n")
+        assert result.stdout == ""
 
     def test_bad_grade_scale_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -1825,16 +1903,21 @@ class TestStartup:
             ("score", ("summaryqa.registry", "summaryqa.site", "html.parser")),
             ("compare", (*ASSESSMENT_SIDE, "summaryqa.registry", "summaryqa.site", "html.parser")),
             ("site", (*ASSESSMENT_SIDE, "html.parser")),
+            ("bad-option", (*LAYERS, "summaryqa.base", *SHELL_UNLOADED)),
+            ("bad-command", (*LAYERS, "summaryqa.base", *SHELL_UNLOADED)),
         ],
     )
     def test_command_loads_only_its_layers(self, tmp_path, command, unloaded):
         """Value types are NamedTuples, and the shell reads the command line itself, so no command
-        loads ``dataclasses`` or an option-parsing library either."""
+        loads ``dataclasses`` or an option-parsing library either.  A command loads ``summaryqa.commands``
+        and its own module of it; ``--version``, ``--help`` and a usage error load neither."""
         unloaded = (*unloaded, "dataclasses", "click", "argparse")
         out = tmp_path / "out"
         args = {
             "--version": ["--version"],
             "--help": ["--help"],
+            "bad-option": ["--catalog", CATALOG, "--bogus", "validate"],
+            "bad-command": ["--catalog", CATALOG, "validation"],
             "catalog-stats": ["--catalog", CATALOG, "catalog-stats"],
             "archive": [
                 "archive", str(SOURCES / "phi-4.md"),
@@ -1852,8 +1935,12 @@ class TestStartup:
         if command in ("compare", "site"):
             run_cli("--catalog", CATALOG, "--out", str(out), "score", ASSESSMENTS)
         status, modules = loaded_modules(*args)
-        assert status in (0, 1)  # validate finds the objects missing from the empty store
+        # validate finds the objects missing from the empty store
+        assert status == (2 if command.startswith("bad-") else 0 if command != "validate" else 1)
         assert sorted(modules.intersection(unloaded)) == []
+        shell = command.startswith(("-", "bad-"))
+        own = set() if shell else {"summaryqa.commands", f"summaryqa.commands.{command.replace('-', '_')}"}
+        assert {m for m in modules if m.startswith("summaryqa.commands")} == own
 
     def test_shared_module_is_a_leaf(self):
         """``summaryqa.base`` loads only ``errors`` of the package, and no parser or hash library."""
@@ -1871,12 +1958,32 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_each_command_is_a_module(self):
+        """``cli.COMMANDS`` names the modules under ``summaryqa/commands/``, in ``--help``'s order, and each
+        holds its option table and a function of its name, whose docstring is its ``--help`` text."""
+        from importlib import import_module
+
+        import summaryqa.commands
+        from summaryqa.cli import COMMANDS, _Option
+
+        package = Path(summaryqa.commands.__file__).parent
+        modules = sorted(path.stem for path in package.glob("*.py") if path.stem != "__init__")
+        assert COMMANDS == tuple(module.replace("_", "-") for module in modules)
+        for name in modules:
+            command = import_module(f"summaryqa.commands.{name}")
+            assert all(isinstance(option, _Option) for option in command.OPTIONS)
+            assert getattr(command, name).__doc__.strip()
+            help_text = run_cli(name.replace("_", "-"), "--help")
+            assert help_text.exit_code == 0, help_text.output
+            assert getattr(command, name).__doc__.strip().splitlines()[0] in help_text.stdout
+
     def test_choice_lists_match_their_layers(self):
         import summaryqa.cli as cli_module
         from summaryqa.base import PublishedForm
+        from summaryqa.commands import archive
         from summaryqa.registry import DiscoveryChannel
         from summaryqa.reporting import FORMATS
 
         assert cli_module.FORMATS == FORMATS
-        assert cli_module.PUBLISHED_FORMS == tuple(form.value for form in PublishedForm)
-        assert cli_module.CHANNELS == tuple(channel.value for channel in DiscoveryChannel)
+        assert archive.PUBLISHED_FORMS == tuple(form.value for form in PublishedForm)
+        assert archive.CHANNELS == tuple(channel.value for channel in DiscoveryChannel)
