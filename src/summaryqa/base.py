@@ -71,13 +71,13 @@ def read_bytes(path: str | Path) -> bytes:
 
 
 def read_text(path: str | Path) -> str:
-    """The UTF-8 text of the file at ``path``, its line breaks read as in text mode;
-    bytes that are not UTF-8, or a file that cannot be read, are Malformed."""
+    """The UTF-8 text of the file at ``path``, less one leading byte order mark, its line breaks read as
+    in text mode; bytes that are not UTF-8, or a file that cannot be read, are Malformed."""
     try:
         text = read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise Malformed(str(exc)) from exc
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_json(text: str | bytes, decode: Callable[[object], _Decoded]) -> _Decoded:

@@ -2,12 +2,13 @@
 
 from datetime import date
 
+from ..base import PublishedForm
 from ..cli import _Option, _Usage, _choice, _echo, _note, _path
+from ..registry import DiscoveryChannel
 from . import _load, _require
 
-# base.PublishedForm and registry.DiscoveryChannel, spelled out as cli.FORMATS is; tests/test_cli.py pins them.
-PUBLISHED_FORMS = ("WebPage", "PDF", "MarkdownFile", "Other")
-CHANNELS = ("SearchEngine", "ModelRepoPage", "LegalCompliancePage", "TechnicalReport", "Index", "Referral")
+PUBLISHED_FORMS = tuple(form.value for form in PublishedForm)
+CHANNELS = tuple(channel.value for channel in DiscoveryChannel)
 
 
 def _iso_date(text: str) -> date | None:
@@ -40,10 +41,10 @@ OPTIONS = (
 
 def archive(args):
     """Fetch a summary, pin it in the object store, and register it."""
-    from ..base import PublishedForm, SummaryMeta, well_formed_url
+    from ..base import SummaryMeta, well_formed_url
     from ..registry import (
-        DiscoveryChannel, DiscoveryProvenance, Registry, RegistryEntry, add_entry, archive_fetch, attach_archive,
-        load_registry, recorded_url, save_registry, valid_slug,
+        DiscoveryProvenance, Registry, RegistryEntry, add_entry, archive_fetch, attach_archive, load_registry,
+        recorded_url, save_registry, valid_slug,
     )
 
     registry_file = _require(args.registry, "--registry")

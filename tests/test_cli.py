@@ -247,6 +247,17 @@ class TestValidate:
         assert reason in message
         assert "1 finding(s)" in result.output
 
+    def test_quote_left_open_on_the_last_row_is_a_finding(self, tmp_path):
+        assessments = tmp_path / "assessments"
+        assessments.mkdir()
+        text = (Path(ASSESSMENTS) / "phi-4.csv").read_text(encoding="utf-8")
+        (assessments / "phi-4.csv").write_text(text + 'X,sufficient,"unterminated', encoding="utf-8")
+        result = run_cli("--catalog", CATALOG, "validate", "--assessments", str(assessments))
+        assert result.exit_code == 1
+        [line] = result.stdout.splitlines()
+        assert line.split("\t")[:3] == ["assessment:phi-4.csv", "phi-4.csv", "malformed-assessment"]
+        assert line.endswith("unexpected end of data")
+
     def test_note_over_the_csv_field_limit_is_a_finding(self, tmp_path):
         assessments = tmp_path / "assessments"
         assessments.mkdir()
@@ -321,6 +332,8 @@ class TestValidate:
             f"registry\t{registry}\tmalformed-registry\tarchived.storage_path must be "
             f"'objects/55/{PHI_DIGEST}', got '../outside.md'"
         ]
+        # The registry reader pins the path, so the finding needs no store.
+        assert run_cli("--catalog", CATALOG, "validate", "--registry", str(registry)).stdout == result.stdout
 
     @pytest.mark.parametrize(
         "field,value,reason",
@@ -534,6 +547,42 @@ class TestNonUtf8Input:
         assert f"{cfg}: 'utf-8' codec can't decode byte 0xff" in result.output
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte order mark before a catalog, an assessment or a config file is not part of its first field."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_catalog(self, tmp_path):
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_bytes(self.BOM + Path(CATALOG).read_bytes())
+        result = run_cli("--catalog", str(catalog), "catalog-stats")
+        assert result.exit_code == 0, result.output
+        assert result.output == run_cli("--catalog", CATALOG, "catalog-stats").output
+
+    def test_assessment_under_validate(self, tmp_path):
+        assessments = tmp_path / "assessments"
+        assessments.mkdir()
+        (assessments / "phi-4.csv").write_bytes(self.BOM + (Path(ASSESSMENTS) / "phi-4.csv").read_bytes())
+        result = run_cli("--catalog", CATALOG, "validate", "--assessments", str(assessments))
+        assert result.exit_code == 0, result.output
+        assert result.stdout == ""
+
+    def test_assessment_under_score(self, tmp_path):
+        marked, out, plain = tmp_path / "phi-4.csv", tmp_path / "out", tmp_path / "plain"
+        marked.write_bytes(self.BOM + (Path(ASSESSMENTS) / "phi-4.csv").read_bytes())
+        result = run_cli("--catalog", CATALOG, "--out", str(out), "score", str(marked))
+        assert result.exit_code == 0, result.output
+        run_cli("--catalog", CATALOG, "--out", str(plain), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
+        assert tree_bytes(out) == tree_bytes(plain)
+
+    def test_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(self.BOM + f"catalog: {CATALOG}\n".encode())
+        result = run_cli("--config", str(cfg), "catalog-stats")
+        assert result.exit_code == 0, result.output
+        assert "Total\t242" in result.output
+
+
 class TestUnreadableInput:
     """A directory where a file is expected is a typed error that names it, never a traceback."""
 
@@ -724,8 +773,9 @@ class TestScoreAndCompare:
         assert not out.exists() or list(out.iterdir()) == []
 
     def test_score_refuses_an_assessment_with_validates_findings(self, tmp_path):
+        """One assessment with findings among clean ones: score writes no card at all."""
         assessments, out = tmp_path / "assessments", tmp_path / "out"
-        assessments.mkdir()
+        shutil.copytree(ASSESSMENTS, assessments)
         lines = (Path(ASSESSMENTS) / "apertus.csv").read_text().splitlines()
         kept = [line for line in lines if not line.startswith(("F1.1.a.1,", "F1.1.b.1,"))]
         (assessments / "apertus.csv").write_text("\n".join(kept) + "\n")
@@ -1211,6 +1261,9 @@ class TestSite:
         phi = json.loads(Path(REGISTRY).read_text())["entries"]
         stored = store / next(e for e in phi if e["id"] == "phi-4")["archived"]["storage_path"]
         stored.write_bytes(stored.read_bytes() + b"appended")
+        checked = run_cli("--catalog", CATALOG, "validate", "--registry", REGISTRY, "--store", str(store))
+        assert checked.exit_code == 1
+        assert [line.split("\t")[1:3] for line in checked.stdout.splitlines()] == [["phi-4", "digest-mismatch"]]
         result = run_cli("--out", str(out), "site", "--registry", REGISTRY, "--store", str(store))
         assert result.exit_code == 1
         assert "phi-4: stored bytes hash to" in result.output
@@ -1240,6 +1293,7 @@ class TestSite:
         assert sorted(p.name for p in (out / "site" / "summaries").iterdir()) == [
             "apertus", "bielik-v3-11b", "phi-4", "smollm3-3b",
         ]
+        assert (out / "site" / "summaries" / "phi-4" / "index.html").is_file()
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
     def test_broken_link_exits_one_and_lists_it(self, tmp_path, monkeypatch):
@@ -1488,12 +1542,19 @@ class TestArchivedNotAnObject:
 
 class TestConfigPrecedence:
     def test_config_file_supplies_paths(self, tmp_path):
-        out = tmp_path / "out"
+        """``score``, ``compare`` and ``site`` driven by a config file write the bytes the same flags write."""
+        out, flagged = tmp_path / "out", tmp_path / "flagged"
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"catalog: {CATALOG}\nout: {out}\nformat: csv\n")
-        result = run_cli("--config", str(cfg), "score", str(Path(ASSESSMENTS) / "phi-4.csv"))
-        assert result.exit_code == 0, result.output
-        assert (out / "phi-4.report.csv").exists()
+        cfg.write_text(f"catalog: {CATALOG}\nout: {out}\nformat: html\nregistry: {REGISTRY}\n")
+        for command in (["score", ASSESSMENTS], ["compare"], ["site"]):
+            result = run_cli("--config", str(cfg), *command)
+            assert result.exit_code == 0, result.output
+            flags = ["--registry", REGISTRY] if command == ["site"] else []
+            result = run_cli("--catalog", CATALOG, "--out", str(flagged), "--format", "html", *command, *flags)
+            assert result.exit_code == 0, result.output
+        assert (out / "phi-4.report.html").exists() and (out / "comparison.html").exists()
+        assert (out / "site" / "index.html").exists()
+        assert tree_bytes(out) == tree_bytes(flagged)
 
     def test_flag_overrides_config_file(self, tmp_path):
         out_cfg, out_flag = tmp_path / "cfg", tmp_path / "flag"
@@ -1978,12 +2039,8 @@ class TestStartup:
             assert getattr(command, name).__doc__.strip().splitlines()[0] in help_text.stdout
 
     def test_choice_lists_match_their_layers(self):
+        """The group options spell out ``reporting.FORMATS``, so that reading them loads no layer."""
         import summaryqa.cli as cli_module
-        from summaryqa.base import PublishedForm
-        from summaryqa.commands import archive
-        from summaryqa.registry import DiscoveryChannel
         from summaryqa.reporting import FORMATS
 
         assert cli_module.FORMATS == FORMATS
-        assert archive.PUBLISHED_FORMS == tuple(form.value for form in PublishedForm)
-        assert archive.CHANNELS == tuple(channel.value for channel in DiscoveryChannel)

@@ -4,13 +4,15 @@ The pipeline runs in-process: ``score`` in each format under both
 aggregations, ``compare`` to a file and to stdout, ``site`` with a store,
 and a site with no cards.  Each output's sha256 must
 equal the one in ``output_manifest.json``, so a refactor that changes any
-byte of a card, report, comparison or page fails here.
+byte of a card, report, comparison or page fails here.  No HTML output may
+hold a script.
 
 ``python tests/test_outputs.py`` prints the manifest of the current tree.
 """
 
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -65,6 +67,9 @@ def test_every_output_matches_the_manifest(tmp_path):
     assert sorted(actual) == sorted(expected)
     changed = [name for name in expected if actual[name] != expected[name]]
     assert changed == []
+    pages = sorted((tmp_path / "out").rglob("*.html"))
+    scripted = [page for page in pages if re.search(rb"<script|javascript:", page.read_bytes())]
+    assert scripted == []
 
 
 if __name__ == "__main__":
